@@ -438,42 +438,39 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
 def feasibility_restore(prob: BarrierProblem) -> dict:
     """Strictly feasible initial point for a synthesis-shaped problem.
 
-    Starts from the analytic-center recipe (control center, epsilon-scaled
-    shape) and, when the distance constraint bites, slides the center toward
-    the admissible control that maximizes the distance slack.  Raises
-    InfeasibleProblemError naming the violated constraint when no combination
-    works even in the epsilon -> 0 limit.
+    Works in whitened control coordinates, where the control center is the
+    origin and the admissible set the unit ball.  Starts from the
+    analytic-center recipe (origin, epsilon-scaled shape) and, when the
+    distance constraint bites, slides the center toward the admissible
+    control that maximizes the distance slack.  Raises InfeasibleProblemError
+    naming the violated constraint when no combination works even in the
+    epsilon -> 0 limit.
     """
     hint = prob.restore_hint
     if not hint:
         raise ValueError("problem carries no restore hint")
-    c_U = np.asarray(hint["c_U"], dtype=float)
-    W = np.asarray(hint["W"], dtype=float)  # (M_U)^(1/2)
-    M_U = W @ W
     q_blk = hint["q"]
     shape_blk = hint["shape"]  # symmetric Q block or scalar r block
     lam_blk = hint["lam"]
     s_blk = hint.get("s")
-    norm_W = float(np.linalg.eigvalsh(W).max())
     # slack-ascent direction for the center, from the distance constraint row
-    slide = np.zeros_like(c_U)
-    dist = next((s for s in prob.scalars if s.name == hint.get("distance", "distance")), None)
+    slide = np.zeros(q_blk.dim)
+    dist = next((s for s in prob.scalars if s.name == "distance"), None)
     if dist is not None:
         a_q = dist.a[q_blk.offset:q_blk.offset + q_blk.dim]
-        Ma = M_U @ a_q
-        denom = float(a_q @ Ma)
+        denom = float(a_q @ a_q)
         if denom > 0.0:
-            slide = Ma / np.sqrt(denom)
+            slide = a_q / np.sqrt(denom)
 
     def candidate(eps, theta, lam):
-        vals = {q_blk.name: c_U + theta * slide}
+        vals = {q_blk.name: theta * slide}
         if shape_blk.kind == "symmetric":
-            vals[shape_blk.name] = eps * W
+            vals[shape_blk.name] = eps * np.eye(q_blk.dim)
         else:
             vals[shape_blk.name] = eps
         vals[lam_blk.name] = lam
         if s_blk is not None:
-            vals[s_blk.name] = 2.0 * eps * norm_W
+            vals[s_blk.name] = 2.0 * eps
         return vals
 
     for eps in [1e-3, 1e-4, 1e-5, 1e-6, 1e-8]:

@@ -21,14 +21,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .montecarlo import sample_trajectories
-from .reachability import ReachSpec, disturbance_contribution, reach_support, separation
+from .reachability import ReachSpec, disturbance_contribution, reach_tube, separation
 from .scenario import (
     Scenario,
     ScenarioError,
     build_nominal,
     build_spec,
-    load_scenario,
+    load_document,
     position_projection,
+    scenario_from_dict,
 )
 from .synthesis import (
     EncounterGeometry,
@@ -37,6 +38,10 @@ from .synthesis import (
     safe_set,
     scalarization_loop,
 )
+
+# not called here, but importable as pipeline.<name> for the perfbench trace
+from .reachability import reach_support  # noqa: F401
+from .scenario import load_scenario  # noqa: F401
 
 SEP_TOL = 1e-6
 
@@ -77,21 +82,28 @@ def plane_directions(scenario: Scenario, pos_dim: int) -> np.ndarray:
     return dirs
 
 
-def _write_tubes_csv(path: Path, rows) -> None:
+def _write_tubes_csv(path: Path, dirs, tubes: dict) -> None:
+    """One row per (aircraft, time, direction); dirs are the plane directions."""
+    d3 = np.zeros((dirs.shape[0], 3))
+    d3[:, :dirs.shape[1]] = dirs
     lines = ["aircraft,t_s,dir_index,dir_x,dir_y,dir_z,support_value"]
-    for aircraft, t, j, d3, val in rows:
-        lines.append(f"{aircraft},{_fmt(t)},{j},{_fmt(d3[0])},{_fmt(d3[1])},{_fmt(d3[2])},{_fmt(val)}")
+    for aircraft, tube in tubes.items():
+        for t, vals in zip(tube.times, tube.support_values):
+            lines += [f"{aircraft},{_fmt(t)},{j},{_fmt(d[0])},{_fmt(d[1])},{_fmt(d[2])},{_fmt(v)}"
+                      for j, (d, v) in enumerate(zip(d3, vals))]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _tube_rows(name: str, spec: ReachSpec, P, t_grid, dirs):
-    rows = []
-    for t in t_grid:
-        for j, l in enumerate(dirs):
-            d3 = np.zeros(3)
-            d3[:len(l)] = l
-            rows.append((name, t, j, d3, reach_support(spec, t, P.T @ l)))
-    return rows
+def _apply_overrides(doc: dict, overrides: dict) -> dict:
+    """The scenario document with the run's overrides merged in."""
+    doc = dict(doc)
+    if overrides.get("k0") is not None:
+        doc["scalarization"] = {**doc.get("scalarization", {}), "k0": float(overrides["k0"])}
+    for key, field, kind in [("method", "part1_method", str), ("directions", "directions", int),
+                             ("quad_steps", "quad_steps", int), ("grid_step", "grid_step_s", float)]:
+        if overrides.get(key) is not None:
+            doc[field] = kind(overrides[key])
+    return doc
 
 
 def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
@@ -136,19 +148,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        scenario = load_scenario(scenario_path)
-        if overrides.get("k0") is not None:
-            scenario = dataclasses.replace(scenario, k0=float(overrides["k0"]))
-        if overrides.get("method") is not None:
-            if overrides["method"] not in ("norm", "scaled"):
-                raise ScenarioError("override 'method' must be 'norm' or 'scaled'")
-            scenario = dataclasses.replace(scenario, method=overrides["method"])
-        if overrides.get("directions") is not None:
-            scenario = dataclasses.replace(scenario, directions=int(overrides["directions"]))
-        if overrides.get("quad_steps") is not None:
-            scenario = dataclasses.replace(scenario, quad_steps=int(overrides["quad_steps"]))
-        if overrides.get("grid_step") is not None:
-            scenario = dataclasses.replace(scenario, grid_step=float(overrides["grid_step"]))
+        scenario = scenario_from_dict(_apply_overrides(load_document(scenario_path), overrides))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
@@ -176,13 +176,14 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     specB = build_spec(scenario, 1)
     t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
     dirs = plane_directions(scenario, pos_dim)
+    state_dirs = dirs @ P
     if dirs.shape[0] == 0:
         print("warning: empty direction set, tube files will have no rows", file=sys.stderr)
 
     # phase zero: initial tubes and the overlap report
-    _write_tubes_csv(out / "tubes_initial.csv",
-                     _tube_rows("A", specA, P, t_grid, dirs)
-                     + _tube_rows("B", specB, P, t_grid, dirs))
+    _write_tubes_csv(out / "tubes_initial.csv", dirs,
+                     {"A": reach_tube(specA, t_grid, state_dirs),
+                      "B": reach_tube(specB, t_grid, state_dirs)})
     sep0, l0 = separation(specA, specB, geom.tau, P)
     _write_json(out / "overlap.json", _jsonable({
         "separation_at_tau_m": sep0,
@@ -239,9 +240,9 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
         }
     _write_json(out / "solution.json", _jsonable(sol_doc))
 
-    rows_A = _tube_rows("A", shrunkA, P, t_grid, dirs)
-    rows_B = _tube_rows("B", shrunkB, P, t_grid, dirs)
-    _write_tubes_csv(out / "tubes.csv", rows_A + rows_B)
+    tubes = {"A": reach_tube(shrunkA, t_grid, state_dirs),
+             "B": reach_tube(shrunkB, t_grid, state_dirs)}
+    _write_tubes_csv(out / "tubes.csv", dirs, tubes)
 
     sep_lines = ["t_s,separation_m," + ",".join(f"l_{c}" for c in "xyz"[:pos_dim])]
     min_sep = np.inf
@@ -256,12 +257,8 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     if overrides.get("verify_mc"):
         n_mc = int(overrides["verify_mc"])
-        vals_A = np.array([[r[4] for r in rows_A[i * len(dirs):(i + 1) * len(dirs)]]
-                           for i in range(len(t_grid))]) if len(dirs) else np.zeros((len(t_grid), 0))
-        vals_B = np.array([[r[4] for r in rows_B[i * len(dirs):(i + 1) * len(dirs)]]
-                           for i in range(len(t_grid))]) if len(dirs) else np.zeros((len(t_grid), 0))
-        mc = verify_monte_carlo(shrunkA, shrunkB, P, t_grid, dirs, vals_A, vals_B,
-                                scenario.d, n_mc, seed=seed)
+        mc = verify_monte_carlo(shrunkA, shrunkB, P, t_grid, dirs, tubes["A"].support_values,
+                                tubes["B"].support_values, scenario.d, n_mc, seed=seed)
         _write_json(out / "mc.json", _jsonable(mc))
         print(f"monte carlo: min pairwise {mc['min_pairwise_distance_m']:.4f} m, "
               f"tube ok {mc['tube_ok']}, pairwise ok {mc['pairwise_ok']}")

@@ -10,7 +10,9 @@ with Phi = e^(A (t - s)).  Integrals use composite Simpson quadrature on a
 fixed grid; panels where a square-root integrand vanishes fall back to the
 midpoint rule.  Transition matrices along the quadrature grid are formed once
 per (t, step-count) pair and cached on the spec, so sweeping directions is
-cheap.
+cheap.  Every input set enters through one kernel: with S_i = Phi_i B for U
+and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values integrate
+<w_i, c> and sqrt(q_i), touching points the response to c + M w_i / sqrt(q_i).
 """
 
 from dataclasses import dataclass, field
@@ -93,23 +95,21 @@ class _Grid:
         w[2:-1:2] = 2.0
         self.simpson_w = w * (self.h / 3.0)
 
-    def _vanishing_panels(self, q: np.ndarray) -> np.ndarray:
+    def _panels(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Per-panel integrals of samples: Simpson, midpoint where q vanishes."""
         thresh = VANISH_REL * max(q.max(initial=0.0), 0.0)
-        return (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
+        vanish = (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
+        simp = (self.h / 3.0) * (samples[:-1:2] + 4.0 * samples[1::2] + samples[2::2])
+        mid = 2.0 * self.h * samples[1::2]
+        return np.where(vanish.reshape(vanish.shape + (1,) * (samples.ndim - 1)), mid, simp)
 
     def integrate_sqrt(self, q: np.ndarray) -> float:
         """Integral of sqrt(q(s)); midpoint fallback on panels where q vanishes."""
-        g = np.sqrt(np.clip(q, 0.0, None))
-        simp = (self.h / 3.0) * (g[:-1:2] + 4.0 * g[1::2] + g[2::2])
-        mid = 2.0 * self.h * g[1::2]
-        return float(np.where(self._vanishing_panels(q), mid, simp).sum())
+        return float(self._panels(q, np.sqrt(np.clip(q, 0.0, None))).sum())
 
     def integrate_matched(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Integrate vector-valued samples with the same panel rule as integrate_sqrt."""
-        simp = (self.h / 3.0) * (samples[:-1:2] + 4.0 * samples[1::2] + samples[2::2])
-        mid = 2.0 * self.h * samples[1::2]
-        mask = self._vanishing_panels(q)[:, None]
-        return np.where(mask, mid, simp).sum(axis=0)
+        return self._panels(q, samples).sum(axis=0)
 
 
 def _grid_for(spec: ReachSpec, t: float, n_steps: int | None = None) -> _Grid:
@@ -129,6 +129,53 @@ def _check_time(spec: ReachSpec, t: float) -> float:
     return min(t, spec.horizon)
 
 
+def _initial_term(g: _Grid, X0: Ellipsoid, l: np.ndarray):
+    """Initial-set image along l: (<l, Phi c0>, <l, Phi M0 Phi' l>, Phi' l)."""
+    lT = g.Phi[0].T @ l
+    return float(lT @ X0.center), float(lT @ X0.shape @ lT), lT
+
+
+def _input_terms(stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
+    """(w_i, q_i) = (stack_i' l, <w_i, M_E w_i>) for an input set E entering
+    through stack: Phi_i B for the control set, Phi_i for the disturbance."""
+    w = stack.transpose(0, 2, 1) @ l
+    return w, np.einsum("ij,jk,ik->i", w, E.shape, w)
+
+
+def _input_value(g: _Grid, stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
+    """(center, square-root) support terms of one input set along l."""
+    w, q = _input_terms(stack, E, l)
+    return float(g.simpson_w @ (w @ E.center)), g.integrate_sqrt(q)
+
+
+def _input_image(g: _Grid, stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
+    """State response to the input maximizing <l, x>, and that input profile."""
+    w, q = _input_terms(stack, E, l)
+    u = np.tile(E.center, (w.shape[0], 1))
+    alive = q > VANISH_REL * max(q.max(initial=0.0), 0.0)
+    u[alive] += (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
+    return g.integrate_matched(q, np.einsum("inm,im->in", stack, u)), u
+
+
+def _touching_point(spec: ReachSpec, g: _Grid, l: np.ndarray):
+    """(state without center offset, x0, control profile) maximizing <l, x>."""
+    _, q0, lT = _initial_term(g, spec.X0, l)
+    x0 = spec.X0.center + spec.X0.shape @ lT / np.sqrt(q0) if q0 > 0.0 else spec.X0.center.copy()
+    image, u = _input_image(g, g.PhiB, spec.U, l)
+    state = g.Phi[0] @ x0 + image
+    if spec.V is not None:
+        state = state + _input_image(g, g.Phi, spec.V, l)[0]
+    return state, x0, u
+
+
+def _unit_rows(directions) -> np.ndarray:
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    norms = np.linalg.norm(directions, axis=1)
+    if norms.shape[0] and norms.min() <= 0.0:
+        raise ValueError("directions must be nonzero")
+    return directions / norms[:, None]
+
+
 def reach_support(spec: ReachSpec, t: float, l, n_steps: int | None = None) -> float:
     """Support value of the reachable set at time t along direction l."""
     t = _check_time(spec, t)
@@ -139,17 +186,12 @@ def reach_support(spec: ReachSpec, t: float, l, n_steps: int | None = None) -> f
     if t == 0.0:
         return support(spec.X0, l)[0] + offset
     g = _grid_for(spec, t, n_steps)
-    lT = g.Phi[0].T @ l
-    value = float(lT @ spec.X0.center) + np.sqrt(max(float(lT @ spec.X0.shape @ lT), 0.0))
-    W = g.PhiB.transpose(0, 2, 1) @ l  # (N+1, m): B' Phi' l along the grid
-    value += float(g.simpson_w @ (W @ spec.U.center))
-    qU = np.einsum("ij,jk,ik->i", W, spec.U.shape, W)
-    value += g.integrate_sqrt(qU)
-    if spec.V is not None:
-        Vw = g.Phi.transpose(0, 2, 1) @ l
-        value += float(g.simpson_w @ (Vw @ spec.V.center))
-        qV = np.einsum("ij,jk,ik->i", Vw, spec.V.shape, Vw)
-        value += g.integrate_sqrt(qV)
+    a0, q0, _ = _initial_term(g, spec.X0, l)
+    value = a0 + np.sqrt(max(q0, 0.0))
+    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
+        if E is not None:
+            center_term, sqrt_term = _input_value(g, stack, E, l)
+            value = value + center_term + sqrt_term
     return value + offset
 
 
@@ -158,13 +200,11 @@ def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
     if spec.V is None:
         return 0.0
     t = _check_time(spec, t)
-    l = np.asarray(l, dtype=float)
     if t == 0.0:
         return 0.0
     g = _grid_for(spec, t)
-    Vw = g.Phi.transpose(0, 2, 1) @ l
-    qV = np.einsum("ij,jk,ik->i", Vw, spec.V.shape, Vw)
-    return float(g.simpson_w @ (Vw @ spec.V.center)) + g.integrate_sqrt(qV)
+    center_term, sqrt_term = _input_value(g, g.Phi, spec.V, np.asarray(l, dtype=float))
+    return center_term + sqrt_term
 
 
 def reach_point(spec: ReachSpec, t: float, l):
@@ -182,42 +222,25 @@ def reach_point(spec: ReachSpec, t: float, l):
         raise ValueError("direction must be nonzero")
     if t == 0.0:
         x0 = support(spec.X0, l)[1]
-        state = x0 + spec.offset_at(t)
-        return state, x0, (np.array([0.0]), spec.U.center[None, :].copy())
+        return x0 + spec.offset_at(t), x0, (np.array([0.0]), spec.U.center[None, :].copy())
     g = _grid_for(spec, t)
-    lT = g.Phi[0].T @ l
-    q0 = float(lT @ spec.X0.shape @ lT)
-    x0 = spec.X0.center.copy()
-    if q0 > 0.0:
-        x0 = x0 + spec.X0.shape @ lT / np.sqrt(q0)
-    W = g.PhiB.transpose(0, 2, 1) @ l
-    qU = np.einsum("ij,jk,ik->i", W, spec.U.shape, W)
-    u = np.tile(spec.U.center, (W.shape[0], 1))
-    alive = qU > VANISH_REL * max(qU.max(initial=0.0), 0.0)
-    u[alive] += (W[alive] @ spec.U.shape) / np.sqrt(qU[alive])[:, None]
-    integrand = np.einsum("inm,im->in", g.PhiB, u)
-    state = g.Phi[0] @ x0 + g.integrate_matched(qU, integrand) + spec.offset_at(t)
-    return state, x0, (g.s.copy(), u)
+    state, x0, u = _touching_point(spec, g, l)
+    return state + spec.offset_at(t), x0, (g.s.copy(), u)
 
 
 def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
     """Outer polytope from support values along the given directions."""
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.shape[0] == 0:
+    unit = _unit_rows(directions)
+    if unit.shape[0] == 0:
         raise ValueError("need at least one direction")
-    norms = np.linalg.norm(directions, axis=1)
-    if norms.min() <= 0.0:
-        raise ValueError("directions must be nonzero")
-    unit = directions / norms[:, None]
     offsets = np.array([reach_support(spec, t, l) for l in unit])
     return HalfspaceSet(unit, offsets)
 
 
 def reach_tube(spec: ReachSpec, time_grid, directions, with_points: bool = False) -> ReachTube:
-    """Support values over a time grid for a family of directions."""
+    """Support values over a time grid for a family of directions (possibly none)."""
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    unit = directions / np.linalg.norm(directions, axis=1)[:, None]
+    unit = _unit_rows(directions)
     vals = np.empty((times.shape[0], unit.shape[0]))
     pts = np.empty((times.shape[0], unit.shape[0], spec.system.state_dim)) if with_points else None
     for i, t in enumerate(times):
@@ -240,37 +263,13 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     if t == 0.0:
         val, pt = support(spec.X0, l)
         return val + float(l @ offset), pt + offset
-    g = _grid_for(spec, t)
-    lT = g.Phi[0].T @ l
-    q0 = float(lT @ spec.X0.shape @ lT)
-    x0 = spec.X0.center.copy()
-    if q0 > 0.0:
-        x0 = x0 + spec.X0.shape @ lT / np.sqrt(q0)
-    W = g.PhiB.transpose(0, 2, 1) @ l
-    qU = np.einsum("ij,jk,ik->i", W, spec.U.shape, W)
-    u = np.tile(spec.U.center, (W.shape[0], 1))
-    alive = qU > VANISH_REL * max(qU.max(initial=0.0), 0.0)
-    u[alive] += (W[alive] @ spec.U.shape) / np.sqrt(qU[alive])[:, None]
-    point = g.Phi[0] @ x0 + g.integrate_matched(qU, np.einsum("inm,im->in", g.PhiB, u))
-    if spec.V is not None:
-        Vw = g.Phi.transpose(0, 2, 1) @ l
-        qV = np.einsum("ij,jk,ik->i", Vw, spec.V.shape, Vw)
-        v = np.tile(spec.V.center, (Vw.shape[0], 1))
-        aliveV = qV > VANISH_REL * max(qV.max(initial=0.0), 0.0)
-        v[aliveV] += (Vw[aliveV] @ spec.V.shape) / np.sqrt(qV[aliveV])[:, None]
-        point = point + g.integrate_matched(qV, np.einsum("inm,im->in", g.Phi, v))
-    point = point + offset
+    point = _touching_point(spec, _grid_for(spec, t), l)[0] + offset
     return float(l @ point), point
 
 
 def _sphere_starts(k: int, count: int = 8) -> np.ndarray:
     """Deterministic unit starting directions: axes first, then seeded fill."""
-    starts = []
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = 1.0
-        starts.append(e.copy())
-        starts.append(-e)
+    starts = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)]
     rng = np.random.default_rng(0)
     while len(starts) < count:
         v = rng.standard_normal(k)

@@ -142,6 +142,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if grid_step <= 0.0:
         raise ScenarioError("field 'scenario.grid_step_s' must be positive")
     quad_steps = doc.get("quad_steps", 200)
+    if not isinstance(quad_steps, int) or isinstance(quad_steps, bool) or quad_steps < 16:
+        raise ScenarioError("field 'scenario.quad_steps' must be an integer of at least 16")
     directions = doc.get("directions", 32)
     pos_dim = 3 if vehicle == "quadrotor" else 2
     plane = tuple(doc.get("plane", [0, 1]))
@@ -187,14 +189,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
+def load_document(path) -> dict:
+    """The scenario file's JSON object, not yet validated."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    return scenario_from_dict(doc)
+    return doc
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(load_document(path))
 
 
 def builtin_scenario_path(name: str) -> Path:

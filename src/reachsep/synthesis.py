@@ -21,7 +21,7 @@ from .convex import (
     solve,
 )
 from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt
-from .reachability import ReachSpec, _grid_for
+from .reachability import ReachSpec, _grid_for, _initial_term, _input_terms
 
 PI_FLOOR_REL = 1e-12
 
@@ -131,16 +131,14 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grid_for(spec, geom.tau)
-    lT = g.Phi[0].T @ l
-    W = g.PhiB.transpose(0, 2, 1) @ l
-    qU = np.einsum("ij,jk,ik->i", W, spec.U.shape, W)
-    qI = np.einsum("ij,ij->i", W, W)
+    a0, q0, _ = _initial_term(g, spec.X0, l)
+    W, qU = _input_terms(g.PhiB, spec.U, l)
     return PartIConstants(
-        a0=float(lT @ spec.X0.center),
+        a0=a0,
         b=g.simpson_w @ W,
-        x0_term=float(np.sqrt(max(lT @ spec.X0.shape @ lT, 0.0))),
+        x0_term=float(np.sqrt(max(q0, 0.0))),
         gamma_U=g.integrate_sqrt(qU),
-        gamma_I=g.integrate_sqrt(qI),
+        gamma_I=g.integrate_sqrt(np.einsum("ij,ij->i", W, W)),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -202,8 +200,7 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     prob.add_scalar_constraint("distance", {qt: -bW, r: -consts.gamma_U},
                                const_term - margin)
     prob.add_scalar_constraint("r_floor", {r: [1.0]}, 0.0)
-    prob.restore_hint = {"q": qt, "shape": r, "lam": lam, "c_U": np.zeros(m),
-                         "W": np.eye(m), "distance": "distance"}
+    prob.restore_hint = {"q": qt, "shape": r, "lam": lam}
     init = feasibility_restore(prob)
     res = solve(prob, init)
     r_val = float(res.values["r"])
@@ -214,29 +211,29 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
         res.kkt_residual, res.status, r=r_val)
 
 
-def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
-                      k: float, margin: float = 0.0, aircraft: str = "B") -> SynthesisSolution:
-    """Phase one with the control-authority term bounded through ||Q||_2.
+def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: float,
+                  w_dist: float, margin: float, aircraft: str) -> SynthesisSolution:
+    """The spectral-norm program shared by both phases.
 
-    The spectral norm enters by the epigraph pair {s I - Q PSD, -s gamma_I in
-    the objective}, making the whole problem affine in (q, Q, s, lam).
+    Maximizes w_dist * (distance term) + k log det Q over centers q and shape
+    factors Q of sub-ellipsoids of U, subject to the distance inequality
+    (distance term >= margin).  The distance term is const_term - <b, q - c_U>
+    - ||Q||_2 gamma_I; the spectral norm enters by the epigraph pair
+    {s I - Q PSD, s in the distance term}, so the problem is affine in
+    (q, Q, s, lam).  Phase one uses w_dist = 1, phase two w_dist = 0, k = 1.
     """
-    if k < 0.0:
-        raise ValueError("scalarization factor must be nonnegative")
-    m = U_B.dim
-    W, Winv, wmin = _control_whitening(U_B)
+    m = U.dim
+    W, Winv, wmin = _control_whitening(U)
     wmax = float(np.linalg.eigvalsh(W).max())
     bW = W @ consts.b
-    const_term = (float(geom.l_star @ geom.c_A_tau) - consts.a0 - consts.offset
-                  - consts.x0_term - float(consts.b @ U_B.center))
     prob = BarrierProblem()
     qt = prob.add_vector_var("q", m)
     Qb = prob.add_symmetric_var("Q", m)  # Q = wmin * Qb
     lam = prob.add_scalar_var("lam")
     sb = prob.add_scalar_var("s")  # s = wmin * sb
-    prob.add_constant_objective(const_term + k * m * np.log(wmin))
-    prob.add_linear_objective(qt, -bW)
-    prob.add_linear_objective(sb, -consts.gamma_I * wmin)
+    prob.add_constant_objective(w_dist * const_term + k * m * np.log(wmin))
+    prob.add_linear_objective(qt, -w_dist * bW)
+    prob.add_linear_objective(sb, -w_dist * consts.gamma_I * wmin)
     prob.add_logdet_objective(Qb, k)
     _whitened_lmi(prob, qt, lam, shape_blk=Qb, Winv=Winv, wmin=wmin)
     epi = prob.new_psd_constraint(m, "spectral_epigraph")
@@ -249,18 +246,26 @@ def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Elli
     # containment caps ||Q|| at wmax, so this never binds; it bounds the
     # domain when gamma_I = 0 leaves s otherwise free
     prob.add_scalar_constraint("s_cap", {sb: [-1.0]}, 2.0 * wmax / wmin)
-    prob.restore_hint = {"q": qt, "shape": Qb, "lam": lam, "s": sb,
-                         "c_U": np.zeros(m), "W": np.eye(m), "distance": "distance"}
+    prob.restore_hint = {"q": qt, "shape": Qb, "lam": lam, "s": sb}
     init = feasibility_restore(prob)
     res = solve(prob, init)
-    q_val = U_B.center + W @ res.values["q"]
+    q_val = U.center + W @ res.values["q"]
     s_val = float(res.values["s"])
     Q_val = wmin * 0.5 * (res.values["Q"] + res.values["Q"].T)
     return SynthesisSolution(
-        aircraft, q_val, Q_val, float(res.values["lam"]), k,
-        res.objective,
+        aircraft, q_val, Q_val, float(res.values["lam"]), k, res.objective,
         const_term - float(bW @ res.values["q"]) - s_val * wmin * consts.gamma_I,
         res.kkt_residual, res.status)
+
+
+def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
+                      k: float, margin: float = 0.0, aircraft: str = "B") -> SynthesisSolution:
+    """Phase one with the control-authority term bounded through ||Q||_2."""
+    if k < 0.0:
+        raise ValueError("scalarization factor must be nonnegative")
+    const_term = (float(geom.l_star @ geom.c_A_tau) - consts.a0 - consts.offset
+                  - consts.x0_term - float(consts.b @ U_B.center))
+    return _norm_program(consts, const_term, U_B, k, 1.0, margin, aircraft)
 
 
 def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid:
@@ -317,39 +322,9 @@ def solve_part2(specA: ReachSpec, safeB: Ellipsoid, geom: EncounterGeometry,
     l_pos = P @ geom.l_star
     rho_safe = float(l_pos @ safeB.center) + float(
         np.sqrt(max(l_pos @ safeB.shape @ l_pos, 0.0)))
-    m = U_A.dim
-    W, Winv, wmin = _control_whitening(U_A)
-    wmax = float(np.linalg.eigvalsh(W).max())
-    bW = W @ consts.b
     const_term = (-consts.a0 - consts.offset - consts.x0_term - rho_safe
                   - float(consts.b @ U_A.center))
-    prob = BarrierProblem()
-    qt = prob.add_vector_var("q", m)
-    Qb = prob.add_symmetric_var("Q", m)
-    lam = prob.add_scalar_var("lam")
-    sb = prob.add_scalar_var("s")
-    prob.add_constant_objective(m * np.log(wmin))
-    prob.add_logdet_objective(Qb, 1.0)
-    _whitened_lmi(prob, qt, lam, shape_blk=Qb, Winv=Winv, wmin=wmin)
-    epi = prob.new_psd_constraint(m, "spectral_epigraph")
-    epi.add_scalar(sb, np.eye(m))
-    epi.add_symmetric(Qb, 0, 0, coeff=-1.0)
-    qpsd = prob.new_psd_constraint(m, "Q_psd")
-    qpsd.add_symmetric(Qb, 0, 0)
-    prob.add_scalar_constraint("distance", {qt: -bW, sb: -consts.gamma_I * wmin},
-                               const_term - margin)
-    prob.add_scalar_constraint("s_cap", {sb: [-1.0]}, 2.0 * wmax / wmin)
-    prob.restore_hint = {"q": qt, "shape": Qb, "lam": lam, "s": sb,
-                         "c_U": np.zeros(m), "W": np.eye(m), "distance": "distance"}
-    init = feasibility_restore(prob)
-    res = solve(prob, init)
-    q_val = U_A.center + W @ res.values["q"]
-    s_val = float(res.values["s"])
-    Q_val = wmin * 0.5 * (res.values["Q"] + res.values["Q"].T)
-    return SynthesisSolution(
-        "A", q_val, Q_val, float(res.values["lam"]), 1.0, res.objective,
-        const_term - float(bW @ res.values["q"]) - s_val * wmin * consts.gamma_I,
-        res.kkt_residual, res.status)
+    return _norm_program(consts, const_term, U_A, 1.0, 0.0, margin, "A")
 
 
 def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeometry,

@@ -44,8 +44,7 @@ def scaled_toy(const=0.3, b=0.8, gamma=0.5, k=0.2, margin=0.05):
     lmi.F[r.offset, 2, 1] = 1.0
     p.add_scalar_constraint("distance", {q: [-b], r: [-gamma]}, const - margin)
     p.add_scalar_constraint("r_floor", {r: [1.0]}, 0.0)
-    p.restore_hint = {"q": q, "shape": r, "lam": lam, "c_U": np.zeros(1),
-                      "W": np.eye(1), "distance": "distance"}
+    p.restore_hint = {"q": q, "shape": r, "lam": lam}
     return p
 
 

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from reachsep.cli import main
+from reachsep.ellipsoid import Ellipsoid
 from reachsep.pipeline import run
 from reachsep.plots import MissingArtifactError, emit_plots
+from reachsep.reachability import reach_support
 from reachsep.scenario import (
     ScenarioError,
+    build_spec,
     builtin_scenario_path,
     load_scenario,
+    position_projection,
     scenario_from_dict,
 )
 
@@ -69,6 +73,21 @@ def test_csv_formats(quad_run):
     assert sep[0] == "t_s,separation_m,l_x,l_y,l_z"
     vals = np.array([[float(v) for v in r.split(",")] for r in sep[1:]])
     assert (vals[:, 1] >= 1.0 - 1e-6).all()
+
+
+def test_tubes_csv_matches_reach_support(quad_run):
+    _, out = quad_run
+    scen = scenario_from_dict(json.loads((out / "scenario.json").read_text()))
+    sol = json.loads((out / "solution.json").read_text())["aircraft"]
+    P = position_projection(scen)
+    rows = (out / "tubes.csv").read_text().splitlines()[1:]
+    for row in rows[::23]:
+        name, t, _, dx, dy, dz, value = row.split(",")
+        i = "AB".index(name)
+        Q = np.array(sol[name]["Q"])
+        spec = build_spec(scen, i).with_control(Ellipsoid(np.array(sol[name]["q"]), Q @ Q))
+        l = np.array([float(dx), float(dy), float(dz)])
+        assert float(value) == pytest.approx(reach_support(spec, float(t), P.T @ l), rel=1e-8)
 
 
 def test_monte_carlo_artifact(quad_run):
@@ -132,6 +151,29 @@ def test_exit_three_on_schema_error(tmp_path, capsys):
     code = run(path, tmp_path / "out", {})
     assert code == 3
     assert "aircraft[1].initial_position_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--grid-step", "0"], "grid_step_s"),
+    (["--grid-step", "-0.5"], "grid_step_s"),
+    (["--quad-steps", "4"], "quad_steps"),
+])
+def test_cli_invalid_overrides_exit_three(tmp_path, capsys, flags, field):
+    code = main(["run", str(builtin_scenario_path("quadrotor_pair")),
+                 "--out", str(tmp_path / "out"), *flags])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+def test_scenario_quad_steps_validated(tmp_path, capsys):
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    doc["quad_steps"] = 4
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(doc))
+    assert run(path, tmp_path / "out", {}) == 3
+    assert "scenario.quad_steps" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match="scenario.quad_steps"):
+        scenario_from_dict({**doc, "quad_steps": 64.5})
 
 
 def test_schema_errors_name_fields():

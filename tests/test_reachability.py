@@ -12,7 +12,9 @@ from reachsep.reachability import (
     reach_support,
     reach_tube,
     separation,
+    support_gradient,
 )
+from reachsep.scenario import build_spec, builtin_scenario_path, load_scenario
 
 
 def static_ball_spec(center, radius, horizon=4.0):
@@ -233,6 +235,17 @@ def test_polytope_empty_directions_rejected():
         reach_polytope_outer(integrator_spec(), 1.0, np.zeros((0, 2)))
 
 
+def test_zero_direction_rows_rejected():
+    dirs = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="directions must be nonzero"):
+        reach_tube(integrator_spec(), [0.0, 1.0], dirs)
+    with pytest.raises(ValueError, match="directions must be nonzero"):
+        reach_polytope_outer(integrator_spec(), 1.0, dirs)
+    # an empty family is a valid tube with no columns
+    tube = reach_tube(integrator_spec(), [0.0, 1.0], np.zeros((0, 2)))
+    assert tube.support_values.shape == (2, 0)
+
+
 def test_tube_matches_pointwise_calls():
     spec = quadrotor_spec(quad_steps=64)
     times = np.linspace(0.0, 4.0, 5)
@@ -246,6 +259,40 @@ def test_tube_matches_pointwise_calls():
             assert tube.support_values[i, j] == pytest.approx(
                 reach_support(spec, t, tube.directions[j]), abs=1e-12)
             assert tube.directions[j] @ tube.touching_points[i, j] <= tube.support_values[i, j] + 1e-9
+
+
+# ---------------------------------------------------------------- support_gradient
+
+
+def disturbed_quadrotor_spec():
+    base = quadrotor_spec(quad_steps=64)
+    # full-rank disturbance with a nonzero center, so no quadrature panel vanishes
+    cv = np.zeros(10)
+    cv[3:6] = [0.002, -0.001, 0.003]
+    return ReachSpec(base.system, base.X0, base.U, base.horizon,
+                     V=Ellipsoid(cv, 1e-4 * np.eye(10)), quad_steps=64)
+
+
+def fixedwing_offset_spec():
+    return build_spec(load_scenario(builtin_scenario_path("fixedwing_pair")), 0)
+
+
+@pytest.mark.parametrize("make_spec", [lambda: quadrotor_spec(quad_steps=64),
+                                       disturbed_quadrotor_spec, fixedwing_offset_spec],
+                         ids=["no_V", "with_V", "fixedwing_offset"])
+def test_support_gradient_is_the_touching_point(make_spec):
+    spec = make_spec()
+    rng = np.random.default_rng(17)
+    for t in [0.0, 1.3, spec.horizon]:
+        for _ in range(4):
+            l = rng.standard_normal(spec.system.state_dim)
+            value, point = support_gradient(spec, t, l)
+            assert l @ point == pytest.approx(value, rel=1e-14, abs=1e-12)
+            assert value == pytest.approx(reach_support(spec, t, l), abs=1e-9)
+            # the touching point lies in the set: no direction sees past it
+            for _ in range(4):
+                other = rng.standard_normal(spec.system.state_dim)
+                assert other @ point <= reach_support(spec, t, other) + 1e-9
 
 
 # ---------------------------------------------------------------- separation
