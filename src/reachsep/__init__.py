@@ -29,6 +29,7 @@ from .ellipsoid import (
 from .reachability import (
     ReachSpec,
     ReachTube,
+    Separation,
     reach_point,
     reach_polytope_outer,
     reach_support,

@@ -245,15 +245,21 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     _write_tubes_csv(out / "tubes.csv", dirs, tubes)
 
     sep_lines = ["t_s,separation_m," + ",".join(f"l_{c}" for c in "xyz"[:pos_dim])]
-    min_sep = np.inf
-    for t in t_grid:
-        s, l = separation(shrunkA, shrunkB, t, P)
-        min_sep = min(min_sep, s)
-        sep_lines.append(f"{_fmt(t)},{_fmt(s)}," + ",".join(_fmt(v) for v in l))
+    seps = [separation(shrunkA, shrunkB, t, P) for t in t_grid]
+    sep_lines += [f"{_fmt(t)},{_fmt(sep.value)}," + ",".join(_fmt(v) for v in sep.direction)
+                  for t, sep in zip(t_grid, seps)]
     (out / "separation.csv").write_text("\n".join(sep_lines) + "\n")
+    min_sep = min(sep.value for sep in seps)
+    max_gap = max(sep.gap for sep in seps)
+    _write_json(out / "verification.json", _jsonable({
+        "min_separation_m": min_sep,
+        "grid_times": len(t_grid),
+        "max_duality_gap_m": max_gap,
+        "uncertified_times": [t for t, sep in zip(t_grid, seps) if not sep.certified],
+    }))
     safe = min_sep >= scenario.d - SEP_TOL
-    print(f"verification: min separation {min_sep:.4f} m over {len(t_grid)} grid times "
-          f"({'ok' if safe else 'VIOLATION'})")
+    print(f"verification: min separation {min_sep:.4f} m over {len(t_grid)} grid times, "
+          f"max duality gap {max_gap:.1e} m ({'ok' if safe else 'VIOLATION'})")
 
     if overrides.get("verify_mc"):
         n_mc = int(overrides["verify_mc"])

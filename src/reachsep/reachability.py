@@ -13,6 +13,12 @@ per (t, step-count) pair and cached on the spec, so sweeping directions is
 cheap.  Every input set enters through one kernel: with S_i = Phi_i B for U
 and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values integrate
 <w_i, c> and sqrt(q_i), touching points the response to c + M w_i / sqrt(q_i).
+
+Separation of two projected sets is the distance from 0 to P(A_t) - P(B_t),
+found as a minimum-norm point from touching points alone: Gilbert's
+iteration gives an upper bound, the support values a lower bound, and the
+search stops on their duality gap.  Touching or overlapping sets, where the
+signed value is a nonconvex problem, go to a multistart sphere ascent.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +29,8 @@ from .dynamics import LTISystem, NominalTrajectory, expm
 from .ellipsoid import Ellipsoid, HalfspaceSet, support
 
 VANISH_REL = 1e-13
+GAP_REL = 1e-12  # duality-gap stop of the minimum-norm point, relative to max(1, distance)
+MNP_MAX_ITERS = 1000  # then the multistart ascent decides, uncertified
 
 
 @dataclass(frozen=True)
@@ -277,25 +285,74 @@ def _sphere_starts(k: int, count: int = 8) -> np.ndarray:
     return np.array(starts[:count])
 
 
-def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> tuple[float, np.ndarray]:
-    """Signed separation of the two projected reachable sets at time t.
+def _oracle(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray, l: np.ndarray):
+    """g(l) = -rho_A(-P'l) - rho_B(P'l) and the point s = P x_A - P x_B of
+    C = P(A_t) - P(B_t) minimizing <l, s>, so that g(l) = <l, s>."""
+    vA, xA = support_gradient(specA, t, -(P.T @ l))
+    vB, xB = support_gradient(specB, t, P.T @ l)
+    return -vA - vB, P @ xA - P @ xB
 
-    Maximizes g(l) = -rho_A(-P'l) - rho_B(P'l) over unit directions l in the
-    projected subspace by projected supergradient ascent from deterministic
-    sphere starts.  A positive value certifies the sets are at least that far
-    apart; the maximizing direction is returned alongside.
+
+def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray):
+    """Minimum-norm point of C = P(A_t) - P(B_t), with a duality-gap certificate.
+
+    Primal: Gilbert's iteration keeps z in C, moving it to the nearest point
+    of the segment [z, s] after each oracle call, so ||z|| bounds the distance
+    from 0 to C from above.  Dual: every oracle value g(l) bounds it from
+    below.  The next direction is a Barzilai-Borwein step on the unit sphere
+    along the tangential part of s (the gradient of g there) when the last
+    two directions give a positive curvature estimate, else Gilbert's own
+    z / ||z||, which alone zigzags for thousands of steps when the sets
+    nearly touch.  Returns (lower, upper, l, s) one step after upper - lower
+    <= GAP_REL * max(1, upper), with l the direction attaining lower and s its
+    oracle point: the closed gap pins the value, but the direction only to
+    about sqrt(2 GAP_REL), and the extra step brings it to the superlinear
+    end of the iteration.  None when ||z|| vanishes (the sets touch or
+    overlap) or the gap is still open after MNP_MAX_ITERS steps.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    k = P.shape[0]
+    l = np.eye(P.shape[0])[0]
+    g, s = _oracle(specA, specB, t, P, l)
+    lower, best_l, best_s, z = g, l, s, s
+    l_prev = tangent_prev = None
+    closed = False
+    for _ in range(MNP_MAX_ITERS):
+        upper = float(np.linalg.norm(z))
+        tol = GAP_REL * max(1.0, upper)
+        if upper <= tol:
+            return None
+        if upper - lower <= tol:
+            if closed:
+                return lower, upper, best_l, best_s
+            closed = True
+        tangent = s - g * l
+        curvature = 0.0
+        if l_prev is not None and np.any(l != l_prev):
+            dl = l - l_prev
+            curvature = -float(dl @ (tangent - tangent_prev)) / float(dl @ dl)
+        l_prev, tangent_prev = l, tangent
+        l = l + tangent / curvature if curvature > 0.0 else z / upper
+        l = l / np.linalg.norm(l)
+        g, s = _oracle(specA, specB, t, P, l)
+        if g > lower:
+            lower, best_l, best_s = g, l, s
+        step = z - s
+        length_sq = float(step @ step)
+        if length_sq > 0.0:
+            z = z - min(max(float(z @ step) / length_sq, 0.0), 1.0) * step
+    return (lower, upper, best_l, best_s) if closed else None
 
-    def g_and_grad(l):
-        vA, xA = support_gradient(specA, t, -(P.T @ l))
-        vB, xB = support_gradient(specB, t, P.T @ l)
-        return -vA - vB, P @ xA - P @ xB
 
-    best_val, best_l = -np.inf, None
-    for l in _sphere_starts(k):
-        val, grad = g_and_grad(l)
+def _sphere_ascent(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray):
+    """Projected supergradient ascent of g from deterministic sphere starts.
+
+    Returns (g, l, s) at the best direction found, s the oracle point along
+    l.  Unlike the minimum-norm point it gives a signed value for touching or
+    overlapping sets, a nonconvex problem, but it stops wherever backtracking
+    gives up and certifies nothing.
+    """
+    best_val, best_l, best_s = -np.inf, None, None
+    for l in _sphere_starts(P.shape[0]):
+        val, grad = _oracle(specA, specB, t, P, l)
         for _ in range(200):
             # project out the radial component and renormalize after stepping
             tangent = grad - (grad @ l) * l
@@ -307,7 +364,7 @@ def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> tuple[float, 
             while step > 1e-14:
                 cand = l + step * tangent / max(tnorm, 1.0)
                 cand /= np.linalg.norm(cand)
-                cval, cgrad = g_and_grad(cand)
+                cval, cgrad = _oracle(specA, specB, t, P, cand)
                 if cval > val + 1e-14:
                     l, val, grad = cand, cval, cgrad
                     improved = True
@@ -316,5 +373,48 @@ def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> tuple[float, 
             if not improved:
                 break
         if val > best_val:
-            best_val, best_l = val, l
-    return float(best_val), best_l
+            best_val, best_l, best_s = val, l, grad
+    return float(best_val), best_l, best_s
+
+
+@dataclass(frozen=True)
+class Separation:
+    """Result of one separation check; unpacks as the pair (value, direction).
+
+    certified: the minimum-norm-point duality gap closed, so value is the
+    distance to within GAP_REL.  False when the sets touch or overlap or the
+    iteration cap was hit; value then comes from the multistart ascent.
+    gap: ||P x_A(l) - P x_B(l)|| - value at the returned direction l, an upper
+    bound on how far value can sit below the distance when value >= 0.
+    """
+
+    value: float
+    direction: np.ndarray
+    certified: bool
+    gap: float
+
+    def __iter__(self):
+        return iter((self.value, self.direction))
+
+    def __getitem__(self, i):
+        return (self.value, self.direction)[i]
+
+
+def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> Separation:
+    """Signed separation of the two projected reachable sets at time t.
+
+    The value is max g(l) = -rho_A(-P'l) - rho_B(P'l) over unit directions l
+    in the projected subspace; when positive it is the distance between the
+    sets, and any g(l) bounds that distance from below.  When the sets are
+    apart the maximum is found as the minimum-norm point of P(A_t) - P(B_t)
+    (Gilbert's algorithm), stopped on a duality gap of GAP_REL; otherwise, or
+    if the gap does not close within MNP_MAX_ITERS steps, the multistart
+    ascent gives the signed value and the result is marked uncertified.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    mnp = _min_norm_point(specA, specB, t, P)
+    if mnp is not None:
+        lower, _, l, s = mnp
+        return Separation(float(lower), l, True, float(np.linalg.norm(s)) - lower)
+    val, l, s = _sphere_ascent(specA, specB, t, P)
+    return Separation(val, l, False, float(np.linalg.norm(s)) - val)

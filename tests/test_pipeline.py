@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from reachsep import reachability
 from reachsep.cli import main
 from reachsep.ellipsoid import Ellipsoid
-from reachsep.pipeline import run
+from reachsep.pipeline import SEP_TOL, run
 from reachsep.plots import MissingArtifactError, emit_plots
 from reachsep.reachability import reach_support
 from reachsep.scenario import (
@@ -90,6 +91,27 @@ def test_tubes_csv_matches_reach_support(quad_run):
         assert float(value) == pytest.approx(reach_support(spec, float(t), P.T @ l), rel=1e-8)
 
 
+def test_verification_artifact(quad_run):
+    _, out = quad_run
+    ver = json.loads((out / "verification.json").read_text())
+    seps = [float(row.split(",")[1])
+            for row in (out / "separation.csv").read_text().splitlines()[1:]]
+    assert ver["grid_times"] == len(seps)
+    assert ver["min_separation_m"] == pytest.approx(min(seps), rel=1e-8)
+    assert ver["uncertified_times"] == []
+    assert -1e-12 <= ver["max_duality_gap_m"] <= SEP_TOL
+
+
+def test_iteration_cap_recorded_as_uncertified(tmp_path, monkeypatch, capsys):
+    # with no minimum-norm-point steps allowed every grid time falls back
+    monkeypatch.setattr(reachability, "MNP_MAX_ITERS", 0)
+    code = run(builtin_scenario_path("quadrotor_pair"), tmp_path, {**FAST, "grid_step": 2.0})
+    assert code == 0
+    ver = json.loads((tmp_path / "verification.json").read_text())
+    assert ver["uncertified_times"] == [0.0, 2.0, 4.0]
+    assert "max duality gap" in capsys.readouterr().out
+
+
 def test_monte_carlo_artifact(quad_run):
     _, out = quad_run
     mc = json.loads((out / "mc.json").read_text())
@@ -111,8 +133,8 @@ def test_determinism(quad_run, tmp_path):
                {**FAST, "plots": True, "verify_mc": 500})
     assert code == 0
     for name in ["tubes.csv", "tubes_initial.csv", "separation.csv", "solution.json",
-                 "encounter.json", "overlap.json", "mc.json", "initial_tubes.svg",
-                 "final_tubes.svg", "control_sets.svg", "separation.svg"]:
+                 "encounter.json", "overlap.json", "mc.json", "verification.json",
+                 "initial_tubes.svg", "final_tubes.svg", "control_sets.svg", "separation.svg"]:
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 

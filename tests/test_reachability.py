@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachsep import reachability
 from reachsep.dynamics import LTISystem, QuadrotorParams, quadrotor_linearized
 from reachsep.ellipsoid import Ellipsoid
 from reachsep.montecarlo import discretize, sample_trajectories
 from reachsep.reachability import (
+    GAP_REL,
     ReachSpec,
+    _min_norm_point,
+    _sphere_ascent,
     disturbance_contribution,
     reach_point,
     reach_polytope_outer,
@@ -14,7 +20,16 @@ from reachsep.reachability import (
     separation,
     support_gradient,
 )
-from reachsep.scenario import build_spec, builtin_scenario_path, load_scenario
+from reachsep.scenario import (
+    build_nominal,
+    build_spec,
+    builtin_scenario_path,
+    load_document,
+    load_scenario,
+    position_projection,
+    scenario_from_dict,
+)
+from reachsep.synthesis import estimate_encounter, scalarization_loop
 
 
 def static_ball_spec(center, radius, horizon=4.0):
@@ -323,6 +338,82 @@ def test_separation_shifted_quadrotors():
     # sets are far apart; the gap direction is y
     assert dist > 1.0
     assert abs(l_star[1]) > 0.99
+
+
+coords = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(center=st.tuples(coords, coords, coords),
+       axis=st.tuples(coords, coords, coords).filter(lambda v: np.linalg.norm(v) > 1e-3),
+       radii=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+       clearance=st.floats(1e-3, 100.0))
+def test_separation_static_balls_property(center, axis, radii, clearance):
+    axis = np.array(axis) / np.linalg.norm(axis)
+    cA = np.array(center)
+    cB = cA + (radii[0] + radii[1] + clearance) * axis
+    specA, specB = static_ball_spec(cA, radii[0]), static_ball_spec(cB, radii[1])
+    dist = np.linalg.norm(cA - cB) - radii[0] - radii[1]
+    sep = separation(specA, specB, 2.0, np.eye(3))
+    assert sep.certified
+    assert sep.value == pytest.approx(dist, abs=1e-9 * max(1.0, dist))
+    # l points from B to A along the centre line
+    assert np.allclose(sep.direction, (cA - cB) / np.linalg.norm(cA - cB), atol=1e-6)
+    lower, upper, _, _ = _min_norm_point(specA, specB, 2.0, np.eye(3))
+    assert upper - lower <= GAP_REL * max(1.0, upper)
+    slack = 1e-12 * max(1.0, dist)
+    assert lower <= dist + slack and dist <= upper + slack
+
+
+# two unit balls whose centre line is off every axis the ascent starts from
+OFF_AXIS = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+
+
+@pytest.mark.parametrize("clearance", [1e-7, -1e-7])
+def test_separation_near_touching_balls(clearance):
+    specA = static_ball_spec([0.0, 0.0, 0.0], 1.0)
+    specB = static_ball_spec((2.0 + clearance) * OFF_AXIS, 1.0)
+    sep = separation(specA, specB, 2.0, np.eye(3))
+    assert np.isfinite(sep.value) and np.all(np.isfinite(sep.direction))
+    assert np.sign(sep.value) == np.sign(clearance)
+    # apart: certified by the duality gap; overlapping: the signed ascent value
+    assert sep.certified == (clearance > 0)
+    if clearance > 0:
+        assert sep.value == pytest.approx(clearance, abs=1e-12)
+
+
+def test_separation_iteration_cap_falls_back_uncertified(monkeypatch):
+    specA = static_ball_spec([0.0, 0.0, 0.0], 1.0)
+    specB = static_ball_spec(3.0 * OFF_AXIS, 1.0)
+    monkeypatch.setattr(reachability, "MNP_MAX_ITERS", 1)
+    assert _min_norm_point(specA, specB, 2.0, np.eye(3)) is None
+    sep = separation(specA, specB, 2.0, np.eye(3))
+    ascent_value, _, _ = _sphere_ascent(specA, specB, 2.0, np.eye(3))
+    assert not sep.certified
+    assert sep.value == ascent_value
+
+
+def shrunk_fast_pair(name):
+    """Both shrunk specs of a bundled scenario at quad_steps 64 and a 0.5 s grid."""
+    scen = scenario_from_dict({**load_document(builtin_scenario_path(name)),
+                               "quad_steps": 64, "grid_step_s": 0.5})
+    P = position_projection(scen)
+    geom = estimate_encounter(build_nominal(scen, 0), build_nominal(scen, 1), P, scen.d)
+    specA, specB = build_spec(scen, 0), build_spec(scen, 1)
+    solB, solA, _, _ = scalarization_loop(
+        specA, specB, geom, P, method=scen.method, k0=scen.k0, shrink=scen.shrink,
+        margin1=scen.margin1, margin2=scen.margin2, max_iters=scen.max_iters)
+    t_grid = np.arange(0.0, scen.horizon + 1e-9, scen.grid_step)
+    return specA.with_control(solA.control_set()), specB.with_control(solB.control_set()), P, t_grid
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_certified_separation_dominates_ascent(name):
+    A, B, P, t_grid = shrunk_fast_pair(name)
+    for t in t_grid:
+        sep = separation(A, B, t, P)
+        assert sep.certified, t
+        assert sep.value >= _sphere_ascent(A, B, t, P)[0] - 1e-9, t
 
 
 # ---------------------------------------------------------------- discretize
