@@ -14,6 +14,13 @@ by damped Newton steps with a backtracking line search that preserves strict
 feasibility, multiplying mu by 10 per stage until the barrier duality-gap
 estimate (total barrier dimension / mu) drops below 1e-7.  Problem sizes here
 are tiny (around fifteen scalars), so all Hessians are dense.
+
+The Armijo test reads only F_mu, so backtracking trials evaluate the value
+alone: one Cholesky log-det per block plus the scalar logs, accumulated by
+the same operations in the same order as the full evaluation, so every
+accept/reject decision is the one the full evaluation would make.  The
+gradient and Hessian are evaluated once per accepted point and carried into
+the next Newton step.
 """
 
 from dataclasses import dataclass, field
@@ -132,7 +139,9 @@ class AffineMatrixExpr:
         return self
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return self.F0 + np.tensordot(x, self.F, axes=1)
+        # the one BLAS call tensordot(x, F, axes=1) makes, without its reshaping
+        D = self.F.shape[0]
+        return self.F0 + np.dot(x.reshape(1, D), self.F.reshape(D, -1)).reshape(self.dim, self.dim)
 
 
 @dataclass
@@ -296,14 +305,21 @@ class SolveResult:
     newton_steps: int = 0
 
 
-def _logdet_derivs(expr: AffineMatrixExpr, x: np.ndarray):
-    """(value, gradient, Hessian) of log det G(x); None if G is not PD."""
-    G = expr.value(x)
+def _chol_logdet(G: np.ndarray):
+    """log det G from its Cholesky factor; None if G is not PD."""
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    val = 2.0 * float(np.log(np.diag(L)).sum())
+    return 2.0 * float(np.log(L.diagonal()).sum())
+
+
+def _logdet_derivs(expr: AffineMatrixExpr, x: np.ndarray):
+    """(value, gradient, Hessian) of log det G(x); None if G is not PD."""
+    G = expr.value(x)
+    val = _chol_logdet(G)
+    if val is None:
+        return None
     Ginv = np.linalg.inv(G)
     grad = np.einsum("ijk,kj->i", expr.F, Ginv)
     M = np.einsum("ab,ibc->iac", Ginv, expr.F)
@@ -311,47 +327,57 @@ def _logdet_derivs(expr: AffineMatrixExpr, x: np.ndarray):
     return val, grad, hess
 
 
-def _merit(prob: BarrierProblem, x: np.ndarray, mu: float, fscale: float = 1.0):
-    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain."""
+def _merit(prob: BarrierProblem, x: np.ndarray, mu: float, fscale: float = 1.0,
+           derivs: bool = True):
+    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
+
+    With derivs=False only F_mu is returned, accumulated by the same
+    operations in the same order, so it equals the first entry bit for bit.
+    """
     D = prob.total_dim
     val = fscale * (prob.obj_const + float(prob.linear @ x))
-    grad = fscale * prob.linear.copy()
-    hess = np.zeros((D, D))
-    for expr, k in prob.logdets:
-        out = _logdet_derivs(expr, x)
-        if out is None:
-            return None
-        v, g, h = out
-        val += fscale * k * v
-        grad += fscale * k * g
-        hess += fscale * k * h
+    if derivs:
+        grad = fscale * prob.linear.copy()
+        hess = np.zeros((D, D))
     inv_mu = 1.0 / mu
-    for expr in prob.psd:
-        out = _logdet_derivs(expr, x)
-        if out is None:
-            return None
-        v, g, h = out
-        val += inv_mu * v
-        grad += inv_mu * g
-        hess += inv_mu * h
+    weighted = ([(expr, fscale * k) for expr, k in prob.logdets]
+                + [(expr, inv_mu) for expr in prob.psd])
+    for expr, w in weighted:
+        if derivs:
+            out = _logdet_derivs(expr, x)
+            if out is None:
+                return None
+            v, g, h = out
+            grad += w * g
+            hess += w * h
+        else:
+            v = _chol_logdet(expr.value(x))
+            if v is None:
+                return None
+        val += w * v
     for s in prob.scalars:
         sv = s.value(x)
         if sv <= 0.0:
             return None
         val += inv_mu * np.log(sv)
-        grad += inv_mu * s.a / sv
-        hess -= inv_mu * np.outer(s.a, s.a) / sv**2
-    return val, grad, hess
+        if derivs:
+            grad += inv_mu * s.a / sv
+            hess -= inv_mu * np.outer(s.a, s.a) / sv**2
+    return (val, grad, hess) if derivs else val
 
 
 def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
                   fscale: float = 1.0):
-    """Centers F_mu by damped Newton; returns (x, grad_norm, steps, converged)."""
+    """Centers F_mu by damped Newton; returns (x, grad_norm, steps, converged).
+
+    Backtracking trials evaluate F_mu alone; derivatives are evaluated once
+    per accepted point and carried into the next step.
+    """
+    out = _merit(prob, x, mu, fscale)
+    if out is None:
+        raise RuntimeError("iterate left the barrier domain")
     steps = 0
     for _ in range(MAX_NEWTON):
-        out = _merit(prob, x, mu, fscale)
-        if out is None:
-            raise RuntimeError("iterate left the barrier domain")
         val, grad, hess = out
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
@@ -372,9 +398,10 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
         accepted = False
         while alpha > 1e-16:
             cand = x + alpha * step
-            cout = _merit(prob, cand, mu, fscale)
-            if cout is not None and cout[0] >= val + ARMIJO * alpha * decrement:
+            cval = _merit(prob, cand, mu, fscale, derivs=False)
+            if cval is not None and cval >= val + ARMIJO * alpha * decrement:
                 x = cand
+                out = _merit(prob, x, mu, fscale)
                 accepted = True
                 break
             alpha *= BACKTRACK
@@ -390,12 +417,12 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
                         and cout[0] >= val - 1e-12 * (1.0 + abs(val))
                         and np.linalg.norm(cout[1]) < 0.9 * gnorm):
                     x = cand
+                    out = cout
                     accepted = True
                     break
                 alpha *= BACKTRACK
             if not accepted:
                 return x, gnorm, steps, gnorm <= KKT_TOL
-    out = _merit(prob, x, mu, fscale)
     gnorm = float(np.linalg.norm(out[1]))
     return x, gnorm, steps, gnorm <= KKT_TOL
 

@@ -235,6 +235,8 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
             "q": sol.q, "Q": sol.Q, "lambda": sol.lam, "r": sol.r,
             "objective": sol.objective, "distance_m": sol.distance,
             "kkt_residual": sol.kkt_residual, "status": sol.status,
+            "newton_steps": sol.newton_steps, "barrier_mu_final": sol.barrier_mu_final,
+            "stage_objectives": sol.stage_objectives,
             "original_control_center": spec.U.center,
             "original_control_shape": spec.U.shape,
         }

@@ -90,6 +90,9 @@ class SynthesisSolution:
     distance: float  # the objective's distance term at the solution
     kkt_residual: float
     status: str
+    newton_steps: int
+    barrier_mu_final: float
+    stage_objectives: tuple  # F's objective after each barrier stage
     r: float | None = None  # scaled method only
 
     def control_set(self) -> Ellipsoid:
@@ -208,7 +211,8 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     return SynthesisSolution(
         aircraft, q_val, r_val * W, float(res.values["lam"]), k, res.objective,
         const_term - float(bW @ res.values["q"]) - r_val * consts.gamma_U,
-        res.kkt_residual, res.status, r=r_val)
+        res.kkt_residual, res.status, res.newton_steps, res.barrier_mu_final,
+        tuple(res.stage_objectives), r=r_val)
 
 
 def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: float,
@@ -255,7 +259,8 @@ def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: fl
     return SynthesisSolution(
         aircraft, q_val, Q_val, float(res.values["lam"]), k, res.objective,
         const_term - float(bW @ res.values["q"]) - s_val * wmin * consts.gamma_I,
-        res.kkt_residual, res.status)
+        res.kkt_residual, res.status, res.newton_steps, res.barrier_mu_final,
+        tuple(res.stage_objectives))
 
 
 def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachsep import convex
 from reachsep.convex import (
     BarrierProblem,
     InfeasibleProblemError,
@@ -45,6 +48,37 @@ def scaled_toy(const=0.3, b=0.8, gamma=0.5, k=0.2, margin=0.05):
     p.add_scalar_constraint("distance", {q: [-b], r: [-gamma]}, const - margin)
     p.add_scalar_constraint("r_floor", {r: [1.0]}, 0.0)
     p.restore_hint = {"q": q, "shape": r, "lam": lam}
+    return p
+
+
+def norm_toy(b=(0.6, -0.3), gamma=0.4, margin=0.05):
+    # the spectral-norm program's shape on the unit-ball control set: maximize
+    # 0.5 - <b, q> - gamma s + log det Q s.t. E(q, Q^2) inside the ball,
+    # s I >= Q >= 0 and distance 0.5 - <b, q> - gamma s >= margin
+    m = len(b)
+    p = BarrierProblem()
+    q = p.add_vector_var("q", m)
+    Q = p.add_symmetric_var("Q", m)
+    lam = p.add_scalar_var("lam")
+    s = p.add_scalar_var("s")
+    p.add_constant_objective(0.5)
+    p.add_linear_objective(q, -np.asarray(b))
+    p.add_linear_objective(s, -gamma)
+    p.add_logdet_objective(Q, 1.0)
+    lmi = p.new_psd_constraint(1 + 2 * m, "containment")
+    lmi.F0[0, 0] = 1.0
+    lmi.F0[1 + m:, 1 + m:] = np.eye(m)
+    lmi.F[lam.offset, 0, 0] = -1.0
+    lmi.F[lam.offset, 1:1 + m, 1:1 + m] = np.eye(m)
+    lmi.add_vector(q, 0, 1 + m)
+    lmi.add_symmetric_rmul(Q, 1, 1 + m, np.eye(m))
+    epi = p.new_psd_constraint(m, "spectral_epigraph")
+    epi.add_scalar(s, np.eye(m))
+    epi.add_symmetric(Q, 0, 0, coeff=-1.0)
+    p.new_psd_constraint(m, "Q_psd").add_symmetric(Q, 0, 0)
+    p.add_scalar_constraint("distance", {q: -np.asarray(b), s: [-gamma]}, 0.5 - margin)
+    p.add_scalar_constraint("s_cap", {s: [-1.0]}, 2.0)
+    p.restore_hint = {"q": q, "shape": Q, "lam": lam, "s": s}
     return p
 
 
@@ -166,3 +200,132 @@ def test_sym_vec_roundtrip():
     M = rng.standard_normal((4, 4))
     M = M + M.T
     assert np.allclose(vec_to_sym(sym_to_vec(M), 4), M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.sampled_from(["scaled_toy", "norm_toy"]),
+       unit=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+       radius=st.sampled_from([1e-5, 1e-3, 0.1, 2.0]),
+       mu=st.sampled_from([1.0, 10.0, 1e4, 1e8]),
+       fscale=st.sampled_from([1.0, 0.125]))
+def test_value_only_merit_is_bit_identical(which, unit, radius, mu, fscale):
+    # the line search decides on the value-only merit, so every accept/reject
+    # matches the full evaluation only if the two agree to the last bit
+    p = scaled_toy() if which == "scaled_toy" else norm_toy()
+    x = p.pack(feasibility_restore(p)) + radius * np.array(unit[:p.total_dim])
+    full = convex._merit(p, x, mu, fscale)
+    value = convex._merit(p, x, mu, fscale, derivs=False)
+    if full is None:
+        assert value is None
+    else:
+        assert value == full[0]
+    for expr in p.psd + [e for e, _ in p.logdets]:
+        assert np.array_equal(expr.value(x), expr.F0 + np.tensordot(x, expr.F, axes=1))
+
+
+def with_start(name):
+    if name == "logdet_under_identity":
+        return logdet_under_identity()[0], {"Q": 0.5 * np.eye(2)}
+    p = scaled_toy() if name == "scaled_toy" else norm_toy()
+    return p, feasibility_restore(p)
+
+
+@pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy"])
+def test_derivatives_once_per_accepted_step(name, monkeypatch):
+    # backtracking trials evaluate values only; gradients and Hessians are
+    # evaluated at each stage start and at each accepted point
+    p, init = with_start(name)
+    calls = []
+    derivs = convex._logdet_derivs
+    monkeypatch.setattr(convex, "_logdet_derivs", lambda *a: calls.append(1) or derivs(*a))
+    res = solve(p, init)
+    assert res.status == "optimal"
+    blocks = len(p.logdets) + len(p.psd)
+    assert 0 < len(calls) <= (res.newton_steps + len(res.stage_objectives) + 1) * blocks
+
+
+def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
+    # the line search as it was before value-only trials: every evaluation,
+    # trials included, computes the full merit and nothing is carried over
+    steps = 0
+    for _ in range(convex.MAX_NEWTON):
+        val, grad, hess = convex._merit(prob, x, mu, fscale)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= gtol:
+            return x, gnorm, steps, True
+        reg = 0.0
+        while True:
+            try:
+                step = np.linalg.solve(hess - reg * np.eye(prob.total_dim), -grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and grad @ step > 0.0:
+                break
+            reg = max(2.0 * reg, 1e-10 * max(1.0, np.abs(hess).max()))
+            if reg > 1e12:
+                return x, gnorm, steps, gnorm <= convex.KKT_TOL
+        decrement = float(grad @ step)
+        alpha = 1.0
+        accepted = False
+        while alpha > 1e-16:
+            cand = x + alpha * step
+            cout = convex._merit(prob, cand, mu, fscale)
+            if cout is not None and cout[0] >= val + convex.ARMIJO * alpha * decrement:
+                x = cand
+                accepted = True
+                break
+            alpha *= convex.BACKTRACK
+        steps += 1
+        if not accepted:
+            alpha = 1.0
+            while alpha > 1e-16:
+                cand = x + alpha * step
+                cout = convex._merit(prob, cand, mu, fscale)
+                if (cout is not None
+                        and cout[0] >= val - 1e-12 * (1.0 + abs(val))
+                        and np.linalg.norm(cout[1]) < 0.9 * gnorm):
+                    x = cand
+                    accepted = True
+                    break
+                alpha *= convex.BACKTRACK
+            if not accepted:
+                return x, gnorm, steps, gnorm <= convex.KKT_TOL
+    gnorm = float(np.linalg.norm(convex._merit(prob, x, mu, fscale)[1]))
+    return x, gnorm, steps, gnorm <= convex.KKT_TOL
+
+
+def solve_matches_reference(p, init, monkeypatch):
+    res = solve(p, init)
+    with monkeypatch.context() as m:
+        m.setattr(convex, "_newton_stage", reference_newton_stage)
+        ref = solve(p, init)
+    for name in res.values:
+        assert np.array_equal(res.values[name], ref.values[name]), name
+    assert (res.objective, res.kkt_residual, res.barrier_mu_final, res.status,
+            res.stage_objectives, res.newton_steps) == (
+        ref.objective, ref.kkt_residual, ref.barrier_mu_final, ref.status,
+        ref.stage_objectives, ref.newton_steps)
+    assert p.strictly_feasible(p.pack(res.values))
+    return res
+
+
+@pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy"])
+def test_iterates_match_full_merit_line_search(name, monkeypatch):
+    solve_matches_reference(*with_start(name), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["logdet_under_identity", "norm_toy"])
+def test_newton_step_cap(name, monkeypatch):
+    monkeypatch.setattr(convex, "MAX_NEWTON", 3)
+    res = solve_matches_reference(*with_start(name), monkeypatch)
+    assert res.status == "max_iter"
+    assert res.newton_steps <= 3 * len(res.stage_objectives)
+
+
+def test_polish_fallback(monkeypatch):
+    # an Armijo factor above 1 rejects every backtracking trial that moves x,
+    # so the moving steps are taken by the gradient-norm polish
+    monkeypatch.setattr(convex, "ARMIJO", 10.0)
+    p, init = with_start("logdet_under_identity")
+    res = solve_matches_reference(p, init, monkeypatch)
+    assert not np.array_equal(res.values["Q"], init["Q"])

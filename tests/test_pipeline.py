@@ -61,6 +61,9 @@ def test_solution_artifact(quad_run):
         ac = sol["aircraft"][name]
         assert ac["kkt_residual"] <= 1e-6
         assert 0.0 < ac["lambda"] <= 1.0
+        assert ac["newton_steps"] > 0
+        assert ac["barrier_mu_final"] >= 1.0
+        assert len(ac["stage_objectives"]) >= 1
         Q = np.array(ac["Q"])
         assert np.allclose(Q, Q.T)
 
