@@ -371,7 +371,8 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
     """Centers F_mu by damped Newton; returns (x, grad_norm, steps, converged).
 
     Backtracking trials evaluate F_mu alone; derivatives are evaluated once
-    per accepted point and carried into the next step.
+    per accepted point and carried into the next step.  An accepted trial
+    that rounds to x itself ends the stage: every later step would repeat it.
     """
     out = _merit(prob, x, mu, fscale)
     if out is None:
@@ -400,6 +401,8 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
             cand = x + alpha * step
             cval = _merit(prob, cand, mu, fscale, derivs=False)
             if cval is not None and cval >= val + ARMIJO * alpha * decrement:
+                if np.array_equal(cand, x):
+                    return x, gnorm, steps + 1, gnorm <= KKT_TOL
                 x = cand
                 out = _merit(prob, x, mu, fscale)
                 accepted = True

@@ -184,10 +184,13 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     _write_tubes_csv(out / "tubes_initial.csv", dirs,
                      {"A": reach_tube(specA, t_grid, state_dirs),
                       "B": reach_tube(specB, t_grid, state_dirs)})
-    sep0, l0 = separation(specA, specB, geom.tau, P)
+    overlap = separation(specA, specB, geom.tau, P)
+    sep0 = overlap.value
     _write_json(out / "overlap.json", _jsonable({
         "separation_at_tau_m": sep0,
-        "direction": l0,
+        "direction": overlap.direction,
+        "certified": overlap.certified,
+        "duality_gap_m": overlap.gap,
         "required_separation_m": scenario.d,
         "overlaps": bool(sep0 < scenario.d),
     }))

@@ -18,19 +18,22 @@ Separation of two projected sets is the distance from 0 to P(A_t) - P(B_t),
 found as a minimum-norm point from touching points alone: Gilbert's
 iteration gives an upper bound, the support values a lower bound, and the
 search stops on their duality gap.  Touching or overlapping sets, where the
-signed value is a nonconvex problem, go to a multistart sphere ascent.
+signed value is a nonconvex problem, go to an expanding inner hull of the
+touching points: the depth of its nearest facet bounds the penetration
+depth from below, so the signed value gets a duality gap too.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .dynamics import LTISystem, NominalTrajectory, expm
 from .ellipsoid import Ellipsoid, HalfspaceSet, support
 
 VANISH_REL = 1e-13
-GAP_REL = 1e-12  # duality-gap stop of the minimum-norm point, relative to max(1, distance)
-MNP_MAX_ITERS = 1000  # then the multistart ascent decides, uncertified
+GAP_REL = 1e-12  # duality-gap stop of both separation loops, relative to max(1, |value|)
+MNP_MAX_ITERS = 1000  # per loop; a capped run returns its lower bound, uncertified
 
 
 @dataclass(frozen=True)
@@ -275,22 +278,21 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     return float(l @ point), point
 
 
-def _sphere_starts(k: int, count: int = 8) -> np.ndarray:
-    """Deterministic unit starting directions: axes first, then seeded fill."""
-    starts = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)]
-    rng = np.random.default_rng(0)
-    while len(starts) < count:
-        v = rng.standard_normal(k)
-        starts.append(v / np.linalg.norm(v))
-    return np.array(starts[:count])
-
-
 def _oracle(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray, l: np.ndarray):
     """g(l) = -rho_A(-P'l) - rho_B(P'l) and the point s = P x_A - P x_B of
     C = P(A_t) - P(B_t) minimizing <l, s>, so that g(l) = <l, s>."""
     vA, xA = support_gradient(specA, t, -(P.T @ l))
     vB, xB = support_gradient(specB, t, P.T @ l)
     return -vA - vB, P @ xA - P @ xB
+
+
+def _toward(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Nearest point to 0 on the segment [z, s]: Gilbert's primal step."""
+    step = z - s
+    length_sq = float(step @ step)
+    if length_sq == 0.0:
+        return z
+    return z - min(max(float(z @ step) / length_sq, 0.0), 1.0) * step
 
 
 def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray):
@@ -303,12 +305,15 @@ def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray)
     along the tangential part of s (the gradient of g there) when the last
     two directions give a positive curvature estimate, else Gilbert's own
     z / ||z||, which alone zigzags for thousands of steps when the sets
-    nearly touch.  Returns (lower, upper, l, s) one step after upper - lower
-    <= GAP_REL * max(1, upper), with l the direction attaining lower and s its
-    oracle point: the closed gap pins the value, but the direction only to
-    about sqrt(2 GAP_REL), and the extra step brings it to the superlinear
-    end of the iteration.  None when ||z|| vanishes (the sets touch or
-    overlap) or the gap is still open after MNP_MAX_ITERS steps.
+    nearly touch.  Returns (lower, z, l, s, closed), with l the direction
+    attaining lower and s its oracle point.  closed: the run stopped one step
+    after ||z|| - lower <= GAP_REL * max(1, ||z||); the closed gap pins the
+    value, but the direction only to about sqrt(2 GAP_REL), and the extra
+    step brings it to the superlinear end of the iteration.  The run stops
+    open when ||z|| vanishes, or when a step leaves z in place at a direction
+    where g < 0 has settled (its tangential part below sqrt(GAP_REL)): the
+    sets touch or overlap, and z cannot certify a signed value.  It also
+    stops open after MNP_MAX_ITERS steps.
     """
     l = np.eye(P.shape[0])[0]
     g, s = _oracle(specA, specB, t, P, l)
@@ -319,10 +324,10 @@ def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray)
         upper = float(np.linalg.norm(z))
         tol = GAP_REL * max(1.0, upper)
         if upper <= tol:
-            return None
+            return lower, z, best_l, best_s, False
         if upper - lower <= tol:
             if closed:
-                return lower, upper, best_l, best_s
+                return lower, z, best_l, best_s, True
             closed = True
         tangent = s - g * l
         curvature = 0.0
@@ -335,57 +340,70 @@ def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray)
         g, s = _oracle(specA, specB, t, P, l)
         if g > lower:
             lower, best_l, best_s = g, l, s
-        step = z - s
-        length_sq = float(step @ step)
-        if length_sq > 0.0:
-            z = z - min(max(float(z @ step) / length_sq, 0.0), 1.0) * step
-    return (lower, upper, best_l, best_s) if closed else None
+        z_next = _toward(z, s)
+        if (lower < 0.0 and np.array_equal(z_next, z)
+                and np.linalg.norm(s - g * l) <= np.sqrt(GAP_REL) * max(1.0, -g)):
+            return lower, z, best_l, best_s, False
+        z = z_next
+    return lower, z, best_l, best_s, closed
 
 
-def _sphere_ascent(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray):
-    """Projected supergradient ascent of g from deterministic sphere starts.
+def _inner_hull(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray,
+                lower: float, z: np.ndarray, l: np.ndarray, s: np.ndarray):
+    """Signed separation from an inner hull, for sets that touch or overlap.
 
-    Returns (g, l, s) at the best direction found, s the oracle point along
-    l.  Unlike the minimum-norm point it gives a signed value for touching or
-    overlapping sets, a nonconvex problem, but it stops wherever backtracking
-    gives up and certifies nothing.
+    Every oracle point lies in C = P(A_t) - P(B_t), so their convex hull H is
+    inside C.  Once 0 is inside H, the distance from 0 to H's nearest facet
+    is at most the penetration depth of C, so minus that distance bounds the
+    signed value from above.  Gilbert's z keeps moving toward each new point,
+    so ||z|| stays an upper bound too: it certifies touching and flat sets,
+    and sets that turn out to be apart.  Every g(l) bounds the value from
+    below.  Seeded with the 2k axis directions, each step asks the oracle
+    along the outward normal of the facet nearest 0 (the expanding polytope
+    of collision detection).  When the points are flat and Qhull cannot build
+    H, it asks along both normals of their affine hull and along z / ||z||,
+    Gilbert's own direction.  Starts from the bounds of _min_norm_point and
+    returns (lower, upper, l, s, closed), closed when upper - lower <=
+    GAP_REL * max(1, |lower|), open after MNP_MAX_ITERS hull steps.
     """
-    best_val, best_l, best_s = -np.inf, None, None
-    for l in _sphere_starts(P.shape[0]):
-        val, grad = _oracle(specA, specB, t, P, l)
-        for _ in range(200):
-            # project out the radial component and renormalize after stepping
-            tangent = grad - (grad @ l) * l
-            tnorm = np.linalg.norm(tangent)
-            if tnorm < 1e-12:
-                break
-            step = 1.0
-            improved = False
-            while step > 1e-14:
-                cand = l + step * tangent / max(tnorm, 1.0)
-                cand /= np.linalg.norm(cand)
-                cval, cgrad = _oracle(specA, specB, t, P, cand)
-                if cval > val + 1e-14:
-                    l, val, grad = cand, cval, cgrad
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if val > best_val:
-            best_val, best_l, best_s = val, l, grad
-    return float(best_val), best_l, best_s
+    pts = []
+    queries = [sign * e for e in np.eye(P.shape[0]) for sign in (1.0, -1.0)]
+    upper = float(np.linalg.norm(z))
+    for _ in range(MNP_MAX_ITERS):
+        for q in queries:
+            g, p = _oracle(specA, specB, t, P, q)
+            pts.append(p)
+            z = _toward(z, p)
+            if g > lower:
+                lower, l, s = g, q, p
+        z_norm = float(np.linalg.norm(z))
+        upper = min(upper, z_norm)
+        try:
+            facets = ConvexHull(pts).equations  # rows (n, offset): <n, x> + offset <= 0 on H
+        except QhullError:
+            normal = np.linalg.svd(np.array(pts) - pts[0])[2][-1]
+            queries = [normal, -normal] + ([z / z_norm] if z_norm > 0.0 else [])
+        else:
+            nearest = facets[np.argmax(facets[:, -1])]
+            if nearest[-1] <= 0.0:
+                upper = min(upper, float(nearest[-1]))
+            queries = [-nearest[:-1]]
+        if upper - lower <= GAP_REL * max(1.0, abs(lower)):
+            return lower, upper, l, s, True
+    return lower, upper, l, s, False
 
 
 @dataclass(frozen=True)
 class Separation:
     """Result of one separation check; unpacks as the pair (value, direction).
 
-    certified: the minimum-norm-point duality gap closed, so value is the
-    distance to within GAP_REL.  False when the sets touch or overlap or the
-    iteration cap was hit; value then comes from the multistart ascent.
-    gap: ||P x_A(l) - P x_B(l)|| - value at the returned direction l, an upper
-    bound on how far value can sit below the distance when value >= 0.
+    certified: the duality gap closed, so value is the signed separation to
+    within GAP_REL.  False only when the iteration cap was hit; value is then
+    the best lower bound found.
+    gap: when the minimum-norm point certifies (the sets are apart),
+    ||P x_A(l) - P x_B(l)|| - value at the returned direction l; otherwise
+    the inner hull's upper bound minus value.  Either way value + gap bounds
+    the signed separation from above.
     """
 
     value: float
@@ -404,17 +422,18 @@ def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> Separation:
     """Signed separation of the two projected reachable sets at time t.
 
     The value is max g(l) = -rho_A(-P'l) - rho_B(P'l) over unit directions l
-    in the projected subspace; when positive it is the distance between the
-    sets, and any g(l) bounds that distance from below.  When the sets are
-    apart the maximum is found as the minimum-norm point of P(A_t) - P(B_t)
-    (Gilbert's algorithm), stopped on a duality gap of GAP_REL; otherwise, or
-    if the gap does not close within MNP_MAX_ITERS steps, the multistart
-    ascent gives the signed value and the result is marked uncertified.
+    in the projected subspace: the distance between the sets when positive,
+    minus their penetration depth when negative, and any g(l) bounds it from
+    below.  The minimum-norm point of P(A_t) - P(B_t) (Gilbert's algorithm)
+    finds it when the sets are apart; when that stops without a certificate
+    (the sets touch or overlap, or its cap was hit), the inner hull of the
+    oracle points takes over and bounds the signed value from above.  Both
+    stop on a duality gap of GAP_REL; a run that hits MNP_MAX_ITERS returns
+    its best lower bound, marked uncertified.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    mnp = _min_norm_point(specA, specB, t, P)
-    if mnp is not None:
-        lower, _, l, s = mnp
+    lower, z, l, s, closed = _min_norm_point(specA, specB, t, P)
+    if closed:
         return Separation(float(lower), l, True, float(np.linalg.norm(s)) - lower)
-    val, l, s = _sphere_ascent(specA, specB, t, P)
-    return Separation(val, l, False, float(np.linalg.norm(s)) - val)
+    lower, upper, l, s, closed = _inner_hull(specA, specB, t, P, lower, z, l, s)
+    return Separation(float(lower), l, closed, upper - lower)

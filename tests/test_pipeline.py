@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reachsep
 from reachsep import reachability
 from reachsep.cli import main
 from reachsep.ellipsoid import Ellipsoid
 from reachsep.pipeline import SEP_TOL, run
 from reachsep.plots import MissingArtifactError, emit_plots
-from reachsep.reachability import reach_support
+from reachsep.reachability import GAP_REL, reach_support
 from reachsep.scenario import (
     ScenarioError,
     build_spec,
@@ -50,6 +55,20 @@ def test_overlap_artifact(quad_run):
     overlap = json.loads((out / "overlap.json").read_text())
     assert overlap["overlaps"] is True
     assert overlap["separation_at_tau_m"] < 1.0
+
+
+# the multistart ascent's overlap values at FAST fidelity, before the inner hull
+ASCENT_OVERLAP_M = {"quadrotor_pair": -4.862961377093215, "fixedwing_pair": -89.03549860410496}
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_OVERLAP_M))
+def test_overlap_certified_matches_ascent(tmp_path, name):
+    assert run(builtin_scenario_path(name), tmp_path, FAST) == 0
+    overlap = json.loads((tmp_path / "overlap.json").read_text())
+    ascent = ASCENT_OVERLAP_M[name]
+    assert overlap["certified"] is True
+    assert -1e-12 <= overlap["duality_gap_m"] <= GAP_REL * abs(ascent)
+    assert overlap["separation_at_tau_m"] == pytest.approx(ascent, abs=GAP_REL * abs(ascent))
 
 
 def test_solution_artifact(quad_run):
@@ -105,14 +124,22 @@ def test_verification_artifact(quad_run):
     assert -1e-12 <= ver["max_duality_gap_m"] <= SEP_TOL
 
 
-def test_iteration_cap_recorded_as_uncertified(tmp_path, monkeypatch, capsys):
-    # with no minimum-norm-point steps allowed every grid time falls back
+def test_iteration_cap_recorded_as_uncertified(quad_run, tmp_path, monkeypatch, capsys):
+    # with no steps allowed every grid time returns its first lower bound,
+    # uncertified; a lower bound alone cannot verify the run
     monkeypatch.setattr(reachability, "MNP_MAX_ITERS", 0)
     code = run(builtin_scenario_path("quadrotor_pair"), tmp_path, {**FAST, "grid_step": 2.0})
-    assert code == 0
+    assert code == 2
     ver = json.loads((tmp_path / "verification.json").read_text())
     assert ver["uncertified_times"] == [0.0, 2.0, 4.0]
     assert "max duality gap" in capsys.readouterr().out
+    assert json.loads((tmp_path / "overlap.json").read_text())["certified"] is False
+    # same synthesis, so each capped value sits below the certified one
+    certified = {row.split(",")[0]: float(row.split(",")[1])
+                 for row in (quad_run[1] / "separation.csv").read_text().splitlines()[1:]}
+    for row in (tmp_path / "separation.csv").read_text().splitlines()[1:]:
+        t, value = row.split(",")[:2]
+        assert float(value) <= certified[t] + 1e-9, t
 
 
 def test_monte_carlo_artifact(quad_run):
@@ -248,3 +275,15 @@ def test_cli_main_wires_overrides(tmp_path):
     scen = json.loads((tmp_path / "out" / "scenario.json").read_text())
     assert scen["directions"] == 4
     assert scen["quad_steps"] == 64
+
+
+def test_python_dash_m_runs_without_install(tmp_path):
+    src = Path(reachsep.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "reachsep", "run", str(builtin_scenario_path("quadrotor_pair")),
+         "--out", "out", "--grid-step", "2.0", "--quad-steps", "64", "--directions", "4"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "verification:" in proc.stdout
+    assert (tmp_path / "out" / "overlap.json").exists()
