@@ -197,9 +197,10 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     print(f"encounter: tau = {geom.tau:.3f} s, center gap {center_gap:.3f} m; "
           f"initial separation {sep0:.3f} m (required {scenario.d:.3f} m)")
 
-    # disturbances are handled as extra required separation, not in synthesis
-    synA = build_spec(scenario, 0, with_disturbance=False)
-    synB = build_spec(scenario, 1, with_disturbance=False)
+    # disturbances are handled as extra required separation, not in synthesis;
+    # the copies keep their system, and with it its grids
+    synA = dataclasses.replace(specA, V=None)
+    synB = dataclasses.replace(specB, V=None)
     d_eff = scenario.d
     if specA.V is not None:
         d_eff += disturbance_contribution(specA, geom.tau, -geom.l_star)

@@ -8,11 +8,15 @@ The reachable set at time t is characterized exactly by its support function,
 
 with Phi = e^(A (t - s)).  Integrals use composite Simpson quadrature on a
 fixed grid; panels where a square-root integrand vanishes fall back to the
-midpoint rule.  Transition matrices along the quadrature grid are formed once
-per (t, step-count) pair and cached on the spec, so sweeping directions is
-cheap.  Every input set enters through one kernel: with S_i = Phi_i B for U
-and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values integrate
-<w_i, c> and sqrt(q_i), touching points the response to c + M w_i / sqrt(q_i).
+midpoint rule, and the initial-set root counts only above the rounding level
+of M0.  Transition matrices along the quadrature grid are formed once per
+(t, step-count) pair and cached on the system, so every spec built on it
+shares them.  Every input set enters through one kernel: with S_i = Phi_i B
+for U and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values
+integrate <w_i, c> and sqrt(q_i), touching points the response to
+c + M w_i / sqrt(q_i).  Support values are batched: a (D, n) block of
+directions gives w as one (N+1, D, m) product, and the panel rule runs per
+direction.
 
 Separation of two projected sets is the distance from 0 to P(A_t) - P(B_t),
 found as a minimum-norm point from touching points alone: Gilbert's
@@ -23,7 +27,7 @@ touching points: the depth of its nearest facet bounds the penetration
 depth from below, so the signed value gets a duality gap too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -47,7 +51,6 @@ class ReachSpec:
     V: Ellipsoid | None = None
     quad_steps: int = 200
     center_offset: NominalTrajectory | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -107,16 +110,20 @@ class _Grid:
         self.simpson_w = w * (self.h / 3.0)
 
     def _panels(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Per-panel integrals of samples: Simpson, midpoint where q vanishes."""
-        thresh = VANISH_REL * max(q.max(initial=0.0), 0.0)
+        """Per-panel integrals of samples: Simpson, midpoint where q vanishes.
+
+        q is (N+1,) or (N+1, D), one column per direction, and each column
+        vanishes relative to its own maximum; samples may carry trailing axes.
+        """
+        thresh = VANISH_REL * np.maximum(q.max(axis=0, initial=0.0), 0.0)
         vanish = (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
         simp = (self.h / 3.0) * (samples[:-1:2] + 4.0 * samples[1::2] + samples[2::2])
         mid = 2.0 * self.h * samples[1::2]
-        return np.where(vanish.reshape(vanish.shape + (1,) * (samples.ndim - 1)), mid, simp)
+        return np.where(vanish.reshape(vanish.shape + (1,) * (samples.ndim - q.ndim)), mid, simp)
 
-    def integrate_sqrt(self, q: np.ndarray) -> float:
-        """Integral of sqrt(q(s)); midpoint fallback on panels where q vanishes."""
-        return float(self._panels(q, np.sqrt(np.clip(q, 0.0, None))).sum())
+    def integrate_sqrt(self, q: np.ndarray):
+        """Integral of sqrt(q(s)) per column; midpoint fallback on panels where q vanishes."""
+        return self.integrate_matched(q, np.sqrt(np.clip(q, 0.0, None)))
 
     def integrate_matched(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Integrate vector-valued samples with the same panel rule as integrate_sqrt."""
@@ -124,12 +131,14 @@ class _Grid:
 
 
 def _grid_for(spec: ReachSpec, t: float, n_steps: int | None = None) -> _Grid:
+    """The grid for (t, n_steps), built once per system: it depends on A, B,
+    t and n_steps only, so every spec of one system shares it."""
     n = spec.quad_steps if n_steps is None else n_steps
     key = (round(float(t), 12), n)
-    g = spec._cache.get(key)
+    grids = spec.system.grids
+    g = grids.get(key)
     if g is None:
-        g = _Grid(spec.system, t, n)
-        spec._cache[key] = g
+        g = grids[key] = _Grid(spec.system, t, n)
     return g
 
 
@@ -140,28 +149,42 @@ def _check_time(spec: ReachSpec, t: float) -> float:
     return min(t, spec.horizon)
 
 
+def _initial_root(X0: Ellipsoid, lT: np.ndarray, q0):
+    """sqrt(q0) per direction, 0 where q0 = <Phi' l, M0 Phi' l> is at the
+    rounding level of M0: a flat X0 seen edge-on has no extent, not ~1e-9."""
+    alive = q0 > VANISH_REL * np.trace(X0.shape) * (lT * lT).sum(axis=-1)
+    return np.sqrt(np.where(alive, q0, 0.0))
+
+
 def _initial_term(g: _Grid, X0: Ellipsoid, l: np.ndarray):
-    """Initial-set image along l: (<l, Phi c0>, <l, Phi M0 Phi' l>, Phi' l)."""
+    """Initial-set image along one direction l, for touching points and the
+    synthesis constants: (<l, Phi c0>, <l, Phi M0 Phi' l>^(1/2), Phi' l)."""
     lT = g.Phi[0].T @ l
-    return float(lT @ X0.center), float(lT @ X0.shape @ lT), lT
+    return float(lT @ X0.center), float(_initial_root(X0, lT, lT @ X0.shape @ lT)), lT
 
 
-def _input_terms(stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
+def _input_terms(stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
     """(w_i, q_i) = (stack_i' l, <w_i, M_E w_i>) for an input set E entering
-    through stack: Phi_i B for the control set, Phi_i for the disturbance."""
-    w = stack.transpose(0, 2, 1) @ l
-    return w, np.einsum("ij,jk,ik->i", w, E.shape, w)
+    through stack: Phi_i B for the control set, Phi_i for the disturbance.
+    For a (D, n) batch of rows, w is (N+1, D, m) and q is (N+1, D)."""
+    w = L @ stack
+    return w, ((w @ E.shape) * w).sum(axis=-1)
 
 
-def _input_value(g: _Grid, stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
-    """(center, square-root) support terms of one input set along l."""
-    w, q = _input_terms(stack, E, l)
-    return float(g.simpson_w @ (w @ E.center)), g.integrate_sqrt(q)
+def _input_values(g: _Grid, stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
+    """(center, square-root) support terms of one input set, one per row of L."""
+    w, q = _input_terms(stack, E, L)
+    return g.simpson_w @ (w @ E.center), g.integrate_sqrt(q)
 
 
 def _input_image(g: _Grid, stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
-    """State response to the input maximizing <l, x>, and that input profile."""
-    w, q = _input_terms(stack, E, l)
+    """State response to the input maximizing <l, x>, and that input profile.
+
+    q is summed by einsum, not by _input_terms' matmul: separation reports
+    touching-point values unrounded, and the two sums differ in the last bit.
+    """
+    w = l @ stack
+    q = np.einsum("ij,jk,ik->i", w, E.shape, w)
     u = np.tile(E.center, (w.shape[0], 1))
     alive = q > VANISH_REL * max(q.max(initial=0.0), 0.0)
     u[alive] += (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
@@ -170,13 +193,35 @@ def _input_image(g: _Grid, stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
 
 def _touching_point(spec: ReachSpec, g: _Grid, l: np.ndarray):
     """(state without center offset, x0, control profile) maximizing <l, x>."""
-    _, q0, lT = _initial_term(g, spec.X0, l)
-    x0 = spec.X0.center + spec.X0.shape @ lT / np.sqrt(q0) if q0 > 0.0 else spec.X0.center.copy()
+    _, root0, lT = _initial_term(g, spec.X0, l)
+    x0 = spec.X0.center + spec.X0.shape @ lT / root0 if root0 > 0.0 else spec.X0.center.copy()
     image, u = _input_image(g, g.PhiB, spec.U, l)
     state = g.Phi[0] @ x0 + image
     if spec.V is not None:
         state = state + _input_image(g, g.Phi, spec.V, l)[0]
     return state, x0, u
+
+
+def _support_values(spec: ReachSpec, t: float, L: np.ndarray, n_steps: int | None = None):
+    """Support values of the reachable set at time t along each row of L (D, n).
+
+    The batched kernel behind reach_support, reach_tube and the outer
+    polytope: the initial-set and offset terms are one product each, and
+    every input set one _input_values call.
+    """
+    t = _check_time(spec, t)
+    offset = L @ spec.offset_at(t)
+    if t == 0.0:
+        q0 = ((L @ spec.X0.shape) * L).sum(axis=1)
+        return L @ spec.X0.center + np.sqrt(np.maximum(q0, 0.0)) + offset
+    g = _grid_for(spec, t, n_steps)
+    LT = L @ g.Phi[0]
+    values = LT @ spec.X0.center + _initial_root(spec.X0, LT, ((LT @ spec.X0.shape) * LT).sum(axis=1))
+    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
+        if E is not None:
+            center_terms, sqrt_terms = _input_values(g, stack, E, L)
+            values = values + center_terms + sqrt_terms
+    return values + offset
 
 
 def _unit_rows(directions) -> np.ndarray:
@@ -189,21 +234,10 @@ def _unit_rows(directions) -> np.ndarray:
 
 def reach_support(spec: ReachSpec, t: float, l, n_steps: int | None = None) -> float:
     """Support value of the reachable set at time t along direction l."""
-    t = _check_time(spec, t)
     l = np.asarray(l, dtype=float)
     if not np.any(l):
         raise ValueError("direction must be nonzero")
-    offset = float(l @ spec.offset_at(t))
-    if t == 0.0:
-        return support(spec.X0, l)[0] + offset
-    g = _grid_for(spec, t, n_steps)
-    a0, q0, _ = _initial_term(g, spec.X0, l)
-    value = a0 + np.sqrt(max(q0, 0.0))
-    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
-        if E is not None:
-            center_term, sqrt_term = _input_value(g, stack, E, l)
-            value = value + center_term + sqrt_term
-    return value + offset
+    return float(_support_values(spec, t, l[None, :], n_steps)[0])
 
 
 def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
@@ -214,8 +248,8 @@ def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
     if t == 0.0:
         return 0.0
     g = _grid_for(spec, t)
-    center_term, sqrt_term = _input_value(g, g.Phi, spec.V, np.asarray(l, dtype=float))
-    return center_term + sqrt_term
+    center_term, sqrt_term = _input_values(g, g.Phi, spec.V, np.asarray(l, dtype=float)[None, :])
+    return float(center_term[0] + sqrt_term[0])
 
 
 def reach_point(spec: ReachSpec, t: float, l):
@@ -244,8 +278,7 @@ def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
     unit = _unit_rows(directions)
     if unit.shape[0] == 0:
         raise ValueError("need at least one direction")
-    offsets = np.array([reach_support(spec, t, l) for l in unit])
-    return HalfspaceSet(unit, offsets)
+    return HalfspaceSet(unit, _support_values(spec, t, unit))
 
 
 def reach_tube(spec: ReachSpec, time_grid, directions, with_points: bool = False) -> ReachTube:
@@ -255,10 +288,9 @@ def reach_tube(spec: ReachSpec, time_grid, directions, with_points: bool = False
     vals = np.empty((times.shape[0], unit.shape[0]))
     pts = np.empty((times.shape[0], unit.shape[0], spec.system.state_dim)) if with_points else None
     for i, t in enumerate(times):
-        for j, l in enumerate(unit):
-            vals[i, j] = reach_support(spec, t, l)
-            if with_points:
-                pts[i, j] = reach_point(spec, t, l)[0]
+        vals[i] = _support_values(spec, t, unit)
+        if with_points:
+            pts[i] = [reach_point(spec, t, l)[0] for l in unit]
     return ReachTube(times, unit, vals, pts)
 
 
@@ -303,8 +335,8 @@ def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray)
     from 0 to C from above.  Dual: every oracle value g(l) bounds it from
     below.  The next direction is a Barzilai-Borwein step on the unit sphere
     along the tangential part of s (the gradient of g there) when the last
-    two directions give a positive curvature estimate, else Gilbert's own
-    z / ||z||, which alone zigzags for thousands of steps when the sets
+    two directions give a positive curvature estimate and a step shorter
+    than 1 / GAP_REL, else Gilbert's own z / ||z||, which alone zigzags for thousands of steps when the sets
     nearly touch.  Returns (lower, z, l, s, closed), with l the direction
     attaining lower and s its oracle point.  closed: the run stopped one step
     after ||z|| - lower <= GAP_REL * max(1, ||z||); the closed gap pins the
@@ -335,7 +367,10 @@ def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray)
             dl = l - l_prev
             curvature = -float(dl @ (tangent - tangent_prev)) / float(dl @ dl)
         l_prev, tangent_prev = l, tangent
-        l = l + tangent / curvature if curvature > 0.0 else z / upper
+        # a step longer than 1 / GAP_REL turns l by a right angle to within
+        # GAP_REL, and overflows the norm below when curvature is tiny
+        bb_step = curvature > 0.0 and float(np.linalg.norm(tangent)) < curvature / GAP_REL
+        l = l + tangent / curvature if bb_step else z / upper
         l = l / np.linalg.norm(l)
         g, s = _oracle(specA, specB, t, P, l)
         if g > lower:

@@ -134,14 +134,14 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grid_for(spec, geom.tau)
-    a0, q0, _ = _initial_term(g, spec.X0, l)
+    a0, x0_term, _ = _initial_term(g, spec.X0, l)
     W, qU = _input_terms(g.PhiB, spec.U, l)
     return PartIConstants(
         a0=a0,
         b=g.simpson_w @ W,
-        x0_term=float(np.sqrt(max(q0, 0.0))),
-        gamma_U=g.integrate_sqrt(qU),
-        gamma_I=g.integrate_sqrt(np.einsum("ij,ij->i", W, W)),
+        x0_term=x0_term,
+        gamma_U=float(g.integrate_sqrt(qU)),
+        gamma_I=float(g.integrate_sqrt(np.einsum("ij,ij->i", W, W))),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 

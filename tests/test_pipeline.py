@@ -287,3 +287,20 @@ def test_python_dash_m_runs_without_install(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "verification:" in proc.stdout
     assert (tmp_path / "out" / "overlap.json").exists()
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_grids_shared_per_system(name, tmp_path, monkeypatch):
+    # every spec of one aircraft shares its system's grids: at most one
+    # per output time for each aircraft
+    builds = []
+    init = reachability._Grid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(reachability._Grid, "__init__", counting_init)
+    assert run(builtin_scenario_path(name), tmp_path, FAST) == 0
+    n_times = len((tmp_path / "separation.csv").read_text().splitlines()) - 1
+    assert len(builds) <= 2 * n_times

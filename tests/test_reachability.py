@@ -4,11 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachsep import reachability
-from reachsep.dynamics import LTISystem, QuadrotorParams, quadrotor_linearized
-from reachsep.ellipsoid import Ellipsoid
+from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
+from reachsep.ellipsoid import Ellipsoid, support
 from reachsep.montecarlo import discretize, sample_trajectories
 from reachsep.reachability import (
     GAP_REL,
+    VANISH_REL,
     ReachSpec,
     _min_norm_point,
     _oracle,
@@ -281,6 +282,98 @@ def test_tube_matches_pointwise_calls():
             assert tube.directions[j] @ tube.touching_points[i, j] <= tube.support_values[i, j] + 1e-9
 
 
+def reference_reach_support(spec, t, l):
+    """reach_support one direction at a time, as it was before the batched
+    kernel: einsum quadratic forms and the per-direction panel rule, plus
+    the initial-set vanish rule.  Kept as the kernel's reference."""
+    t = min(float(t), spec.horizon)
+    l = np.asarray(l, dtype=float)
+    offset = float(l @ spec.offset_at(t))
+    if t == 0.0:
+        return support(spec.X0, l)[0] + offset
+    g = reachability._grid_for(spec, t)
+    lT = g.Phi[0].T @ l
+    q0 = float(lT @ spec.X0.shape @ lT)
+    alive = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
+    value = float(lT @ spec.X0.center) + (np.sqrt(q0) if alive else 0.0)
+    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
+        if E is None:
+            continue
+        w = stack.transpose(0, 2, 1) @ l
+        q = np.einsum("ij,jk,ik->i", w, E.shape, w)
+        thresh = VANISH_REL * max(q.max(), 0.0)
+        vanish = (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
+        r = np.sqrt(np.clip(q, 0.0, None))
+        simpson = (g.h / 3.0) * (r[:-1:2] + 4.0 * r[1::2] + r[2::2])
+        value = value + float(g.simpson_w @ (w @ E.center))
+        value = value + float(np.where(vanish, 2.0 * g.h * r[1::2], simpson).sum())
+    return value + offset
+
+
+def random_spec(rng, n, m, with_V, with_offset, flat_U, horizon=2.0):
+    """A random system with full-rank X0; a flat U (a point when m = 1) when
+    asked, so that whole panels of its integrand vanish."""
+    A = 0.5 * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, m))
+    R0 = rng.standard_normal((n, n))
+    X0 = Ellipsoid(rng.standard_normal(n), R0 @ R0.T + 0.1 * np.eye(n))
+    RU = rng.standard_normal((m, m))
+    MU = RU @ RU.T + 0.1 * np.eye(m)
+    if flat_U:
+        u = rng.standard_normal(m) if m > 1 else np.zeros(1)
+        MU = np.outer(u, u)
+    V = None
+    if with_V:
+        RV = rng.standard_normal((n, n))
+        V = Ellipsoid(0.1 * rng.standard_normal(n), 0.01 * RV @ RV.T)
+    offset = None
+    if with_offset:
+        times = np.linspace(0.0, horizon, 5)
+        offset = NominalTrajectory(times, rng.standard_normal((5, n)))
+    return ReachSpec(LTISystem(A, B), X0, Ellipsoid(rng.standard_normal(m), MU), horizon,
+                     V=V, quad_steps=32, center_offset=offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(1, 3),
+       with_V=st.booleans(), with_offset=st.booleans(), flat_U=st.booleans(),
+       unactuated=st.booleans(), when=st.sampled_from(["start", "inside", "horizon"]),
+       n_dirs=st.integers(0, 6))
+def test_batched_support_matches_reference(seed, n, m, with_V, with_offset, flat_U, unactuated,
+                                           when, n_dirs):
+    rng = np.random.default_rng(seed)
+    m = min(m, n - 1)
+    spec = random_spec(rng, n, m, with_V, with_offset, flat_U)
+    t = {"start": 0.0, "inside": rng.uniform(0.1, spec.horizon), "horizon": spec.horizon}[when]
+    dirs = rng.standard_normal((n_dirs, n))
+    if unactuated:
+        # directions B cannot push along, like the quadrotor's positions:
+        # q vanishes at s = t, and the last panel takes the midpoint rule
+        B = spec.system.B
+        dirs = dirs - dirs @ B @ np.linalg.pinv(B)
+    tube = reach_tube(spec, [t], dirs)
+    assert tube.support_values.shape == (1, n_dirs)
+    for l, value in zip(tube.directions, tube.support_values[0]):
+        ref = reference_reach_support(spec, t, l)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(reach_support(spec, t, l) - ref) <= 1e-12 * max(1.0, abs(ref))
+    if n_dirs:
+        polytope = reach_polytope_outer(spec, t, dirs)
+        assert np.array_equal(polytope.offsets, tube.support_values[0])
+
+
+def test_vanishing_panels_judged_per_direction():
+    # decoupled channels, the second 1e-7 as strong: along e2 the input term
+    # is ~1e-14 of e1's, so a threshold shared across the batch would send
+    # it to the midpoint rule (2.6e-10 off), and its own keeps Simpson
+    sys = LTISystem(np.diag([-1.0, -4.0]), np.diag([1.0, 1e-7]))
+    spec = ReachSpec(sys, Ellipsoid.ball([0.0, 0.0], 1.0), Ellipsoid.ball([0.0, 0.0], 1.0),
+                     2.0, quad_steps=32)
+    tube = reach_tube(spec, [2.0], np.eye(2))
+    for l, value in zip(np.eye(2), tube.support_values[0]):
+        assert value == pytest.approx(reference_reach_support(spec, 2.0, l), abs=1e-13)
+
+
 # ---------------------------------------------------------------- support_gradient
 
 
@@ -349,6 +442,9 @@ coords = st.floats(-50.0, 50.0)
 
 
 @settings(max_examples=60, deadline=None)
+# a Barzilai-Borwein step of ~1e157 overflowed the direction's norm
+@example(center=(0.0, 0.0, 0.0), axis=(1.0, 7.164786475848339e-158, 0.0), radii=(1.0, 1.0),
+         clearance=1.0)
 @given(center=st.tuples(coords, coords, coords),
        axis=st.tuples(coords, coords, coords).filter(lambda v: np.linalg.norm(v) > 1e-3),
        radii=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
@@ -384,6 +480,24 @@ def test_separation_near_touching_balls(clearance):
     # apart: the minimum-norm point; overlapping: the inner hull
     assert sep.certified
     assert sep.value == pytest.approx(clearance, abs=1e-12)
+
+
+SEGMENT = np.array([0.6, 0.8, 0.0])
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, -0.7, 0.5])
+def test_separation_point_on_flat_initial_set(c):
+    # X0 is the segment E(0, u u'), and B the point c u on it.  Along the
+    # segment's normal <Phi' l, M0 Phi' l> is rounding noise; taken as a
+    # width, it put touching points ~1e-9 off the set, and the upper bound
+    # below the lower one.
+    segment = ReachSpec(LTISystem(np.zeros((3, 3)), np.zeros((3, 1))),
+                        Ellipsoid(np.zeros(3), np.outer(SEGMENT, SEGMENT)),
+                        Ellipsoid.point([0.0]), 4.0)
+    sep = separation(segment, static_point_spec(c * SEGMENT), 1.0, np.eye(3)[:2])
+    assert sep.certified
+    assert abs(sep.value) <= 1e-12
+    assert sep.value + sep.gap >= -1e-15
 
 
 def reference_sphere_ascent(specA, specB, t, P):
