@@ -5,7 +5,6 @@ from .convex import (
     InfeasibleProblemError,
     InfeasibleStartError,
     SolveResult,
-    feasibility_restore,
     solve,
 )
 from .dynamics import (

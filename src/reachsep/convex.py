@@ -20,7 +20,10 @@ alone: one Cholesky log-det per block plus the scalar logs, accumulated by
 the same operations in the same order as the full evaluation, so every
 accept/reject decision is the one the full evaluation would make.  The
 gradient and Hessian are evaluated once per accepted point and carried into
-the next Newton step.
+the next Newton step.  One rule ends a stage early: an Armijo step counts
+only if F_mu rose by more than its rounding level or the gradient norm fell,
+since once neither holds Newton can make no measurable progress at this mu
+(the centering stop of Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3).
 """
 
 from dataclasses import dataclass, field
@@ -165,7 +168,6 @@ class BarrierProblem:
         self.logdets: list[tuple[AffineMatrixExpr, float]] = []
         self.psd: list[AffineMatrixExpr] = []
         self.scalars: list[ScalarAffineExpr] = []
-        self.restore_hint: dict = {}
 
     # ------------------------------------------------------------ variables
 
@@ -371,8 +373,11 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
     """Centers F_mu by damped Newton; returns (x, grad_norm, steps, converged).
 
     Backtracking trials evaluate F_mu alone; derivatives are evaluated once
-    per accepted point and carried into the next step.  An accepted trial
-    that rounds to x itself ends the stage: every later step would repeat it.
+    per accepted point and carried into the next step.  A trial that passes
+    the Armijo test is taken only if it makes measurable progress: F_mu rose
+    by more than its rounding level, or the gradient norm fell.  Otherwise,
+    and when no trial passes, Newton can no longer improve the point at this
+    mu and the stage ends there.
     """
     out = _merit(prob, x, mu, fscale)
     if out is None:
@@ -396,36 +401,20 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
                 return x, gnorm, steps, gnorm <= KKT_TOL
         decrement = float(grad @ step)
         alpha = 1.0
-        accepted = False
         while alpha > 1e-16:
             cand = x + alpha * step
             cval = _merit(prob, cand, mu, fscale, derivs=False)
             if cval is not None and cval >= val + ARMIJO * alpha * decrement:
-                if np.array_equal(cand, x):
-                    return x, gnorm, steps + 1, gnorm <= KKT_TOL
-                x = cand
-                out = _merit(prob, x, mu, fscale)
-                accepted = True
                 break
             alpha *= BACKTRACK
+        else:
+            return x, gnorm, steps, gnorm <= KKT_TOL
         steps += 1
-        if not accepted:
-            # merit improvements are below float noise; polish on the
-            # gradient norm instead, which Newton still contracts locally
-            alpha = 1.0
-            while alpha > 1e-16:
-                cand = x + alpha * step
-                cout = _merit(prob, cand, mu, fscale)
-                if (cout is not None
-                        and cout[0] >= val - 1e-12 * (1.0 + abs(val))
-                        and np.linalg.norm(cout[1]) < 0.9 * gnorm):
-                    x = cand
-                    out = cout
-                    accepted = True
-                    break
-                alpha *= BACKTRACK
-            if not accepted:
-                return x, gnorm, steps, gnorm <= KKT_TOL
+        cout = _merit(prob, cand, mu, fscale)
+        if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
+                and np.linalg.norm(cout[1]) >= gnorm):
+            return x, gnorm, steps, gnorm <= KKT_TOL
+        x, out = cand, cout
     gnorm = float(np.linalg.norm(out[1]))
     return x, gnorm, steps, gnorm <= KKT_TOL
 
@@ -463,57 +452,3 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     status = "optimal" if (kkt <= KKT_TOL and converged) else "max_iter"
     return SolveResult(prob.unpack(x), prob.objective(x), kkt, mu, status,
                        stage_objectives, total_steps)
-
-
-def feasibility_restore(prob: BarrierProblem) -> dict:
-    """Strictly feasible initial point for a synthesis-shaped problem.
-
-    Works in whitened control coordinates, where the control center is the
-    origin and the admissible set the unit ball.  Starts from the
-    analytic-center recipe (origin, epsilon-scaled shape) and, when the
-    distance constraint bites, slides the center toward the admissible
-    control that maximizes the distance slack.  Raises InfeasibleProblemError
-    naming the violated constraint when no combination works even in the
-    epsilon -> 0 limit.
-    """
-    hint = prob.restore_hint
-    if not hint:
-        raise ValueError("problem carries no restore hint")
-    q_blk = hint["q"]
-    shape_blk = hint["shape"]  # symmetric Q block or scalar r block
-    lam_blk = hint["lam"]
-    s_blk = hint.get("s")
-    # slack-ascent direction for the center, from the distance constraint row
-    slide = np.zeros(q_blk.dim)
-    dist = next((s for s in prob.scalars if s.name == "distance"), None)
-    if dist is not None:
-        a_q = dist.a[q_blk.offset:q_blk.offset + q_blk.dim]
-        denom = float(a_q @ a_q)
-        if denom > 0.0:
-            slide = a_q / np.sqrt(denom)
-
-    def candidate(eps, theta, lam):
-        vals = {q_blk.name: theta * slide}
-        if shape_blk.kind == "symmetric":
-            vals[shape_blk.name] = eps * np.eye(q_blk.dim)
-        else:
-            vals[shape_blk.name] = eps
-        vals[lam_blk.name] = lam
-        if s_blk is not None:
-            vals[s_blk.name] = 2.0 * eps
-        return vals
-
-    for eps in [1e-3, 1e-4, 1e-5, 1e-6, 1e-8]:
-        for theta in [0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.99]:
-            for lam in [0.5, 0.3, 0.6 * (1.0 - theta**2) + 1e-4, 0.15, 0.05, 0.01]:
-                vals = candidate(eps, theta, lam)
-                if prob.strictly_feasible(prob.pack(vals), margin=INIT_MARGIN):
-                    return vals
-    # diagnose: which constraint blocks the best limit candidate
-    best_name, best_worst = "", -np.inf
-    for theta in [0.0, 0.5, 0.9, 0.99, 0.999]:
-        x = prob.pack(candidate(1e-9, theta, 0.5 * (1.0 - theta**2) + 1e-6))
-        name, worst = prob.worst_violation(x)
-        if worst > best_worst:
-            best_name, best_worst = name, worst
-    raise InfeasibleProblemError(best_name, f"best strict margin {best_worst:.3e}")

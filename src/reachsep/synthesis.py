@@ -5,21 +5,19 @@ of A's nominal point at the closest-approach time, trading retained control
 authority (a log-det term weighted by the scalarization factor k) against the
 achieved clearance.  Phase two then maximizes A's control set subject to A's
 reachable set avoiding B's separation-inflated safe set.  Both phases reduce
-to log-det barrier problems over a containment LMI plus one scalar distance
-inequality; infeasibility of phase two sends the scalarization loop back to
-phase one with a smaller k.
+to log-det programs over a containment LMI plus one scalar distance
+inequality.  The spectral-norm programs are solved by the barrier method from
+a closed-form strictly feasible start; the scaled phase one (the control set
+restricted to r times the original) is solved in closed form.
+Infeasibility of phase two sends the scalarization loop back to phase one
+with a smaller k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (
-    BarrierProblem,
-    InfeasibleProblemError,
-    feasibility_restore,
-    solve,
-)
+from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt
 from .reachability import ReachSpec, _grid_for, _initial_term, _input_terms
 
@@ -73,9 +71,6 @@ class PartIConstants:
     def support_scaled(self, q, r: float) -> float:
         return self.a0 + self.offset + float(self.b @ q) + self.x0_term + r * self.gamma_U
 
-    def support_norm_bound(self, q, s: float) -> float:
-        return self.a0 + self.offset + float(self.b @ q) + self.x0_term + s * self.gamma_I
-
 
 @dataclass(frozen=True)
 class SynthesisSolution:
@@ -91,7 +86,7 @@ class SynthesisSolution:
     kkt_residual: float
     status: str
     newton_steps: int
-    barrier_mu_final: float
+    barrier_mu_final: float | None  # None when solved in closed form
     stage_objectives: tuple  # F's objective after each barrier stage
     r: float | None = None  # scaled method only
 
@@ -155,64 +150,64 @@ def _control_whitening(U: Ellipsoid):
     return W, np.linalg.inv(W), wmin
 
 
-def _whitened_lmi(prob: BarrierProblem, qt_blk, lam_blk, shape_blk,
-                  Winv=None, wmin: float = 1.0):
-    """Containment LMI in whitened control coordinates.
-
-    With q = c_U + W qt and the congruence scaling diag(1, I, W^-1), the
-    outer set becomes the unit ball and every block is order one:
-    [[1 - lam, 0, qt'], [0, lam I, B], [qt, B', I]] with B = r I for the
-    scaled method and B = wmin * Qb W^-1 for the norm method.
-    """
-    m = qt_blk.size
-    lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
-    lmi.F0[0, 0] = 1.0
-    lmi.F0[1 + m:, 1 + m:] = np.eye(m)
-    lmi.F[lam_blk.offset, 0, 0] = -1.0
-    lmi.F[lam_blk.offset, 1:1 + m, 1:1 + m] = np.eye(m)
-    lmi.add_vector(qt_blk, 0, 1 + m)
-    if shape_blk.kind == "symmetric":
-        lmi.add_symmetric_rmul(shape_blk, 1, 1 + m, Winv, coeff=wmin)
-    else:
-        C = np.zeros((1 + 2 * m, 1 + 2 * m))
-        C[1:1 + m, 1 + m:] = np.eye(m)
-        C[1 + m:, 1:1 + m] = np.eye(m)
-        lmi.add_scalar(shape_blk, C)
-    return lmi
-
-
 def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
                  k: float, margin: float = 0.0, aircraft: str = "B") -> SynthesisSolution:
-    """Phase one with the control set restricted to r * (original), r in (0, 1]."""
+    """Phase one with the control set restricted to r * (original), r in [0, 1].
+
+    Solved in closed form.  With q = c_U + W qt and b~ = W b, the control set
+    is E(q, (r W)^2) and containment in U reads ||qt|| + r <= 1; lam = r is an
+    exact S-lemma witness for it.  For a fixed r the best center is
+    qt = -(1 - r) b~ / ||b~||, which leaves
+    const + ||b~|| - r (||b~|| + gamma_U) + k m log r, concave in r, with
+    the distance term >= margin exactly when r <= r_max.  So
+    r* = min(1, r_max, k m / (||b~|| + gamma_U)); k = 0 gives r* = 0.
+    """
     if k < 0.0:
         raise ValueError("scalarization factor must be nonnegative")
     m = U_B.dim
-    W, Winv, wmin = _control_whitening(U_B)
+    W, _, _ = _control_whitening(U_B)
     bW = W @ consts.b
     const_term = (float(geom.l_star @ geom.c_A_tau) - consts.a0 - consts.offset
                   - consts.x0_term - float(consts.b @ U_B.center))
-    prob = BarrierProblem()
-    qt = prob.add_vector_var("q", m)
-    r = prob.add_scalar_var("r")
-    lam = prob.add_scalar_var("lam")
-    prob.add_constant_objective(const_term)
-    prob.add_linear_objective(qt, -bW)
-    prob.add_linear_objective(r, -consts.gamma_U)
-    prob.add_logdet_objective(r, k * m)
-    _whitened_lmi(prob, qt, lam, shape_blk=r)
-    prob.add_scalar_constraint("distance", {qt: -bW, r: -consts.gamma_U},
-                               const_term - margin)
-    prob.add_scalar_constraint("r_floor", {r: [1.0]}, 0.0)
-    prob.restore_hint = {"q": qt, "shape": r, "lam": lam}
-    init = feasibility_restore(prob)
-    res = solve(prob, init)
-    r_val = float(res.values["r"])
-    q_val = U_B.center + W @ res.values["q"]
+    beta = float(np.linalg.norm(bW))
+    slack = const_term - margin + beta  # distance slack at r = 0
+    if slack <= 0.0:
+        raise InfeasibleProblemError("distance", f"best slack {slack:.3e}")
+    slope = beta + consts.gamma_U
+    r = min(1.0, slack / slope, k * m / slope) if slope > 0.0 else float(k > 0.0)
+    qt = -(1.0 - r) / beta * bW if beta > 0.0 else np.zeros(m)
+    distance = const_term - float(bW @ qt) - r * consts.gamma_U
+    objective = distance + (k * m * np.log(r) if k > 0.0 else 0.0)
     return SynthesisSolution(
-        aircraft, q_val, r_val * W, float(res.values["lam"]), k, res.objective,
-        const_term - float(bW @ res.values["q"]) - r_val * consts.gamma_U,
-        res.kkt_residual, res.status, res.newton_steps, res.barrier_mu_final,
-        tuple(res.stage_objectives), r=r_val)
+        aircraft, U_B.center + W @ qt, r * W, r, k, objective, distance,
+        0.0, "optimal", 0, None, (), r=r)
+
+
+def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
+    """Strictly feasible start of the spectral-norm program, in closed form.
+
+    In the whitened variables of _norm_program, with distance row
+    slack0 - <bW, qt> - g s >= 0.  Starts at qt = 0, Q = eps I, lam = 1/2,
+    s = 2 eps with eps = 1e-3.  When the distance row bites there, the center
+    slides to qt = -theta bW / ||bW|| with lam = (1 - theta^2) / 2, theta the
+    midpoint of the interval on which the distance row and the containment
+    LMI both hold (lam >= eps + eps^2 keeps the LMI PSD for any theta <= 1);
+    eps shrinks so that the eps terms take at most half of the slack.  Raises
+    InfeasibleProblemError("distance") when no admissible center has a
+    positive distance slack.
+    """
+    m = len(bW)
+    beta = float(np.linalg.norm(bW))
+    sup = slack0 + beta  # the distance slack at the unit ball's edge as eps -> 0
+    if sup <= 0.0:
+        raise InfeasibleProblemError("distance", f"supremum slack {sup:.3e}")
+    eps, theta = 1e-3, 0.0
+    if slack0 - 2.0 * eps * g <= INIT_MARGIN < sup:
+        eps = min(eps, (sup - INIT_MARGIN) / (4.0 * (g + beta)))
+        lo = (INIT_MARGIN + 2.0 * eps * g - slack0) / beta if beta > 0.0 else -np.inf
+        theta = max(0.5 * (lo + np.sqrt(1.0 - 2.0 * eps * (1.0 + eps))), 0.0)
+    qt = -theta / beta * bW if beta > 0.0 else np.zeros(m)
+    return {"q": qt, "Q": eps * np.eye(m), "lam": 0.5 * (1.0 - theta**2), "s": 2.0 * eps}
 
 
 def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: float,
@@ -225,6 +220,11 @@ def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: fl
     - ||Q||_2 gamma_I; the spectral norm enters by the epigraph pair
     {s I - Q PSD, s in the distance term}, so the problem is affine in
     (q, Q, s, lam).  Phase one uses w_dist = 1, phase two w_dist = 0, k = 1.
+
+    The containment LMI is written in whitened control coordinates: with
+    q = c_U + W qt and the congruence scaling diag(1, I, W^-1), the outer set
+    becomes the unit ball and every block is order one,
+    [[1 - lam, 0, qt'], [0, lam I, wmin Qb W^-1], [qt, ., I]] with Q = wmin Qb.
     """
     m = U.dim
     W, Winv, wmin = _control_whitening(U)
@@ -239,7 +239,13 @@ def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: fl
     prob.add_linear_objective(qt, -w_dist * bW)
     prob.add_linear_objective(sb, -w_dist * consts.gamma_I * wmin)
     prob.add_logdet_objective(Qb, k)
-    _whitened_lmi(prob, qt, lam, shape_blk=Qb, Winv=Winv, wmin=wmin)
+    lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
+    lmi.F0[0, 0] = 1.0
+    lmi.F0[1 + m:, 1 + m:] = np.eye(m)
+    lmi.F[lam.offset, 0, 0] = -1.0
+    lmi.F[lam.offset, 1:1 + m, 1:1 + m] = np.eye(m)
+    lmi.add_vector(qt, 0, 1 + m)
+    lmi.add_symmetric_rmul(Qb, 1, 1 + m, Winv, coeff=wmin)
     epi = prob.new_psd_constraint(m, "spectral_epigraph")
     epi.add_scalar(sb, np.eye(m))
     epi.add_symmetric(Qb, 0, 0, coeff=-1.0)
@@ -250,8 +256,7 @@ def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: fl
     # containment caps ||Q|| at wmax, so this never binds; it bounds the
     # domain when gamma_I = 0 leaves s otherwise free
     prob.add_scalar_constraint("s_cap", {sb: [-1.0]}, 2.0 * wmax / wmin)
-    prob.restore_hint = {"q": qt, "shape": Qb, "lam": lam, "s": sb}
-    init = feasibility_restore(prob)
+    init = feasibility_restore(bW, consts.gamma_I * wmin, const_term - margin)
     res = solve(prob, init)
     q_val = U.center + W @ res.values["q"]
     s_val = float(res.values["s"])

@@ -194,8 +194,8 @@ def _is_feasible_norm(consts, geom, U, q, Q, lam, margin):
 
 def test_criterion_6_solver_correctness(quad, fixedwing):
     # toy instances
-    from test_convex import logdet_under_identity, scaled_toy, toy_grid_optimum
-    from reachsep.convex import feasibility_restore, solve
+    from test_convex import SCALED_START, logdet_under_identity, scaled_toy, toy_grid_optimum
+    from reachsep.convex import solve
 
     p, _ = logdet_under_identity()
     res = solve(p, {"Q": 0.5 * np.eye(2)})
@@ -204,7 +204,7 @@ def test_criterion_6_solver_correctness(quad, fixedwing):
     const, b, gamma, k, margin = 0.3, 0.8, 0.5, 0.2, 0.05
     pt = scaled_toy(const, b, gamma, k, margin)
     grid_best, _, _ = toy_grid_optimum(const, b, gamma, k, margin)
-    toy = solve(pt, feasibility_restore(pt))
+    toy = solve(pt, SCALED_START)
     toy_ok = abs(toy.objective - grid_best) <= 1e-3
 
     # perturbation certificate on both scenario phase-one solutions

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -304,3 +305,11 @@ def test_grids_shared_per_system(name, tmp_path, monkeypatch):
     assert run(builtin_scenario_path(name), tmp_path, FAST) == 0
     n_times = len((tmp_path / "separation.csv").read_text().splitlines()) - 1
     assert len(builds) <= 2 * n_times
+
+
+def test_benchmark_trace_wraps_resolve():
+    # the traced benchmark run replaces each of these module attributes, and
+    # a renamed or removed one would make it fail instead of measuring
+    from perfbench.layers import WRAPS
+    for mod, attr in WRAPS:
+        assert hasattr(importlib.import_module(f"reachsep.{mod}"), attr), f"{mod}.{attr}"

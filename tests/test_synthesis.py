@@ -1,15 +1,30 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reachsep import synthesis
+from reachsep.convex import INIT_MARGIN, MAX_NEWTON, BarrierProblem, InfeasibleProblemError, solve
 from reachsep.dynamics import LTISystem, QuadrotorParams, propagate_nominal, quadrotor_linearized
-from reachsep.ellipsoid import Ellipsoid, containment_block, contains, support
+from reachsep.ellipsoid import Ellipsoid, containment_block, contains, psd_sqrt, support
 from reachsep.montecarlo import sample_trajectories
 from reachsep.reachability import ReachSpec, reach_support
+from reachsep.scenario import (
+    build_nominal,
+    build_spec,
+    builtin_scenario_path,
+    position_projection,
+    scenario_from_dict,
+)
 from reachsep.synthesis import (
     DegenerateGeometryError,
     EncounterGeometry,
     JointInfeasibilityError,
+    PartIConstants,
     estimate_encounter,
+    feasibility_restore,
     part1_constants,
     safe_set,
     scalarization_loop,
@@ -176,6 +191,179 @@ def test_phase_one_solutions_contained_with_witness():
         assert np.linalg.eigvalsh(block).min() >= -1e-8
 
 
+# ---------------------------------------------------------------- closed forms
+
+
+def reference_solve_scaled(consts, geom, U_B, k, margin=0.0):
+    """The scaled phase one as a log-det barrier program, solved numerically.
+
+    Whitened as in solve_scaled: maximize const - <W b, qt> - gamma_U r
+    + k m log r subject to [[1 - lam, 0, qt'], [0, lam I, r I], [qt, r I, I]]
+    PSD (containment of E(q, (r W)^2) in U) and the distance term >= margin.
+    """
+    m = U_B.dim
+    W = psd_sqrt(U_B.shape)
+    bW = W @ consts.b
+    const_term = (float(geom.l_star @ geom.c_A_tau) - consts.a0 - consts.offset
+                  - consts.x0_term - float(consts.b @ U_B.center))
+    prob = BarrierProblem()
+    qt = prob.add_vector_var("q", m)
+    r = prob.add_scalar_var("r")
+    lam = prob.add_scalar_var("lam")
+    prob.add_constant_objective(const_term)
+    prob.add_linear_objective(qt, -bW)
+    prob.add_linear_objective(r, -consts.gamma_U)
+    prob.add_logdet_objective(r, k * m)
+    lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
+    lmi.F0[0, 0] = 1.0
+    lmi.F0[1 + m:, 1 + m:] = np.eye(m)
+    lmi.F[lam.offset, 0, 0] = -1.0
+    lmi.F[lam.offset, 1:1 + m, 1:1 + m] = np.eye(m)
+    lmi.add_vector(qt, 0, 1 + m)
+    C = np.zeros((1 + 2 * m, 1 + 2 * m))
+    C[1:1 + m, 1 + m:] = np.eye(m)
+    C[1 + m:, 1:1 + m] = np.eye(m)
+    lmi.add_scalar(r, C)
+    prob.add_scalar_constraint("distance", {qt: -bW, r: -consts.gamma_U},
+                               const_term - margin)
+    prob.add_scalar_constraint("r_floor", {r: [1.0]}, 0.0)
+    # the spectral-norm start charges gamma_I for s = 2 eps; charging half of
+    # gamma_U there covers r = eps here, and the containment blocks agree
+    start = feasibility_restore(bW, 0.5 * consts.gamma_U, const_term - margin)
+    return solve(prob, {"q": start["q"], "r": start["Q"][0, 0], "lam": start["lam"]})
+
+
+def scaled_inputs(b, widths, gamma_U, sup, margin=0.3):
+    """Phase-one inputs whose distance slack at r = 0 is about sup."""
+    b = np.asarray(b, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    m = len(b)
+    U = Ellipsoid(np.linspace(-0.5, 0.5, m), np.diag(widths**2))
+    consts = PartIConstants(a0=0.0, b=b, x0_term=0.0, gamma_U=gamma_U, gamma_I=gamma_U,
+                            offset=0.0)
+    const_term = sup + margin - float(np.linalg.norm(widths * b))
+    c_A = np.zeros(2)
+    c_A[0] = const_term + float(b @ U.center)
+    return consts, EncounterGeometry(1.0, np.array([1.0, 0.0]), 1.0, c_A), U
+
+
+@st.composite
+def scaled_cases(draw):
+    m = draw(st.integers(1, 3))
+    b = draw(st.one_of(st.just([0.0] * m),
+                       st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    widths = draw(st.lists(st.floats(0.3, 3.0), min_size=m, max_size=m))
+    gamma_U = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    # the barrier reference needs room for a strictly feasible start
+    sup = draw(st.one_of(st.floats(-1.0, -1e-3), st.floats(0.01, 5.0)))
+    return b, widths, gamma_U, draw(st.floats(0.02, 3.0)), sup
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scaled_cases())
+@example(case=([1.0], [1.0], 1.0, 1.0, 0.5))  # distance row binds: r* = r_max = 1/4
+@example(case=([0.1, 0.2], [1.0, 0.5], 0.1, 3.0, 5.0))  # r* = 1
+@example(case=([0.0, 0.0], [2.0, 0.5], 1.0, 0.3, 2.0))  # b~ = 0
+@example(case=([0.5, -1.0, 0.2], [0.7, 1.3, 2.0], 0.0, 0.2, 1.0))  # gamma_U = 0
+@example(case=([0.0], [1.0], 0.0, 1.0, 1.0))  # b~ = 0 and gamma_U = 0: r* = 1
+@example(case=([0.0], [1.0], 1.0, 1.0, 1.0))  # r* = 1 = k m / slope
+def test_scaled_closed_form_matches_barrier(case):
+    b, widths, gamma_U, k, sup = case
+    consts, geom, U = scaled_inputs(b, widths, gamma_U, sup)
+    if sup <= 0.0:
+        with pytest.raises(InfeasibleProblemError) as exc:
+            solve_scaled(consts, geom, U, k, margin=0.3)
+        assert exc.value.constraint == "distance"
+        return
+    sol = solve_scaled(consts, geom, U, k, margin=0.3)
+    # at r* = 1 the containment LMI is singular at the optimum and the
+    # barrier may stop with status max_iter; its value is still accurate
+    ref = reference_solve_scaled(consts, geom, U, k, margin=0.3)
+    assert abs(sol.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
+    # the barrier stops at a duality gap of nu / mu (objective units scaled by
+    # the largest coefficient), and the objective is concave in r with
+    # curvature >= k m; where r* = 1 = k m / slope, at the kink of the two
+    # branches, that leaves the reference's r off by up to sqrt(2 gap / (k m))
+    m = len(b)
+    scale = max(1.0, float(np.abs(np.asarray(widths) * b).max()), gamma_U, k * m)
+    gap = (2 * m + 3) / ref.barrier_mu_final * scale
+    assert abs(sol.r - ref.values["r"]) <= max(1e-5, np.sqrt(2.0 * gap / (k * m)))
+    assert sol.distance >= 0.3 - 1e-12 * (1.0 + abs(sol.distance))
+    # lam = r is an exact S-lemma witness of the containment
+    assert sol.lam == sol.r
+    block = containment_block(U, sol.q, sol.Q, sol.lam)
+    assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.abs(block).max()
+    assert (sol.status, sol.kkt_residual, sol.newton_steps, sol.barrier_mu_final,
+            sol.stage_objectives) == ("optimal", 0.0, 0, None, ())
+
+
+class _Captured(Exception):
+    pass
+
+
+def norm_start(consts, const_term, U, margin):
+    """(problem, start) that _norm_program hands to the barrier solver."""
+    seen = {}
+
+    def capture(prob, init):
+        seen.update(prob=prob, init=init)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "solve", capture)
+        with pytest.raises(_Captured):
+            synthesis._norm_program(consts, const_term, U, 1.0, 1.0, margin, "B")
+    return seen["prob"], seen["init"]
+
+
+@st.composite
+def norm_cases(draw):
+    m = draw(st.integers(1, 3))
+    b = draw(st.one_of(st.just([0.0] * m),
+                       st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m)))
+    widths = draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m))
+    gamma_I = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    const_term = draw(st.floats(-1000.0, 1000.0))
+    return b, widths, gamma_I, const_term, draw(st.floats(0.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=norm_cases())
+@example(case=([0.8], [1.0], 0.5, 0.3, 0.05))  # the centered start is feasible
+@example(case=([0.8], [1.0], 0.5, -2.0, 0.05))  # no admissible center clears the margin
+@example(case=([0.8], [1.0], 0.5, 0.3, 0.5))  # only a shifted center clears it
+@example(case=([0.0, 0.0], [1.0, 3.0], 2.0, 1e-3, 0.0))  # b~ = 0: eps alone must shrink
+def test_norm_start_strictly_feasible(case):
+    b, widths, gamma_I, const_term, margin = case
+    U = Ellipsoid(np.zeros(len(b)), np.diag(np.asarray(widths) ** 2))
+    consts = PartIConstants(a0=0.0, b=np.asarray(b, dtype=float), x0_term=0.0,
+                            gamma_U=gamma_I, gamma_I=gamma_I, offset=0.0)
+    W = psd_sqrt(U.shape)
+    bW = W @ consts.b
+    beta = float(np.linalg.norm(bW))
+    # the distance slack at the best admissible center, as the set collapses
+    sup = (const_term - margin) + beta
+    if sup <= 0.0:
+        with pytest.raises(InfeasibleProblemError) as exc:
+            norm_start(consts, const_term, U, margin)
+        assert exc.value.constraint == "distance"
+        return
+    prob, init = norm_start(consts, const_term, U, margin)
+    g = gamma_I * float(np.linalg.eigvalsh(W).min())
+    centered = {"q": np.zeros(len(b)), "Q": 1e-3 * np.eye(len(b)), "lam": 0.5, "s": 2e-3}
+    if prob.strictly_feasible(prob.pack(centered), margin=INIT_MARGIN):
+        # every solve that started there before keeps its start
+        for name, v in centered.items():
+            assert np.array_equal(init[name], v), name
+    # no point at all is strictly feasible at INIT_MARGIN once the slack is
+    # about INIT_MARGIN times the coefficients; the start needs a factor ~30 more
+    if sup > 1e-6 * (1.0 + beta + g):
+        assert prob.strictly_feasible(prob.pack(init), margin=INIT_MARGIN)
+        if beta > 0.0 and not np.array_equal(init["q"], centered["q"]):
+            # the center slides against b~, which raises the distance slack
+            assert float(bW @ init["q"]) < 0.0
+
+
 # ---------------------------------------------------------------- safe set
 
 
@@ -294,3 +482,20 @@ def test_pareto_monotone_in_k():
     ds = [s.distance for s in sols]
     assert all(np.diff(rs) >= -1e-6)
     assert all(np.diff(ds) <= 1e-6)
+
+
+def test_bundled_fixedwing_stages_end_below_step_cap():
+    # at the 0.5 s grid, B's phase one reaches its rounding floor with the
+    # gradient norm above the stage target; the stage must stop there
+    # instead of taking null-progress steps until MAX_NEWTON (264 steps in all)
+    doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
+    doc["grid_step_s"] = 0.5
+    sc = scenario_from_dict(doc)
+    P = position_projection(sc)
+    geom = estimate_encounter(build_nominal(sc, 0), build_nominal(sc, 1), P, sc.d)
+    specA, specB = (build_spec(sc, i, with_disturbance=False) for i in (0, 1))
+    solB, solA, _, _ = scalarization_loop(
+        specA, specB, geom, P, method=sc.method, k0=sc.k0, shrink=sc.shrink,
+        margin1=sc.margin1, margin2=sc.margin2, max_iters=sc.max_iters)
+    assert solB.newton_steps < MAX_NEWTON
+    assert solA.newton_steps < MAX_NEWTON
