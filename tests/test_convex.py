@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from reachsep import convex
 from reachsep.convex import (
     BarrierProblem,
+    InfeasibleProblemError,
     InfeasibleStartError,
     solve,
     sym_to_vec,
     vec_to_sym,
 )
+from reachsep.synthesis import feasibility_restore
 
 
 def logdet_under_identity():
@@ -53,17 +55,17 @@ def scaled_toy(const=0.3, b=0.8, gamma=0.5, k=0.2, margin=0.05):
 SCALED_START = {"q": [0.0], "r": 1e-3, "lam": 0.5}
 
 
-def norm_toy(b=(0.6, -0.3), gamma=0.4, margin=0.05):
+def norm_toy(b=(0.6, -0.3), gamma=0.4, margin=0.05, const=0.5):
     # the spectral-norm program's shape on the unit-ball control set: maximize
-    # 0.5 - <b, q> - gamma s + log det Q s.t. E(q, Q^2) inside the ball,
-    # s I >= Q >= 0 and distance 0.5 - <b, q> - gamma s >= margin
+    # const - <b, q> - gamma s + log det Q s.t. E(q, Q^2) inside the ball,
+    # s I >= Q >= 0 and distance const - <b, q> - gamma s >= margin
     m = len(b)
     p = BarrierProblem()
     q = p.add_vector_var("q", m)
     Q = p.add_symmetric_var("Q", m)
     lam = p.add_scalar_var("lam")
     s = p.add_scalar_var("s")
-    p.add_constant_objective(0.5)
+    p.add_constant_objective(const)
     p.add_linear_objective(q, -np.asarray(b))
     p.add_linear_objective(s, -gamma)
     p.add_logdet_objective(Q, 1.0)
@@ -78,7 +80,7 @@ def norm_toy(b=(0.6, -0.3), gamma=0.4, margin=0.05):
     epi.add_scalar(s, np.eye(m))
     epi.add_symmetric(Q, 0, 0, coeff=-1.0)
     p.new_psd_constraint(m, "Q_psd").add_symmetric(Q, 0, 0)
-    p.add_scalar_constraint("distance", {q: -np.asarray(b), s: [-gamma]}, 0.5 - margin)
+    p.add_scalar_constraint("distance", {q: -np.asarray(b), s: [-gamma]}, const - margin)
     p.add_scalar_constraint("s_cap", {s: [-1.0]}, 2.0)
     return p
 
@@ -174,6 +176,35 @@ def test_perturbation_certificate():
         if tried >= 100:
             break
     assert tried >= 100
+
+
+def norm_toy_start(b=(0.6, -0.3), gamma=0.4, margin=0.05, const=0.5):
+    # the closed-form start of the spectral-norm program: norm_toy is that
+    # program already whitened, so bW = b and the distance row's s charge is gamma
+    return feasibility_restore(np.asarray(b, dtype=float), gamma, const - margin)
+
+
+def test_restore_is_strictly_feasible():
+    p = norm_toy()
+    init = norm_toy_start()
+    assert p.strictly_feasible(p.pack(init), margin=1e-8)
+
+
+def test_restore_reports_structural_infeasibility():
+    # distance constant so low that no admissible control center helps
+    with pytest.raises(InfeasibleProblemError) as exc:
+        norm_toy_start(const=-2.0)
+    assert exc.value.constraint == "distance"
+
+
+def test_restore_slides_center_when_needed():
+    # centered start violates the distance margin but a shifted center works
+    b = np.array([0.6, -0.3])
+    p = norm_toy(b=b, margin=0.6)
+    init = norm_toy_start(b=b, margin=0.6)
+    assert p.strictly_feasible(p.pack(init), margin=1e-8)
+    assert not p.strictly_feasible(p.pack(NORM_START), margin=1e-8)
+    assert float(b @ init["q"]) < 0.0  # slid against the b coefficient
 
 
 def test_sym_vec_roundtrip():
