@@ -302,7 +302,7 @@ class SolveResult:
     objective: float
     kkt_residual: float
     barrier_mu_final: float
-    status: str  # optimal | infeasible | max_iter
+    status: str  # optimal | stalled | max_iter
     stage_objectives: list = field(default_factory=list)
     newton_steps: int = 0
 
@@ -370,7 +370,7 @@ def _merit(prob: BarrierProblem, x: np.ndarray, mu: float, fscale: float = 1.0,
 
 def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
                   fscale: float = 1.0):
-    """Centers F_mu by damped Newton; returns (x, grad_norm, steps, converged).
+    """Centers F_mu by damped Newton; returns (x, grad_norm, steps).
 
     Backtracking trials evaluate F_mu alone; derivatives are evaluated once
     per accepted point and carried into the next step.  A trial that passes
@@ -387,7 +387,7 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
         val, grad, hess = out
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
-            return x, gnorm, steps, True
+            return x, gnorm, steps
         reg = 0.0
         while True:
             try:
@@ -398,7 +398,7 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
                 break
             reg = max(2.0 * reg, 1e-10 * max(1.0, np.abs(hess).max()))
             if reg > 1e12:
-                return x, gnorm, steps, gnorm <= KKT_TOL
+                return x, gnorm, steps
         decrement = float(grad @ step)
         alpha = 1.0
         while alpha > 1e-16:
@@ -408,15 +408,14 @@ def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
                 break
             alpha *= BACKTRACK
         else:
-            return x, gnorm, steps, gnorm <= KKT_TOL
+            return x, gnorm, steps
         steps += 1
         cout = _merit(prob, cand, mu, fscale)
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cout[1]) >= gnorm):
-            return x, gnorm, steps, gnorm <= KKT_TOL
+            return x, gnorm, steps
         x, out = cand, cout
-    gnorm = float(np.linalg.norm(out[1]))
-    return x, gnorm, steps, gnorm <= KKT_TOL
+    return x, float(np.linalg.norm(out[1])), steps
 
 
 def solve(prob: BarrierProblem, init: dict) -> SolveResult:
@@ -426,6 +425,9 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     barrier-implied multipliers, which at the analytic center equals the
     gradient norm of F_mu at the final mu.  The residual is normalized by the
     objective's coefficient scale, so badly scaled inputs do not inflate it.
+    The status is optimal when the residual is within KKT_TOL; otherwise
+    max_iter when the final stage took all MAX_NEWTON steps, and stalled when
+    it ended earlier, with Newton making no measurable progress.
     """
     x = prob.pack(init)
     if not prob.strictly_feasible(x, margin=INIT_MARGIN):
@@ -439,16 +441,16 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     mu = 1.0
     stage_objectives = []
     total_steps = 0
-    converged = True
     while True:
-        x, gnorm, steps, ok = _newton_stage(prob, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale)
+        x, kkt, steps = _newton_stage(prob, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale)
         total_steps += steps
         stage_objectives.append(prob.objective(x))
-        converged = ok
         if nu / mu <= GAP_TOL:
             break
         mu *= 10.0
-    kkt = gnorm
-    status = "optimal" if (kkt <= KKT_TOL and converged) else "max_iter"
+    if kkt <= KKT_TOL:
+        status = "optimal"
+    else:
+        status = "max_iter" if steps == MAX_NEWTON else "stalled"
     return SolveResult(prob.unpack(x), prob.objective(x), kkt, mu, status,
                        stage_objectives, total_steps)

@@ -11,12 +11,13 @@ fixed grid; panels where a square-root integrand vanishes fall back to the
 midpoint rule, and the initial-set root counts only above the rounding level
 of M0.  Transition matrices along the quadrature grid are formed once per
 (t, step-count) pair and cached on the system, so every spec built on it
-shares them.  Every input set enters through one kernel: with S_i = Phi_i B
-for U and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values
-integrate <w_i, c> and sqrt(q_i), touching points the response to
-c + M w_i / sqrt(q_i).  Support values are batched: a (D, n) block of
-directions gives w as one (N+1, D, m) product, and the panel rule runs per
-direction.
+shares them.  At t = 0 the grid has zero length: one node of weight 0, so
+that time takes the same path as every other.  Every input set enters
+through one kernel: with S_i = Phi_i B for U and Phi_i for V, w_i = S_i' l
+and q_i = <w_i, M w_i>; support values integrate <w_i, c> and sqrt(q_i),
+touching points the response to c + M w_i / sqrt(q_i).  Both are batched: a
+(D, n) block of directions gives w as one (N+1, D, m) product, the panel
+rule runs per direction, and a single direction is a one-row block.
 
 Separation of two projected sets is the distance from 0 to P(A_t) - P(B_t),
 found as a minimum-norm point from touching points alone: Gilbert's
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .dynamics import LTISystem, NominalTrajectory, expm
-from .ellipsoid import Ellipsoid, HalfspaceSet, support
+from .ellipsoid import Ellipsoid, HalfspaceSet
 
 VANISH_REL = 1e-13
 GAP_REL = 1e-12  # duality-gap stop of both separation loops, relative to max(1, |value|)
@@ -89,12 +90,17 @@ class ReachTube:
 
 
 class _Grid:
-    """Simpson grid for one (t, n_steps): transition matrices and weights."""
+    """Simpson grid for one (t, n_steps): transition matrices and weights.
+
+    At t = 0 the grid has zero length: one node, s = 0 and h = 0, so its
+    weight and every panel integral are 0 and only the initial set is left.
+    """
 
     def __init__(self, system: LTISystem, t: float, n_steps: int):
-        n_steps += n_steps % 2  # Simpson needs an even subinterval count
+        # Simpson needs an even subinterval count; a zero-length grid needs none
+        n_steps = n_steps + n_steps % 2 if t > 0.0 else 0
         self.t = t
-        self.h = t / n_steps
+        self.h = t / max(n_steps, 1)
         self.s = np.linspace(0.0, t, n_steps + 1)
         E = expm(system.A, self.h)
         n = system.state_dim
@@ -115,8 +121,8 @@ class _Grid:
         q is (N+1,) or (N+1, D), one column per direction, and each column
         vanishes relative to its own maximum; samples may carry trailing axes.
         """
-        thresh = VANISH_REL * np.maximum(q.max(axis=0, initial=0.0), 0.0)
-        vanish = (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
+        dead = ~_alive(q)
+        vanish = dead[:-1:2] | dead[1::2] | dead[2::2]
         simp = (self.h / 3.0) * (samples[:-1:2] + 4.0 * samples[1::2] + samples[2::2])
         mid = 2.0 * self.h * samples[1::2]
         return np.where(vanish.reshape(vanish.shape + (1,) * (samples.ndim - q.ndim)), mid, simp)
@@ -130,15 +136,14 @@ class _Grid:
         return self._panels(q, samples).sum(axis=0)
 
 
-def _grid_for(spec: ReachSpec, t: float, n_steps: int | None = None) -> _Grid:
-    """The grid for (t, n_steps), built once per system: it depends on A, B,
-    t and n_steps only, so every spec of one system shares it."""
-    n = spec.quad_steps if n_steps is None else n_steps
-    key = (round(float(t), 12), n)
+def _grid_for(spec: ReachSpec, t: float) -> _Grid:
+    """The grid at time t, built once per system: it depends on A, B, t and
+    the step count only, so every spec of one system shares it."""
+    key = (round(float(t), 12), spec.quad_steps)
     grids = spec.system.grids
     g = grids.get(key)
     if g is None:
-        g = grids[key] = _Grid(spec.system, t, n)
+        g = grids[key] = _Grid(spec.system, t, spec.quad_steps)
     return g
 
 
@@ -149,79 +154,72 @@ def _check_time(spec: ReachSpec, t: float) -> float:
     return min(t, spec.horizon)
 
 
-def _initial_root(X0: Ellipsoid, lT: np.ndarray, q0):
-    """sqrt(q0) per direction, 0 where q0 = <Phi' l, M0 Phi' l> is at the
-    rounding level of M0: a flat X0 seen edge-on has no extent, not ~1e-9."""
-    alive = q0 > VANISH_REL * np.trace(X0.shape) * (lT * lT).sum(axis=-1)
-    return np.sqrt(np.where(alive, q0, 0.0))
+def _alive(q: np.ndarray) -> np.ndarray:
+    """Where q is above VANISH_REL of its column's maximum."""
+    return q > VANISH_REL * np.maximum(q.max(axis=0, initial=0.0), 0.0)
 
 
-def _initial_term(g: _Grid, X0: Ellipsoid, l: np.ndarray):
-    """Initial-set image along one direction l, for touching points and the
-    synthesis constants: (<l, Phi c0>, <l, Phi M0 Phi' l>^(1/2), Phi' l)."""
-    lT = g.Phi[0].T @ l
-    return float(lT @ X0.center), float(_initial_root(X0, lT, lT @ X0.shape @ lT)), lT
+def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
+    """(<l, Phi c0>, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per row of L.
+
+    The root is 0 where its square is at the rounding level of M0: a flat X0
+    seen edge-on has no extent, not ~1e-9.
+    """
+    LT = L @ g.Phi[0]
+    MLT = LT @ X0.shape
+    q0 = (MLT * LT).sum(axis=-1)
+    alive = q0 > VANISH_REL * np.trace(X0.shape) * (LT * LT).sum(axis=-1)
+    return LT @ X0.center, np.sqrt(np.where(alive, q0, 0.0)), MLT
 
 
 def _input_terms(stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
-    """(w_i, q_i) = (stack_i' l, <w_i, M_E w_i>) for an input set E entering
-    through stack: Phi_i B for the control set, Phi_i for the disturbance.
-    For a (D, n) batch of rows, w is (N+1, D, m) and q is (N+1, D)."""
+    """(w_i, M_E w_i, q_i = <w_i, M_E w_i>) with w_i = stack_i' l, for an
+    input set E entering through stack: Phi_i B for the control set, Phi_i
+    for the disturbance.  For a (D, n) batch of rows, w is (N+1, D, m) and q
+    is (N+1, D)."""
     w = L @ stack
-    return w, ((w @ E.shape) * w).sum(axis=-1)
+    Mw = w @ E.shape
+    return w, Mw, (Mw * w).sum(axis=-1)
 
 
-def _input_values(g: _Grid, stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
-    """(center, square-root) support terms of one input set, one per row of L."""
-    w, q = _input_terms(stack, E, L)
-    return g.simpson_w @ (w @ E.center), g.integrate_sqrt(q)
+def _inputs(spec: ReachSpec, g: _Grid):
+    """(stack, set) of each input set: the control set first, then V if any."""
+    return [(g.PhiB, spec.U)] + ([(g.Phi, spec.V)] if spec.V is not None else [])
 
 
-def _input_image(g: _Grid, stack: np.ndarray, E: Ellipsoid, l: np.ndarray):
-    """State response to the input maximizing <l, x>, and that input profile.
-
-    q is summed by einsum, not by _input_terms' matmul: separation reports
-    touching-point values unrounded, and the two sums differ in the last bit.
-    """
-    w = l @ stack
-    q = np.einsum("ij,jk,ik->i", w, E.shape, w)
-    u = np.tile(E.center, (w.shape[0], 1))
-    alive = q > VANISH_REL * max(q.max(initial=0.0), 0.0)
-    u[alive] += (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
-    return g.integrate_matched(q, np.einsum("inm,im->in", stack, u)), u
+def _support_values(spec: ReachSpec, t: float, L: np.ndarray):
+    """Support values of the reachable set at time t along each row of L (D, n)."""
+    t = _check_time(spec, t)
+    g = _grid_for(spec, t)
+    values, root0, _ = _initial_terms(g, spec.X0, L)
+    values = values + root0
+    for stack, E in _inputs(spec, g):
+        w, _, q = _input_terms(stack, E, L)
+        values = values + g.simpson_w @ (w @ E.center) + g.integrate_sqrt(q)
+    return values + L @ spec.offset_at(t)
 
 
-def _touching_point(spec: ReachSpec, g: _Grid, l: np.ndarray):
-    """(state without center offset, x0, control profile) maximizing <l, x>."""
-    _, root0, lT = _initial_term(g, spec.X0, l)
-    x0 = spec.X0.center + spec.X0.shape @ lT / root0 if root0 > 0.0 else spec.X0.center.copy()
-    image, u = _input_image(g, g.PhiB, spec.U, l)
-    state = g.Phi[0] @ x0 + image
-    if spec.V is not None:
-        state = state + _input_image(g, g.Phi, spec.V, l)[0]
-    return state, x0, u
+def _touching_points(spec: ReachSpec, t: float, L: np.ndarray):
+    """Touching points of the reachable set at time t, one per row of L (D, n).
 
-
-def _support_values(spec: ReachSpec, t: float, L: np.ndarray, n_steps: int | None = None):
-    """Support values of the reachable set at time t along each row of L (D, n).
-
-    The batched kernel behind reach_support, reach_tube and the outer
-    polytope: the initial-set and offset terms are one product each, and
-    every input set one _input_values call.
+    Returns (points, x0, u): the states maximizing <l, x> (D, n), center
+    offset included; the initial states (D, n) and control profiles
+    (N+1, D, m) that reach them, each the maximizer of <l, x> over its set.
+    Where a quadratic form vanishes the maximizer is the set's center:
+    dividing M w by an infinite root there leaves the center alone.
     """
     t = _check_time(spec, t)
-    offset = L @ spec.offset_at(t)
-    if t == 0.0:
-        q0 = ((L @ spec.X0.shape) * L).sum(axis=1)
-        return L @ spec.X0.center + np.sqrt(np.maximum(q0, 0.0)) + offset
-    g = _grid_for(spec, t, n_steps)
-    LT = L @ g.Phi[0]
-    values = LT @ spec.X0.center + _initial_root(spec.X0, LT, ((LT @ spec.X0.shape) * LT).sum(axis=1))
-    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
-        if E is not None:
-            center_terms, sqrt_terms = _input_values(g, stack, E, L)
-            values = values + center_terms + sqrt_terms
-    return values + offset
+    g = _grid_for(spec, t)
+    _, root0, MLT = _initial_terms(g, spec.X0, L)
+    x0 = spec.X0.center + MLT / np.where(root0 > 0.0, root0, np.inf)[:, None]
+    points = x0 @ g.Phi[0].T
+    profiles = []
+    for stack, E in _inputs(spec, g):
+        _, Mw, q = _input_terms(stack, E, L)
+        u = E.center + Mw / np.sqrt(np.where(_alive(q), q, np.inf))[..., None]
+        points = points + g.integrate_matched(q, u @ stack.transpose(0, 2, 1))
+        profiles.append(u)
+    return points + spec.offset_at(t), x0, profiles[0]
 
 
 def _unit_rows(directions) -> np.ndarray:
@@ -232,24 +230,25 @@ def _unit_rows(directions) -> np.ndarray:
     return directions / norms[:, None]
 
 
-def reach_support(spec: ReachSpec, t: float, l, n_steps: int | None = None) -> float:
-    """Support value of the reachable set at time t along direction l."""
+def _direction(l) -> np.ndarray:
     l = np.asarray(l, dtype=float)
     if not np.any(l):
         raise ValueError("direction must be nonzero")
-    return float(_support_values(spec, t, l[None, :], n_steps)[0])
+    return l
+
+
+def reach_support(spec: ReachSpec, t: float, l) -> float:
+    """Support value of the reachable set at time t along direction l."""
+    return float(_support_values(spec, t, _direction(l)[None, :])[0])
 
 
 def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
     """The two disturbance terms of the support formula, on their own."""
     if spec.V is None:
         return 0.0
-    t = _check_time(spec, t)
-    if t == 0.0:
-        return 0.0
-    g = _grid_for(spec, t)
-    center_term, sqrt_term = _input_values(g, g.Phi, spec.V, np.asarray(l, dtype=float)[None, :])
-    return float(center_term[0] + sqrt_term[0])
+    g = _grid_for(spec, _check_time(spec, t))
+    w, _, q = _input_terms(g.Phi, spec.V, np.asarray(l, dtype=float)[None, :])
+    return float((g.simpson_w @ (w @ spec.V.center) + g.integrate_sqrt(q))[0])
 
 
 def reach_point(spec: ReachSpec, t: float, l):
@@ -262,15 +261,8 @@ def reach_point(spec: ReachSpec, t: float, l):
     if spec.V is not None:
         raise ValueError("extremal recovery is defined for the disturbance-free case")
     t = _check_time(spec, t)
-    l = np.asarray(l, dtype=float)
-    if not np.any(l):
-        raise ValueError("direction must be nonzero")
-    if t == 0.0:
-        x0 = support(spec.X0, l)[1]
-        return x0 + spec.offset_at(t), x0, (np.array([0.0]), spec.U.center[None, :].copy())
-    g = _grid_for(spec, t)
-    state, x0, u = _touching_point(spec, g, l)
-    return state + spec.offset_at(t), x0, (g.s.copy(), u)
+    points, x0, u = _touching_points(spec, t, _direction(l)[None, :])
+    return points[0], x0[0], (_grid_for(spec, t).s.copy(), u[:, 0])
 
 
 def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
@@ -282,7 +274,8 @@ def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
 
 
 def reach_tube(spec: ReachSpec, time_grid, directions, with_points: bool = False) -> ReachTube:
-    """Support values over a time grid for a family of directions (possibly none)."""
+    """Support values over a time grid for a family of directions (possibly none),
+    and with with_points their touching points, disturbance included."""
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
     unit = _unit_rows(directions)
     vals = np.empty((times.shape[0], unit.shape[0]))
@@ -290,7 +283,7 @@ def reach_tube(spec: ReachSpec, time_grid, directions, with_points: bool = False
     for i, t in enumerate(times):
         vals[i] = _support_values(spec, t, unit)
         if with_points:
-            pts[i] = [reach_point(spec, t, l)[0] for l in unit]
+            pts[i] = _touching_points(spec, t, unit)[0]
     return ReachTube(times, unit, vals, pts)
 
 
@@ -300,13 +293,8 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     Unlike reach_point this also covers disturbance-bearing specs: the
     gradient then includes the worst-case disturbance contribution.
     """
-    t = _check_time(spec, t)
     l = np.asarray(l, dtype=float)
-    offset = spec.offset_at(t)
-    if t == 0.0:
-        val, pt = support(spec.X0, l)
-        return val + float(l @ offset), pt + offset
-    point = _touching_point(spec, _grid_for(spec, t), l)[0] + offset
+    point = _touching_points(spec, t, l[None, :])[0][0]
     return float(l @ point), point
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
-from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt
-from .reachability import ReachSpec, _grid_for, _initial_term, _input_terms
+from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt, support
+from .reachability import ReachSpec, _grid_for, _initial_terms, _input_terms
 
 PI_FLOOR_REL = 1e-12
 
@@ -70,6 +70,11 @@ class PartIConstants:
 
     def support_scaled(self, q, r: float) -> float:
         return self.a0 + self.offset + float(self.b @ q) + self.x0_term + r * self.gamma_U
+
+    def clearance(self, target: float, U: Ellipsoid) -> float:
+        """target minus the support value with the control set shrunk to its
+        center c_U: the constant part of the distance term."""
+        return target - self.a0 - self.offset - self.x0_term - float(self.b @ U.center)
 
 
 @dataclass(frozen=True)
@@ -129,14 +134,15 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grid_for(spec, geom.tau)
-    a0, x0_term, _ = _initial_term(g, spec.X0, l)
-    W, qU = _input_terms(g.PhiB, spec.U, l)
+    a0, x0_term, _ = _initial_terms(g, spec.X0, l)
+    W, _, qU = _input_terms(g.PhiB, spec.U, l)
+    qI = _input_terms(g.PhiB, Ellipsoid.ball(np.zeros(spec.U.dim), 1.0), l)[2]
     return PartIConstants(
-        a0=a0,
+        a0=float(a0),
         b=g.simpson_w @ W,
-        x0_term=x0_term,
+        x0_term=float(x0_term),
         gamma_U=float(g.integrate_sqrt(qU)),
-        gamma_I=float(g.integrate_sqrt(np.einsum("ij,ij->i", W, W))),
+        gamma_I=float(g.integrate_sqrt(qI)),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -167,8 +173,7 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     m = U_B.dim
     W, _, _ = _control_whitening(U_B)
     bW = W @ consts.b
-    const_term = (float(geom.l_star @ geom.c_A_tau) - consts.a0 - consts.offset
-                  - consts.x0_term - float(consts.b @ U_B.center))
+    const_term = consts.clearance(float(geom.l_star @ geom.c_A_tau), U_B)
     beta = float(np.linalg.norm(bW))
     slack = const_term - margin + beta  # distance slack at r = 0
     if slack <= 0.0:
@@ -273,8 +278,7 @@ def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Elli
     """Phase one with the control-authority term bounded through ||Q||_2."""
     if k < 0.0:
         raise ValueError("scalarization factor must be nonnegative")
-    const_term = (float(geom.l_star @ geom.c_A_tau) - consts.a0 - consts.offset
-                  - consts.x0_term - float(consts.b @ U_B.center))
+    const_term = consts.clearance(float(geom.l_star @ geom.c_A_tau), U_B)
     return _norm_program(consts, const_term, U_B, k, 1.0, margin, aircraft)
 
 
@@ -301,10 +305,9 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     # control integral: weights pi proportional to the integrand along l*
     PB = np.einsum("kn,inm->ikm", P, g.PhiB)  # (N+1, pos, m)
     M_s = np.einsum("ikm,ml,ijl->ikj", PB, spec_shrunk.U.shape, PB)  # (N+1, k, k)
-    pi = np.sqrt(np.clip(np.einsum("k,ikj,j->i", l_pos, M_s, l_pos), 0.0, None))
+    pi = np.sqrt(np.clip(_input_terms(g.PhiB, spec_shrunk.U, P.T @ l_pos)[2], 0.0, None))
     if pi.max() <= 0.0:
-        traces = np.sqrt(np.clip(np.einsum("ikk->i", M_s), 0.0, None))
-        pi = traces
+        pi = np.sqrt(np.clip(np.einsum("ikk->i", M_s), 0.0, None))
     if pi.max() > 0.0:
         pi = np.maximum(pi, PI_FLOOR_REL * pi.max())
         total_pi = float(g.simpson_w @ pi)
@@ -329,11 +332,7 @@ def solve_part2(specA: ReachSpec, safeB: Ellipsoid, geom: EncounterGeometry,
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     consts = part1_constants(specA, geom, l=-geom.l_star)
-    l_pos = P @ geom.l_star
-    rho_safe = float(l_pos @ safeB.center) + float(
-        np.sqrt(max(l_pos @ safeB.shape @ l_pos, 0.0)))
-    const_term = (-consts.a0 - consts.offset - consts.x0_term - rho_safe
-                  - float(consts.b @ U_A.center))
+    const_term = consts.clearance(-support(safeB, P @ geom.l_star)[0], U_A)
     return _norm_program(consts, const_term, U_A, 1.0, 0.0, margin, "A")
 
 

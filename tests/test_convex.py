@@ -265,7 +265,7 @@ def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
         val, grad, hess = convex._merit(prob, x, mu, fscale)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
-            return x, gnorm, steps, True
+            return x, gnorm, steps
         reg = 0.0
         while True:
             try:
@@ -276,7 +276,7 @@ def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
                 break
             reg = max(2.0 * reg, 1e-10 * max(1.0, np.abs(hess).max()))
             if reg > 1e12:
-                return x, gnorm, steps, gnorm <= convex.KKT_TOL
+                return x, gnorm, steps
         decrement = float(grad @ step)
         alpha = 1.0
         accepted = False
@@ -288,15 +288,15 @@ def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
                 break
             alpha *= convex.BACKTRACK
         if not accepted:
-            return x, gnorm, steps, gnorm <= convex.KKT_TOL
+            return x, gnorm, steps
         steps += 1
         # progress means a rise of F_mu above its rounding level or a smaller gradient
         if (cout[0] - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cout[1]) >= gnorm):
-            return x, gnorm, steps, gnorm <= convex.KKT_TOL
+            return x, gnorm, steps
         x = cand
     gnorm = float(np.linalg.norm(convex._merit(prob, x, mu, fscale)[1]))
-    return x, gnorm, steps, gnorm <= convex.KKT_TOL
+    return x, gnorm, steps
 
 
 def solve_matches_reference(p, init, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from reachsep.reachability import (
     ReachSpec,
     _min_norm_point,
     _oracle,
+    _touching_points,
     disturbance_contribution,
     reach_point,
     reach_polytope_outer,
@@ -131,7 +134,7 @@ def test_support_quadrature_refinement():
         l = rng.standard_normal(10)
         l /= np.linalg.norm(l)
         coarse = reach_support(spec, 4.0, l)
-        fine = reach_support(spec, 4.0, l, n_steps=800)
+        fine = reach_support(dataclasses.replace(spec, quad_steps=800), 4.0, l)
         assert abs(coarse - fine) <= 1e-6
 
 
@@ -374,6 +377,75 @@ def test_vanishing_panels_judged_per_direction():
         assert value == pytest.approx(reference_reach_support(spec, 2.0, l), abs=1e-13)
 
 
+def reference_touching_point(spec, t, l):
+    """support_gradient's point one direction at a time, as it was before the
+    batched kernel: einsum quadratic forms, the per-direction panel rule, and
+    the initial set's own support at t = 0.  Kept as the kernel's reference.
+
+    Returns (state, center_gap).  On a panel where q vanishes the point
+    integrates the whole response by the midpoint rule, the input center's
+    part too, which the support value integrates by Simpson; center_gap is
+    the sum of those differences, so <l, state> = value + center_gap."""
+    t = min(float(t), spec.horizon)
+    l = np.asarray(l, dtype=float)
+    offset = spec.offset_at(t)
+    if t == 0.0:
+        return support(spec.X0, l)[1] + offset, 0.0
+    g = reachability._grid_for(spec, t)
+    lT = g.Phi[0].T @ l
+    q0 = float(lT @ spec.X0.shape @ lT)
+    alive0 = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
+    x0 = spec.X0.center + (spec.X0.shape @ lT / np.sqrt(q0) if alive0 else 0.0)
+    state = g.Phi[0] @ x0
+    center_gap = 0.0
+    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
+        if E is None:
+            continue
+        w = l @ stack
+        q = np.einsum("ij,jk,ik->i", w, E.shape, w)
+        alive = q > VANISH_REL * max(q.max(), 0.0)
+        u = np.tile(E.center, (q.shape[0], 1))
+        u[alive] += (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
+        y = np.einsum("inm,im->in", stack, u)
+        vanish = ~alive[:-1:2] | ~alive[1::2] | ~alive[2::2]
+        simpson = (g.h / 3.0) * (y[:-1:2] + 4.0 * y[1::2] + y[2::2])
+        state = state + np.where(vanish[:, None], 2.0 * g.h * y[1::2], simpson).sum(axis=0)
+        wc = w @ E.center
+        center_simpson = (g.h / 3.0) * (wc[:-1:2] + 4.0 * wc[1::2] + wc[2::2])
+        center_gap += float(np.where(vanish, 2.0 * g.h * wc[1::2] - center_simpson, 0.0).sum())
+    return state + offset, center_gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(1, 3),
+       with_V=st.booleans(), with_offset=st.booleans(), flat_U=st.booleans(),
+       unactuated=st.booleans(), when=st.sampled_from(["start", "inside", "horizon"]),
+       n_dirs=st.integers(1, 6))
+def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset, flat_U,
+                                                 unactuated, when, n_dirs):
+    rng = np.random.default_rng(seed)
+    m = min(m, n - 1)
+    spec = random_spec(rng, n, m, with_V, with_offset, flat_U)
+    t = {"start": 0.0, "inside": rng.uniform(0.1, spec.horizon), "horizon": spec.horizon}[when]
+    dirs = rng.standard_normal((n_dirs, n))
+    if unactuated:
+        B = spec.system.B
+        dirs = dirs - dirs @ B @ np.linalg.pinv(B)
+    tube = reach_tube(spec, [t], dirs, with_points=True)
+    points, x0, u = _touching_points(spec, t, tube.directions)
+    assert np.array_equal(points, tube.touching_points[0])
+    assert x0.shape == (n_dirs, n) and u.shape[1:] == (n_dirs, m)
+    # a flat U's maximizer flips sign where w turns orthogonal to it, so next
+    # to such a node the two sums of q give maximizers up to
+    # eps / sqrt(VANISH_REL) ~ 7e-10 apart; the value <l, x> stays well-conditioned
+    point_tol = 1e-9 if flat_U else 1e-12
+    for l, point, value in zip(tube.directions, points, tube.support_values[0]):
+        ref, center_gap = reference_touching_point(spec, t, l)
+        assert np.linalg.norm(point - ref) <= point_tol * max(1.0, np.linalg.norm(ref))
+        assert abs(l @ point - (value + center_gap)) <= 1e-12 * max(1.0, abs(value))
+        assert abs(value - reach_support(spec, t, l)) <= 1e-12 * max(1.0, abs(value))
+
+
 # ---------------------------------------------------------------- support_gradient
 
 
@@ -485,16 +557,22 @@ def test_separation_near_touching_balls(clearance):
 SEGMENT = np.array([0.6, 0.8, 0.0])
 
 
-@pytest.mark.parametrize("c", [0.0, 0.3, -0.7, 0.5])
-def test_separation_point_on_flat_initial_set(c):
+FLAT_OFFSETS = [0.0, 0.3, -0.7, 0.5]
+
+
+# t = 1 keeps the plain offset as its id; t = 0, the zero-length grid, adds "-t0"
+@pytest.mark.parametrize("c, t", [(c, t) for t in (1.0, 0.0) for c in FLAT_OFFSETS],
+                         ids=[str(c) for c in FLAT_OFFSETS] + [f"{c}-t0" for c in FLAT_OFFSETS])
+def test_separation_point_on_flat_initial_set(c, t):
     # X0 is the segment E(0, u u'), and B the point c u on it.  Along the
     # segment's normal <Phi' l, M0 Phi' l> is rounding noise; taken as a
     # width, it put touching points ~1e-9 off the set, and the upper bound
-    # below the lower one.
+    # below the lower one (-7.45e-9 m at t = 0, when that time had its own
+    # branch without the vanish rule).
     segment = ReachSpec(LTISystem(np.zeros((3, 3)), np.zeros((3, 1))),
                         Ellipsoid(np.zeros(3), np.outer(SEGMENT, SEGMENT)),
                         Ellipsoid.point([0.0]), 4.0)
-    sep = separation(segment, static_point_spec(c * SEGMENT), 1.0, np.eye(3)[:2])
+    sep = separation(segment, static_point_spec(c * SEGMENT), t, np.eye(3)[:2])
     assert sep.certified
     assert abs(sep.value) <= 1e-12
     assert sep.value + sep.gap >= -1e-15
@@ -597,6 +675,23 @@ def test_separation_overlapping_balls_property(k, center, axis, radius, ratio, s
 def test_separation_zero_value_cases(make_pair, P):
     specA, specB = make_pair()
     assert_brackets(separation(specA, specB, 2.0, P), 0.0)
+
+
+@pytest.mark.parametrize("offset", [3.0, 1.5], ids=["apart", "overlapping"])
+def test_every_oracle_call_goes_through_support_gradient(offset, monkeypatch):
+    # the benchmark trace counts reachability.gradient_calls by wrapping this
+    # module attribute, so both oracle sides must look it up there
+    gradient_calls, oracle_calls = [], []
+    gradient, oracle = reachability.support_gradient, reachability._oracle
+    monkeypatch.setattr(reachability, "support_gradient",
+                        lambda *a: gradient_calls.append(1) or gradient(*a))
+    monkeypatch.setattr(reachability, "_oracle",
+                        lambda *a: oracle_calls.append(1) or oracle(*a))
+    specA = static_ball_spec([0.0, 0.0, 0.0], 1.0)
+    specB = static_ball_spec(offset * OFF_AXIS, 1.0)
+    assert separation(specA, specB, 2.0, np.eye(3)).certified
+    assert len(oracle_calls) > 0
+    assert len(gradient_calls) == 2 * len(oracle_calls)
 
 
 def test_separation_iteration_cap_falls_back_uncertified(monkeypatch):

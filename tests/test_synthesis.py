@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachsep import synthesis
-from reachsep.convex import INIT_MARGIN, MAX_NEWTON, BarrierProblem, InfeasibleProblemError, solve
+from reachsep.convex import (INIT_MARGIN, KKT_TOL, MAX_NEWTON, BarrierProblem,
+                              InfeasibleProblemError, solve)
 from reachsep.dynamics import LTISystem, QuadrotorParams, propagate_nominal, quadrotor_linearized
 from reachsep.ellipsoid import Ellipsoid, containment_block, contains, psd_sqrt, support
 from reachsep.montecarlo import sample_trajectories
@@ -484,10 +486,11 @@ def test_pareto_monotone_in_k():
     assert all(np.diff(ds) <= 1e-6)
 
 
-def test_bundled_fixedwing_stages_end_below_step_cap():
-    # at the 0.5 s grid, B's phase one reaches its rounding floor with the
-    # gradient norm above the stage target; the stage must stop there
-    # instead of taking null-progress steps until MAX_NEWTON (264 steps in all)
+@functools.cache
+def bundled_fixedwing_coarse_grid():
+    """(solB, solA) of bundled fixed-wing at the 0.5 s grid, where B's phase
+    one reaches its rounding floor with the gradient norm above the stage
+    target (l* is exactly (0, 1) there)."""
     doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
     doc["grid_step_s"] = 0.5
     sc = scenario_from_dict(doc)
@@ -497,5 +500,20 @@ def test_bundled_fixedwing_stages_end_below_step_cap():
     solB, solA, _, _ = scalarization_loop(
         specA, specB, geom, P, method=sc.method, k0=sc.k0, shrink=sc.shrink,
         margin1=sc.margin1, margin2=sc.margin2, max_iters=sc.max_iters)
+    return solB, solA
+
+
+def test_bundled_fixedwing_stages_end_below_step_cap():
+    # the stage must stop at the rounding floor instead of taking
+    # null-progress steps until MAX_NEWTON (264 steps in all)
+    solB, solA = bundled_fixedwing_coarse_grid()
     assert solB.newton_steps < MAX_NEWTON
     assert solA.newton_steps < MAX_NEWTON
+
+
+def test_bundled_fixedwing_phase_one_reads_stalled():
+    # that stop is above KKT_TOL but far below the step cap: stalled, not max_iter
+    solB, solA = bundled_fixedwing_coarse_grid()
+    assert solB.status == "stalled"
+    assert solB.kkt_residual > KKT_TOL
+    assert solA.status == "optimal"
