@@ -13,12 +13,12 @@ the verification fails; the exit code carries the verdict:
 """
 
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .montecarlo import sample_trajectories
 from .reachability import ReachSpec, disturbance_contribution, reach_tube, separation
@@ -44,6 +44,7 @@ from .reachability import reach_support  # noqa: F401
 from .scenario import load_scenario  # noqa: F401
 
 SEP_TOL = 1e-6
+PAIR_CHUNK = 1 << 16  # candidate pairs _closest_pair_distance evaluates at once
 
 
 def _fmt(x: float) -> str:
@@ -106,6 +107,98 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
     return doc
 
 
+def _pair_min_sq(A, B, ia, ib) -> float:
+    """Smallest squared distance over the pairs (A[:, ia], B[:, ib]) of the
+    columns of A and B, coordinates summed in order, as a k-d tree sums them."""
+    sq = np.zeros(ia.shape[0])
+    for a, b in zip(A, B):
+        d = a[ia] - b[ib]
+        sq += d * d
+    return float(sq.min())
+
+
+def _rows_min_sq(A, B, ia, lo, cnt, best: float = np.inf) -> float:
+    """Smallest squared distance over the pairs (A[:, ia[r]], B[:, lo[r] + j]),
+    j < cnt[r], at most PAIR_CHUNK pairs at a time."""
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    for p0 in range(0, total, PAIR_CHUNK):
+        p = np.arange(p0, min(p0 + PAIR_CHUNK, total))
+        r = np.searchsorted(ends, p, side="right")
+        best = min(best, _pair_min_sq(A, B, ia[r], lo[r] + p - (ends[r] - cnt[r])))
+    return best
+
+
+def _cell_rows(a, b, sides):
+    """(order of b, rows) pairing each row of a with the rows of b in the 3^k
+    cells around its own, on a grid with the given side per axis or coarser."""
+    origin = np.minimum(a.min(axis=0), b.min(axis=0))
+    spans = np.maximum(a.max(axis=0), b.max(axis=0)) - origin
+    # at most 2^20 - 4 cells per axis, so that keys fit in 60 bits and the
+    # rounding of cell coordinates stays far below one cell
+    sides = np.maximum(sides, spans / ((1 << 20) - 4))
+    weights = (1 << 20) ** np.arange(a.shape[1], dtype=np.int64)
+    key_a, key_b = ((np.floor((x - origin) / sides).astype(np.int64) + 1) @ weights
+                    for x in (a, b))
+    order = np.argsort(key_b)
+    key_b = key_b[order]
+    around = np.array(list(itertools.product((-1, 0, 1), repeat=a.shape[1]))) @ weights
+    keys = (key_a[:, None] + around).ravel()
+    lo = np.searchsorted(key_b, keys, side="left")
+    cnt = np.searchsorted(key_b, keys, side="right") - lo
+    return order, np.repeat(np.arange(a.shape[0]), around.shape[0]), lo, cnt
+
+
+def _closest_pair_distance(A, B) -> float:
+    """min ||a - b|| over the rows of A and B, exactly: the value a search
+    over every pair gives, from a pruned set of candidate pairs.
+
+    Coordinates are taken in an orthonormal frame whose first axis u is the
+    direction between the means.  An upper bound delta comes from pairing
+    each a with its two neighbours in B's order along u.  Every pair closer
+    than delta then lies in a window of width 2 delta along u (since
+    |<u, a - b>| <= ||a - b||), and in neighbouring cells of a grid of side
+    delta along u (Rabin 1976); across u the side shrinks to
+    sqrt(delta^2 - gap^2) when the clouds are a gap apart along u.  The
+    window suits small clouds far apart, the cells overlapping or wide
+    ones; of the two, the pruning with fewer candidate pairs is evaluated,
+    PAIR_CHUNK pairs at a time.
+    """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    (nA, k), nB = A.shape, B.shape[0]
+    if nA * nB <= PAIR_CHUNK:
+        ia, ib = np.divmod(np.arange(nA * nB), nB)
+        return float(np.sqrt(_pair_min_sq(A.T, B.T, ia, ib)))
+    u = B.mean(axis=0) - A.mean(axis=0)
+    if not np.any(u):
+        u = np.eye(k)[0]
+    frame = np.linalg.qr(np.column_stack([u, np.eye(k)]))[0].T  # first row +-u / ||u||
+    a, b = A @ frame.T, B @ frame.T
+    order = np.argsort(b[:, 0])
+    b, B = np.take(b, order, axis=0), np.take(B, order, axis=0)
+    pa, pb = a[:, 0], b[:, 0]
+    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+    rows = np.arange(nA)
+    right = np.minimum(np.searchsorted(pb, pa), nB - 1)
+    best = min(_pair_min_sq(At, Bt, rows, right),
+               _pair_min_sq(At, Bt, rows, np.maximum(right - 1, 0)))
+    if best == 0.0:
+        return 0.0
+    # widened past the rounding of the frame coordinates and cell indices
+    slack = 16 * k * np.finfo(float).eps * max(float(np.abs(A).max()), float(np.abs(B).max()))
+    reach = np.sqrt(best) * (1.0 + 1e-6) + slack
+    lo = np.searchsorted(pb, pa - reach, side="left")
+    cnt = np.searchsorted(pb, pa + reach, side="right") - lo
+    if cnt.sum() > nA + nB and k <= 3:
+        gap = max(0.0, pb[0] - pa.max() - slack, pa.min() - pb[-1] - slack)
+        perp = np.sqrt((reach - gap) * (reach + gap)) + slack
+        cell_order, cell_rows, cell_lo, cell_cnt = _cell_rows(a, b, np.r_[reach, [perp] * (k - 1)])
+        if cell_cnt.sum() < cnt.sum():
+            Bt, rows, lo, cnt = Bt[:, cell_order], cell_rows, cell_lo, cell_cnt
+    keep = cnt > 0
+    return float(np.sqrt(_rows_min_sq(At, Bt, rows[keep], lo[keep], cnt[keep], best)))
+
+
 def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
                        tube_vals_A, tube_vals_B, d: float, n_samples: int,
                        seed: int = 0) -> dict:
@@ -122,7 +215,6 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     trB = sample_trajectories(base_B, t_grid, n_samples, seed=seed + 1)
     worst_violation = -np.inf
     min_pairwise = np.inf
-    k = P.shape[0]
     for i in range(len(t_grid)):
         posA = trA[:, i, :] @ P.T
         posB = trB[:, i, :] @ P.T
@@ -130,8 +222,7 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
             worst_violation = max(worst_violation,
                                   float((posA @ dirs.T - tube_vals_A[i]).max()),
                                   float((posB @ dirs.T - tube_vals_B[i]).max()))
-        tree = cKDTree(posB)
-        min_pairwise = min(min_pairwise, float(tree.query(posA, k=1)[0].min()))
+        min_pairwise = min(min_pairwise, _closest_pair_distance(posA, posB))
     return {
         "samples_per_aircraft": n_samples,
         "seed": seed,

@@ -95,17 +95,13 @@ def _silhouette(entries, plane):
     if dirs.shape[0] < 3:
         return None
     order = np.argsort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    dirs, vals = dirs[order], vals[order]
-    pts = []
-    n = dirs.shape[0]
-    for i in range(n):
-        a, b = i, (i + 1) % n
-        M = np.stack([dirs[a], dirs[b]])
-        det = np.linalg.det(M)
-        if abs(det) < 1e-12:
-            continue
-        pts.append(np.linalg.solve(M, [vals[a], vals[b]]))
-    return np.array(pts) if len(pts) >= 3 else None
+    (ax, ay), va = dirs[order].T, vals[order]
+    # each vertex solves the 2x2 system of two adjacent halfspaces, by Cramer's rule
+    bx, by, vb = np.roll(ax, -1), np.roll(ay, -1), np.roll(va, -1)
+    det = ax * by - ay * bx
+    keep = np.abs(det) >= 1e-12
+    pts = np.stack([va * by - vb * ay, ax * vb - bx * va], axis=1)[keep] / det[keep, None]
+    return pts if pts.shape[0] >= 3 else None
 
 
 def _tube_svg(tube_path: Path, plane, labels, out_path: Path):

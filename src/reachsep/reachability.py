@@ -15,23 +15,25 @@ shares them.  At t = 0 the grid has zero length: one node of weight 0, so
 that time takes the same path as every other.  Every input set enters
 through one kernel: with S_i = Phi_i B for U and Phi_i for V, w_i = S_i' l
 and q_i = <w_i, M w_i>; support values integrate <w_i, c> and sqrt(q_i),
-touching points the response to c + M w_i / sqrt(q_i).  Both are batched: a
-(D, n) block of directions gives w as one (N+1, D, m) product, the panel
-rule runs per direction, and a single direction is a one-row block.
+touching points the responses S_i c and S_i M w_i / sqrt(q_i), each center
+term by Simpson and each root term by the panel rule, so that <l, x*> is
+the support value.  Both are batched: a (D, n) block of directions gives w
+as one (N+1, D, m) product, the panel rule runs per direction, and a single
+direction is a one-row block.
 
 Separation of two projected sets is the distance from 0 to P(A_t) - P(B_t),
 found as a minimum-norm point from touching points alone: Gilbert's
 iteration gives an upper bound, the support values a lower bound, and the
 search stops on their duality gap.  Touching or overlapping sets, where the
 signed value is a nonconvex problem, go to an expanding inner hull of the
-touching points: the depth of its nearest facet bounds the penetration
-depth from below, so the signed value gets a duality gap too.
+touching points, a polytope grown one point at a time: the depth of its
+nearest facet bounds the penetration depth from below, so the signed value
+gets a duality gap too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .dynamics import LTISystem, NominalTrajectory, expm
 from .ellipsoid import Ellipsoid, HalfspaceSet
@@ -127,6 +129,10 @@ class _Grid:
         mid = 2.0 * self.h * samples[1::2]
         return np.where(vanish.reshape(vanish.shape + (1,) * (samples.ndim - q.ndim)), mid, simp)
 
+    def integrate(self, samples: np.ndarray) -> np.ndarray:
+        """Simpson integral of samples over the grid (axis 0), trailing axes kept."""
+        return (self.simpson_w @ samples.reshape(samples.shape[0], -1)).reshape(samples.shape[1:])
+
     def integrate_sqrt(self, q: np.ndarray):
         """Integral of sqrt(q(s)) per column; midpoint fallback on panels where q vanishes."""
         return self.integrate_matched(q, np.sqrt(np.clip(q, 0.0, None)))
@@ -206,7 +212,9 @@ def _touching_points(spec: ReachSpec, t: float, L: np.ndarray):
     offset included; the initial states (D, n) and control profiles
     (N+1, D, m) that reach them, each the maximizer of <l, x> over its set.
     Where a quadratic form vanishes the maximizer is the set's center:
-    dividing M w by an infinite root there leaves the center alone.
+    dividing M w by an infinite root there leaves the center alone.  The
+    centers' response is integrated by Simpson on every panel, as in the
+    support value.
     """
     t = _check_time(spec, t)
     g = _grid_for(spec, t)
@@ -216,9 +224,10 @@ def _touching_points(spec: ReachSpec, t: float, L: np.ndarray):
     profiles = []
     for stack, E in _inputs(spec, g):
         _, Mw, q = _input_terms(stack, E, L)
-        u = E.center + Mw / np.sqrt(np.where(_alive(q), q, np.inf))[..., None]
-        points = points + g.integrate_matched(q, u @ stack.transpose(0, 2, 1))
-        profiles.append(u)
+        du = Mw / np.sqrt(np.where(_alive(q), q, np.inf))[..., None]
+        points = (points + g.integrate(stack) @ E.center
+                  + g.integrate_matched(q, du @ stack.transpose(0, 2, 1)))
+        profiles.append(E.center + du)
     return points + spec.offset_at(t), x0, profiles[0]
 
 
@@ -371,6 +380,110 @@ def _min_norm_point(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray)
     return lower, z, best_l, best_s, closed
 
 
+class _Polytope:
+    """Convex hull of points in 2 or 3 dimensions, grown one point at a time.
+
+    Faces are k-tuples of point indices, oriented outward: an edge (i, j)
+    runs counterclockwise in 2-D, a triangle (i, j, l) is counterclockwise
+    seen from outside in 3-D.  A new point deletes the faces it sees and
+    joins itself to each horizon ridge (a ridge of a deleted face whose other
+    face stays) by putting itself in the place of the deleted face's
+    remaining vertex, which keeps the orientation.  A point that sees no face
+    beyond the rounding level, or whose horizon is not one cycle, is left
+    out, so the polytope stays a closed hull of some of the points and lies
+    inside their convex hull.  Until the points span k dimensions it has no
+    faces, and each call to facets tries again to start from a simplex.
+    """
+
+    def __init__(self, dim: int):
+        self.points = np.empty((0, dim))
+        self.faces = np.empty((0, dim), dtype=int)
+        self.planes = np.empty((0, dim + 1))  # rows (n, offset): <n, x> + offset <= 0 inside
+
+    def _tol(self) -> float:
+        return 16.0 * np.finfo(float).eps * float(np.abs(self.points).max(initial=0.0))
+
+    def _planes(self, faces) -> np.ndarray:
+        V = self.points[faces]
+        d = V[:, 1:] - V[:, :1]
+        planes = np.empty((faces.shape[0], faces.shape[1] + 1))
+        n = planes[:, :-1]
+        if faces.shape[1] == 2:
+            n[:, 0], n[:, 1] = d[:, 0, 1], -d[:, 0, 0]
+        else:
+            n[:] = np.cross(d[:, 0], d[:, 1])
+        n /= np.sqrt((n * n).sum(axis=1))[:, None]
+        planes[:, -1] = -(n * V[:, 0]).sum(axis=1)
+        return planes
+
+    def add(self, p) -> None:
+        self.points = np.vstack([self.points, p])
+        if self.faces.shape[0]:
+            self._insert(self.points.shape[0] - 1)
+
+    def _insert(self, i: int) -> None:
+        seen = self.planes[:, :-1] @ self.points[i] + self.planes[:, -1] > self._tol()
+        if not seen.any():
+            return
+        k = self.faces.shape[1]
+        ridges = {}
+        for f in self.faces[seen].tolist():
+            for j in range(k):
+                key = tuple(sorted(f[:j] + f[j + 1:]))
+                # a ridge of two deleted faces is not on the horizon
+                ridges[key] = None if key in ridges else (f, j)
+        horizon = [fj for fj in ridges.values() if fj is not None]
+        if k == 2:
+            closed = len(horizon) == 2
+        else:  # the directed horizon edges must form a single cycle
+            succ = {f[(j + 1) % 3]: f[(j + 2) % 3] for f, j in horizon}
+            start = v = horizon[0][0][(horizon[0][1] + 1) % 3]
+            cycle = set()
+            while v in succ and v not in cycle:
+                cycle.add(v)
+                v = succ[v]
+            closed = v == start and len(succ) == len(horizon) == len(cycle)
+        if not closed:
+            return
+        new = np.array([f for f, _ in horizon])
+        new[np.arange(len(horizon)), [j for _, j in horizon]] = i
+        self.faces = np.vstack([self.faces[~seen], new])
+        self.planes = np.vstack([self.planes[~seen], self._planes(new)])
+
+    def _start(self) -> bool:
+        """Faces of a simplex of the points, then every other point inserted;
+        False while the points are flat."""
+        X, k = self.points, self.points.shape[1]
+        if X.shape[0] <= k:
+            return False
+        simplex = [int(np.argmax(np.linalg.norm(X - X.mean(axis=0), axis=1)))]
+        basis = np.empty((0, k))
+        for _ in range(k):
+            r = X - X[simplex[0]]
+            r = r - (r @ basis.T) @ basis
+            far = int(np.argmax(np.linalg.norm(r, axis=1)))
+            height = float(np.linalg.norm(r[far]))
+            if height <= self._tol():
+                return False
+            simplex.append(far)
+            basis = np.vstack([basis, r[far] / height])
+        faces = np.array([[v for v in simplex if v != w] for w in simplex])
+        planes = self._planes(faces)
+        inward = (planes[:, :-1] * X[simplex]).sum(axis=1) + planes[:, -1] > 0.0
+        faces[inward, :2] = faces[inward, 1::-1]
+        self.faces, self.planes = faces, self._planes(faces)
+        for i in range(X.shape[0]):
+            if i not in simplex:
+                self._insert(i)
+        return True
+
+    def facets(self) -> np.ndarray | None:
+        """The face planes (n, offset), or None while the points are flat."""
+        if not self.faces.shape[0] and not self._start():
+            return None
+        return self.planes
+
+
 def _inner_hull(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray,
                 lower: float, z: np.ndarray, l: np.ndarray, s: np.ndarray):
     """Signed separation from an inner hull, for sets that touch or overlap.
@@ -381,30 +494,30 @@ def _inner_hull(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray,
     signed value from above.  Gilbert's z keeps moving toward each new point,
     so ||z|| stays an upper bound too: it certifies touching and flat sets,
     and sets that turn out to be apart.  Every g(l) bounds the value from
-    below.  Seeded with the 2k axis directions, each step asks the oracle
-    along the outward normal of the facet nearest 0 (the expanding polytope
-    of collision detection).  When the points are flat and Qhull cannot build
-    H, it asks along both normals of their affine hull and along z / ||z||,
+    below.  Seeded with the 2k axis directions, each step adds its oracle
+    point to H (_Polytope) and asks the oracle along the outward normal of
+    the facet nearest 0: the expanding polytope of collision detection (van
+    den Bergen 2001).  While the points are flat and span no polytope, it
+    asks along both normals of their affine hull and along z / ||z||,
     Gilbert's own direction.  Starts from the bounds of _min_norm_point and
     returns (lower, upper, l, s, closed), closed when upper - lower <=
     GAP_REL * max(1, |lower|), open after MNP_MAX_ITERS hull steps.
     """
-    pts = []
+    hull = _Polytope(P.shape[0])
     queries = [sign * e for e in np.eye(P.shape[0]) for sign in (1.0, -1.0)]
     upper = float(np.linalg.norm(z))
     for _ in range(MNP_MAX_ITERS):
         for q in queries:
             g, p = _oracle(specA, specB, t, P, q)
-            pts.append(p)
+            hull.add(p)
             z = _toward(z, p)
             if g > lower:
                 lower, l, s = g, q, p
         z_norm = float(np.linalg.norm(z))
         upper = min(upper, z_norm)
-        try:
-            facets = ConvexHull(pts).equations  # rows (n, offset): <n, x> + offset <= 0 on H
-        except QhullError:
-            normal = np.linalg.svd(np.array(pts) - pts[0])[2][-1]
+        facets = hull.facets()  # rows (n, offset): <n, x> + offset <= 0 on H
+        if facets is None:
+            normal = np.linalg.svd(hull.points - hull.points[0])[2][-1]
             queries = [normal, -normal] + ([z / z_norm] if z_norm > 0.0 else [])
         else:
             nearest = facets[np.argmax(facets[:, -1])]

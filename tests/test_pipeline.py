@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import reachsep
-from reachsep import reachability
+from reachsep import pipeline, reachability
 from reachsep.cli import main
 from reachsep.ellipsoid import Ellipsoid
 from reachsep.pipeline import SEP_TOL, run
@@ -313,3 +316,102 @@ def test_benchmark_trace_wraps_resolve():
     from perfbench.layers import WRAPS
     for mod, attr in WRAPS:
         assert hasattr(importlib.import_module(f"reachsep.{mod}"), attr), f"{mod}.{attr}"
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # the whole run path, Monte Carlo check and plots included, is numpy-only
+    src = Path(reachsep.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from reachsep.pipeline import run\n"
+        "from reachsep.scenario import builtin_scenario_path\n"
+        f"code = run(builtin_scenario_path('quadrotor_pair'), 'out', {{**{FAST!r}, "
+        "'plots': True, 'verify_mc': 200})\n"
+        "assert code == 0, code\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "mc.json").exists()
+    assert (tmp_path / "out" / "separation.svg").exists()
+
+
+def cloud(rng, n, k, center, radius):
+    x = rng.standard_normal((n, k))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return center + radius * x * rng.random((n, 1)) ** (1.0 / k)
+
+
+def two_clouds(kind, rng, nA, nB, k):
+    """A pair of point clouds of one of the shapes the closest-pair search
+    must handle; overlapping clouds and close sheets defeat its window alone,
+    tiny far-apart clouds its grid alone."""
+    e = np.eye(k)[0]
+    if kind == "identical":
+        A = cloud(rng, nA, k, np.zeros(k), 1.0)
+        return A, A.copy()
+    if kind == "sheets":  # coplanar points in two parallel planes (lines in 2-D)
+        A, B = rng.random((nA, k)), rng.random((nB, k))
+        A[:, -1], B[:, -1] = 0.0, 10.0 ** rng.uniform(-3.0, 0.5)
+        return A, B
+    if kind == "tiny_far":
+        return cloud(rng, nA, k, np.zeros(k), 1e-3), cloud(rng, nB, k, 1e2 * e, 1e-3)
+    gap = {"apart": 3.0, "touching": 2.0, "overlapping": 0.5}[kind]
+    return cloud(rng, nA, k, np.zeros(k), 1.0), cloud(rng, nB, k, gap * e, 1.0)
+
+
+def brute_closest_pair(A, B):
+    return float(np.linalg.norm(A[:, None, :] - B[None, :, :], axis=-1).min())
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       kind=st.sampled_from(["apart", "touching", "overlapping", "identical", "tiny_far",
+                             "sheets"]),
+       nA=st.integers(1, 300), nB=st.integers(1, 300), duplicates=st.booleans(),
+       chunk=st.sampled_from([7, 64, pipeline.PAIR_CHUNK]))
+def test_closest_pair_matches_brute_force(seed, k, kind, nA, nB, duplicates, chunk):
+    rng = np.random.default_rng(seed)
+    A, B = two_clouds(kind, rng, nA, nB, k)
+    if duplicates:  # repeated points within each cloud
+        A, B = np.vstack([A, A[: nA // 2]]), np.vstack([B[: nB // 3], B])
+    # a small chunk takes the pruned path on small clouds, and ends chunks mid-row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "PAIR_CHUNK", chunk)
+        value = pipeline._closest_pair_distance(A, B)
+    truth = brute_closest_pair(A, B)
+    assert abs(value - truth) <= 1e-12 * max(1.0, truth)
+    if kind == "identical":
+        assert value == 0.0
+
+
+@pytest.mark.parametrize("kind", ["apart", "overlapping", "tiny_far", "sheets"])
+def test_closest_pair_is_the_kd_tree_value(kind, monkeypatch):
+    # mc.json's min_pairwise_distance_m stays the value the k-d tree gave,
+    # bit for bit; no chunk of candidates is larger than PAIR_CHUNK, and
+    # apart, overlapping and tiny far clouds need about 2 nA pairs, those of
+    # the upper bound (the window prunes the first and last, the cells the
+    # second); sheets a quarter of their width apart (this seed's draw)
+    # defeat both prunings
+    rng = np.random.default_rng(5)
+    A, B = two_clouds(kind, rng, 3000, 2000, 3)
+    sizes = []
+    pair_min_sq = pipeline._pair_min_sq
+    monkeypatch.setattr(pipeline, "_pair_min_sq",
+                        lambda A, B, ia, ib: sizes.append(ia.shape[0]) or pair_min_sq(A, B, ia, ib))
+    value = pipeline._closest_pair_distance(A, B)
+    assert value == float(cKDTree(B).query(A, k=1)[0].min())
+    assert max(sizes) <= pipeline.PAIR_CHUNK
+    if kind != "sheets":
+        assert sum(sizes) <= 2 * (A.shape[0] + B.shape[0])
+
+
+def test_closest_pair_sums_coordinates_as_the_kd_tree():
+    # summed in another order, this offset's squared length rounds to a
+    # distance one ulp away from the k-d tree's
+    offset = np.array([[-1.177993576136327, -3.577141140795525, -0.8274811279490453]])
+    value = pipeline._closest_pair_distance(np.zeros((1, 3)), offset)
+    assert value == float(cKDTree(offset).query(np.zeros((1, 3)))[0][0])
+    assert value != float(np.sqrt(offset[0, 2] ** 2 + offset[0, 1] ** 2 + offset[0, 0] ** 2))

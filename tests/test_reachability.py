@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from reachsep import reachability
 from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
@@ -15,6 +16,7 @@ from reachsep.reachability import (
     ReachSpec,
     _min_norm_point,
     _oracle,
+    _Polytope,
     _touching_points,
     disturbance_contribution,
     reach_point,
@@ -381,39 +383,33 @@ def reference_touching_point(spec, t, l):
     """support_gradient's point one direction at a time, as it was before the
     batched kernel: einsum quadratic forms, the per-direction panel rule, and
     the initial set's own support at t = 0.  Kept as the kernel's reference.
-
-    Returns (state, center_gap).  On a panel where q vanishes the point
-    integrates the whole response by the midpoint rule, the input center's
-    part too, which the support value integrates by Simpson; center_gap is
-    the sum of those differences, so <l, state> = value + center_gap."""
+    The input center's response is integrated by Simpson on every panel, as
+    in the support value, and the rest of the response by the panel rule."""
     t = min(float(t), spec.horizon)
     l = np.asarray(l, dtype=float)
     offset = spec.offset_at(t)
     if t == 0.0:
-        return support(spec.X0, l)[1] + offset, 0.0
+        return support(spec.X0, l)[1] + offset
     g = reachability._grid_for(spec, t)
     lT = g.Phi[0].T @ l
     q0 = float(lT @ spec.X0.shape @ lT)
     alive0 = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
     x0 = spec.X0.center + (spec.X0.shape @ lT / np.sqrt(q0) if alive0 else 0.0)
     state = g.Phi[0] @ x0
-    center_gap = 0.0
     for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
         if E is None:
             continue
         w = l @ stack
         q = np.einsum("ij,jk,ik->i", w, E.shape, w)
         alive = q > VANISH_REL * max(q.max(), 0.0)
-        u = np.tile(E.center, (q.shape[0], 1))
-        u[alive] += (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
-        y = np.einsum("inm,im->in", stack, u)
+        du = np.zeros((q.shape[0], E.dim))
+        du[alive] = (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
+        y = np.einsum("inm,im->in", stack, du)
         vanish = ~alive[:-1:2] | ~alive[1::2] | ~alive[2::2]
         simpson = (g.h / 3.0) * (y[:-1:2] + 4.0 * y[1::2] + y[2::2])
         state = state + np.where(vanish[:, None], 2.0 * g.h * y[1::2], simpson).sum(axis=0)
-        wc = w @ E.center
-        center_simpson = (g.h / 3.0) * (wc[:-1:2] + 4.0 * wc[1::2] + wc[2::2])
-        center_gap += float(np.where(vanish, 2.0 * g.h * wc[1::2] - center_simpson, 0.0).sum())
-    return state + offset, center_gap
+        state = state + g.simpson_w @ np.einsum("inm,m->in", stack, E.center)
+    return state + offset
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,9 +436,9 @@ def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset
     # eps / sqrt(VANISH_REL) ~ 7e-10 apart; the value <l, x> stays well-conditioned
     point_tol = 1e-9 if flat_U else 1e-12
     for l, point, value in zip(tube.directions, points, tube.support_values[0]):
-        ref, center_gap = reference_touching_point(spec, t, l)
+        ref = reference_touching_point(spec, t, l)
         assert np.linalg.norm(point - ref) <= point_tol * max(1.0, np.linalg.norm(ref))
-        assert abs(l @ point - (value + center_gap)) <= 1e-12 * max(1.0, abs(value))
+        assert abs(l @ point - value) <= 1e-12 * max(1.0, abs(value))
         assert abs(value - reach_support(spec, t, l)) <= 1e-12 * max(1.0, abs(value))
 
 
@@ -658,7 +654,7 @@ def test_separation_overlapping_balls_property(k, center, axis, radius, ratio, s
 
 
 @pytest.mark.parametrize("make_pair, P", [
-    # C = {0}: every oracle point is 0, and Qhull cannot build a hull
+    # C = {0}: every oracle point is 0, and they span no polytope
     (lambda: (static_point_spec([3.0, -2.0, 7.0]), static_point_spec([3.0, -2.0, 7.0])),
      np.eye(3)),
     # exactly touching balls, in 3-D and in the plane
@@ -727,6 +723,64 @@ def test_certified_separation_dominates_ascent(name):
         sep = separation(A, B, t, P)
         assert sep.certified, t
         assert sep.value >= reference_sphere_ascent(A, B, t, P)[0] - 1e-9, t
+
+
+# ---------------------------------------------------------------- inner-hull polytope
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), n=st.integers(4, 60),
+       kind=st.sampled_from(["random", "near_flat", "sphere", "duplicates", "lattice"]),
+       size=st.floats(-3.0, 3.0), shift=st.floats(0.0, 2.0))
+def test_polytope_matches_qhull(seed, k, n, kind, size, shift):
+    # Qhull is the oracle: the facet nearest the origin is what _inner_hull
+    # reads, and the facets at other points check the rest of the surface
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k)) * 10.0 ** size
+    if kind == "near_flat":
+        X[:, -1] *= 10.0 ** rng.uniform(-9.0, -3.0)
+    elif kind == "sphere":
+        X /= np.linalg.norm(X, axis=1)[:, None] / 10.0 ** size
+    elif kind == "duplicates":
+        X = np.vstack([X, X[: n // 2]])
+    elif kind == "lattice":
+        X = rng.integers(-2, 3, (n, k)) * 10.0 ** size
+    X = X + shift * np.abs(X).max() * rng.standard_normal(k)
+    hull = _Polytope(k)
+    for x in X:
+        hull.add(x)
+    facets = hull.facets()
+    try:
+        equations = ConvexHull(X).equations
+    except QhullError:  # flat, as a few lattice draws are
+        assert facets is None
+        return
+    scale = max(1.0, float(np.abs(X).max()))
+    assert abs(facets[:, -1].max() - equations[:, -1].max()) <= 1e-12 * scale
+    queries = np.vstack([np.zeros(k), 2.0 * np.abs(X).max() * rng.standard_normal((20, k))])
+    ours = (queries @ facets[:, :-1].T + facets[:, -1]).max(axis=1)
+    qhull = (queries @ equations[:, :-1].T + equations[:, -1]).max(axis=1)
+    assert np.abs(ours - qhull).max() <= 1e-12 * scale
+    # every point inside every facet, and every ridge shared by two faces
+    assert (X @ facets[:, :-1].T + facets[:, -1]).max() <= 64 * np.finfo(float).eps * scale
+    ridges = [tuple(sorted(np.delete(f, j))) for f in hull.faces for j in range(k)]
+    assert all(ridges.count(r) == 2 for r in ridges)
+
+
+@pytest.mark.parametrize("X", [np.zeros((5, 3)), np.outer(np.arange(6.0), [0.6, 0.8]),
+                               np.column_stack([np.eye(3)[:, :2], np.zeros(3)])],
+                         ids=["coincident", "segment_2d", "triangle_3d"])
+def test_polytope_waits_for_full_dimension(X):
+    hull = _Polytope(X.shape[1])
+    for x in X:
+        hull.add(x)
+    assert hull.facets() is None
+    # the unit points span every axis, so the polytope starts from a simplex
+    for e in np.eye(X.shape[1]):
+        hull.add(e)
+    facets = hull.facets()
+    assert facets is not None
+    assert (hull.points @ facets[:, :-1].T + facets[:, -1]).max() <= 1e-15
 
 
 # ---------------------------------------------------------------- discretize
