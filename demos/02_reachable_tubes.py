@@ -63,6 +63,6 @@ c0b[0] = 6.0
 c0b[3] = -0.2
 other = ReachSpec(quad, Ellipsoid(c0b, X0.shape), U, 4.0, quad_steps=200)
 P = np.eye(10)[:3]
-dist, l_star = separation(qspec, other, 4.0, P)
-print(f"\nsigned separation of two such craft 6 m apart, at t = 4: {dist:.3f} m "
-      f"along {np.round(l_star, 3)}")
+sep = separation(qspec, other, 4.0, P)
+print(f"\nsigned separation of two such craft 6 m apart, at t = 4: {sep.value:.3f} m "
+      f"along {np.round(sep.direction, 3)}")

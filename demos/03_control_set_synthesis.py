@@ -6,6 +6,8 @@ safe set, phase two and the scalarization sweep.
 Run with:  python demos/03_control_set_synthesis.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from reachsep import (
@@ -50,7 +52,7 @@ for k in [0.25, 0.5, 0.75, 1.0]:
     print(f"  k = {k:4.2f}: retained fraction r = {s.r:.4f}, clearance = {s.distance:.3f} m")
 
 # --- safe set and phase two -----------------------------------------------------
-shrunkB = specB.with_control(norm.control_set())
+shrunkB = dataclasses.replace(specB, U=norm.control_set())
 sB = safe_set(shrunkB, geom.tau, scen.d, geom.l_star, P)
 print(f"\nsafe set of B at tau: center {np.round(sB.center, 3)}, "
       f"semi-axes {np.round(np.sqrt(np.linalg.eigvalsh(sB.shape)), 3)}")
@@ -59,9 +61,9 @@ solB, solA, k_used, diags = scalarization_loop(
     specA, specB, geom, P, method=scen.method, k0=scen.k0, shrink=scen.shrink,
     margin1=scen.margin1, margin2=scen.margin2)
 print(f"\nfull loop converged at k = {k_used}")
-shrunkA = specA.with_control(solA.control_set())
-shrunkB = specB.with_control(solB.control_set())
+shrunkA = dataclasses.replace(specA, U=solA.control_set())
+shrunkB = dataclasses.replace(specB, U=solB.control_set())
 print("grid check (every 0.5 s):")
 for t in np.arange(0.0, scen.horizon + 1e-9, 0.5):
-    s, _ = separation(shrunkA, shrunkB, t, P)
+    s = separation(shrunkA, shrunkB, t, P).value
     print(f"  t = {t:3.1f} s: separation = {s:6.3f} m ({'ok' if s >= scen.d else 'violation'})")

@@ -64,23 +64,25 @@ class VarBlock:
             return self.size * (self.size + 1) // 2
         return self.size if self.kind == "vector" else 1
 
-    def coords(self):
-        return range(self.offset, self.offset + self.dim)
 
-
-def _sym_pairs(n: int):
-    return [(a, b) for a in range(n) for b in range(a, n)]
+def _sym_basis(n: int) -> np.ndarray:
+    """(n(n+1)/2, n, n): entry k is 1 at the k-th upper-triangle pair (a, b)
+    of np.triu_indices and at its mirror (b, a), 0 elsewhere."""
+    a, b = np.triu_indices(n)
+    k = np.arange(a.shape[0])
+    E = np.zeros((k.shape[0], n, n))
+    E[k, a, b] = E[k, b, a] = 1.0
+    return E
 
 
 def sym_to_vec(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    return np.array([M[a, b] for a, b in _sym_pairs(n)])
+    return M[np.triu_indices(M.shape[0])]
 
 
 def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
+    a, b = np.triu_indices(n)
     M = np.zeros((n, n))
-    for k, (a, b) in enumerate(_sym_pairs(n)):
-        M[a, b] = M[b, a] = v[k]
+    M[a, b] = M[b, a] = v
     return M
 
 
@@ -105,41 +107,30 @@ class AffineMatrixExpr:
         self.F[block.offset] += np.asarray(mat, dtype=float)
         return self
 
+    def _add_stack(self, block: VarBlock, row0: int, col0: int, C: np.ndarray,
+                   mirror: bool = True) -> "AffineMatrixExpr":
+        """Adds the (block.dim, p, q) stack C to G[row0:, col0:], one matrix
+        per coordinate of the block, and if mirror its transpose to G[col0:, row0:]."""
+        F = self.F[block.offset:block.offset + block.dim]
+        p, q = C.shape[1:]
+        F[:, row0:row0 + p, col0:col0 + q] += C
+        if mirror:
+            F[:, col0:col0 + q, row0:row0 + p] += C.transpose(0, 2, 1)
+        return self
+
     def add_vector(self, block: VarBlock, row: int, col0: int, coeff: float = 1.0) -> "AffineMatrixExpr":
         """Places the vector variable at G[row, col0:] and its mirror."""
-        for k in range(block.size):
-            i = block.offset + k
-            self.F[i, row, col0 + k] += coeff
-            self.F[i, col0 + k, row] += coeff
-        return self
+        return self._add_stack(block, row, col0, coeff * np.eye(block.size)[:, None, :])
 
     def add_symmetric(self, block: VarBlock, row0: int, col0: int, coeff: float = 1.0) -> "AffineMatrixExpr":
         """Places the matrix variable at G[row0:, col0:] plus its mirror block."""
-        for k, (a, b) in enumerate(_sym_pairs(block.size)):
-            i = block.offset + k
-            self.F[i, row0 + a, col0 + b] += coeff
-            if a != b:
-                self.F[i, row0 + b, col0 + a] += coeff
-            if row0 != col0:
-                self.F[i, col0 + b, row0 + a] += coeff
-                if a != b:
-                    self.F[i, col0 + a, row0 + b] += coeff
-        return self
+        return self._add_stack(block, row0, col0, coeff * _sym_basis(block.size), row0 != col0)
 
     def add_symmetric_rmul(self, block: VarBlock, row0: int, col0: int, R,
                            coeff: float = 1.0) -> "AffineMatrixExpr":
         """Places coeff * (M(x) @ R) at G[row0:, col0:] plus its transpose mirror."""
-        R = np.asarray(R, dtype=float)
-        m = block.size
-        for k, (a, b) in enumerate(_sym_pairs(m)):
-            i = block.offset + k
-            C = np.zeros((m, R.shape[1]))
-            C[a] += coeff * R[b]
-            if a != b:
-                C[b] += coeff * R[a]
-            self.F[i, row0:row0 + m, col0:col0 + R.shape[1]] += C
-            self.F[i, col0:col0 + R.shape[1], row0:row0 + m] += C.T
-        return self
+        C = coeff * (_sym_basis(block.size) @ np.asarray(R, dtype=float))
+        return self._add_stack(block, row0, col0, C)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         # the one BLAS call tensordot(x, F, axes=1) makes, without its reshaping

@@ -27,6 +27,7 @@ from .scenario import (
     ScenarioError,
     build_nominal,
     build_spec,
+    field_error,
     load_document,
     position_projection,
     scenario_from_dict,
@@ -52,23 +53,9 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    # numpy arrays become lists and numpy scalars Python values
+    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    path.write_text(text + "\n")
 
 
 def plane_directions(scenario: Scenario, pos_dim: int) -> np.ndarray:
@@ -93,18 +80,6 @@ def _write_tubes_csv(path: Path, dirs, tubes: dict) -> None:
             lines += [f"{aircraft},{_fmt(t)},{j},{_fmt(d[0])},{_fmt(d[1])},{_fmt(d[2])},{_fmt(v)}"
                       for j, (d, v) in enumerate(zip(d3, vals))]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _apply_overrides(doc: dict, overrides: dict) -> dict:
-    """The scenario document with the run's overrides merged in."""
-    doc = dict(doc)
-    if overrides.get("k0") is not None:
-        doc["scalarization"] = {**doc.get("scalarization", {}), "k0": float(overrides["k0"])}
-    for key, field, kind in [("method", "part1_method", str), ("directions", "directions", int),
-                             ("quad_steps", "quad_steps", int), ("grid_step", "grid_step_s", float)]:
-        if overrides.get(key) is not None:
-            doc[field] = kind(overrides[key])
-    return doc
 
 
 def _pair_min_sq(A, B, ia, ib) -> float:
@@ -211,13 +186,15 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
-    trA = sample_trajectories(base_A, t_grid, n_samples, seed=seed)
-    trB = sample_trajectories(base_B, t_grid, n_samples, seed=seed + 1)
+    # positions (times, n_samples, k), contiguous per time; each sampled
+    # state array is freed as soon as it is projected
+    posA_t = np.ascontiguousarray(np.swapaxes(
+        sample_trajectories(base_A, t_grid, n_samples, seed=seed) @ P.T, 0, 1))
+    posB_t = np.ascontiguousarray(np.swapaxes(
+        sample_trajectories(base_B, t_grid, n_samples, seed=seed + 1) @ P.T, 0, 1))
     worst_violation = -np.inf
     min_pairwise = np.inf
-    for i in range(len(t_grid)):
-        posA = trA[:, i, :] @ P.T
-        posB = trB[:, i, :] @ P.T
+    for i, (posA, posB) in enumerate(zip(posA_t, posB_t)):
         if dirs.shape[0]:
             worst_violation = max(worst_violation,
                                   float((posA @ dirs.T - tube_vals_A[i]).max()),
@@ -239,12 +216,12 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        scenario = scenario_from_dict(_apply_overrides(load_document(scenario_path), overrides))
+        scenario = scenario_from_dict(load_document(scenario_path), overrides)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
     seed = int(overrides.get("seed", 0))
-    _write_json(out / "scenario.json", _jsonable(scenario.to_dict()))
+    _write_json(out / "scenario.json", scenario.to_dict())
 
     P = position_projection(scenario)
     pos_dim = P.shape[0]
@@ -252,15 +229,16 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     nomB = build_nominal(scenario, 1)
     geom = estimate_encounter(nomA, nomB, P, scenario.d)
     center_gap = float(np.linalg.norm(P @ geom.c_A_tau - P @ nomB.state_at(geom.tau)))
-    _write_json(out / "encounter.json", _jsonable({
+    _write_json(out / "encounter.json", {
         "tau_s": geom.tau,
         "l_star": P @ geom.l_star,
         "center_distance_m": center_gap,
         "required_separation_m": scenario.d,
-    }))
+    })
     if scenario.horizon < geom.tau - 1e-12:
-        print(f"scenario error: field 'scenario.horizon_s' ({scenario.horizon}) is "
-              f"shorter than the encounter time {geom.tau}", file=sys.stderr)
+        exc = field_error("horizon", f"({scenario.horizon}) is shorter than the "
+                                     f"encounter time {geom.tau}")
+        print(f"scenario error: {exc}", file=sys.stderr)
         return 3
 
     specA = build_spec(scenario, 0)
@@ -277,14 +255,14 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
                       "B": reach_tube(specB, t_grid, state_dirs)})
     overlap = separation(specA, specB, geom.tau, P)
     sep0 = overlap.value
-    _write_json(out / "overlap.json", _jsonable({
+    _write_json(out / "overlap.json", {
         "separation_at_tau_m": sep0,
         "direction": overlap.direction,
         "certified": overlap.certified,
         "duality_gap_m": overlap.gap,
         "required_separation_m": scenario.d,
         "overlaps": bool(sep0 < scenario.d),
-    }))
+    })
     print(f"encounter: tau = {geom.tau:.3f} s, center gap {center_gap:.3f} m; "
           f"initial separation {sep0:.3f} m (required {scenario.d:.3f} m)")
 
@@ -305,10 +283,10 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
             shrink=scenario.shrink, margin1=scenario.margin1,
             margin2=scenario.margin2, max_iters=scenario.max_iters)
     except JointInfeasibilityError as exc:
-        _write_json(out / "diagnostics.json", _jsonable({
+        _write_json(out / "diagnostics.json", {
             "status": "infeasible",
             "iterations": exc.diagnostics,
-        }))
+        })
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     print(f"synthesis done at k = {k_used:.6g} "
@@ -316,7 +294,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     shrunkA = dataclasses.replace(specA, U=solA.control_set())
     shrunkB = dataclasses.replace(specB, U=solB.control_set())
-    safeB = safe_set(synB.with_control(solB.control_set()), geom.tau, d_eff,
+    safeB = safe_set(dataclasses.replace(synB, U=solB.control_set()), geom.tau, d_eff,
                      geom.l_star, P)
 
     sol_doc = {"method": scenario.method, "k_used": k_used,
@@ -335,7 +313,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
             "original_control_center": spec.U.center,
             "original_control_shape": spec.U.shape,
         }
-    _write_json(out / "solution.json", _jsonable(sol_doc))
+    _write_json(out / "solution.json", sol_doc)
 
     tubes = {"A": reach_tube(shrunkA, t_grid, state_dirs),
              "B": reach_tube(shrunkB, t_grid, state_dirs)}
@@ -348,12 +326,12 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     (out / "separation.csv").write_text("\n".join(sep_lines) + "\n")
     min_sep = min(sep.value for sep in seps)
     max_gap = max(sep.gap for sep in seps)
-    _write_json(out / "verification.json", _jsonable({
+    _write_json(out / "verification.json", {
         "min_separation_m": min_sep,
         "grid_times": len(t_grid),
         "max_duality_gap_m": max_gap,
         "uncertified_times": [t for t, sep in zip(t_grid, seps) if not sep.certified],
-    }))
+    })
     safe = min_sep >= scenario.d - SEP_TOL
     print(f"verification: min separation {min_sep:.4f} m over {len(t_grid)} grid times, "
           f"max duality gap {max_gap:.1e} m ({'ok' if safe else 'VIOLATION'})")
@@ -362,7 +340,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
         n_mc = int(overrides["verify_mc"])
         mc = verify_monte_carlo(shrunkA, shrunkB, P, t_grid, dirs, tubes["A"].support_values,
                                 tubes["B"].support_values, scenario.d, n_mc, seed=seed)
-        _write_json(out / "mc.json", _jsonable(mc))
+        _write_json(out / "mc.json", mc)
         print(f"monte carlo: min pairwise {mc['min_pairwise_distance_m']:.4f} m, "
               f"tube ok {mc['tube_ok']}, pairwise ok {mc['pairwise_ok']}")
         safe = safe and mc["tube_ok"] and mc["pairwise_ok"]

@@ -67,10 +67,6 @@ class ReachSpec:
         if self.V is not None and self.V.dim != self.system.state_dim:
             raise ValueError("disturbance set dimension must match state dimension")
 
-    def with_control(self, U: Ellipsoid) -> "ReachSpec":
-        return ReachSpec(self.system, self.X0, U, self.horizon, self.V,
-                         self.quad_steps, self.center_offset)
-
     def offset_at(self, t: float) -> np.ndarray:
         if self.center_offset is None:
             return np.zeros(self.system.state_dim)
@@ -531,7 +527,7 @@ def _inner_hull(specA: ReachSpec, specB: ReachSpec, t: float, P: np.ndarray,
 
 @dataclass(frozen=True)
 class Separation:
-    """Result of one separation check; unpacks as the pair (value, direction).
+    """Result of one separation check: the signed value and its direction.
 
     certified: the duality gap closed, so value is the signed separation to
     within GAP_REL.  False only when the iteration cap was hit; value is then
@@ -546,12 +542,6 @@ class Separation:
     direction: np.ndarray
     certified: bool
     gap: float
-
-    def __iter__(self):
-        return iter((self.value, self.direction))
-
-    def __getitem__(self, i):
-        return (self.value, self.direction)[i]
 
 
 def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> Separation:

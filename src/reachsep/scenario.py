@@ -5,12 +5,16 @@ unit-bearing field names (..._m, ..._mps, ..._s).  Two scenarios ship with
 the package: ``quadrotor_pair`` and ``fixedwing_pair``; their vehicle
 parameters and set sizes are plausible small-UAV defaults chosen for this
 library, not published values.
+
+Parsing, overrides, validation and ``Scenario.to_dict`` all read the one
+table of top-level fields, ``_FIELDS``.
 """
 
 import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,38 +35,99 @@ class ScenarioError(ValueError):
     """Malformed scenario document; the message names the offending field."""
 
 
-def _need(d: dict, key: str, kind, where: str):
-    if key not in d:
-        raise ScenarioError(f"missing field '{where}.{key}'")
-    v = d[key]
-    if kind is float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioError(f"field '{where}.{key}' must be a number")
-        return float(v)
-    if kind is int:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ScenarioError(f"field '{where}.{key}' must be an integer")
-        return v
-    if kind is str:
-        if not isinstance(v, str):
-            raise ScenarioError(f"field '{where}.{key}' must be a string")
-        return v
-    if kind is list:
-        if not isinstance(v, list):
-            raise ScenarioError(f"field '{where}.{key}' must be a list")
-        return v
-    if kind is dict:
-        if not isinstance(v, dict):
-            raise ScenarioError(f"field '{where}.{key}' must be an object")
-        return v
-    raise AssertionError(kind)
+class _Dims(NamedTuple):
+    state: int
+    position: int
+    input: int
+
+
+_DIMS = {"quadrotor": _Dims(10, 3, 3), "fixedwing": _Dims(6, 2, 2)}
+_REQUIRED = object()
+_RULES = {float: "must be a number", int: "must be an integer", str: "must be a string",
+          list: "must be a list", dict: "must be an object"}
+
+
+def _as(kind: type, v):
+    """v as kind, or None if the JSON value has another type; tuple: two integer axes."""
+    if kind is tuple:
+        ok = isinstance(v, list) and len(v) == 2 and all(_as(int, a) is not None for a in v)
+        return tuple(v) if ok else None
+    if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+        return None
+    return float(v) if kind is float else v
+
+
+def _need(d: dict, key: str, kind: type, where: str, default=_REQUIRED, rule: str = ""):
+    """d[key] as kind; the default when key is absent, or null with a null default."""
+    if key not in d or d[key] is None and default is None:
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing field '{where}.{key}'")
+        return default
+    v = _as(kind, d[key])
+    if v is None:
+        raise ScenarioError(f"field '{where}.{key}' {rule or _RULES[kind]}")
+    return v
 
 
 def _vec(d: dict, key: str, n: int, where: str) -> np.ndarray:
     v = _need(d, key, list, where)
-    if len(v) != n or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+    if len(v) != n or any(_as(float, x) is None for x in v):
         raise ScenarioError(f"field '{where}.{key}' must be a list of {n} numbers")
     return np.asarray(v, dtype=float)
+
+
+class _Field(NamedTuple):
+    """A top-level field (path at most one block deep) and the Scenario
+    attribute it fills; check sees the attributes parsed before it."""
+
+    path: str
+    attr: str
+    kind: type
+    default: object = _REQUIRED
+    check: Callable = lambda v, got: True
+    rule: str = ""
+
+
+def _positive(v, got) -> bool:
+    return v > 0.0
+
+
+def _distinct_axes(dim: str):
+    return lambda v, got: (v[0] != v[1]
+                           and all(0 <= a < getattr(_DIMS[got["vehicle"]], dim) for a in v))
+
+
+_FIELDS = (
+    _Field("name", "name", str),
+    _Field("vehicle", "vehicle", str, _REQUIRED, lambda v, got: v in _DIMS,
+           "must be 'quadrotor' or 'fixedwing'"),
+    _Field("required_separation_m", "d", float, _REQUIRED, _positive, "must be a positive number"),
+    _Field("horizon_s", "horizon", float, _REQUIRED, _positive, "must be a positive number"),
+    _Field("grid_step_s", "grid_step", float, _REQUIRED, lambda v, got: 0.0 < v <= got["horizon"],
+           "must be a positive number of at most horizon_s"),
+    _Field("quad_steps", "quad_steps", int, 200, lambda v, got: v >= 16,
+           "must be an integer of at least 16"),
+    _Field("directions", "directions", int, 32),
+    _Field("plane", "plane", tuple, (0, 1), _distinct_axes("position"),
+           "must be two distinct integer axes of the position space"),
+    _Field("control_plane", "control_plane", tuple, (0, 1), _distinct_axes("input"),
+           "must be two distinct integer axes of the input space"),
+    _Field("part1_method", "method", str, "norm", lambda v, got: v in ("norm", "scaled"),
+           "must be 'norm' or 'scaled'"),
+    _Field("scalarization.k0", "k0", float, 1.0, _positive, "must be a positive number"),
+    _Field("scalarization.shrink", "shrink", float, 0.8, lambda v, got: 0.0 < v < 1.0,
+           "must be a number strictly between 0 and 1"),
+    _Field("scalarization.max_iters", "max_iters", int, 20, lambda v, got: v >= 1,
+           "must be an integer of at least 1"),
+    _Field("margins.part1_m", "margin1", float, None, rule="must be a number or null"),
+    _Field("margins.part2_m", "margin2", float, 0.0),
+)
+
+
+def field_error(attr: str, rule: str) -> ScenarioError:
+    """The error naming the document field behind Scenario attribute attr."""
+    path = next(f.path for f in _FIELDS if f.attr == attr)
+    return ScenarioError(f"field 'scenario.{path}' {rule}")
 
 
 @dataclass(frozen=True)
@@ -98,22 +163,13 @@ class Scenario:
     aircraft: tuple[AircraftConfig, AircraftConfig]
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "vehicle": self.vehicle,
-            "required_separation_m": self.d,
-            "horizon_s": self.horizon,
-            "grid_step_s": self.grid_step,
-            "quad_steps": self.quad_steps,
-            "directions": self.directions,
-            "plane": list(self.plane),
-            "control_plane": list(self.control_plane),
-            "part1_method": self.method,
-            "scalarization": {"k0": self.k0, "shrink": self.shrink,
-                              "max_iters": self.max_iters},
-            "margins": {"part1_m": self.margin1, "part2_m": self.margin2},
-            "aircraft": [],
-        }
+        out = {}
+        for f in _FIELDS:
+            *blocks, key = f.path.split(".")
+            node = out.setdefault(blocks[0], {}) if blocks else out
+            value = getattr(self, f.attr)
+            node[key] = list(value) if isinstance(value, tuple) else value
+        out["aircraft"] = []
         for ac in self.aircraft:
             entry = {
                 "id": ac.ident,
@@ -129,62 +185,42 @@ class Scenario:
         return out
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    name = _need(doc, "name", str, "scenario")
-    vehicle = _need(doc, "vehicle", str, "scenario")
-    if vehicle not in ("quadrotor", "fixedwing"):
-        raise ScenarioError("field 'scenario.vehicle' must be 'quadrotor' or 'fixedwing'")
-    d = _need(doc, "required_separation_m", float, "scenario")
-    if d <= 0.0:
-        raise ScenarioError("field 'scenario.required_separation_m' must be positive")
-    horizon = _need(doc, "horizon_s", float, "scenario")
-    grid_step = _need(doc, "grid_step_s", float, "scenario")
-    if grid_step <= 0.0:
-        raise ScenarioError("field 'scenario.grid_step_s' must be positive")
-    quad_steps = doc.get("quad_steps", 200)
-    if not isinstance(quad_steps, int) or isinstance(quad_steps, bool) or quad_steps < 16:
-        raise ScenarioError("field 'scenario.quad_steps' must be an integer of at least 16")
-    directions = doc.get("directions", 32)
-    pos_dim = 3 if vehicle == "quadrotor" else 2
-    plane = tuple(doc.get("plane", [0, 1]))
-    control_plane = tuple(doc.get("control_plane", [0, 1]))
-    method = doc.get("part1_method", "norm")
-    if method not in ("norm", "scaled"):
-        raise ScenarioError("field 'scenario.part1_method' must be 'norm' or 'scaled'")
-    scal = doc.get("scalarization", {})
-    k0 = float(scal.get("k0", 1.0))
-    shrink = float(scal.get("shrink", 0.8))
-    max_iters = int(scal.get("max_iters", 20))
-    margins = doc.get("margins", {})
-    margin1 = margins.get("part1_m", None)
-    margin1 = None if margin1 is None else float(margin1)
-    margin2 = float(margins.get("part2_m", 0.0))
+def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
+    """The validated scenario of a document.  overrides maps Scenario
+    attributes (k0, method, grid_step, ...) to values that replace the
+    document's; None means not given, and other keys are ignored."""
+    got, overrides = {}, overrides or {}
+    for f in _FIELDS:
+        *blocks, key = f.path.split(".")
+        node = _need(doc, blocks[0], dict, "scenario", {}) if blocks else doc
+        if overrides.get(f.attr) is not None:
+            node = {**node, key: overrides[f.attr]}
+        where = ".".join(["scenario", *blocks])
+        got[f.attr] = value = _need(node, key, f.kind, where, f.default, f.rule)
+        if value is not None and not f.check(value, got):
+            raise ScenarioError(f"field '{where}.{key}' {f.rule}")
+    dims = _DIMS[got["vehicle"]]
     planes = _need(doc, "aircraft", list, "scenario")
     if len(planes) != 2:
         raise ScenarioError("field 'scenario.aircraft' must list exactly two aircraft")
-    state_dim = 10 if vehicle == "quadrotor" else 6
     crafts = []
     for i, entry in enumerate(planes):
         where = f"aircraft[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError(f"field '{where}' must be an object")
         ident = _need(entry, "id", str, where)
-        position = _vec(entry, "initial_position_m", pos_dim, where)
-        velocity = _vec(entry, "initial_velocity_mps", pos_dim, where)
+        position = _vec(entry, "initial_position_m", dims.position, where)
+        velocity = _vec(entry, "initial_velocity_mps", dims.position, where)
         params = _need(entry, "params", dict, where)
         iset = _need(entry, "initial_set", dict, where)
         cset = _need(entry, "control_set", dict, where)
-        dist = None
-        if "disturbance_set" in entry:
-            dist = _vec(entry["disturbance_set"], "state_rate_radii", state_dim,
-                        f"{where}.disturbance_set")
+        dist = _need(entry, "disturbance_set", dict, where, None)
+        if dist is not None:
+            dist = _vec(dist, "state_rate_radii", dims.state, f"{where}.disturbance_set")
         crafts.append(AircraftConfig(ident, position, velocity, params, iset, cset, dist))
-    # validate vehicle-specific blocks by building them once
-    scenario = Scenario(name, vehicle, d, horizon, grid_step, quad_steps, directions,
-                        plane, control_plane, method, k0, shrink, max_iters,
-                        margin1, margin2, (crafts[0], crafts[1]))
+    scenario = Scenario(**got, aircraft=(crafts[0], crafts[1]))
+    # the vehicle-specific blocks are validated by building each spec once
     for i in range(2):
-        build_system(scenario, i)
         build_spec(scenario, i)
     return scenario
 
@@ -211,9 +247,8 @@ def builtin_scenario_path(name: str) -> Path:
 
 
 def position_projection(scenario: Scenario) -> np.ndarray:
-    n = 10 if scenario.vehicle == "quadrotor" else 6
-    k = 3 if scenario.vehicle == "quadrotor" else 2
-    return np.eye(n)[:k]
+    dims = _DIMS[scenario.vehicle]
+    return np.eye(dims.state)[:dims.position]
 
 
 def build_system(scenario: Scenario, i: int) -> LTISystem:
@@ -239,8 +274,8 @@ def build_system(scenario: Scenario, i: int) -> LTISystem:
     try:
         p = FixedWingParams(
             u_star=_need(ac.params, "airspeed_trim_mps", float, where),
-            theta_star=float(ac.params.get("pitch_trim_rad", 0.0)),
-            w_star=float(ac.params.get("heave_trim_mps", 0.0)),
+            theta_star=_need(ac.params, "pitch_trim_rad", float, where, 0.0),
+            w_star=_need(ac.params, "heave_trim_mps", float, where, 0.0),
             g=_need(ac.params, "gravity_mps2", float, where),
             **vals)
     except ValueError as exc:
@@ -254,35 +289,34 @@ def build_system(scenario: Scenario, i: int) -> LTISystem:
 def _initial_ellipsoid(scenario: Scenario, i: int) -> Ellipsoid:
     ac = scenario.aircraft[i]
     where = f"aircraft[{i}].initial_set"
+    pr = _need(ac.initial_set, "position_radius_m", float, where)
+    vr = _need(ac.initial_set, "velocity_radius_mps", float, where)
+    center = np.zeros(_DIMS[scenario.vehicle].state)
     if scenario.vehicle == "quadrotor":
-        pr = _need(ac.initial_set, "position_radius_m", float, where)
-        vr = _need(ac.initial_set, "velocity_radius_mps", float, where)
-        ar = float(ac.initial_set.get("attitude_radius_rad", 0.0))
-        rr = float(ac.initial_set.get("rate_radius_radps", 0.0))
-        center = np.zeros(10)
+        ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.0)
+        rr = _need(ac.initial_set, "rate_radius_radps", float, where, 0.0)
         center[0:3] = ac.position
         center[3:6] = ac.velocity
         radii = [pr] * 3 + [vr] * 3 + [ar] * 2 + [rr] * 2
         return Ellipsoid(center, np.diag(np.square(radii)))
-    pr = _need(ac.initial_set, "position_radius_m", float, where)
-    vr = _need(ac.initial_set, "velocity_radius_mps", float, where)
-    ar = float(ac.initial_set.get("attitude_radius_rad", 0.01))
+    ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.01)
     radii = [pr, pr, vr, vr, ar, ar]
     # fixed-wing states are deviations from trim; the cruise line lives in
     # the center offset, so the deviation set is centered at zero
-    return Ellipsoid(np.zeros(6), np.diag(np.square(radii)))
+    return Ellipsoid(center, np.diag(np.square(radii)))
 
 
 def _control_ellipsoid(scenario: Scenario, i: int) -> Ellipsoid:
     ac = scenario.aircraft[i]
     where = f"aircraft[{i}].control_set"
+    center = np.zeros(_DIMS[scenario.vehicle].input)
     if scenario.vehicle == "quadrotor":
         tr = _need(ac.control_set, "thrust_radius_n", float, where)
         qr = _need(ac.control_set, "torque_radius_nm", float, where)
-        return Ellipsoid(np.zeros(3), np.diag([tr**2, qr**2, qr**2]))
+        return Ellipsoid(center, np.diag([tr**2, qr**2, qr**2]))
     er = _need(ac.control_set, "elevator_radius_rad", float, where)
     tr = _need(ac.control_set, "throttle_radius", float, where)
-    return Ellipsoid(np.zeros(2), np.diag([er**2, tr**2]))
+    return Ellipsoid(center, np.diag([er**2, tr**2]))
 
 
 def build_nominal(scenario: Scenario, i: int) -> NominalTrajectory:
@@ -299,10 +333,10 @@ def build_nominal(scenario: Scenario, i: int) -> NominalTrajectory:
         x0 = _initial_ellipsoid(scenario, i).center
         return propagate_nominal(lambda t, x, u: sys.A @ x, x0, [],
                                  scenario.horizon, scenario.grid_step)
-    rate = np.zeros(6)
+    x0 = np.zeros(_DIMS[scenario.vehicle].state)
+    rate = np.zeros_like(x0)
     rate[0] = ac.velocity[0]
     rate[1] = ac.velocity[1]
-    x0 = np.zeros(6)
     x0[0:2] = ac.position
     x0[2] = abs(ac.velocity[0])
     if ac.velocity[0] < 0.0:

@@ -13,7 +13,7 @@ Infeasibility of phase two sends the scalarization loop back to phase one
 with a smaller k.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -360,7 +360,7 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         except InfeasibleProblemError as exc:
             diagnostics.append({"k": k, "outcome": f"phase one infeasible: {exc.constraint}"})
             raise JointInfeasibilityError(diagnostics) from exc
-        safeB = safe_set(specB.with_control(solB.control_set()), geom.tau, geom.d,
+        safeB = safe_set(replace(specB, U=solB.control_set()), geom.tau, geom.d,
                          geom.l_star, P)
         try:
             solA = solve_part2(specA, safeB, geom, specA.U, P, margin=margin2)

@@ -5,6 +5,7 @@ two bundled scenarios are exercised through the library API at full fidelity
 (quad_steps 200, verification grid step 0.1 s).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -39,7 +40,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def run_scenario(name: str, k0=None):
     scen = load_scenario(builtin_scenario_path(name))
     if k0 is not None:
-        import dataclasses
         scen = dataclasses.replace(scen, k0=k0)
     P = position_projection(scen)
     nomA, nomB = build_nominal(scen, 0), build_nominal(scen, 1)
@@ -51,11 +51,11 @@ def run_scenario(name: str, k0=None):
         shrink=scen.shrink, margin1=scen.margin1, margin2=scen.margin2,
         max_iters=scen.max_iters)
     loop_s = time.time() - t0
-    shrunkA = specA.with_control(solA.control_set())
-    shrunkB = specB.with_control(solB.control_set())
+    shrunkA = dataclasses.replace(specA, U=solA.control_set())
+    shrunkB = dataclasses.replace(specB, U=solB.control_set())
     t_grid = np.arange(0.0, scen.horizon + 1e-9, scen.grid_step)
     t0 = time.time()
-    seps = np.array([separation(shrunkA, shrunkB, t, P)[0] for t in t_grid])
+    seps = np.array([separation(shrunkA, shrunkB, t, P).value for t in t_grid])
     verify_s = time.time() - t0
     return dict(scen=scen, P=P, geom=geom, specA=specA, specB=specB,
                 solA=solA, solB=solB, k_used=k_used, shrunkA=shrunkA,
@@ -108,7 +108,7 @@ def test_criterion_2_initial_overlap():
         P = position_projection(scen)
         geom = estimate_encounter(build_nominal(scen, 0), build_nominal(scen, 1),
                                   P, scen.d)
-        sep0, _ = separation(build_spec(scen, 0), build_spec(scen, 1), geom.tau, P)
+        sep0 = separation(build_spec(scen, 0), build_spec(scen, 1), geom.tau, P).value
         outcomes.append((name, sep0, scen.d))
     elapsed = time.time() - t0
     ok = all(s < d for _, s, d in outcomes) and elapsed < 30.0

@@ -214,6 +214,58 @@ def test_sym_vec_roundtrip():
     assert np.allclose(vec_to_sym(sym_to_vec(M), 4), M)
 
 
+def _loop_placement(F, block, kind, row0, col0, coeff, R):
+    """Reference: the entry-by-entry loops the placement methods replaced."""
+    m = block.size
+    if kind == "vector":
+        for k in range(m):
+            F[block.offset + k, row0, col0 + k] += coeff
+            F[block.offset + k, col0 + k, row0] += coeff
+        return
+    for k, (a, b) in enumerate([(a, b) for a in range(m) for b in range(a, m)]):
+        i = block.offset + k
+        if kind == "symmetric":
+            F[i, row0 + a, col0 + b] += coeff
+            if a != b:
+                F[i, row0 + b, col0 + a] += coeff
+            if row0 != col0:
+                F[i, col0 + b, row0 + a] += coeff
+                if a != b:
+                    F[i, col0 + a, row0 + b] += coeff
+        else:
+            C = np.zeros((m, R.shape[1]))
+            C[a] += coeff * R[b]
+            if a != b:
+                C[b] += coeff * R[a]
+            F[i, row0:row0 + m, col0:col0 + R.shape[1]] += C
+            F[i, col0:col0 + R.shape[1], row0:row0 + m] += C.T
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_placement_matches_entry_loops(seed):
+    # the basis writes give the loops' F tensors bit for bit, so every
+    # solver iterate stays the same
+    rng = np.random.default_rng(seed)
+    m, dim = int(rng.integers(1, 4)), 9
+    p = BarrierProblem()
+    q, Q = p.add_vector_var("q", m), p.add_symmetric_var("Q", m)
+    expr = p.new_psd_constraint(dim, "G")
+    F = np.zeros_like(expr.F)
+    for kind in rng.choice(["vector", "symmetric", "rmul"], size=6):
+        coeff = float(rng.choice([1.0, -1.0, rng.standard_normal()]))
+        row0 = int(rng.integers(0, dim - m + 1))
+        col0 = row0 if rng.random() < 0.3 else int(rng.integers(0, dim - m + 1))
+        R = rng.standard_normal((m, int(rng.integers(1, dim - col0 + 1))))
+        if kind == "vector":
+            expr.add_vector(q, row0, col0, coeff)
+        elif kind == "symmetric":
+            expr.add_symmetric(Q, row0, col0, coeff)
+        else:
+            expr.add_symmetric_rmul(Q, row0, col0, R, coeff)
+        _loop_placement(F, q if kind == "vector" else Q, kind, row0, col0, coeff, R)
+    assert np.array_equal(expr.F, F)
+
+
 @settings(max_examples=200, deadline=None)
 @given(which=st.sampled_from(["scaled_toy", "norm_toy"]),
        unit=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -112,7 +113,7 @@ def test_tubes_csv_matches_reach_support(quad_run):
         name, t, _, dx, dy, dz, value = row.split(",")
         i = "AB".index(name)
         Q = np.array(sol[name]["Q"])
-        spec = build_spec(scen, i).with_control(Ellipsoid(np.array(sol[name]["q"]), Q @ Q))
+        spec = dataclasses.replace(build_spec(scen, i), U=Ellipsoid(np.array(sol[name]["q"]), Q @ Q))
         l = np.array([float(dx), float(dy), float(dz)])
         assert float(value) == pytest.approx(reach_support(spec, float(t), P.T @ l), rel=1e-8)
 
@@ -213,12 +214,39 @@ def test_exit_three_on_schema_error(tmp_path, capsys):
     (["--grid-step", "0"], "grid_step_s"),
     (["--grid-step", "-0.5"], "grid_step_s"),
     (["--quad-steps", "4"], "quad_steps"),
+    (["--k", "0"], "scalarization.k0"),
+    (["--k", "-1"], "scalarization.k0"),
+    (["--grid-step", "9"], "grid_step_s"),  # longer than the 4 s horizon
 ])
 def test_cli_invalid_overrides_exit_three(tmp_path, capsys, flags, field):
     code = main(["run", str(builtin_scenario_path("quadrotor_pair")),
                  "--out", str(tmp_path / "out"), *flags])
     assert code == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("directions", "many"),
+    ("plane", [0, 7]),
+    ("control_plane", [0, 9]),
+    ("scalarization.k0", "big"),
+    ("scalarization.k0", -1),
+    ("scalarization.shrink", 1.5),
+    ("scalarization", [1]),
+    ("scalarization.max_iters", 0),
+    ("margins.part2_m", "x"),
+    ("horizon_s", -1),
+])
+def test_malformed_top_level_field_exits_three(tmp_path, capsys, path, value):
+    # every top-level field is checked before any work: none raises, none
+    # reads as infeasible, and the message names the field
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    *blocks, key = path.split(".")
+    (doc[blocks[0]] if blocks else doc)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(bad, tmp_path / "out", {"plots": True}) == 3
+    assert f"'scenario.{path}'" in capsys.readouterr().err
 
 
 def test_scenario_quad_steps_validated(tmp_path, capsys):
@@ -252,6 +280,17 @@ def test_scenario_roundtrip():
         assert a1.params == a2.params
         assert a1.initial_set == a2.initial_set
         assert a1.control_set == a2.control_set
+    # a document that leaves out every defaulted field reads the defaults,
+    # and writes them out so that they read back the same
+    doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
+    for key in ["quad_steps", "directions", "plane", "control_plane", "part1_method",
+                "scalarization", "margins"]:
+        del doc[key]
+    s3 = scenario_from_dict(doc)
+    assert (s3.quad_steps, s3.directions, s3.plane, s3.control_plane, s3.method,
+            s3.k0, s3.shrink, s3.max_iters, s3.margin1, s3.margin2) == (
+        200, 32, (0, 1), (0, 1), "norm", 1.0, 0.8, 20, None, 0.0)
+    assert scenario_from_dict(s3.to_dict()).to_dict() == s3.to_dict()
 
 
 def test_empty_direction_set_warns(tmp_path, capsys):

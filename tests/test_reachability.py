@@ -123,7 +123,7 @@ def test_support_monotone_in_control_scaling():
     spec = quadrotor_spec(quad_steps=64)
     rng = np.random.default_rng(12)
     for r in [0.9, 0.5, 0.1, 0.0]:
-        shrunk = spec.with_control(Ellipsoid(spec.U.center, r**2 * spec.U.shape))
+        shrunk = dataclasses.replace(spec, U=Ellipsoid(spec.U.center, r**2 * spec.U.shape))
         for _ in range(5):
             l = rng.standard_normal(10)
             assert reach_support(shrunk, 4.0, l) <= reach_support(spec, 4.0, l) + 1e-12
@@ -482,16 +482,15 @@ def test_support_gradient_is_the_touching_point(make_spec):
 def test_separation_static_balls():
     specA = static_ball_spec([0.0, 0.0, 0.0], 1.0)
     specB = static_ball_spec([5.0, 0.0, 0.0], 1.0)
-    dist, l_star = separation(specA, specB, 2.0, np.eye(3))
-    assert dist == pytest.approx(3.0, abs=1e-6)
-    assert np.allclose(np.abs(l_star), [1.0, 0.0, 0.0], atol=1e-6)
+    sep = separation(specA, specB, 2.0, np.eye(3))
+    assert sep.value == pytest.approx(3.0, abs=1e-6)
+    assert np.allclose(np.abs(sep.direction), [1.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_separation_identical_specs_overlap():
     spec = quadrotor_spec(quad_steps=64)
     P = np.eye(10)[:3]
-    dist, _ = separation(spec, spec, 2.0, P)
-    assert dist <= 0.0
+    assert separation(spec, spec, 2.0, P).value <= 0.0
 
 
 def test_separation_shifted_quadrotors():
@@ -500,10 +499,10 @@ def test_separation_shifted_quadrotors():
     c[1] += 100.0  # far away in y
     b = ReachSpec(a.system, Ellipsoid(c, a.X0.shape), a.U, a.horizon, quad_steps=64)
     P = np.eye(10)[:3]
-    dist, l_star = separation(a, b, 4.0, P)
+    sep = separation(a, b, 4.0, P)
     # sets are far apart; the gap direction is y
-    assert dist > 1.0
-    assert abs(l_star[1]) > 0.99
+    assert sep.value > 1.0
+    assert abs(sep.direction[1]) > 0.99
 
 
 coords = st.floats(-50.0, 50.0)
@@ -713,7 +712,8 @@ def shrunk_fast_pair(name):
         specA, specB, geom, P, method=scen.method, k0=scen.k0, shrink=scen.shrink,
         margin1=scen.margin1, margin2=scen.margin2, max_iters=scen.max_iters)
     t_grid = np.arange(0.0, scen.horizon + 1e-9, scen.grid_step)
-    return specA.with_control(solA.control_set()), specB.with_control(solB.control_set()), P, t_grid
+    return (dataclasses.replace(specA, U=solA.control_set()),
+            dataclasses.replace(specB, U=solB.control_set()), P, t_grid)
 
 
 @pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])

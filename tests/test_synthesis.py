@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -381,7 +382,7 @@ def test_safe_set_support_matches_reach_support():
     _, specB, geom = quad_pair()
     c = part1_constants(specB, geom)
     sol = solve_matrix_norm(c, geom, specB.U, 1.0, margin=0.5)
-    shrunk = specB.with_control(sol.control_set())
+    shrunk = dataclasses.replace(specB, U=sol.control_set())
     l_pos = P3 @ geom.l_star
     for d in [0.0, 1.0]:
         s = safe_set(shrunk, geom.tau, d, geom.l_star, P3)
@@ -393,7 +394,7 @@ def test_safe_set_contains_inflated_samples():
     _, specB, geom = quad_pair()
     c = part1_constants(specB, geom)
     sol = solve_matrix_norm(c, geom, specB.U, 1.0, margin=0.5)
-    shrunk = specB.with_control(sol.control_set())
+    shrunk = dataclasses.replace(specB, U=sol.control_set())
     d = 1.0
     s = safe_set(shrunk, geom.tau, d, geom.l_star, P3)
     t_grid = np.linspace(0.0, geom.tau, 41)
@@ -423,10 +424,10 @@ def test_part2_certifies_tau_separation():
     specA, specB, geom = quad_pair()
     c = part1_constants(specB, geom)
     solB = solve_matrix_norm(c, geom, specB.U, 1.0, margin=0.5)
-    shrunkB = specB.with_control(solB.control_set())
+    shrunkB = dataclasses.replace(specB, U=solB.control_set())
     sB = safe_set(shrunkB, geom.tau, geom.d, geom.l_star, P3)
     solA = solve_part2(specA, sB, geom, specA.U, P3)
-    shrunkA = specA.with_control(solA.control_set())
+    shrunkA = dataclasses.replace(specA, U=solA.control_set())
     lo_A = -reach_support(shrunkA, geom.tau, -geom.l_star)
     hi_B = reach_support(shrunkB, geom.tau, geom.l_star)
     assert lo_A - hi_B >= geom.d - 1e-6
