@@ -7,6 +7,7 @@ from .convex import (
     SolveResult,
     solve,
 )
+from .distance import Separation, separation, separations
 from .dynamics import (
     FixedWingParams,
     LTISystem,
@@ -28,12 +29,10 @@ from .ellipsoid import (
 from .reachability import (
     ReachSpec,
     ReachTube,
-    Separation,
     reach_point,
     reach_polytope_outer,
     reach_support,
     reach_tube,
-    separation,
 )
 from .scenario import Scenario, ScenarioError, builtin_scenario_path, load_scenario
 from .synthesis import (

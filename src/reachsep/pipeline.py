@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .montecarlo import sample_trajectories
-from .reachability import ReachSpec, disturbance_contribution, reach_tube, separation
+from .distance import separation, separations
+from .reachability import ReachSpec, disturbance_contribution, reach_tube
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -243,6 +244,10 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     specA = build_spec(scenario, 0)
     specB = build_spec(scenario, 1)
+    sysA, sysB = specA.system, specB.system
+    if np.array_equal(sysA.A, sysB.A) and np.array_equal(sysA.B, sysB.B):
+        # equal dynamics: B's sets use A's system, and with it its grids
+        specB = dataclasses.replace(specB, system=sysA)
     t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
     dirs = plane_directions(scenario, pos_dim)
     state_dirs = dirs @ P
@@ -320,7 +325,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     _write_tubes_csv(out / "tubes.csv", dirs, tubes)
 
     sep_lines = ["t_s,separation_m," + ",".join(f"l_{c}" for c in "xyz"[:pos_dim])]
-    seps = [separation(shrunkA, shrunkB, t, P) for t in t_grid]
+    seps = separations(shrunkA, shrunkB, t_grid, P)
     sep_lines += [f"{_fmt(t)},{_fmt(sep.value)}," + ",".join(_fmt(v) for v in sep.direction)
                   for t, sep in zip(t_grid, seps)]
     (out / "separation.csv").write_text("\n".join(sep_lines) + "\n")

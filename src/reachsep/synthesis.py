@@ -296,7 +296,7 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     l_star = np.asarray(l_star, dtype=float)
     l_pos = P @ l_star
     g = _grid_for(spec_shrunk, t)
-    Phi0 = g.Phi[0]
+    Phi0 = g.Phi0
     center = P @ (Phi0 @ spec_shrunk.X0.center
                   + g.simpson_w @ (g.PhiB @ spec_shrunk.U.center)
                   + spec_shrunk.offset_at(t))

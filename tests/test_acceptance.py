@@ -16,7 +16,8 @@ from reachsep.dynamics import LTISystem
 from reachsep.ellipsoid import Ellipsoid, containment_block, psd_sqrt
 from reachsep.montecarlo import sample_trajectories
 from reachsep.pipeline import plane_directions
-from reachsep.reachability import ReachSpec, reach_support, separation
+from reachsep.distance import separation
+from reachsep.reachability import ReachSpec, reach_support
 from reachsep.scenario import (
     build_nominal,
     build_spec,

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import reachsep
-from reachsep import pipeline, reachability
+from reachsep import distance, pipeline, reachability
 from reachsep.cli import main
 from reachsep.ellipsoid import Ellipsoid
 from reachsep.pipeline import SEP_TOL, run
 from reachsep.plots import MissingArtifactError, emit_plots
-from reachsep.reachability import GAP_REL, reach_support
+from reachsep.distance import GAP_REL
+from reachsep.reachability import reach_support
 from reachsep.scenario import (
     ScenarioError,
     build_spec,
@@ -132,7 +133,7 @@ def test_verification_artifact(quad_run):
 def test_iteration_cap_recorded_as_uncertified(quad_run, tmp_path, monkeypatch, capsys):
     # with no steps allowed every grid time returns its first lower bound,
     # uncertified; a lower bound alone cannot verify the run
-    monkeypatch.setattr(reachability, "MNP_MAX_ITERS", 0)
+    monkeypatch.setattr(distance, "MNP_MAX_ITERS", 0)
     code = run(builtin_scenario_path("quadrotor_pair"), tmp_path, {**FAST, "grid_step": 2.0})
     assert code == 2
     ver = json.loads((tmp_path / "verification.json").read_text())
@@ -334,19 +335,24 @@ def test_python_dash_m_runs_without_install(tmp_path):
 
 @pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
 def test_grids_shared_per_system(name, tmp_path, monkeypatch):
-    # every spec of one aircraft shares its system's grids: at most one
-    # per output time for each aircraft
-    builds = []
-    init = reachability._Grid.__init__
+    # every spec of one aircraft shares its system's grids, and the quad
+    # pair's equal dynamics share one system: each output time is built
+    # once per distinct system, counted at the batched build
+    built = []
+    build = reachability._build_grids
 
-    def counting_init(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
+    def counting_build(system, times, n_steps):
+        built.extend(times)
+        return build(system, times, n_steps)
 
-    monkeypatch.setattr(reachability._Grid, "__init__", counting_init)
+    monkeypatch.setattr(reachability, "_build_grids", counting_build)
     assert run(builtin_scenario_path(name), tmp_path, FAST) == 0
     n_times = len((tmp_path / "separation.csv").read_text().splitlines()) - 1
-    assert len(builds) <= 2 * n_times
+    assert n_times > 0
+    if name == "quadrotor_pair":
+        assert len(built) == n_times
+    else:
+        assert len(built) <= 2 * n_times
 
 
 def test_benchmark_trace_wraps_resolve():

@@ -6,24 +6,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from reachsep import reachability
-from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
+from reachsep import distance, reachability
+from reachsep.dynamics import (
+    LTISystem,
+    NominalTrajectory,
+    QuadrotorParams,
+    expm,
+    quadrotor_linearized,
+)
 from reachsep.ellipsoid import Ellipsoid, support
 from reachsep.montecarlo import discretize, sample_trajectories
-from reachsep.reachability import (
+from reachsep.distance import (
     GAP_REL,
-    VANISH_REL,
-    ReachSpec,
     _min_norm_point,
     _oracle,
     _Polytope,
+    _project,
+    separation,
+    separations,
+)
+from reachsep.reachability import (
+    VANISH_REL,
+    ReachSpec,
     _touching_points,
     disturbance_contribution,
     reach_point,
     reach_polytope_outer,
     reach_support,
     reach_tube,
-    separation,
     support_gradient,
 )
 from reachsep.scenario import (
@@ -505,6 +515,20 @@ def test_separation_shifted_quadrotors():
     assert abs(sep.direction[1]) > 0.99
 
 
+def projected(specA, specB, times, P):
+    """Both specs' sets at the given times, seen through P: the oracle's input."""
+    return _project(specA, times, P), _project(specB, times, P)
+
+
+def full_state_oracle(specA, specB, t, P, l):
+    """g(l) and s at one time and direction from support_gradient, the
+    full-state kernel: the oracle before the Gram stacks, kept as their
+    reference."""
+    vA, xA = support_gradient(specA, t, -(P.T @ l))
+    vB, xB = support_gradient(specB, t, P.T @ l)
+    return -vA - vB, P @ xA - P @ xB
+
+
 coords = st.floats(-50.0, 50.0)
 
 
@@ -527,7 +551,7 @@ def test_separation_static_balls_property(center, axis, radii, clearance):
     assert sep.value == pytest.approx(dist, abs=1e-9 * max(1.0, dist))
     # l points from B to A along the centre line
     assert np.allclose(sep.direction, (cA - cB) / np.linalg.norm(cA - cB), atol=1e-6)
-    lower, z, _, _, closed = _min_norm_point(specA, specB, 2.0, np.eye(3))
+    (lower,), (z,), _, _, (closed,) = _min_norm_point(*projected(specA, specB, [2.0], np.eye(3)))
     upper = np.linalg.norm(z)
     assert closed and upper - lower <= GAP_REL * max(1.0, upper)
     slack = 1e-12 * max(1.0, dist)
@@ -589,7 +613,7 @@ def reference_sphere_ascent(specA, specB, t, P):
         starts.append(v / np.linalg.norm(v))
     best_val, best_l, best_s = -np.inf, None, None
     for l in starts[:8]:
-        val, grad = _oracle(specA, specB, t, P, l)
+        val, grad = full_state_oracle(specA, specB, t, P, l)
         for _ in range(200):
             tangent = grad - (grad @ l) * l
             tnorm = np.linalg.norm(tangent)
@@ -600,7 +624,7 @@ def reference_sphere_ascent(specA, specB, t, P):
             while step > 1e-14:
                 cand = l + step * tangent / max(tnorm, 1.0)
                 cand /= np.linalg.norm(cand)
-                cval, cgrad = _oracle(specA, specB, t, P, cand)
+                cval, cgrad = full_state_oracle(specA, specB, t, P, cand)
                 if cval > val + 1e-14:
                     l, val, grad = cand, cval, cgrad
                     improved = True
@@ -672,33 +696,145 @@ def test_separation_zero_value_cases(make_pair, P):
     assert_brackets(separation(specA, specB, 2.0, P), 0.0)
 
 
+def growing_ball_spec(center, radius, rate, horizon=4.0):
+    # A = 0, B = I and a ball control set: a ball whose radius grows at rate
+    sys = LTISystem(np.zeros((3, 3)), np.eye(3))
+    return ReachSpec(sys, Ellipsoid.ball(center, radius), Ellipsoid.ball(np.zeros(3), rate),
+                     horizon, quad_steps=16)
+
+
 @pytest.mark.parametrize("offset", [3.0, 1.5], ids=["apart", "overlapping"])
-def test_every_oracle_call_goes_through_support_gradient(offset, monkeypatch):
-    # the benchmark trace counts reachability.gradient_calls by wrapping this
-    # module attribute, so both oracle sides must look it up there
-    gradient_calls, oracle_calls = [], []
-    gradient, oracle = reachability.support_gradient, reachability._oracle
-    monkeypatch.setattr(reachability, "support_gradient",
-                        lambda *a: gradient_calls.append(1) or gradient(*a))
-    monkeypatch.setattr(reachability, "_oracle",
-                        lambda *a: oracle_calls.append(1) or oracle(*a))
-    specA = static_ball_spec([0.0, 0.0, 0.0], 1.0)
+def test_every_oracle_value_is_a_support_value(offset, monkeypatch):
+    # the Gram oracle feeds the minimum-norm point and the inner hull; every
+    # g(l) and s it gives them, at every time of a batch, is the support
+    # pair of the full-state kernel, and each value is the best g at its time
+    calls = []
+    oracle = distance._oracle
+
+    def recording(A, B, l):
+        g, s = oracle(A, B, l)
+        calls.append((A.times, l, g, s))
+        return g, s
+
+    monkeypatch.setattr(distance, "_oracle", recording)
+    specA = growing_ball_spec([0.0, 0.0, 0.0], 1.0, 0.5)
     specB = static_ball_spec(offset * OFF_AXIS, 1.0)
-    assert separation(specA, specB, 2.0, np.eye(3)).certified
-    assert len(oracle_calls) > 0
-    assert len(gradient_calls) == 2 * len(oracle_calls)
+    times = [0.0, 0.5, 1.0]
+    seps = separations(specA, specB, times, np.eye(3))
+    assert all(sep.certified for sep in seps)
+    seen = {t: [] for t in times}
+    for rows in calls:
+        for t, l, g, s in zip(*rows):
+            g_ref, s_ref = full_state_oracle(specA, specB, t, np.eye(3), l)
+            assert abs(g - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
+            assert np.linalg.norm(s - s_ref) <= 1e-12 * max(1.0, np.linalg.norm(s_ref))
+            seen[t].append(g)
+    for t, sep in zip(times, seps):
+        assert sep.value == max(seen[t])
+        assert sep.value == pytest.approx(offset - 2.0 - 0.5 * t, abs=1e-12)
 
 
 def test_separation_iteration_cap_falls_back_uncertified(monkeypatch):
     specA = static_ball_spec([0.0, 0.0, 0.0], 1.0)
     specB = static_ball_spec(3.0 * OFF_AXIS, 1.0)
-    monkeypatch.setattr(reachability, "MNP_MAX_ITERS", 1)
-    lower, _, _, _, closed = _min_norm_point(specA, specB, 2.0, np.eye(3))
+    monkeypatch.setattr(distance, "MNP_MAX_ITERS", 1)
+    (lower,), _, _, _, (closed,) = _min_norm_point(*projected(specA, specB, [2.0], np.eye(3)))
     assert not closed
     sep = separation(specA, specB, 2.0, np.eye(3))
     # the capped run returns its best lower bound on the distance, 1 m
     assert not sep.certified
     assert lower <= sep.value <= 1.0
+
+
+def test_one_capped_time_leaves_the_others_certified(monkeypatch):
+    # B's point passes A's growing ball along x at t = 1 and 3, where the
+    # first direction is already the answer, and off every axis at t = 2,
+    # which needs more steps than the cap allows
+    A = growing_ball_spec([0.0, 0.0, 0.0], 0.5, 0.5)
+    path = np.array([[4.0, 0.0, 0.0], [4.0, 0.0, 0.0], 4.0 * OFF_AXIS, [4.0, 0.0, 0.0],
+                     [4.0, 0.0, 0.0]])
+    B = ReachSpec(LTISystem(np.zeros((3, 3)), np.zeros((3, 1))), Ellipsoid.point(np.zeros(3)),
+                  Ellipsoid.point([0.0]), 4.0,
+                  center_offset=NominalTrajectory(np.linspace(0.0, 4.0, 5), path))
+    times = [1.0, 2.0, 3.0]
+    monkeypatch.setattr(distance, "MNP_MAX_ITERS", 3)
+    seps = separations(A, B, times, np.eye(3))
+    assert [sep.certified for sep in seps] == [True, False, True]
+    assert seps[0].value == pytest.approx(3.0, abs=1e-12)
+    assert seps[2].value == pytest.approx(2.0, abs=1e-12)
+    # the capped time returns a lower bound on its distance, 2.5 m
+    assert 2.0 < seps[1].value <= 2.5
+    for t, sep in zip(times, seps):
+        assert_same_bits(separation(A, B, t, np.eye(3)), sep)
+
+
+def assert_same_bits(sep, other):
+    assert (sep.value, sep.certified, sep.gap) == (other.value, other.certified, other.gap)
+    assert np.array_equal(sep.direction, other.direction)
+
+
+def unit_rows(X):
+    return X / np.linalg.norm(X, axis=1)[:, None]
+
+
+def flat_across(spec, P, l0, rng):
+    """spec with X0 flattened across P'l0, so that at t = 0 the oracle's
+    direction l0 sees it edge-on."""
+    n = spec.system.state_dim
+    nu = P.T @ l0 / np.linalg.norm(P.T @ l0)
+    Q = np.eye(n) - np.outer(nu, nu)
+    R0 = rng.standard_normal((n, n))
+    return dataclasses.replace(spec, X0=Ellipsoid(spec.X0.center, Q @ R0 @ R0.T @ Q))
+
+
+def random_pair(seed, n, m, k, with_V, with_offset, flat_X0):
+    """Two random specs, a k-axis position projection and a direction l0
+    that sees A's X0 edge-on at t = 0 when flat_X0."""
+    rng = np.random.default_rng(seed)
+    m = min(m, n - 1)
+    specA = random_spec(rng, n, m, with_V, with_offset, flat_U=False)
+    specB = random_spec(rng, n, m, with_V, with_offset, flat_U=False)
+    P = np.eye(n)[rng.permutation(n)[:k]]
+    l0 = unit_rows(rng.standard_normal((1, k)))[0]
+    if flat_X0:
+        specA = flat_across(specA, P, l0, rng)
+    return specA, specB, P, l0, rng
+
+
+# m >= 2 and a full-rank U: a single input channel crosses zero along the
+# grid, and at a node next to the crossing q = <l, G l> keeps only
+# eps |G| / q of its digits (the full-state <w, M w>, eps |S| / |w|), which
+# moved a touching point by 5e-8 (seed 8055, n = 3, m = 1, k = 2)
+pair_cases = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5), m=st.integers(2, 3),
+                  k=st.sampled_from([2, 3]), with_V=st.booleans(), with_offset=st.booleans(),
+                  flat_X0=st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**pair_cases)
+def test_gram_oracle_matches_support_gradient(seed, n, m, k, with_V, with_offset, flat_X0):
+    specA, specB, P, l0, rng = random_pair(seed, n, m, k, with_V, with_offset, flat_X0)
+    times = [0.0, rng.uniform(0.1, specA.horizon), specA.horizon]
+    rows = [(t, l) for t in times for l in [l0, *unit_rows(rng.standard_normal((3, k)))]]
+    g, s = _oracle(*projected(specA, specB, [t for t, _ in rows], P),
+                   np.array([l for _, l in rows]))
+    for (t, l), g_t, s_t in zip(rows, g, s):
+        vA, xA = support_gradient(specA, t, -(P.T @ l))
+        vB, xB = support_gradient(specB, t, P.T @ l)
+        assert abs(g_t - (-vA - vB)) <= 1e-12 * max(1.0, abs(vA), abs(vB))
+        scale = max(1.0, np.linalg.norm(P @ xA), np.linalg.norm(P @ xB))
+        assert np.linalg.norm(s_t - (P @ xA - P @ xB)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(**pair_cases)
+def test_separation_alone_equals_batched(seed, n, m, k, with_V, with_offset, flat_X0):
+    # no coupling between the times of a batch: each comes out bit for bit
+    # as it does verified alone
+    specA, specB, P, _, rng = random_pair(seed, n, m, k, with_V, with_offset, flat_X0)
+    times = [0.0, *np.sort(rng.uniform(0.0, specA.horizon, 3)), specA.horizon]
+    for t, sep in zip(times, separations(specA, specB, times, P)):
+        assert_same_bits(separation(specA, specB, t, P), sep)
 
 
 def shrunk_fast_pair(name):
@@ -723,6 +859,50 @@ def test_certified_separation_dominates_ascent(name):
         sep = separation(A, B, t, P)
         assert sep.certified, t
         assert sep.value >= reference_sphere_ascent(A, B, t, P)[0] - 1e-9, t
+
+
+# ---------------------------------------------------------------- quadrature grids
+
+
+def reference_grid(system, t, n_steps):
+    """(h, s, Phi, PhiB, simpson_w) of one time built alone, by the per-time
+    recursion the batched build replaced.  Kept as its reference."""
+    n_steps = n_steps + n_steps % 2 if t > 0.0 else 0
+    h = t / max(n_steps, 1)
+    E = expm(system.A, h)
+    n = system.state_dim
+    Phi = np.empty((n_steps + 1, n, n))
+    Phi[n_steps] = np.eye(n)
+    for i in range(n_steps - 1, -1, -1):
+        Phi[i] = E @ Phi[i + 1]
+    w = np.ones(n_steps + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return h, np.linspace(0.0, t, n_steps + 1), Phi, Phi @ system.B, w * (h / 3.0)
+
+
+@pytest.mark.parametrize("quad_steps", [64, 33], ids=["even", "odd"])
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_batched_grids_match_per_time_build(name, quad_steps):
+    spec = dataclasses.replace(build_spec(load_scenario(builtin_scenario_path(name)), 0),
+                               quad_steps=quad_steps)
+    H = spec.horizon
+    cached = reachability._grid_for(spec, 0.45 * H)
+    times = [0.0, 0.2 * H, 0.45 * H, 0.7 * H, H]
+    grids = reachability._grids_for(spec, times)
+    assert grids[2] is cached
+    for t, g in zip(times, grids):
+        h, s, Phi, PhiB, w = reference_grid(spec.system, t, quad_steps)
+        assert g.h == h
+        # Phi is rebuilt on first use, from the step the batch used
+        for got, want in [(g.s, s), (g.Phi0, Phi[0]), (g.PhiB, PhiB), (g.simpson_w, w),
+                          (g.Phi, Phi)]:
+            assert got.shape == want.shape and np.array_equal(got, want)
+    # the times built together are views into one stack each
+    for attr in ["E", "Phi0", "PhiB"]:
+        bases = [getattr(g, attr).base for g in grids[1:]]
+        assert bases[0] is bases[2] is bases[3] is not None
+        assert bases[1] is not bases[0]  # the cached time's own batch
 
 
 # ---------------------------------------------------------------- inner-hull polytope
