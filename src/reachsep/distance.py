@@ -4,119 +4,25 @@ The separation of A_t and B_t seen through P is the distance from 0 to
 C = P(A_t) - P(B_t), found as a minimum-norm point from touching points
 alone: Gilbert's iteration gives an upper bound, the support values a lower
 bound, and the search stops on their duality gap.  Its directions l lie in
-the k-dim position space, so its oracle reads each set through projected
-Gram stacks of the support kernel's terms (reachsep.reachability),
-G_i = (P S_i) M (P S_i)' (k x k): q_i = <l, G_i l> and the projected
-response G_i l / sqrt(q_i), under the same panel and vanish rules, with the
-center terms summed once per time.  The searches of all grid times run in
-lockstep on (T, k, k, N+1) stacks, one oracle call per step for the times
-still open.  Touching or overlapping sets, where the signed value is a
-nonconvex problem, go to an expanding inner hull of the touching points, a
-polytope grown one point at a time: the depth of its nearest facet bounds
-the penetration depth from below, so the signed value gets a duality gap
-too.
+the k-dim position space, so its oracle reads each set through the support
+kernel's projected view (reachsep.reachability._project): a center per
+time and k x k Gram node stacks, whose response at l is the projected
+touching point.  The searches of all grid times run in lockstep on those
+stacks, one oracle call per step for the times still open.  Touching or
+overlapping sets, where the signed value is a nonconvex problem, go to an
+expanding inner hull of the touching points, a polytope grown one point at
+a time: the depth of its nearest facet bounds the penetration depth from
+below, so the signed value gets a duality gap too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .reachability import VANISH_REL, ReachSpec, _alive, _check_time, _grids_for, _inputs
+from .reachability import ReachSpec, _dot, _project, _Projected
 
 GAP_REL = 1e-12  # duality-gap stop of both separation loops, relative to max(1, |value|)
 MNP_MAX_ITERS = 1000  # per loop; a capped run returns its lower bound, uncertified
-
-
-def _apply(G: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """G_t l_t for each row l_t of l (T, k), with G a (T, k, k) stack or a
-    node stack (T, k, k, N+1).  The sum over columns runs in order, so a
-    row's result does not depend on the rows beside it."""
-    shape = (l.shape[0],) + (1,) * (G.ndim - 2)
-    out = G[:, :, 0] * l[:, 0].reshape(shape)
-    for b in range(1, l.shape[1]):
-        out = out + G[:, :, b] * l[:, b].reshape(shape)
-    return out
-
-
-def _dot(l: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<l_t, v_t> for each row l_t of l (T, k), with v (T, k) or (T, k, N+1)."""
-    return _apply(v[:, None], l)[:, 0]
-
-
-def _panel_sum(h: np.ndarray, alive: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Sum over the panels of samples, nodes on the last axis: _Grid._panels'
-    rule, Simpson with the midpoint on panels where a node is not alive."""
-    dead = ~alive
-    vanish = dead[..., :-1:2] | dead[..., 1::2] | dead[..., 2::2]
-    simp = (h / 3.0) * (samples[..., :-1:2] + 4.0 * samples[..., 1::2] + samples[..., 2::2])
-    mid = 2.0 * h * samples[..., 1::2]
-    return np.where(vanish, mid, simp).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class _Projected:
-    """One spec's reachable sets at a batch of times, seen through P.
-
-    The oracle's directions l lie in the k-dim position space, so each term
-    of the support value at P'l is a quadratic form in l.  With S_i = P Phi_i B
-    for the control set and P Phi_i for V, an input set E enters through its
-    Gram stack G_i = S_i M_E S_i' (k x k): q_i = <l, G_i l>, and the projected
-    touching-point response is G_i l / sqrt(q_i), under the panel and vanish
-    rules of the full-state kernel.  The initial set enters through
-    G0 = P Phi_0 M0 Phi_0' P', with H0 = P Phi_0 Phi_0' P' for its vanish
-    rule, and the center terms, offset included, are one point per time.
-    Node stacks are (T, k, k, N+1), nodes last; a zero-length grid's one
-    node repeats along them under h = 0, which zeroes every panel.
-    """
-
-    times: np.ndarray  # (T,)
-    center: np.ndarray  # (T, k)
-    G0: np.ndarray  # (T, k, k)
-    H0: np.ndarray  # (T, k, k)
-    tol0: float  # VANISH_REL trace(M0)
-    h: np.ndarray  # (T,)
-    inputs: tuple  # one Gram node stack per input set
-
-    def take(self, rows) -> "_Projected":
-        return _Projected(self.times[rows], self.center[rows], self.G0[rows], self.H0[rows],
-                          self.tol0, self.h[rows], tuple(G[rows] for G in self.inputs))
-
-    def response(self, l: np.ndarray) -> np.ndarray:
-        """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
-        G0l = _apply(self.G0, l)
-        q0 = _dot(l, G0l)
-        alive0 = q0 > self.tol0 * _dot(l, _apply(self.H0, l))
-        out = G0l / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
-        h = self.h[:, None, None]
-        for G in self.inputs:
-            Gl = _apply(G, l)  # (T, k, N+1)
-            q = _dot(l, Gl)[:, None]  # (T, 1, N+1)
-            alive = _alive(q, axis=-1)
-            out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(alive, q, np.inf)))
-        return out
-
-
-def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
-    """spec's reachable sets at the given times, seen through P (k, n)."""
-    times = [_check_time(spec, t) for t in times]
-    grids = _grids_for(spec, times)
-    k, T = P.shape[0], len(times)
-    nodes = max((g.s.shape[0] for g in grids), default=1)
-    center, G0, H0 = np.empty((T, k)), np.empty((T, k, k)), np.empty((T, k, k))
-    inputs = tuple(np.empty((T, k, k, nodes)) for _ in range(1 + (spec.V is not None)))
-    for j, (t, g) in enumerate(zip(times, grids)):
-        x = g.Phi0 @ spec.X0.center
-        for (stack, E), G in zip(_inputs(spec, g), inputs):
-            x = x + g.integrate(stack) @ E.center
-            S = np.tensordot(P, stack, axes=(1, 1))  # (k, N+1, m)
-            G[j] = np.einsum("aie,bie->abi", S @ E.shape, S)
-        center[j] = P @ (x + spec.offset_at(t))
-        PPhi0 = P @ g.Phi0
-        G0[j] = PPhi0 @ spec.X0.shape @ PPhi0.T
-        H0[j] = PPhi0 @ PPhi0.T
-    return _Projected(np.array(times), center, G0, H0,
-                      VANISH_REL * float(np.trace(spec.X0.shape)), np.array([g.h for g in grids]),
-                      inputs)
 
 
 def _oracle(A: _Projected, B: _Projected, l: np.ndarray):

@@ -22,7 +22,11 @@ panel rule, so that <l, x*> is the support value.  Both are batched: a
 (D, n) block of directions gives w as one (N+1, D, m) product, the panel
 rule runs per direction, and a single direction is a one-row block.
 
-reachsep.distance builds the separation of two such sets on this kernel.
+Seen through a (k, n) projection P, with the rows of P as the directions,
+the same terms give the projected view (_project): per node the k x k Gram
+G_i = Mw_i w_i', whose diagonal is q, and the center terms summed once per
+time.  reachsep.distance searches the separation of two sets on that view,
+and reachsep.synthesis reads its safe set from it.
 """
 
 from dataclasses import dataclass
@@ -68,12 +72,11 @@ class ReachSpec:
 
 @dataclass(frozen=True)
 class ReachTube:
-    """Support values (and optional touching points) on a time x direction grid."""
+    """Support values on a time x direction grid."""
 
     times: np.ndarray  # (T,)
     directions: np.ndarray  # (D, n) unit rows
     support_values: np.ndarray  # (T, D)
-    touching_points: np.ndarray | None = None  # (T, D, n)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.support_values)):
@@ -107,18 +110,6 @@ class _Grid:
         rebuilt from E on first use, by the recursion _build_grids ran."""
         return _transitions(self.E[None], self.s.shape[0] - 1)[0]
 
-    def _panels(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Per-panel integrals of samples: Simpson, midpoint where q vanishes.
-
-        q is (N+1,) or (N+1, D), one column per direction, and each column
-        vanishes relative to its own maximum; samples may carry trailing axes.
-        """
-        dead = ~_alive(q)
-        vanish = dead[:-1:2] | dead[1::2] | dead[2::2]
-        simp = (self.h / 3.0) * (samples[:-1:2] + 4.0 * samples[1::2] + samples[2::2])
-        mid = 2.0 * self.h * samples[1::2]
-        return np.where(vanish.reshape(vanish.shape + (1,) * (samples.ndim - q.ndim)), mid, simp)
-
     def integrate(self, samples: np.ndarray) -> np.ndarray:
         """Simpson integral of samples over the grid (axis 0), trailing axes kept."""
         return (self.simpson_w @ samples.reshape(samples.shape[0], -1)).reshape(samples.shape[1:])
@@ -128,8 +119,23 @@ class _Grid:
         return self.integrate_matched(q, np.sqrt(np.clip(q, 0.0, None)))
 
     def integrate_matched(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Integrate vector-valued samples with the same panel rule as integrate_sqrt."""
-        return self._panels(q, samples).sum(axis=0)
+        """Integrate samples (N+1, ...) by _panel_sum, each column of q
+        (N+1,) or (N+1, D) vanishing relative to its own maximum; samples
+        may carry trailing axes.  Transposing puts the nodes last, with the
+        axes of q aligned to those of samples."""
+        return _panel_sum(self.h, _alive(q).T, samples.T).T
+
+
+def _panel_sum(h, alive: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Sum over the panels of samples, nodes on the last axis: Simpson, with
+    the midpoint rule on panels where a node is not alive.  The one panel
+    rule of every root term, in support values, touching points and the
+    projected response; alive and h broadcast against samples."""
+    dead = ~alive
+    vanish = dead[..., :-1:2] | dead[..., 1::2] | dead[..., 2::2]
+    simp = (h / 3.0) * (samples[..., :-1:2] + 4.0 * samples[..., 1::2] + samples[..., 2::2])
+    mid = 2.0 * h * samples[..., 1::2]
+    return np.where(vanish, mid, simp).sum(axis=-1)
 
 
 def _transitions(E: np.ndarray, n_steps: int) -> np.ndarray:
@@ -265,6 +271,88 @@ def _touching_points(spec: ReachSpec, t: float, L: np.ndarray):
     return points + spec.offset_at(t), x0, profiles[0]
 
 
+def _apply(G: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """G_t l_t for each row l_t of l (T, k), with G a (T, k, k) stack or a
+    node stack (T, k, k, N+1).  The sum over columns runs in order, so a
+    row's result does not depend on the rows beside it."""
+    shape = (l.shape[0],) + (1,) * (G.ndim - 2)
+    out = G[:, :, 0] * l[:, 0].reshape(shape)
+    for b in range(1, l.shape[1]):
+        out = out + G[:, :, b] * l[:, b].reshape(shape)
+    return out
+
+
+def _dot(l: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<l_t, v_t> for each row l_t of l (T, k), with v (T, k) or (T, k, N+1)."""
+    return _apply(v[:, None], l)[:, 0]
+
+
+@dataclass(frozen=True)
+class _Projected:
+    """One spec's reachable sets at a batch of times, seen through P (k, n).
+
+    Directions l lie in the k-dim image of P, so each term of the support
+    value at P'l is a quadratic form in l.  An input set E enters through its
+    Gram node stack G_i = Mw_i w_i' (k x k), from the kernel's terms with the
+    rows of P as the directions: q_i = <l, G_i l>, and the projected
+    touching-point response is G_i l / sqrt(q_i), under the kernel's panel
+    and vanish rules.  The initial set enters through G0 = P Phi_0 M0 Phi_0' P',
+    with H0 = P Phi_0 Phi_0' P' for its vanish rule, and the center terms,
+    offset included, are one point per time.  Node stacks are
+    (T, k, k, N+1), nodes last; a zero-length grid's one node repeats along
+    them under h = 0, which zeroes every panel.
+    """
+
+    times: np.ndarray  # (T,)
+    center: np.ndarray  # (T, k)
+    G0: np.ndarray  # (T, k, k)
+    H0: np.ndarray  # (T, k, k)
+    tol0: float  # VANISH_REL trace(M0)
+    h: np.ndarray  # (T,)
+    inputs: tuple  # one Gram node stack per input set, the control set first
+
+    def take(self, rows) -> "_Projected":
+        return _Projected(self.times[rows], self.center[rows], self.G0[rows], self.H0[rows],
+                          self.tol0, self.h[rows], tuple(G[rows] for G in self.inputs))
+
+    def response(self, l: np.ndarray) -> np.ndarray:
+        """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
+        G0l = _apply(self.G0, l)
+        q0 = _dot(l, G0l)
+        alive0 = q0 > self.tol0 * _dot(l, _apply(self.H0, l))
+        out = G0l / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
+        h = self.h[:, None, None]
+        for G in self.inputs:
+            Gl = _apply(G, l)  # (T, k, N+1)
+            q = _dot(l, Gl)[:, None]  # (T, 1, N+1)
+            alive = _alive(q, axis=-1)
+            out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(alive, q, np.inf)))
+        return out
+
+
+def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
+    """spec's reachable sets at the given times, seen through P (k, n)."""
+    times = [_check_time(spec, t) for t in times]
+    grids = _grids_for(spec, times)
+    k, T = P.shape[0], len(times)
+    nodes = max((g.s.shape[0] for g in grids), default=1)
+    center, G0, H0 = np.empty((T, k)), np.empty((T, k, k)), np.empty((T, k, k))
+    inputs = tuple(np.empty((T, k, k, nodes)) for _ in range(1 + (spec.V is not None)))
+    for j, (t, g) in enumerate(zip(times, grids)):
+        _, _, MLT = _initial_terms(g, spec.X0, P)
+        PPhi0 = P @ g.Phi0
+        G0[j], H0[j] = MLT @ PPhi0.T, PPhi0 @ PPhi0.T
+        x = g.Phi0 @ spec.X0.center
+        for (stack, E), G in zip(_inputs(spec, g), inputs):
+            w, Mw, _ = _input_terms(stack, E, P)
+            G[j] = np.einsum("iae,ibe->abi", Mw, w)  # G_i = Mw_i w_i'
+            x = x + g.simpson_w @ (stack @ E.center)
+        center[j] = P @ (x + spec.offset_at(t))
+    return _Projected(np.array(times), center, G0, H0,
+                      VANISH_REL * float(np.trace(spec.X0.shape)), np.array([g.h for g in grids]),
+                      inputs)
+
+
 def _unit_rows(directions) -> np.ndarray:
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.linalg.norm(directions, axis=1)
@@ -287,10 +375,11 @@ def reach_support(spec: ReachSpec, t: float, l) -> float:
 
 def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
     """The two disturbance terms of the support formula, on their own."""
+    l = _direction(l)
     if spec.V is None:
         return 0.0
     g = _grid_for(spec, _check_time(spec, t))
-    w, _, q = _input_terms(g.Phi, spec.V, np.asarray(l, dtype=float)[None, :])
+    w, _, q = _input_terms(g.Phi, spec.V, l[None, :])
     return float((g.simpson_w @ (w @ spec.V.center) + g.integrate_sqrt(q))[0])
 
 
@@ -316,19 +405,15 @@ def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
     return HalfspaceSet(unit, _support_values(spec, t, unit))
 
 
-def reach_tube(spec: ReachSpec, time_grid, directions, with_points: bool = False) -> ReachTube:
-    """Support values over a time grid for a family of directions (possibly none),
-    and with with_points their touching points, disturbance included."""
+def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:
+    """Support values over a time grid for a family of directions (possibly none)."""
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
     unit = _unit_rows(directions)
     vals = np.empty((times.shape[0], unit.shape[0]))
-    pts = np.empty((times.shape[0], unit.shape[0], spec.system.state_dim)) if with_points else None
     _grids_for(spec, [_check_time(spec, t) for t in times])  # the missing grids, in one batch
     for i, t in enumerate(times):
         vals[i] = _support_values(spec, t, unit)
-        if with_points:
-            pts[i] = _touching_points(spec, t, unit)[0]
-    return ReachTube(times, unit, vals, pts)
+    return ReachTube(times, unit, vals)
 
 
 def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
@@ -337,6 +422,6 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     Unlike reach_point this also covers disturbance-bearing specs: the
     gradient then includes the worst-case disturbance contribution.
     """
-    l = np.asarray(l, dtype=float)
+    l = _direction(l)
     point = _touching_points(spec, t, l[None, :])[0][0]
     return float(l @ point), point

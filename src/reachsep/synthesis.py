@@ -19,7 +19,7 @@ import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt, support
-from .reachability import ReachSpec, _grid_for, _initial_terms, _input_terms
+from .reachability import ReachSpec, _grid_for, _initial_terms, _input_terms, _project
 
 PI_FLOOR_REL = 1e-12
 
@@ -287,31 +287,25 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
 
     The reach set's initial-set image and control-integral parts are each
     covered by an ellipsoid tight along l*, summed tightly, and finally
-    Minkowski-added to a radius-d ball.  Support along l* reproduces
+    Minkowski-added to a radius-d ball.  Both parts are read from the
+    kernel's projected view at t: its center, G0 (the initial-set image) and
+    the control set's Gram nodes.  Support along l* reproduces
     reach_support + d up to quadrature tolerance.
     """
     if d < 0.0:
         raise ValueError("separation radius must be nonnegative")
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    l_star = np.asarray(l_star, dtype=float)
-    l_pos = P @ l_star
-    g = _grid_for(spec_shrunk, t)
-    Phi0 = g.Phi0
-    center = P @ (Phi0 @ spec_shrunk.X0.center
-                  + g.simpson_w @ (g.PhiB @ spec_shrunk.U.center)
-                  + spec_shrunk.offset_at(t))
-    PPhi0 = P @ Phi0
-    M_x0 = PPhi0 @ spec_shrunk.X0.shape @ PPhi0.T
+    l_pos = P @ np.asarray(l_star, dtype=float)
+    view = _project(spec_shrunk, [t], P)
+    center, M_x0, M_s = view.center[0], view.G0[0], view.inputs[0][0]  # M_s: (k, k, N+1)
+    simpson_w = _grid_for(spec_shrunk, t).simpson_w
     # control integral: weights pi proportional to the integrand along l*
-    PB = np.einsum("kn,inm->ikm", P, g.PhiB)  # (N+1, pos, m)
-    M_s = np.einsum("ikm,ml,ijl->ikj", PB, spec_shrunk.U.shape, PB)  # (N+1, k, k)
-    pi = np.sqrt(np.clip(_input_terms(g.PhiB, spec_shrunk.U, P.T @ l_pos)[2], 0.0, None))
+    pi = np.sqrt(np.clip(l_pos @ np.tensordot(l_pos, M_s, axes=1), 0.0, None))
     if pi.max() <= 0.0:
-        pi = np.sqrt(np.clip(np.einsum("ikk->i", M_s), 0.0, None))
+        pi = np.sqrt(np.clip(np.trace(M_s), 0.0, None))
     if pi.max() > 0.0:
         pi = np.maximum(pi, PI_FLOOR_REL * pi.max())
-        total_pi = float(g.simpson_w @ pi)
-        M_ctrl = total_pi * np.einsum("i,ikj->kj", g.simpson_w / pi, M_s)
+        M_ctrl = float(simpson_w @ pi) * (M_s @ (simpson_w / pi))
         M_ctrl = 0.5 * (M_ctrl + M_ctrl.T)
     else:
         M_ctrl = np.zeros((P.shape[0], P.shape[0]))

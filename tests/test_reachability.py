@@ -21,13 +21,13 @@ from reachsep.distance import (
     _min_norm_point,
     _oracle,
     _Polytope,
-    _project,
     separation,
     separations,
 )
 from reachsep.reachability import (
     VANISH_REL,
     ReachSpec,
+    _project,
     _touching_points,
     disturbance_contribution,
     reach_point,
@@ -282,6 +282,14 @@ def test_zero_direction_rows_rejected():
     assert tube.support_values.shape == (2, 0)
 
 
+@pytest.mark.parametrize("fn", [reach_support, reach_point, support_gradient,
+                                disturbance_contribution])
+def test_zero_direction_rejected(fn):
+    # a disturbance-free spec, so disturbance_contribution checks before its 0.0
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        fn(integrator_spec(), 1.0, [0.0, 0.0])
+
+
 def test_tube_matches_pointwise_calls():
     spec = quadrotor_spec(quad_steps=64)
     times = np.linspace(0.0, 4.0, 5)
@@ -289,12 +297,13 @@ def test_tube_matches_pointwise_calls():
     dirs = np.zeros((6, 10))
     dirs[:, 0] = np.cos(angles)
     dirs[:, 1] = np.sin(angles)
-    tube = reach_tube(spec, times, dirs, with_points=True)
+    tube = reach_tube(spec, times, dirs)
     for i, t in enumerate(times):
+        points = _touching_points(spec, t, tube.directions)[0]
         for j in range(6):
             assert tube.support_values[i, j] == pytest.approx(
                 reach_support(spec, t, tube.directions[j]), abs=1e-12)
-            assert tube.directions[j] @ tube.touching_points[i, j] <= tube.support_values[i, j] + 1e-9
+            assert tube.directions[j] @ points[j] <= tube.support_values[i, j] + 1e-9
 
 
 def reference_reach_support(spec, t, l):
@@ -437,9 +446,8 @@ def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset
     if unactuated:
         B = spec.system.B
         dirs = dirs - dirs @ B @ np.linalg.pinv(B)
-    tube = reach_tube(spec, [t], dirs, with_points=True)
+    tube = reach_tube(spec, [t], dirs)
     points, x0, u = _touching_points(spec, t, tube.directions)
-    assert np.array_equal(points, tube.touching_points[0])
     assert x0.shape == (n_dirs, n) and u.shape[1:] == (n_dirs, m)
     # a flat U's maximizer flips sign where w turns orthogonal to it, so next
     # to such a node the two sums of q give maximizers up to

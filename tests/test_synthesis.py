@@ -406,6 +406,40 @@ def test_safe_set_contains_inflated_samples():
         assert (pts @ m + d).max() <= support(s, m)[0] + 1e-6
 
 
+@functools.cache
+def bundled_fixedwing_phase_one():
+    """(B's spec shrunk by phase one, geometry, P) of bundled fixed-wing at
+    tau: a center offset and a 2-D projection."""
+    sc = scenario_from_dict(json.loads(builtin_scenario_path("fixedwing_pair").read_text()))
+    P = position_projection(sc)
+    geom = estimate_encounter(build_nominal(sc, 0), build_nominal(sc, 1), P, sc.d)
+    specB = build_spec(sc, 1, with_disturbance=False)
+    sol = solve_matrix_norm(part1_constants(specB, geom), geom, specB.U, sc.k0,
+                            margin=0.5 * geom.d)
+    return dataclasses.replace(specB, U=sol.control_set()), geom, P
+
+
+def test_safe_set_support_matches_reach_support_fixedwing():
+    shrunk, geom, P = bundled_fixedwing_phase_one()
+    assert shrunk.center_offset is not None and P.shape[0] == 2
+    for d in [0.0, geom.d]:
+        s = safe_set(shrunk, geom.tau, d, geom.l_star, P)
+        rho = support(s, P @ geom.l_star)[0]
+        # the safe set weighs the control nodes by plain Simpson, the kernel
+        # takes the midpoint on a vanishing panel: 5.4e-6 m apart here
+        assert rho == pytest.approx(reach_support(shrunk, geom.tau, geom.l_star) + d, abs=1e-5)
+
+
+def test_safe_set_contains_inflated_samples_fixedwing():
+    shrunk, geom, P = bundled_fixedwing_phase_one()
+    s = safe_set(shrunk, geom.tau, geom.d, geom.l_star, P)
+    t_grid = np.linspace(0.0, geom.tau, 101)
+    pts = sample_trajectories(shrunk, t_grid, 2000, seed=3)[:, -1] @ P.T
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for m in np.stack([np.cos(angles), np.sin(angles)], axis=1):
+        assert (pts @ m + geom.d).max() <= support(s, m)[0] + 1e-6
+
+
 # ---------------------------------------------------------------- phase two
 
 
