@@ -9,27 +9,30 @@ The reachable set at time t is characterized exactly by its support function,
 with Phi = e^(A (t - s)).  Integrals use composite Simpson quadrature on a
 fixed grid; panels where a square-root integrand vanishes fall back to the
 midpoint rule, and the initial-set root counts only above the rounding level
-of M0.  Transition matrices along the quadrature grid are formed once per
-(t, step-count) pair and cached on the system, so every spec built on it
-shares them; the times a call needs that are not cached yet are built
-together, in one recursion over a (T, N+1, n, n) stack.  At t = 0 the grid
-has zero length: one node of weight 0, so that time takes the same path as
-every other.  Every input set enters through one kernel: with S_i = Phi_i B
+of M0.  The quadrature has one shape: a grid batch (_Grid) of T times, N + 1
+nodes each, holding (T, ...) stacks of weights and transition matrices.  t = 0
+is a grid like the others: its N + 1 nodes all sit at s = 0, with h = 0 and
+step E = I, so its weights and every panel are 0.  Each time's grid is built
+once per (t, step-count) pair and cached on the system, so every spec built
+on it shares it; the times a call needs that are not cached yet are built
+together, in one recursion over a (T, N+1, n, n) stack.  Every input set
+enters through one kernel, which takes a grid batch whole: with S_i = Phi_i B
 for U and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values
 integrate <w_i, c> and sqrt(q_i), touching points the responses S_i c and
 S_i M w_i / sqrt(q_i), each center term by Simpson and each root term by the
-panel rule, so that <l, x*> is the support value.  Both are batched: a
-(D, n) block of directions gives w as one (N+1, D, m) product, the panel
-rule runs per direction, and a single direction is a one-row block.
+panel rule, so that <l, x*> is the support value.  A (D, n) block of
+directions gives w as one (T, N+1, D, m) product, the panel rule runs per
+time and direction, and a single direction at a single time is a 1 x 1 block.
 
 Seen through a (k, n) projection P, with the rows of P as the directions,
-the same terms give the projected view (_project): per node the k x k Gram
-G_i = Mw_i w_i', whose diagonal is q, and the center terms summed once per
-time.  reachsep.distance searches the separation of two sets on that view,
-and reachsep.synthesis reads its safe set from it.
+the same terms give the projected view (_project), for a whole batch in
+one call: per node the k x k Gram G_i = Mw_i w_i', whose diagonal is q, and
+the center terms summed once per time.  reachsep.distance searches the
+separation of two sets on that view, and reachsep.synthesis reads its safe
+set from it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,47 +86,30 @@ class ReachTube:
             raise ValueError("tube support values must be finite")
 
 
+@dataclass(frozen=True)
 class _Grid:
-    """Simpson grid for one (t, n_steps): transition matrices and weights.
+    """Simpson grids of a batch of T times, N + 1 nodes each, as (T, ...) stacks.
 
-    Built by _build_grids: E, Phi0 and PhiB are views into its stacks.  At
-    t = 0 the grid has zero length: one node, s = 0 and h = 0, so its weight
-    and every panel integral are 0 and only the initial set is left.
+    Built by _build_grids.  At t = 0 the grid has zero length: its N + 1
+    nodes all sit at s = 0, with h = 0 and E = I, so its weights and every
+    panel integral are 0 and only the initial set is left.
     """
 
-    def __init__(self, t: float, E: np.ndarray, Phi0: np.ndarray, PhiB: np.ndarray):
-        n_steps = PhiB.shape[0] - 1
-        self.t = t
-        self.h = t / max(n_steps, 1)
-        self.s = np.linspace(0.0, t, n_steps + 1)
-        self.E = E  # e^(A h)
-        self.Phi0 = Phi0  # e^(A t)
-        self.PhiB = PhiB  # PhiB[i] = e^(A (t - s_i)) B
-        w = np.ones(n_steps + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        self.simpson_w = w * (self.h / 3.0)
+    times: np.ndarray  # (T,)
+    h: np.ndarray  # (T,)
+    simpson_w: np.ndarray  # (T, N+1)
+    E: np.ndarray  # (T, n, n): e^(A h)
+    Phi0: np.ndarray  # (T, n, n): e^(A t)
+    PhiB: np.ndarray  # (T, N+1, n, m): PhiB[:, i] = e^(A (t - s_i)) B
+
+    def take(self, rows) -> "_Grid":
+        return _Grid(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @cached_property
     def Phi(self) -> np.ndarray:
-        """Phi[i] = e^(A (t - s_i)), which only a disturbance set reads:
+        """Phi[:, i] = e^(A (t - s_i)), which only a disturbance set reads:
         rebuilt from E on first use, by the recursion _build_grids ran."""
-        return _transitions(self.E[None], self.s.shape[0] - 1)[0]
-
-    def integrate(self, samples: np.ndarray) -> np.ndarray:
-        """Simpson integral of samples over the grid (axis 0), trailing axes kept."""
-        return (self.simpson_w @ samples.reshape(samples.shape[0], -1)).reshape(samples.shape[1:])
-
-    def integrate_sqrt(self, q: np.ndarray):
-        """Integral of sqrt(q(s)) per column; midpoint fallback on panels where q vanishes."""
-        return self.integrate_matched(q, np.sqrt(np.clip(q, 0.0, None)))
-
-    def integrate_matched(self, q: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Integrate samples (N+1, ...) by _panel_sum, each column of q
-        (N+1,) or (N+1, D) vanishing relative to its own maximum; samples
-        may carry trailing axes.  Transposing puts the nodes last, with the
-        axes of q aligned to those of samples."""
-        return _panel_sum(self.h, _alive(q).T, samples.T).T
+        return _transitions(self.E, self.PhiB.shape[1] - 1)
 
 
 def _panel_sum(h, alive: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -149,48 +135,55 @@ def _transitions(E: np.ndarray, n_steps: int) -> np.ndarray:
     return Phi
 
 
-def _build_grids(system: LTISystem, times, n_steps: int) -> list:
+def _build_grids(system: LTISystem, times, n_steps: int) -> _Grid:
     """The grids of a list of times, built together.
 
-    Every t > 0 has the same node count (Simpson needs an even subinterval
-    count, a zero-length grid needs none), so their transition matrices
-    come from one recursion over a (T, N+1, n, n) stack, with one expm per
-    time for its step E_t.  The grids keep views into the stacks of E_t,
-    Phi_0 and PhiB; the full stack is dropped, and a disturbance set
-    rebuilds its own time's (_Grid.Phi).
+    Every time has N + 1 nodes, N being n_steps rounded up to even (Simpson
+    needs an even subinterval count), so the transition matrices come from
+    one recursion over a (T, N+1, n, n) stack, with one expm per time for
+    its step E_t = e^(A t / N).  The grid keeps the stacks of E, Phi_0 and
+    PhiB; the full stack is dropped, and a disturbance set rebuilds it
+    (_Grid.Phi).
     """
-    batches = {}
-    for t in times:
-        batches.setdefault(n_steps + n_steps % 2 if t > 0.0 else 0, []).append(t)
-    built = {}
-    for steps, batch in batches.items():
-        E = np.stack([expm(system.A, t / max(steps, 1)) for t in batch])
-        Phi = _transitions(E, steps)
-        PhiB = Phi @ system.B
-        for t, E_t, Phi0_t, PhiB_t in zip(batch, E, Phi[:, 0].copy(), PhiB):
-            built[t] = _Grid(t, E_t, Phi0_t, PhiB_t)
-    return [built[t] for t in times]
+    N = n_steps + n_steps % 2
+    times = np.array(times, dtype=float)
+    h = times / N
+    n = system.state_dim
+    E = np.array([expm(system.A, step) for step in h]).reshape(len(times), n, n)
+    Phi = _transitions(E, N)
+    w = np.ones(N + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return _Grid(times, h, w * (h[:, None] / 3.0), E, Phi[:, 0].copy(), Phi @ system.B)
 
 
-def _grids_for(spec: ReachSpec, times) -> list:
-    """The grids at a list of times, each built once per system: a grid
-    depends on A, B, t and the step count only, so every spec of one system
-    shares it.  The times not cached yet are built in one batch."""
-    grids = spec.system.grids
-    keys = [(round(float(t), 12), spec.quad_steps) for t in times]
+def _grids_for(spec: ReachSpec, times) -> _Grid:
+    """The grid batch of a list of times, checked against the horizon.
+
+    A grid depends on A, B, t and the step count only, so each time is built
+    once per system and cached on it as a row of the batch it was built in,
+    shared by every spec of the system; the times not cached yet are built
+    in one batch.  Consecutive rows of one batch are returned as a view, any
+    other request as a copy.  The batch's times are the ones asked for; h
+    and the stacks are those of the cached rows.
+    """
+    times = [_check_time(spec, t) for t in times]
+    cache = spec.system.grids
+    keys = [(round(t, 12), spec.quad_steps) for t in times]
     missing = {}
     for key, t in zip(keys, times):
-        if key not in grids:
-            missing.setdefault(key, float(t))
+        if key not in cache:
+            missing.setdefault(key, t)
     if missing:
-        grids.update(zip(missing, _build_grids(spec.system, list(missing.values()),
-                                               spec.quad_steps)))
-    return [grids[key] for key in keys]
-
-
-def _grid_for(spec: ReachSpec, t: float) -> _Grid:
-    """The grid at time t: _grids_for of one time."""
-    return _grids_for(spec, [t])[0]
+        batch = _build_grids(spec.system, list(missing.values()), spec.quad_steps)
+        cache.update((key, (batch, j)) for j, key in enumerate(missing))
+    rows = [cache[key] for key in keys]
+    batch, first = rows[0] if rows else (_build_grids(spec.system, [], spec.quad_steps), 0)
+    if all(b is batch and j == first + i for i, (b, j) in enumerate(rows)):
+        grid = batch.take(slice(first, first + len(rows)))
+    else:
+        grid = _Grid(*(np.stack([getattr(b, f.name)[j] for b, j in rows]) for f in fields(_Grid)))
+    return replace(grid, times=np.array(times))
 
 
 def _check_time(spec: ReachSpec, t: float) -> float:
@@ -200,13 +193,32 @@ def _check_time(spec: ReachSpec, t: float) -> float:
     return min(t, spec.horizon)
 
 
-def _alive(q: np.ndarray, axis: int = 0) -> np.ndarray:
+def _alive(q: np.ndarray, axis: int = -1) -> np.ndarray:
     """Where q is above VANISH_REL of its column's maximum along the node axis."""
     return q > VANISH_REL * np.maximum(q.max(axis=axis, initial=0.0, keepdims=True), 0.0)
 
 
+def _offsets(spec: ReachSpec, g: _Grid) -> np.ndarray:
+    """The center offset at each time of g, (T, n)."""
+    return np.array([spec.offset_at(t) for t in g.times]).reshape(-1, spec.system.state_dim)
+
+
+def _simpson(g: _Grid, samples: np.ndarray) -> np.ndarray:
+    """Simpson integral over each grid of g of samples (T, N+1, D), as
+    simpson_w @ samples per time: (T, D)."""
+    return (g.simpson_w[:, None] @ samples)[:, 0]
+
+
+def _root_integral(g: _Grid, q: np.ndarray) -> np.ndarray:
+    """Integral of sqrt(q) over each grid of g, q (T, N+1, D), by the panel
+    rule with each column vanishing relative to its own maximum: (T, D)."""
+    q = np.moveaxis(q, 1, -1)
+    return _panel_sum(g.h[:, None, None], _alive(q), np.sqrt(np.clip(q, 0.0, None)))
+
+
 def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
-    """(<l, Phi c0>, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per row of L.
+    """(<l, Phi c0>, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per time of g and
+    row of L (D, n): (T, D), (T, D) and (T, D, n).
 
     The root is 0 where its square is at the rounding level of M0: a flat X0
     seen edge-on has no extent, not ~1e-9.
@@ -220,9 +232,9 @@ def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
 
 def _input_terms(stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
     """(w_i, M_E w_i, q_i = <w_i, M_E w_i>) with w_i = stack_i' l, for an
-    input set E entering through stack: Phi_i B for the control set, Phi_i
-    for the disturbance.  For a (D, n) batch of rows, w is (N+1, D, m) and q
-    is (N+1, D)."""
+    input set E entering through stack (T, N+1, n, m): Phi_i B for the
+    control set, Phi_i for the disturbance.  For a (D, n) block of rows, w
+    is (T, N+1, D, m) and q is (T, N+1, D)."""
     w = L @ stack
     Mw = w @ E.shape
     return w, Mw, (Mw * w).sum(axis=-1)
@@ -233,42 +245,43 @@ def _inputs(spec: ReachSpec, g: _Grid):
     return [(g.PhiB, spec.U)] + ([(g.Phi, spec.V)] if spec.V is not None else [])
 
 
-def _support_values(spec: ReachSpec, t: float, L: np.ndarray):
-    """Support values of the reachable set at time t along each row of L (D, n)."""
-    t = _check_time(spec, t)
-    g = _grid_for(spec, t)
+def _support_values(spec: ReachSpec, g: _Grid, L: np.ndarray):
+    """Support values of the reachable sets at the times of g along each row
+    of L (D, n): (T, D)."""
     values, root0, _ = _initial_terms(g, spec.X0, L)
     values = values + root0
     for stack, E in _inputs(spec, g):
         w, _, q = _input_terms(stack, E, L)
-        values = values + g.simpson_w @ (w @ E.center) + g.integrate_sqrt(q)
-    return values + L @ spec.offset_at(t)
+        values = values + _simpson(g, w @ E.center) + _root_integral(g, q)
+    return values + (L @ _offsets(spec, g)[..., None])[..., 0]
 
 
-def _touching_points(spec: ReachSpec, t: float, L: np.ndarray):
-    """Touching points of the reachable set at time t, one per row of L (D, n).
+def _touching_points(spec: ReachSpec, g: _Grid, L: np.ndarray):
+    """Touching points of the reachable sets at the times of g, one per time
+    and row of L (D, n).
 
-    Returns (points, x0, u): the states maximizing <l, x> (D, n), center
-    offset included; the initial states (D, n) and control profiles
-    (N+1, D, m) that reach them, each the maximizer of <l, x> over its set.
-    Where a quadratic form vanishes the maximizer is the set's center:
+    Returns (points, x0, u): the states maximizing <l, x> (T, D, n), center
+    offset included; the initial states (T, D, n) and control profiles
+    (T, N+1, D, m) that reach them, each the maximizer of <l, x> over its
+    set.  Where a quadratic form vanishes the maximizer is the set's center:
     dividing M w by an infinite root there leaves the center alone.  The
     centers' response is integrated by Simpson on every panel, as in the
     support value.
     """
-    t = _check_time(spec, t)
-    g = _grid_for(spec, t)
     _, root0, MLT = _initial_terms(g, spec.X0, L)
-    x0 = spec.X0.center + MLT / np.where(root0 > 0.0, root0, np.inf)[:, None]
-    points = x0 @ g.Phi0.T
+    x0 = spec.X0.center + MLT / np.where(root0 > 0.0, root0, np.inf)[..., None]
+    points = x0 @ g.Phi0.transpose(0, 2, 1)
     profiles = []
     for stack, E in _inputs(spec, g):
         _, Mw, q = _input_terms(stack, E, L)
-        du = Mw / np.sqrt(np.where(_alive(q), q, np.inf))[..., None]
-        points = (points + g.integrate(stack) @ E.center
-                  + g.integrate_matched(q, du @ stack.transpose(0, 2, 1)))
+        alive = _alive(q, axis=1)
+        du = Mw / np.sqrt(np.where(alive, q, np.inf))[..., None]
+        response = np.moveaxis(du @ stack.transpose(0, 1, 3, 2), 1, -1)  # (T, D, n, N+1)
+        points = (points + _simpson(g, stack @ E.center)[:, None]
+                  + _panel_sum(g.h[:, None, None, None], np.moveaxis(alive, 1, -1)[:, :, None],
+                               response))
         profiles.append(E.center + du)
-    return points + spec.offset_at(t), x0, profiles[0]
+    return points + _offsets(spec, g)[:, None], x0, profiles[0]
 
 
 def _apply(G: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -299,8 +312,8 @@ class _Projected:
     and vanish rules.  The initial set enters through G0 = P Phi_0 M0 Phi_0' P',
     with H0 = P Phi_0 Phi_0' P' for its vanish rule, and the center terms,
     offset included, are one point per time.  Node stacks are
-    (T, k, k, N+1), nodes last; a zero-length grid's one node repeats along
-    them under h = 0, which zeroes every panel.
+    (T, k, k, N+1), nodes last, as the grid batch's; at t = 0 the N + 1
+    nodes are equal and h = 0 zeroes every panel.
     """
 
     times: np.ndarray  # (T,)
@@ -332,25 +345,18 @@ class _Projected:
 
 def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
     """spec's reachable sets at the given times, seen through P (k, n)."""
-    times = [_check_time(spec, t) for t in times]
-    grids = _grids_for(spec, times)
-    k, T = P.shape[0], len(times)
-    nodes = max((g.s.shape[0] for g in grids), default=1)
-    center, G0, H0 = np.empty((T, k)), np.empty((T, k, k)), np.empty((T, k, k))
-    inputs = tuple(np.empty((T, k, k, nodes)) for _ in range(1 + (spec.V is not None)))
-    for j, (t, g) in enumerate(zip(times, grids)):
-        _, _, MLT = _initial_terms(g, spec.X0, P)
-        PPhi0 = P @ g.Phi0
-        G0[j], H0[j] = MLT @ PPhi0.T, PPhi0 @ PPhi0.T
-        x = g.Phi0 @ spec.X0.center
-        for (stack, E), G in zip(_inputs(spec, g), inputs):
-            w, Mw, _ = _input_terms(stack, E, P)
-            G[j] = np.einsum("iae,ibe->abi", Mw, w)  # G_i = Mw_i w_i'
-            x = x + g.simpson_w @ (stack @ E.center)
-        center[j] = P @ (x + spec.offset_at(t))
-    return _Projected(np.array(times), center, G0, H0,
-                      VANISH_REL * float(np.trace(spec.X0.shape)), np.array([g.h for g in grids]),
-                      inputs)
+    g = _grids_for(spec, times)
+    _, _, MLT = _initial_terms(g, spec.X0, P)
+    PPhi0 = P @ g.Phi0
+    x = g.Phi0 @ spec.X0.center
+    inputs = []
+    for stack, E in _inputs(spec, g):
+        w, Mw, _ = _input_terms(stack, E, P)
+        inputs.append(np.einsum("tiae,tibe->tabi", Mw, w, order="C"))  # G_i = Mw_i w_i'
+        x = x + _simpson(g, stack @ E.center)
+    return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0],
+                      MLT @ PPhi0.transpose(0, 2, 1), PPhi0 @ PPhi0.transpose(0, 2, 1),
+                      VANISH_REL * float(np.trace(spec.X0.shape)), g.h, tuple(inputs))
 
 
 def _unit_rows(directions) -> np.ndarray:
@@ -370,7 +376,8 @@ def _direction(l) -> np.ndarray:
 
 def reach_support(spec: ReachSpec, t: float, l) -> float:
     """Support value of the reachable set at time t along direction l."""
-    return float(_support_values(spec, t, _direction(l)[None, :])[0])
+    l = _direction(l)
+    return float(_support_values(spec, _grids_for(spec, [t]), l[None, :])[0, 0])
 
 
 def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
@@ -378,9 +385,9 @@ def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
     l = _direction(l)
     if spec.V is None:
         return 0.0
-    g = _grid_for(spec, _check_time(spec, t))
+    g = _grids_for(spec, [t])
     w, _, q = _input_terms(g.Phi, spec.V, l[None, :])
-    return float((g.simpson_w @ (w @ spec.V.center) + g.integrate_sqrt(q))[0])
+    return float((_simpson(g, w @ spec.V.center) + _root_integral(g, q))[0, 0])
 
 
 def reach_point(spec: ReachSpec, t: float, l):
@@ -392,9 +399,9 @@ def reach_point(spec: ReachSpec, t: float, l):
     """
     if spec.V is not None:
         raise ValueError("extremal recovery is defined for the disturbance-free case")
-    t = _check_time(spec, t)
-    points, x0, u = _touching_points(spec, t, _direction(l)[None, :])
-    return points[0], x0[0], (_grid_for(spec, t).s.copy(), u[:, 0])
+    g = _grids_for(spec, [t])
+    points, x0, u = _touching_points(spec, g, _direction(l)[None, :])
+    return points[0, 0], x0[0, 0], (np.linspace(0.0, g.times[0], u.shape[1]), u[0, :, 0])
 
 
 def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
@@ -402,17 +409,21 @@ def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
     unit = _unit_rows(directions)
     if unit.shape[0] == 0:
         raise ValueError("need at least one direction")
-    return HalfspaceSet(unit, _support_values(spec, t, unit))
+    return HalfspaceSet(unit, _support_values(spec, _grids_for(spec, [t]), unit)[0])
 
 
 def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:
-    """Support values over a time grid for a family of directions (possibly none)."""
+    """Support values over a time grid for a family of directions (possibly none).
+
+    The grid batch is read one time row at a time: all rows at once would
+    hold every time's (N+1, D, m) temporaries together.
+    """
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
     unit = _unit_rows(directions)
+    g = _grids_for(spec, times)
     vals = np.empty((times.shape[0], unit.shape[0]))
-    _grids_for(spec, [_check_time(spec, t) for t in times])  # the missing grids, in one batch
-    for i, t in enumerate(times):
-        vals[i] = _support_values(spec, t, unit)
+    for i in range(times.shape[0]):
+        vals[i] = _support_values(spec, g.take(slice(i, i + 1)), unit)[0]
     return ReachTube(times, unit, vals)
 
 
@@ -423,5 +434,5 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     gradient then includes the worst-case disturbance contribution.
     """
     l = _direction(l)
-    point = _touching_points(spec, t, l[None, :])[0][0]
+    point = _touching_points(spec, _grids_for(spec, [t]), l[None, :])[0][0, 0]
     return float(l @ point), point

@@ -19,7 +19,8 @@ import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt, support
-from .reachability import ReachSpec, _grid_for, _initial_terms, _input_terms, _project
+from .reachability import (ReachSpec, _grids_for, _initial_terms, _input_terms, _project,
+                           _root_integral)
 
 PI_FLOOR_REL = 1e-12
 
@@ -133,16 +134,17 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
     if spec.horizon < geom.tau - 1e-12:
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
-    g = _grid_for(spec, geom.tau)
-    a0, x0_term, _ = _initial_terms(g, spec.X0, l)
-    W, _, qU = _input_terms(g.PhiB, spec.U, l)
-    qI = _input_terms(g.PhiB, Ellipsoid.ball(np.zeros(spec.U.dim), 1.0), l)[2]
+    g = _grids_for(spec, [geom.tau])
+    L = l[None, :]
+    a0, x0_term, _ = _initial_terms(g, spec.X0, L)
+    W, _, qU = _input_terms(g.PhiB, spec.U, L)
+    qI = _input_terms(g.PhiB, Ellipsoid.ball(np.zeros(spec.U.dim), 1.0), L)[2]
     return PartIConstants(
-        a0=float(a0),
-        b=g.simpson_w @ W,
-        x0_term=float(x0_term),
-        gamma_U=float(g.integrate_sqrt(qU)),
-        gamma_I=float(g.integrate_sqrt(qI)),
+        a0=float(a0[0, 0]),
+        b=g.simpson_w[0] @ W[0, :, 0],
+        x0_term=float(x0_term[0, 0]),
+        gamma_U=float(_root_integral(g, qU)[0, 0]),
+        gamma_I=float(_root_integral(g, qI)[0, 0]),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -298,7 +300,7 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     l_pos = P @ np.asarray(l_star, dtype=float)
     view = _project(spec_shrunk, [t], P)
     center, M_x0, M_s = view.center[0], view.G0[0], view.inputs[0][0]  # M_s: (k, k, N+1)
-    simpson_w = _grid_for(spec_shrunk, t).simpson_w
+    simpson_w = _grids_for(spec_shrunk, [t]).simpson_w[0]
     # control integral: weights pi proportional to the integrand along l*
     pi = np.sqrt(np.clip(l_pos @ np.tensordot(l_pos, M_s, axes=1), 0.0, None))
     if pi.max() <= 0.0:

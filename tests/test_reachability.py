@@ -299,7 +299,7 @@ def test_tube_matches_pointwise_calls():
     dirs[:, 1] = np.sin(angles)
     tube = reach_tube(spec, times, dirs)
     for i, t in enumerate(times):
-        points = _touching_points(spec, t, tube.directions)[0]
+        points = _touching_points(spec, reachability._grids_for(spec, [t]), tube.directions)[0][0]
         for j in range(6):
             assert tube.support_values[i, j] == pytest.approx(
                 reach_support(spec, t, tube.directions[j]), abs=1e-12)
@@ -315,12 +315,13 @@ def reference_reach_support(spec, t, l):
     offset = float(l @ spec.offset_at(t))
     if t == 0.0:
         return support(spec.X0, l)[0] + offset
-    g = reachability._grid_for(spec, t)
-    lT = g.Phi[0].T @ l
+    g = reachability._grids_for(spec, [t])
+    h, Phi = g.h[0], g.Phi[0]
+    lT = Phi[0].T @ l
     q0 = float(lT @ spec.X0.shape @ lT)
     alive = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
     value = float(lT @ spec.X0.center) + (np.sqrt(q0) if alive else 0.0)
-    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
+    for stack, E in [(g.PhiB[0], spec.U), (Phi, spec.V)]:
         if E is None:
             continue
         w = stack.transpose(0, 2, 1) @ l
@@ -328,9 +329,9 @@ def reference_reach_support(spec, t, l):
         thresh = VANISH_REL * max(q.max(), 0.0)
         vanish = (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
         r = np.sqrt(np.clip(q, 0.0, None))
-        simpson = (g.h / 3.0) * (r[:-1:2] + 4.0 * r[1::2] + r[2::2])
-        value = value + float(g.simpson_w @ (w @ E.center))
-        value = value + float(np.where(vanish, 2.0 * g.h * r[1::2], simpson).sum())
+        simpson = (h / 3.0) * (r[:-1:2] + 4.0 * r[1::2] + r[2::2])
+        value = value + float(g.simpson_w[0] @ (w @ E.center))
+        value = value + float(np.where(vanish, 2.0 * h * r[1::2], simpson).sum())
     return value + offset
 
 
@@ -409,13 +410,14 @@ def reference_touching_point(spec, t, l):
     offset = spec.offset_at(t)
     if t == 0.0:
         return support(spec.X0, l)[1] + offset
-    g = reachability._grid_for(spec, t)
-    lT = g.Phi[0].T @ l
+    g = reachability._grids_for(spec, [t])
+    h, Phi = g.h[0], g.Phi[0]
+    lT = Phi[0].T @ l
     q0 = float(lT @ spec.X0.shape @ lT)
     alive0 = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
     x0 = spec.X0.center + (spec.X0.shape @ lT / np.sqrt(q0) if alive0 else 0.0)
-    state = g.Phi[0] @ x0
-    for stack, E in [(g.PhiB, spec.U), (g.Phi, spec.V)]:
+    state = Phi[0] @ x0
+    for stack, E in [(g.PhiB[0], spec.U), (Phi, spec.V)]:
         if E is None:
             continue
         w = l @ stack
@@ -425,9 +427,9 @@ def reference_touching_point(spec, t, l):
         du[alive] = (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
         y = np.einsum("inm,im->in", stack, du)
         vanish = ~alive[:-1:2] | ~alive[1::2] | ~alive[2::2]
-        simpson = (g.h / 3.0) * (y[:-1:2] + 4.0 * y[1::2] + y[2::2])
-        state = state + np.where(vanish[:, None], 2.0 * g.h * y[1::2], simpson).sum(axis=0)
-        state = state + g.simpson_w @ np.einsum("inm,m->in", stack, E.center)
+        simpson = (h / 3.0) * (y[:-1:2] + 4.0 * y[1::2] + y[2::2])
+        state = state + np.where(vanish[:, None], 2.0 * h * y[1::2], simpson).sum(axis=0)
+        state = state + g.simpson_w[0] @ np.einsum("inm,m->in", stack, E.center)
     return state + offset
 
 
@@ -447,7 +449,8 @@ def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset
         B = spec.system.B
         dirs = dirs - dirs @ B @ np.linalg.pinv(B)
     tube = reach_tube(spec, [t], dirs)
-    points, x0, u = _touching_points(spec, t, tube.directions)
+    points, x0, u = (a[0] for a in _touching_points(spec, reachability._grids_for(spec, [t]),
+                                                       tube.directions))
     assert x0.shape == (n_dirs, n) and u.shape[1:] == (n_dirs, m)
     # a flat U's maximizer flips sign where w turns orthogonal to it, so next
     # to such a node the two sums of q give maximizers up to
@@ -836,6 +839,33 @@ def test_gram_oracle_matches_support_gradient(seed, n, m, k, with_V, with_offset
 
 @settings(max_examples=30, deadline=None)
 @given(**pair_cases)
+def test_kernel_rows_alone_equal_batched(seed, n, m, k, with_V, with_offset, flat_X0):
+    # each time of a grid batch comes out of the kernel and the projected
+    # view bit for bit as it does alone, on a system of its own so that its
+    # grid is built alone too: the lockstep verification relies on it
+    spec, _, P, _, rng = random_pair(seed, n, m, k, with_V, with_offset, flat_X0)
+    times = [0.0, *np.sort(rng.uniform(0.0, spec.horizon, 3)), spec.horizon]
+    L = unit_rows(rng.standard_normal((rng.integers(1, 5), n)))
+    batch = reachability._grids_for(spec, times)
+    values = reachability._support_values(spec, batch, L)
+    points = _touching_points(spec, batch, L)
+    view = _project(spec, times, P)
+    for j, t in enumerate(times):
+        alone = dataclasses.replace(spec, system=LTISystem(spec.system.A, spec.system.B))
+        grid = reachability._grids_for(alone, [t])
+        assert np.array_equal(reachability._support_values(alone, grid, L)[0], values[j])
+        for got, want in zip(_touching_points(alone, grid, L), points):
+            assert np.array_equal(got[0], want[j])
+        one = _project(alone, [t], P)
+        for got, want in [(one.center, view.center), (one.G0, view.G0), (one.H0, view.H0),
+                          (one.h, view.h), *zip(one.inputs, view.inputs)]:
+            assert np.array_equal(got[0], want[j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(**pair_cases)
+# an oracle point repeating a hull vertex would span faces with no normal
+@example(seed=585, n=3, m=2, k=3, with_V=True, with_offset=True, flat_X0=True)
 def test_separation_alone_equals_batched(seed, n, m, k, with_V, with_offset, flat_X0):
     # no coupling between the times of a batch: each comes out bit for bit
     # as it does verified alone
@@ -873,10 +903,11 @@ def test_certified_separation_dominates_ascent(name):
 
 
 def reference_grid(system, t, n_steps):
-    """(h, s, Phi, PhiB, simpson_w) of one time built alone, by the per-time
-    recursion the batched build replaced.  Kept as its reference."""
-    n_steps = n_steps + n_steps % 2 if t > 0.0 else 0
-    h = t / max(n_steps, 1)
+    """(h, Phi, PhiB, simpson_w) of one time built alone, by the per-time
+    recursion the batched build replaced.  Kept as its reference.  At t = 0
+    the step is 0, so every node sits at s = 0 with weight 0."""
+    n_steps = n_steps + n_steps % 2
+    h = t / n_steps
     E = expm(system.A, h)
     n = system.state_dim
     Phi = np.empty((n_steps + 1, n, n))
@@ -886,7 +917,7 @@ def reference_grid(system, t, n_steps):
     w = np.ones(n_steps + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return h, np.linspace(0.0, t, n_steps + 1), Phi, Phi @ system.B, w * (h / 3.0)
+    return h, Phi, Phi @ system.B, w * (h / 3.0)
 
 
 @pytest.mark.parametrize("quad_steps", [64, 33], ids=["even", "odd"])
@@ -895,22 +926,27 @@ def test_batched_grids_match_per_time_build(name, quad_steps):
     spec = dataclasses.replace(build_spec(load_scenario(builtin_scenario_path(name)), 0),
                                quad_steps=quad_steps)
     H = spec.horizon
-    cached = reachability._grid_for(spec, 0.45 * H)
+    reachability._grids_for(spec, [0.45 * H])
     times = [0.0, 0.2 * H, 0.45 * H, 0.7 * H, H]
-    grids = reachability._grids_for(spec, times)
-    assert grids[2] is cached
-    for t, g in zip(times, grids):
-        h, s, Phi, PhiB, w = reference_grid(spec.system, t, quad_steps)
-        assert g.h == h
+    g = reachability._grids_for(spec, times)
+    assert np.array_equal(g.times, times)
+    for j, t in enumerate(times):
+        h, Phi, PhiB, w = reference_grid(spec.system, t, quad_steps)
+        assert g.h[j] == h
         # Phi is rebuilt on first use, from the step the batch used
-        for got, want in [(g.s, s), (g.Phi0, Phi[0]), (g.PhiB, PhiB), (g.simpson_w, w),
-                          (g.Phi, Phi)]:
+        for got, want in [(g.Phi0[j], Phi[0]), (g.PhiB[j], PhiB), (g.simpson_w[j], w),
+                          (g.Phi[j], Phi)]:
             assert got.shape == want.shape and np.array_equal(got, want)
-    # the times built together are views into one stack each
-    for attr in ["E", "Phi0", "PhiB"]:
-        bases = [getattr(g, attr).base for g in grids[1:]]
-        assert bases[0] is bases[2] is bases[3] is not None
-        assert bases[1] is not bases[0]  # the cached time's own batch
+    # the cached time keeps its row of the first batch; the others were built
+    # together, in order, in a second one
+    rows = [spec.system.grids[(round(t, 12), quad_steps)] for t in times]
+    first, second = rows[2][0], rows[0][0]
+    assert first is not second
+    assert [b is second for b, _ in rows] == [True, True, False, True, True]
+    assert [j for _, j in rows] == [0, 1, 0, 2, 3]
+    # consecutive rows of one batch are served as a view, any other request as a copy
+    assert np.shares_memory(reachability._grids_for(spec, times[3:]).PhiB, second.PhiB)
+    assert not np.shares_memory(g.PhiB, second.PhiB)
 
 
 # ---------------------------------------------------------------- inner-hull polytope
