@@ -20,9 +20,12 @@ enters through one kernel, which takes a grid batch whole: with S_i = Phi_i B
 for U and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values
 integrate <w_i, c> and sqrt(q_i), touching points the responses S_i c and
 S_i M w_i / sqrt(q_i), each center term by Simpson and each root term by the
-panel rule, so that <l, x*> is the support value.  A (D, n) block of
-directions gives w as one (T, N+1, D, m) product, the panel rule runs per
-time and direction, and a single direction at a single time is a 1 x 1 block.
+panel rule.  A root term is sampled at every node where q_i > 0, sqrt(q_i)
+for the value and M w_i / sqrt(q_i) for the point; a node below VANISH_REL of
+its column's maximum only sends its panels to the midpoint rule.  So <l, x*>
+is the support value.  A (D, n) block of directions gives w as one
+(T, N+1, D, m) product, the panel rule runs per time and direction, and a
+single direction at a single time is a 1 x 1 block.
 
 Seen through a (k, n) projection P, with the rows of P as the directions,
 the same terms give the projected view (_project), for a whole batch in
@@ -263,7 +266,7 @@ def _touching_points(spec: ReachSpec, g: _Grid, L: np.ndarray):
     Returns (points, x0, u): the states maximizing <l, x> (T, D, n), center
     offset included; the initial states (T, D, n) and control profiles
     (T, N+1, D, m) that reach them, each the maximizer of <l, x> over its
-    set.  Where a quadratic form vanishes the maximizer is the set's center:
+    set.  Where a quadratic form is 0 the maximizer is the set's center:
     dividing M w by an infinite root there leaves the center alone.  The
     centers' response is integrated by Simpson on every panel, as in the
     support value.
@@ -275,7 +278,7 @@ def _touching_points(spec: ReachSpec, g: _Grid, L: np.ndarray):
     for stack, E in _inputs(spec, g):
         _, Mw, q = _input_terms(stack, E, L)
         alive = _alive(q, axis=1)
-        du = Mw / np.sqrt(np.where(alive, q, np.inf))[..., None]
+        du = Mw / np.sqrt(np.where(q > 0.0, q, np.inf))[..., None]
         response = np.moveaxis(du @ stack.transpose(0, 1, 3, 2), 1, -1)  # (T, D, n, N+1)
         points = (points + _simpson(g, stack @ E.center)[:, None]
                   + _panel_sum(g.h[:, None, None, None], np.moveaxis(alive, 1, -1)[:, :, None],
@@ -339,7 +342,7 @@ class _Projected:
             Gl = _apply(G, l)  # (T, k, N+1)
             q = _dot(l, Gl)[:, None]  # (T, 1, N+1)
             alive = _alive(q, axis=-1)
-            out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(alive, q, np.inf)))
+            out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(q > 0.0, q, np.inf)))
         return out
 
 

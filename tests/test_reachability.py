@@ -16,6 +16,7 @@ from reachsep.dynamics import (
 )
 from reachsep.ellipsoid import Ellipsoid, support
 from reachsep.montecarlo import discretize, sample_trajectories
+from reachsep.pipeline import plane_directions
 from reachsep.distance import (
     GAP_REL,
     _min_norm_point,
@@ -495,6 +496,20 @@ def test_support_gradient_is_the_touching_point(make_spec):
             for _ in range(4):
                 other = rng.standard_normal(spec.system.state_dim)
                 assert other @ point <= reach_support(spec, t, other) + 1e-9
+
+
+@pytest.mark.parametrize("aircraft", [0, 1])
+def test_support_gradient_reaches_support_on_bundled_quadrotor(aircraft):
+    # along the plane directions q vanishes at nodes next to s = t without
+    # being 0 there: the touching point samples M w / sqrt(q) at every node
+    # with q > 0, as the support value samples sqrt(q), so <l, x*> is the
+    # support value (it fell 5.2e-8 m short when such nodes counted as 0)
+    scen = load_scenario(builtin_scenario_path("quadrotor_pair"))
+    spec, P = build_spec(scen, aircraft), position_projection(scen)
+    for t in [0.5, 2.0, 4.0]:
+        for l in plane_directions(scen, P.shape[0]) @ P:
+            rho = reach_support(spec, t, l)
+            assert abs(support_gradient(spec, t, l)[0] - rho) <= 1e-12 * max(1.0, abs(rho))
 
 
 # ---------------------------------------------------------------- separation
