@@ -130,8 +130,8 @@ class _Polytope:
     joins itself to each horizon ridge (a ridge of a deleted face whose other
     face stays) by putting itself in the place of the deleted face's
     remaining vertex, which keeps the orientation.  A point that sees no face
-    beyond the rounding level, whose horizon is not one cycle, or that would
-    span a face with no normal (a repeat of a vertex) is left out, so the polytope stays a closed hull of some of the points and lies
+    beyond the rounding level, repeats an earlier point (its faces would have
+    no normal), or whose horizon is not one cycle, is left out, so the polytope stays a closed hull of some of the points and lies
     inside their convex hull.  Until the points span k dimensions it has no
     faces, and each call to facets tries again to start from a simplex.
     """
@@ -144,8 +144,7 @@ class _Polytope:
     def _tol(self) -> float:
         return 16.0 * np.finfo(float).eps * float(np.abs(self.points).max(initial=0.0))
 
-    def _planes(self, faces) -> np.ndarray | None:
-        """Plane rows of faces; None if a face has no normal (a repeated vertex)."""
+    def _planes(self, faces) -> np.ndarray:
         V = self.points[faces]
         d = V[:, 1:] - V[:, :1]
         planes = np.empty((faces.shape[0], faces.shape[1] + 1))
@@ -154,10 +153,7 @@ class _Polytope:
             n[:, 0], n[:, 1] = d[:, 0, 1], -d[:, 0, 0]
         else:
             n[:] = np.cross(d[:, 0], d[:, 1])
-        norm = np.sqrt((n * n).sum(axis=1))
-        if not np.all(norm > 0.0):
-            return None
-        n /= norm[:, None]
+        n /= np.sqrt((n * n).sum(axis=1))[:, None]
         planes[:, -1] = -(n * V[:, 0]).sum(axis=1)
         return planes
 
@@ -168,7 +164,7 @@ class _Polytope:
 
     def _insert(self, i: int) -> None:
         seen = self.planes[:, :-1] @ self.points[i] + self.planes[:, -1] > self._tol()
-        if not seen.any():
+        if not seen.any() or (self.points[:i] == self.points[i]).all(axis=1).any():
             return
         k = self.faces.shape[1]
         ridges = {}
@@ -192,11 +188,8 @@ class _Polytope:
             return
         new = np.array([f for f, _ in horizon])
         new[np.arange(len(horizon)), [j for _, j in horizon]] = i
-        planes = self._planes(new)
-        if planes is None:
-            return
         self.faces = np.vstack([self.faces[~seen], new])
-        self.planes = np.vstack([self.planes[~seen], planes])
+        self.planes = np.vstack([self.planes[~seen], self._planes(new)])
 
     def _start(self) -> bool:
         """Faces of a simplex of the points, then every other point inserted;

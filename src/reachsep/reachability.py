@@ -35,7 +35,7 @@ separation of two sets on that view, and reachsep.synthesis reads its safe
 set from it.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -105,8 +105,14 @@ class _Grid:
     Phi0: np.ndarray  # (T, n, n): e^(A t)
     PhiB: np.ndarray  # (T, N+1, n, m): PhiB[:, i] = e^(A (t - s_i)) B
 
-    def take(self, rows) -> "_Grid":
-        return _Grid(*(getattr(self, f.name)[rows] for f in fields(self)))
+    def take(self, rows, times=None) -> "_Grid":
+        """The given rows, answering for times (by default their own); a
+        disturbance stack already built comes along."""
+        out = _Grid(self.times[rows] if times is None else times,
+                    *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
+        if "Phi" in vars(self):
+            vars(out)["Phi"] = self.Phi[rows]
+        return out
 
     @cached_property
     def Phi(self) -> np.ndarray:
@@ -151,8 +157,7 @@ def _build_grids(system: LTISystem, times, n_steps: int) -> _Grid:
     N = n_steps + n_steps % 2
     times = np.array(times, dtype=float)
     h = times / N
-    n = system.state_dim
-    E = np.array([expm(system.A, step) for step in h]).reshape(len(times), n, n)
+    E = np.array([expm(system.A, step) for step in h]).reshape((-1,) + system.A.shape)
     Phi = _transitions(E, N)
     w = np.ones(N + 1)
     w[1:-1:2] = 4.0
@@ -173,20 +178,18 @@ def _grids_for(spec: ReachSpec, times) -> _Grid:
     times = [_check_time(spec, t) for t in times]
     cache = spec.system.grids
     keys = [(round(t, 12), spec.quad_steps) for t in times]
-    missing = {}
-    for key, t in zip(keys, times):
-        if key not in cache:
-            missing.setdefault(key, t)
+    missing = {key: t for key, t in zip(keys, times) if key not in cache}
     if missing:
         batch = _build_grids(spec.system, list(missing.values()), spec.quad_steps)
         cache.update((key, (batch, j)) for j, key in enumerate(missing))
     rows = [cache[key] for key in keys]
     batch, first = rows[0] if rows else (_build_grids(spec.system, [], spec.quad_steps), 0)
-    if all(b is batch and j == first + i for i, (b, j) in enumerate(rows)):
-        grid = batch.take(slice(first, first + len(rows)))
-    else:
-        grid = _Grid(*(np.stack([getattr(b, f.name)[j] for b, j in rows]) for f in fields(_Grid)))
-    return replace(grid, times=np.array(times))
+    if not all(b is batch and j == first + i for i, (b, j) in enumerate(rows)):
+        return _Grid(np.array(times), *(np.stack([getattr(b, f.name)[j] for b, j in rows])
+                                        for f in fields(_Grid)[1:]))
+    if spec.V is not None:
+        batch.Phi  # a disturbance set's stack: built once per batch, kept with it
+    return batch.take(slice(first, first + len(rows)), np.array(times))
 
 
 def _check_time(spec: ReachSpec, t: float) -> float:
@@ -196,9 +199,9 @@ def _check_time(spec: ReachSpec, t: float) -> float:
     return min(t, spec.horizon)
 
 
-def _alive(q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Where q is above VANISH_REL of its column's maximum along the node axis."""
-    return q > VANISH_REL * np.maximum(q.max(axis=axis, initial=0.0, keepdims=True), 0.0)
+def _alive(q: np.ndarray) -> np.ndarray:
+    """Where q is above VANISH_REL of its column's maximum along the nodes, its last axis."""
+    return q > VANISH_REL * np.maximum(q.max(axis=-1, initial=0.0, keepdims=True), 0.0)
 
 
 def _offsets(spec: ReachSpec, g: _Grid) -> np.ndarray:
@@ -220,8 +223,8 @@ def _root_integral(g: _Grid, q: np.ndarray) -> np.ndarray:
 
 
 def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
-    """(<l, Phi c0>, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per time of g and
-    row of L (D, n): (T, D), (T, D) and (T, D, n).
+    """(Phi' l, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per time of g and row
+    of L (D, n): (T, D, n), (T, D) and (T, D, n).
 
     The root is 0 where its square is at the rounding level of M0: a flat X0
     seen edge-on has no extent, not ~1e-9.
@@ -230,7 +233,7 @@ def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
     MLT = LT @ X0.shape
     q0 = (MLT * LT).sum(axis=-1)
     alive = q0 > VANISH_REL * np.trace(X0.shape) * (LT * LT).sum(axis=-1)
-    return LT @ X0.center, np.sqrt(np.where(alive, q0, 0.0)), MLT
+    return LT, np.sqrt(np.where(alive, q0, 0.0)), MLT
 
 
 def _input_terms(stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
@@ -251,8 +254,8 @@ def _inputs(spec: ReachSpec, g: _Grid):
 def _support_values(spec: ReachSpec, g: _Grid, L: np.ndarray):
     """Support values of the reachable sets at the times of g along each row
     of L (D, n): (T, D)."""
-    values, root0, _ = _initial_terms(g, spec.X0, L)
-    values = values + root0
+    LT, root0, _ = _initial_terms(g, spec.X0, L)
+    values = LT @ spec.X0.center + root0
     for stack, E in _inputs(spec, g):
         w, _, q = _input_terms(stack, E, L)
         values = values + _simpson(g, w @ E.center) + _root_integral(g, q)
@@ -277,12 +280,11 @@ def _touching_points(spec: ReachSpec, g: _Grid, L: np.ndarray):
     profiles = []
     for stack, E in _inputs(spec, g):
         _, Mw, q = _input_terms(stack, E, L)
-        alive = _alive(q, axis=1)
+        alive = _alive(np.moveaxis(q, 1, -1))[:, :, None]  # (T, D, 1, N+1)
         du = Mw / np.sqrt(np.where(q > 0.0, q, np.inf))[..., None]
         response = np.moveaxis(du @ stack.transpose(0, 1, 3, 2), 1, -1)  # (T, D, n, N+1)
         points = (points + _simpson(g, stack @ E.center)[:, None]
-                  + _panel_sum(g.h[:, None, None, None], np.moveaxis(alive, 1, -1)[:, :, None],
-                               response))
+                  + _panel_sum(g.h[:, None, None, None], alive, response))
         profiles.append(E.center + du)
     return points + _offsets(spec, g)[:, None], x0, profiles[0]
 
@@ -341,7 +343,7 @@ class _Projected:
         for G in self.inputs:
             Gl = _apply(G, l)  # (T, k, N+1)
             q = _dot(l, Gl)[:, None]  # (T, 1, N+1)
-            alive = _alive(q, axis=-1)
+            alive = _alive(q)
             out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(q > 0.0, q, np.inf)))
         return out
 
@@ -349,8 +351,7 @@ class _Projected:
 def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
     """spec's reachable sets at the given times, seen through P (k, n)."""
     g = _grids_for(spec, times)
-    _, _, MLT = _initial_terms(g, spec.X0, P)
-    PPhi0 = P @ g.Phi0
+    PPhi0, _, MLT = _initial_terms(g, spec.X0, P)
     x = g.Phi0 @ spec.X0.center
     inputs = []
     for stack, E in _inputs(spec, g):

@@ -136,11 +136,11 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grids_for(spec, [geom.tau])
     L = l[None, :]
-    a0, x0_term, _ = _initial_terms(g, spec.X0, L)
+    LT, x0_term, _ = _initial_terms(g, spec.X0, L)
     W, _, qU = _input_terms(g.PhiB, spec.U, L)
     qI = _input_terms(g.PhiB, Ellipsoid.ball(np.zeros(spec.U.dim), 1.0), L)[2]
     return PartIConstants(
-        a0=float(a0[0, 0]),
+        a0=float((LT @ spec.X0.center)[0, 0]),
         b=g.simpson_w[0] @ W[0, :, 0],
         x0_term=float(x0_term[0, 0]),
         gamma_U=float(_root_integral(g, qU)[0, 0]),

@@ -162,12 +162,14 @@ def test_plots_written(quad_run):
         assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
 
 
-def test_determinism(quad_run, tmp_path):
-    _, out = quad_run
-    out2 = tmp_path / "again"
-    code = run(builtin_scenario_path("quadrotor_pair"), out2,
-               {**FAST, "plots": True, "verify_mc": 500})
-    assert code == 0
+@pytest.mark.parametrize("scenario", ["quadrotor_pair", "fixedwing_pair"])
+def test_determinism(scenario, tmp_path):
+    # fixed-wing is the only bundled path with a center offset and a 2-D hull
+    out, out2 = tmp_path / "first", tmp_path / "again"
+    for path in (out, out2):
+        code = run(builtin_scenario_path(scenario), path,
+                   {**FAST, "plots": True, "verify_mc": 500})
+        assert code == 0
     for name in ["tubes.csv", "tubes_initial.csv", "separation.csv", "solution.json",
                  "encounter.json", "overlap.json", "mc.json", "verification.json",
                  "initial_tubes.svg", "final_tubes.svg", "control_sets.svg", "separation.svg"]:

@@ -962,6 +962,10 @@ def test_batched_grids_match_per_time_build(name, quad_steps):
     # consecutive rows of one batch are served as a view, any other request as a copy
     assert np.shares_memory(reachability._grids_for(spec, times[3:]).PhiB, second.PhiB)
     assert not np.shares_memory(g.PhiB, second.PhiB)
+    # a disturbance set's stack is built once per batch and kept with it
+    disturbed = dataclasses.replace(spec, V=Ellipsoid.ball(np.zeros(spec.system.state_dim), 0.1))
+    assert np.shares_memory(reachability._grids_for(disturbed, times[3:]).Phi,
+                            reachability._grids_for(disturbed, times[3:]).Phi)
 
 
 # ---------------------------------------------------------------- inner-hull polytope
