@@ -131,9 +131,10 @@ class _Polytope:
     face stays) by putting itself in the place of the deleted face's
     remaining vertex, which keeps the orientation.  A point that sees no face
     beyond the rounding level, repeats an earlier point (its faces would have
-    no normal), or whose horizon is not one cycle, is left out, so the polytope stays a closed hull of some of the points and lies
-    inside their convex hull.  Until the points span k dimensions it has no
-    faces, and each call to facets tries again to start from a simplex.
+    no normal), or whose horizon is not one cycle, is left out, so the
+    polytope stays a closed hull of some of the points and lies inside their
+    convex hull.  Until the points span k dimensions it has no faces, and
+    each call to facets tries again to start from a simplex.
     """
 
     def __init__(self, dim: int):

@@ -173,7 +173,8 @@ def _grids_for(spec: ReachSpec, times) -> _Grid:
     shared by every spec of the system; the times not cached yet are built
     in one batch.  Consecutive rows of one batch are returned as a view, any
     other request as a copy.  The batch's times are the ones asked for; h
-    and the stacks are those of the cached rows.
+    and the stacks are those of the cached rows.  A disturbance set's stack
+    (_Grid.Phi) is built once per cached batch and kept with it.
     """
     times = [_check_time(spec, t) for t in times]
     cache = spec.system.grids
