@@ -7,6 +7,7 @@ degenerate ellipsoids (points, flat sets) are first-class citizens.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +53,15 @@ class Ellipsoid:
         return self.center.shape[0]
 
     def sqrt_shape(self) -> np.ndarray:
-        """Symmetric PSD square root of the shape matrix."""
-        return psd_sqrt(self.shape)
+        """Symmetric PSD square root of the shape matrix (read-only)."""
+        return self._sqrt
+
+    @cached_property
+    def _sqrt(self) -> np.ndarray:
+        # once per ellipsoid: the set is immutable, and samplers ask per draw
+        W = psd_sqrt(self.shape)
+        W.setflags(write=False)
+        return W
 
     def boundary_points(self, n: int, rng=None) -> np.ndarray:
         """n boundary points c + M^(1/2) v with v uniform on the unit sphere."""

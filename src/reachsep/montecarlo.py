@@ -22,13 +22,18 @@ def discretize(system: LTISystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:n, :n], E[:n, n:]
 
 
-def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0) -> np.ndarray:
-    """States of n_samples extremal trajectories at the (uniform) grid times.
+def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
+                        P=None) -> np.ndarray:
+    """States, or their images under P, of n_samples extremal trajectories at
+    the (uniform) grid times.
 
     Initial states are drawn on the boundary of the initial set; the control
     is re-drawn on the boundary of the control set at every grid step.
-    Returns an array of shape (n_samples, len(t_grid), state_dim) including
-    any nominal center offset.
+    Returns an array of shape (n_samples, len(t_grid), k) including any
+    nominal center offset, with k = state_dim when P is None and P's row
+    count otherwise.  It is the transposed view of a time-major buffer, so
+    each time's (n_samples, k) slice is contiguous.  With P, only the
+    projected values are kept, and one step's full states at a time.
     """
     if spec.V is not None:
         raise ValueError("sampling is defined for the disturbance-free case")
@@ -38,14 +43,17 @@ def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0) 
         raise ValueError("need a uniform time grid starting at 0")
     rng = np.random.default_rng(seed)
     n = spec.system.state_dim
-    out = np.empty((n_samples, t_grid.shape[0], n))
+    PT = None if P is None else np.asarray(P, dtype=float).T
+    buf = np.empty((t_grid.shape[0], n_samples, n if PT is None else PT.shape[1]))
     X = spec.X0.boundary_points(n_samples, rng)
-    out[:, 0, :] = X + spec.offset_at(t_grid[0])
-    if len(dts) == 0:
-        return out
-    Ad, Bd = discretize(spec.system, float(dts[0]))
-    for k in range(1, t_grid.shape[0]):
-        U = spec.U.boundary_points(n_samples, rng)
-        X = X @ Ad.T + U @ Bd.T
-        out[:, k, :] = X + spec.offset_at(t_grid[k])
-    return out
+    if len(dts):
+        Ad, Bd = discretize(spec.system, float(dts[0]))
+    for k, t in enumerate(t_grid):
+        if k:
+            U = spec.U.boundary_points(n_samples, rng)
+            X = X @ Ad.T + U @ Bd.T
+        if PT is None:
+            buf[k] = X + spec.offset_at(t)
+        else:
+            np.matmul(X + spec.offset_at(t), PT, out=buf[k])
+    return np.swapaxes(buf, 0, 1)

@@ -187,20 +187,18 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
-    # positions (times, n_samples, k), contiguous per time; each sampled
-    # state array is freed as soon as it is projected
-    posA_t = np.ascontiguousarray(np.swapaxes(
-        sample_trajectories(base_A, t_grid, n_samples, seed=seed) @ P.T, 0, 1))
-    posB_t = np.ascontiguousarray(np.swapaxes(
-        sample_trajectories(base_B, t_grid, n_samples, seed=seed + 1) @ P.T, 0, 1))
+    # positions (n_samples, times, k), each time's slice contiguous
+    posA = sample_trajectories(base_A, t_grid, n_samples, seed=seed, P=P)
+    posB = sample_trajectories(base_B, t_grid, n_samples, seed=seed + 1, P=P)
     worst_violation = -np.inf
     min_pairwise = np.inf
-    for i, (posA, posB) in enumerate(zip(posA_t, posB_t)):
+    for i, (pA, pB) in enumerate(zip(np.swapaxes(posA, 0, 1), np.swapaxes(posB, 0, 1))):
         if dirs.shape[0]:
+            # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
             worst_violation = max(worst_violation,
-                                  float((posA @ dirs.T - tube_vals_A[i]).max()),
-                                  float((posB @ dirs.T - tube_vals_B[i]).max()))
-        min_pairwise = min(min_pairwise, _closest_pair_distance(posA, posB))
+                                  float(((pA @ dirs.T).max(axis=0) - tube_vals_A[i]).max()),
+                                  float(((pB @ dirs.T).max(axis=0) - tube_vals_B[i]).max()))
+        min_pairwise = min(min_pairwise, _closest_pair_distance(pA, pB))
     return {
         "samples_per_aircraft": n_samples,
         "seed": seed,
@@ -211,17 +209,28 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     }
 
 
+def _count_option(overrides: dict, key: str) -> int:
+    """overrides[key] as a non-negative integer; 0 when not given."""
+    v = overrides.get(key)
+    if v is None:
+        return 0
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ScenarioError(f"option '{key}' must be a non-negative integer, got {v!r}")
+    return int(v)
+
+
 def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     """Full two-phase pipeline; returns the process exit code."""
     overrides = dict(overrides or {})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        seed = _count_option(overrides, "seed")
+        n_mc = _count_option(overrides, "verify_mc")
         scenario = scenario_from_dict(load_document(scenario_path), overrides)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
-    seed = int(overrides.get("seed", 0))
     _write_json(out / "scenario.json", scenario.to_dict())
 
     P = position_projection(scenario)
@@ -341,8 +350,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     print(f"verification: min separation {min_sep:.4f} m over {len(t_grid)} grid times, "
           f"max duality gap {max_gap:.1e} m ({'ok' if safe else 'VIOLATION'})")
 
-    if overrides.get("verify_mc"):
-        n_mc = int(overrides["verify_mc"])
+    if n_mc:
         mc = verify_monte_carlo(shrunkA, shrunkB, P, t_grid, dirs, tubes["A"].support_values,
                                 tubes["B"].support_values, scenario.d, n_mc, seed=seed)
         _write_json(out / "mc.json", mc)

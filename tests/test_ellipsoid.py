@@ -47,6 +47,20 @@ def test_point_and_singular_shapes_allowed():
     Ellipsoid(np.zeros(2), np.diag([1.0, 0.0]))
 
 
+def test_sqrt_shape_computed_once_and_read_only(monkeypatch):
+    e = random_ellipsoid(np.random.default_rng(3), 4)
+    W = e.sqrt_shape()
+    assert np.array_equal(W, psd_sqrt(e.shape))
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 1.0
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a))
+    assert e.sqrt_shape() is W
+    e.boundary_points(5, 0)
+    assert calls == []
+
+
 def test_halfspace_requires_unit_directions():
     with pytest.raises(ValueError):
         HalfspaceSet(np.array([[2.0, 0.0]]), np.array([1.0]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ import reachsep
 from reachsep import distance, pipeline, reachability
 from reachsep.cli import main
 from reachsep.ellipsoid import Ellipsoid
-from reachsep.pipeline import SEP_TOL, run
+from reachsep.montecarlo import sample_trajectories
+from reachsep.pipeline import SEP_TOL, plane_directions, run, verify_monte_carlo
 from reachsep.plots import MissingArtifactError, emit_plots
 from reachsep.distance import GAP_REL
-from reachsep.reachability import reach_support
+from reachsep.reachability import reach_support, reach_tube
 from reachsep.scenario import (
     ScenarioError,
     build_spec,
@@ -155,6 +157,58 @@ def test_monte_carlo_artifact(quad_run):
     assert mc["min_pairwise_distance_m"] >= 1.0 - 1e-3
 
 
+@pytest.fixture(scope="module")
+def mc_check(quad_run):
+    """verify_monte_carlo's arguments on the bundled quadrotor grid, for the
+    control sets quad_run synthesized."""
+    scenario = load_scenario(builtin_scenario_path("quadrotor_pair"))
+    sol = json.loads((quad_run[1] / "solution.json").read_text())["aircraft"]
+    specs = []
+    for i, name in enumerate("AB"):
+        q, Q = np.array(sol[name]["q"]), np.array(sol[name]["Q"])
+        specs.append(dataclasses.replace(build_spec(scenario, i), U=Ellipsoid(q, Q @ Q)))
+    P = position_projection(scenario)
+    t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
+    dirs = plane_directions(scenario, P.shape[0])
+    vals = [reach_tube(spec, t_grid, dirs @ P).support_values for spec in specs]
+    return (*specs, P, t_grid, dirs, *vals, scenario.d)
+
+
+def full_state_monte_carlo(specA, specB, P, t_grid, dirs, vals_A, vals_B, d, n_samples,
+                           seed=0) -> dict:
+    """The check from whole sampled state arrays, projected afterwards."""
+    pos = [np.ascontiguousarray(np.swapaxes(
+        sample_trajectories(spec, t_grid, n_samples, seed=seed + j) @ P.T, 0, 1))
+        for j, spec in enumerate((specA, specB))]
+    worst = max(float((p[i] @ dirs.T - vals[i]).max())
+                for p, vals in zip(pos, (vals_A, vals_B)) for i in range(len(t_grid)))
+    closest = min(pipeline._closest_pair_distance(a, b) for a, b in zip(*pos))
+    return {"samples_per_aircraft": n_samples, "seed": seed,
+            "worst_halfspace_violation": worst, "min_pairwise_distance_m": closest,
+            "tube_ok": worst <= 1e-6, "pairwise_ok": closest >= d - 1e-3}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_monte_carlo_equals_full_state_check(mc_check, seed):
+    assert (verify_monte_carlo(*mc_check, 500, seed=seed)
+            == full_state_monte_carlo(*mc_check, 500, seed=seed))
+
+
+def test_monte_carlo_keeps_no_full_state_array(mc_check):
+    # projected positions only: the check's allocation peak stays below one
+    # aircraft's (n_samples, T, n) state array
+    n_samples, t_grid = 500, mc_check[3]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_monte_carlo(*mc_check, n_samples)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < n_samples * t_grid.shape[0] * mc_check[0].system.state_dim * 8
+
+
 def test_plots_written(quad_run):
     _, out = quad_run
     for name in ["initial_tubes.svg", "final_tubes.svg", "control_sets.svg", "separation.svg"]:
@@ -220,12 +274,25 @@ def test_exit_three_on_schema_error(tmp_path, capsys):
     (["--k", "0"], "scalarization.k0"),
     (["--k", "-1"], "scalarization.k0"),
     (["--grid-step", "9"], "grid_step_s"),  # longer than the 4 s horizon
+    (["--verify-mc", "-3"], "'verify_mc'"),
+    (["--seed", "-1"], "'seed'"),
 ])
 def test_cli_invalid_overrides_exit_three(tmp_path, capsys, flags, field):
     code = main(["run", str(builtin_scenario_path("quadrotor_pair")),
                  "--out", str(tmp_path / "out"), *flags])
     assert code == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("verify_mc", 2.7), ("verify_mc", -1), ("verify_mc", "10"), ("verify_mc", True),
+    ("seed", 0.5), ("seed", -2),
+])
+def test_run_count_options_must_be_non_negative_integers(tmp_path, capsys, option, value):
+    # checked before any work: nothing is written and the error names the option
+    assert run(builtin_scenario_path("quadrotor_pair"), tmp_path, {option: value}) == 3
+    assert f"option '{option}' must be a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("path, value", [

@@ -118,6 +118,21 @@ def test_support_dominates_monte_carlo():
         assert ((traj[:, -1, :] @ l) <= val + 1e-7).all()
 
 
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_projected_samples_equal_projected_states(name):
+    # fixed-wing adds a nominal center offset before the projection
+    scenario = load_scenario(builtin_scenario_path(name))
+    P = position_projection(scenario)
+    spec = dataclasses.replace(build_spec(scenario, 1), V=None)
+    t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
+    full = sample_trajectories(spec, t_grid, 300, seed=7)
+    pos = sample_trajectories(spec, t_grid, 300, seed=7, P=P)
+    assert full.shape == (300, t_grid.shape[0], spec.system.state_dim)
+    assert pos.shape == (300, t_grid.shape[0], P.shape[0])
+    assert np.array_equal(pos, full @ P.T)
+    assert np.swapaxes(pos, 0, 1).flags.c_contiguous
+
+
 def test_support_sublinear_in_direction():
     spec = quadrotor_spec(quad_steps=64)
     rng = np.random.default_rng(9)
