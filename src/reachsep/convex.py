@@ -15,15 +15,20 @@ feasibility, multiplying mu by 10 per stage until the barrier duality-gap
 estimate (total barrier dimension / mu) drops below 1e-7.  Problem sizes here
 are tiny (around fifteen scalars), so all Hessians are dense.
 
-The Armijo test reads only F_mu, so backtracking trials evaluate the value
-alone: one Cholesky log-det per block plus the scalar logs, accumulated by
-the same operations in the same order as the full evaluation, so every
-accept/reject decision is the one the full evaluation would make.  The
-gradient and Hessian are evaluated once per accepted point and carried into
-the next Newton step.  One rule ends a stage early: an Armijo step counts
-only if F_mu rose by more than its rounding level or the gradient norm fell,
-since once neither holds Newton can make no measurable progress at this mu
-(the centering stop of Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3).
+Every log-det objective block, PSD constraint block and scalar row sits on
+the diagonal of one affine block-diagonal matrix G(x) = F0 + sum_i x_i F_i
+(StackedBarrier, built once per solve), each row weighted by fscale * k on
+log-det blocks and 1/mu on barrier blocks.  So F_mu at a trial point is one
+Cholesky factor of G, and its gradient and Hessian at an accepted point are
+one inverse of G and two BLAS products.  The Armijo test reads only F_mu, so
+backtracking trials evaluate the value alone, by the same operations as the
+full evaluation, so every accept/reject decision is the one the full
+evaluation would make.  The gradient and Hessian are evaluated once per
+accepted point and carried into the next Newton step.  One rule ends a stage
+early: an Armijo step counts only if F_mu rose by more than its rounding
+level or the gradient norm fell, since once neither holds Newton can make no
+measurable progress at this mu (the centering stop of Boyd & Vandenberghe,
+Convex Optimization, 9.5, 11.3).
 """
 
 from dataclasses import dataclass, field
@@ -86,6 +91,13 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
+def _affine(F0: np.ndarray, F: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F0 + sum_i x_i F_i: the one BLAS call tensordot(x, F, axes=1) makes,
+    without its reshaping."""
+    D = F.shape[0]
+    return F0 + np.dot(x.reshape(1, D), F.reshape(D, -1)).reshape(F0.shape)
+
+
 class AffineMatrixExpr:
     """G(x) = F0 + sum_i x_i F_i over a problem's flattened variables."""
 
@@ -133,9 +145,7 @@ class AffineMatrixExpr:
         return self._add_stack(block, row0, col0, C)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        # the one BLAS call tensordot(x, F, axes=1) makes, without its reshaping
-        D = self.F.shape[0]
-        return self.F0 + np.dot(x.reshape(1, D), self.F.reshape(D, -1)).reshape(self.dim, self.dim)
+        return _affine(self.F0, self.F, x)
 
 
 @dataclass
@@ -143,9 +153,6 @@ class ScalarAffineExpr:
     name: str
     a: np.ndarray
     b: float
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.a @ x + self.b)
 
 
 class BarrierProblem:
@@ -248,43 +255,100 @@ class BarrierProblem:
 
     # ------------------------------------------------------------ evaluation
 
+    def stacked(self) -> "StackedBarrier":
+        """Every log-det block, PSD block and scalar row on one block diagonal.
+
+        Built from the problem as it stands, so a constraint added later needs
+        a new one; solve builds it once per call.
+        """
+        exprs = [e for e, _ in self.logdets] + self.psd
+        dims = [e.dim for e in exprs] + [1] * len(self.scalars)
+        starts = np.cumsum([0] + dims)
+        n, D = int(starts[-1]), self.total_dim
+        F0, F = np.zeros((n, n)), np.zeros((D, n, n))
+        for expr, a, b in zip(exprs, starts, starts[1:]):
+            F0[a:b, a:b] = expr.F0
+            F[:, a:b, a:b] = expr.F
+        for s, j in zip(self.scalars, starts[len(exprs):]):
+            F0[j, j] = s.b
+            F[:, j, j] = s.a
+        n_obj = int(starts[len(self.logdets)])
+        k = np.zeros(n)
+        for (_, kc), a, b in zip(self.logdets, starts, starts[1:]):
+            k[a:b] = kc
+        names = tuple(e.name for e in exprs) + tuple(s.name for s in self.scalars)
+        return StackedBarrier(F0, F, k, n_obj, names, tuple(starts), self.linear.copy(),
+                              self.obj_const, D)
+
     def objective(self, x: np.ndarray) -> float:
-        val = self.obj_const + float(self.linear @ x)
-        for expr, k in self.logdets:
-            sign, logdet = np.linalg.slogdet(expr.value(x))
-            if sign <= 0:
-                return -np.inf
-            val += k * logdet
-        return val
+        return self.stacked().objective(x)
 
     def barrier_dimension(self) -> int:
         return sum(e.dim for e in self.psd) + len(self.scalars)
 
     def strictly_feasible(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        for expr in self.psd + [e for e, _ in self.logdets]:
-            G = expr.value(x)
-            if margin > 0.0:
-                if np.linalg.eigvalsh(G).min() < margin:
-                    return False
-            else:
-                try:
-                    np.linalg.cholesky(G)
-                except np.linalg.LinAlgError:
-                    return False
-        return all(s.value(x) > margin for s in self.scalars)
+        return self.stacked().strictly_feasible(x, margin)
 
     def worst_violation(self, x: np.ndarray) -> tuple[str, float]:
-        """Most violated constraint at x (most negative slack / eigenvalue)."""
-        worst, name = np.inf, ""
-        for expr in self.psd:
-            m = float(np.linalg.eigvalsh(expr.value(x)).min())
-            if m < worst:
-                worst, name = m, expr.name
-        for s in self.scalars:
-            v = s.value(x)
-            if v < worst:
-                worst, name = v, s.name
-        return name, worst
+        return self.stacked().worst_violation(x)
+
+
+@dataclass(frozen=True)
+class StackedBarrier:
+    """G(x) = F0 + sum_i x_i F_i, block diagonal: the log-det objective blocks
+    (the first n_obj rows, weighted by k), then the PSD constraint blocks and
+    the scalar rows as 1x1 blocks (the barrier, k = 0)."""
+
+    F0: np.ndarray  # (n, n)
+    F: np.ndarray  # (total_dim, n, n)
+    k: np.ndarray  # (n,) log-det coefficient of each diagonal entry
+    n_obj: int
+    names: tuple
+    starts: tuple  # block b spans rows starts[b]:starts[b + 1]
+    linear: np.ndarray
+    obj_const: float
+    total_dim: int
+
+    def stacked(self) -> "StackedBarrier":
+        return self
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return _affine(self.F0, self.F, x)
+
+    def objective(self, x: np.ndarray) -> float:
+        val = self.obj_const + float(self.linear @ x)
+        if self.n_obj == 0:
+            return val
+        try:
+            L = np.linalg.cholesky(self.value(x)[:self.n_obj, :self.n_obj])
+        except np.linalg.LinAlgError:
+            return -np.inf
+        return val + 2.0 * float(self.k[:self.n_obj] @ np.log(L.diagonal()))
+
+    def _block_minima(self, x: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of each block at x, in the order of names."""
+        G = self.value(x)
+        return np.array([np.linalg.eigvalsh(G[a:b, a:b])[0]
+                         for a, b in zip(self.starts, self.starts[1:])])
+
+    def strictly_feasible(self, x: np.ndarray, margin: float = 0.0) -> bool:
+        """Every block PD (margin 0: G's Cholesky factor exists, as in the
+        merit), or with every eigenvalue at least margin."""
+        if margin > 0.0:
+            return bool(self._block_minima(x).min(initial=np.inf) >= margin)
+        try:
+            np.linalg.cholesky(self.value(x))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def worst_violation(self, x: np.ndarray) -> tuple[str, float]:
+        """Most violated block at x (most negative eigenvalue), log-det blocks included."""
+        minima = self._block_minima(x)
+        if minima.size == 0:
+            return "", np.inf
+        b = int(np.argmin(minima))
+        return self.names[b], float(minima[b])
 
 
 @dataclass
@@ -298,68 +362,39 @@ class SolveResult:
     newton_steps: int = 0
 
 
-def _chol_logdet(G: np.ndarray):
-    """log det G from its Cholesky factor; None if G is not PD."""
+def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0, derivs: bool = True):
+    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
+
+    prob is a BarrierProblem or its StackedBarrier.  One Cholesky factor of
+    the stacked G gives the value; the weights w are fscale * k on log-det
+    rows and 1/mu on barrier rows.  Since w is constant on each block, it
+    commutes with every block-diagonal matrix, so with A = sqrt(w) G^-1 and
+    M_i = A F_i the gradient is F_i . (A sqrt(w))' and the Hessian
+    -tr(M_i M_j): one inverse and two BLAS products.  With derivs=False only
+    F_mu is returned, computed by the same operations, so it equals the first
+    entry bit for bit.
+    """
+    sb = prob.stacked()
+    G = sb.value(x)
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.log(L.diagonal()).sum())
-
-
-def _logdet_derivs(expr: AffineMatrixExpr, x: np.ndarray):
-    """(value, gradient, Hessian) of log det G(x); None if G is not PD."""
-    G = expr.value(x)
-    val = _chol_logdet(G)
-    if val is None:
-        return None
-    Ginv = np.linalg.inv(G)
-    grad = np.einsum("ijk,kj->i", expr.F, Ginv)
-    M = np.einsum("ab,ibc->iac", Ginv, expr.F)
-    hess = -np.einsum("iab,jba->ij", M, M)
+    w = fscale * sb.k
+    w[sb.n_obj:] = 1.0 / mu
+    val = fscale * (sb.obj_const + float(sb.linear @ x)) + 2.0 * float(w @ np.log(L.diagonal()))
+    if not derivs:
+        return val
+    D = sb.total_dim
+    rw = np.sqrt(w)
+    A = rw[:, None] * np.linalg.inv(G)
+    grad = fscale * sb.linear + sb.F.reshape(D, -1) @ (A * rw).T.ravel()
+    M = A @ sb.F
+    hess = -(M.reshape(D, -1) @ M.transpose(0, 2, 1).reshape(D, -1).T)
     return val, grad, hess
 
 
-def _merit(prob: BarrierProblem, x: np.ndarray, mu: float, fscale: float = 1.0,
-           derivs: bool = True):
-    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
-
-    With derivs=False only F_mu is returned, accumulated by the same
-    operations in the same order, so it equals the first entry bit for bit.
-    """
-    D = prob.total_dim
-    val = fscale * (prob.obj_const + float(prob.linear @ x))
-    if derivs:
-        grad = fscale * prob.linear.copy()
-        hess = np.zeros((D, D))
-    inv_mu = 1.0 / mu
-    weighted = ([(expr, fscale * k) for expr, k in prob.logdets]
-                + [(expr, inv_mu) for expr in prob.psd])
-    for expr, w in weighted:
-        if derivs:
-            out = _logdet_derivs(expr, x)
-            if out is None:
-                return None
-            v, g, h = out
-            grad += w * g
-            hess += w * h
-        else:
-            v = _chol_logdet(expr.value(x))
-            if v is None:
-                return None
-        val += w * v
-    for s in prob.scalars:
-        sv = s.value(x)
-        if sv <= 0.0:
-            return None
-        val += inv_mu * np.log(sv)
-        if derivs:
-            grad += inv_mu * s.a / sv
-            hess -= inv_mu * np.outer(s.a, s.a) / sv**2
-    return (val, grad, hess) if derivs else val
-
-
-def _newton_stage(prob: BarrierProblem, x: np.ndarray, mu: float, gtol: float,
+def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
                   fscale: float = 1.0):
     """Centers F_mu by damped Newton; returns (x, grad_norm, steps).
 
@@ -421,8 +456,9 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     it ended earlier, with Newton making no measurable progress.
     """
     x = prob.pack(init)
-    if not prob.strictly_feasible(x, margin=INIT_MARGIN):
-        name, worst = prob.worst_violation(x)
+    sb = prob.stacked()
+    if not sb.strictly_feasible(x, margin=INIT_MARGIN):
+        name, worst = sb.worst_violation(x)
         raise InfeasibleStartError(
             f"initial point is not strictly feasible (constraint {name!r}, margin {worst:.3e})")
     scale = max(1.0, float(np.abs(prob.linear).max(initial=0.0)),
@@ -433,9 +469,9 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     stage_objectives = []
     total_steps = 0
     while True:
-        x, kkt, steps = _newton_stage(prob, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale)
+        x, kkt, steps = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale)
         total_steps += steps
-        stage_objectives.append(prob.objective(x))
+        stage_objectives.append(sb.objective(x))
         if nu / mu <= GAP_TOL:
             break
         mu *= 10.0
@@ -443,5 +479,5 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
         status = "optimal"
     else:
         status = "max_iter" if steps == MAX_NEWTON else "stalled"
-    return SolveResult(prob.unpack(x), prob.objective(x), kkt, mu, status,
+    return SolveResult(prob.unpack(x), sb.objective(x), kkt, mu, status,
                        stage_objectives, total_steps)

@@ -145,12 +145,21 @@ class NominalTrajectory:
 
     def state_at(self, t: float) -> np.ndarray:
         """Linear interpolation; t is clamped to the sampled range."""
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        if i >= self.times.shape[0] - 1:
-            return self.states[-1].copy()
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return (1.0 - w) * self.states[i] + w * self.states[i + 1]
+        return self.states_at([t])[0]
+
+    def states_at(self, times) -> np.ndarray:
+        """state_at at each of times, one row each."""
+        t = np.clip(np.asarray(times, dtype=float), self.times[0], self.times[-1])
+        n = self.times.shape[0]
+        if n == 1:
+            return np.repeat(self.states, t.shape[0], axis=0)
+        i = np.searchsorted(self.times, t, side="right") - 1
+        last = i >= n - 1
+        i = np.minimum(i, n - 2)
+        w = ((t - self.times[i]) / (self.times[i + 1] - self.times[i]))[:, None]
+        out = (1.0 - w) * self.states[i] + w * self.states[i + 1]
+        out[last] = self.states[-1]
+        return out
 
 
 def expm(A: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -207,7 +207,9 @@ def _alive(q: np.ndarray) -> np.ndarray:
 
 def _offsets(spec: ReachSpec, g: _Grid) -> np.ndarray:
     """The center offset at each time of g, (T, n)."""
-    return np.array([spec.offset_at(t) for t in g.times]).reshape(-1, spec.system.state_dim)
+    if spec.center_offset is None:
+        return np.zeros((g.times.shape[0], spec.system.state_dim))
+    return spec.center_offset.states_at(g.times)
 
 
 def _simpson(g: _Grid, samples: np.ndarray) -> np.ndarray:

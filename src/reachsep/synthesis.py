@@ -113,16 +113,16 @@ def estimate_encounter(nomA, nomB, P, d: float) -> EncounterGeometry:
     if t_hi <= t_lo:
         raise ValueError("nominal trajectories do not overlap in time")
     times = nomA.times[(nomA.times >= t_lo - 1e-12) & (nomA.times <= t_hi + 1e-12)]
-    gaps = np.array([
-        np.linalg.norm(P @ nomA.state_at(t) - P @ nomB.state_at(t)) for t in times])
-    tau = float(times[int(np.argmin(gaps))])
-    rel = P @ nomA.state_at(tau) - P @ nomB.state_at(tau)
+    XA = nomA.states_at(times)
+    rels = XA @ P.T - nomB.states_at(times) @ P.T
+    i = int(np.argmin(np.linalg.norm(rels, axis=1)))
+    tau, rel = float(times[i]), rels[i]
     norm = np.linalg.norm(rel)
     if norm < 1e-9:
         raise DegenerateGeometryError(
             f"nominal centers coincide at closest approach (t = {tau:.6g} s); "
             "provide the avoidance direction explicitly")
-    return EncounterGeometry(tau, P.T @ (rel / norm), d, nomA.state_at(tau))
+    return EncounterGeometry(tau, P.T @ (rel / norm), d, XA[i])
 
 
 def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartIConstants:

@@ -144,6 +144,16 @@ def test_infeasible_start_rejected():
         solve(p, {"Q": 2.0 * np.eye(2)})
 
 
+def test_infeasible_start_names_violated_logdet_block():
+    # Q = diag(0.5, -0.1) satisfies the cap I - Q >= 0 (margin 0.5) but not
+    # the log-det domain Q > 0, so the error names logdet(Q) and its -0.1
+    p, _ = logdet_under_identity()
+    x = p.pack({"Q": np.diag([0.5, -0.1])})
+    assert p.worst_violation(x) == ("logdet(Q)", pytest.approx(-0.1))
+    with pytest.raises(InfeasibleStartError, match=r"'logdet\(Q\)', margin -1.000e-01"):
+        solve(p, {"Q": np.diag([0.5, -0.1])})
+
+
 def test_monotone_central_path():
     p = scaled_toy()
     res = solve(p, SCALED_START)
@@ -287,11 +297,70 @@ def test_value_only_merit_is_bit_identical(which, unit, radius, mu, fscale):
         assert np.array_equal(expr.value(x), expr.F0 + np.tensordot(x, expr.F, axes=1))
 
 
+def reference_merit(p, x, mu, fscale):
+    """The per-block evaluation the stacked barrier replaced: each log-det and
+    PSD block factored and inverted on its own, each scalar row by hand."""
+    D = p.total_dim
+    val = fscale * (p.obj_const + float(p.linear @ x))
+    grad = fscale * p.linear.copy()
+    hess = np.zeros((D, D))
+    weighted = [(e, fscale * k) for e, k in p.logdets] + [(e, 1.0 / mu) for e in p.psd]
+    for expr, w in weighted:
+        G = expr.value(x)
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return None
+        Ginv = np.linalg.inv(G)
+        M = np.einsum("ab,ibc->iac", Ginv, expr.F)
+        val += w * 2.0 * float(np.log(L.diagonal()).sum())
+        grad += w * np.einsum("ijk,kj->i", expr.F, Ginv)
+        hess -= w * np.einsum("iab,jba->ij", M, M)
+    for row in p.scalars:
+        sv = float(row.a @ x + row.b)
+        if sv <= 0.0:
+            return None
+        val += np.log(sv) / mu
+        grad += row.a / (mu * sv)
+        hess -= np.outer(row.a, row.a) / (mu * sv**2)
+    return val, grad, hess
+
+
+def assert_close(actual, desired):
+    # rtol 1e-10, with entries that cancel to ~0 measured against the largest
+    desired = np.asarray(desired)
+    np.testing.assert_allclose(actual, desired, rtol=1e-10,
+                               atol=1e-10 * max(1.0, np.abs(desired).max()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(["logdet_under_identity", "scaled_toy", "norm_toy",
+                              "norm_toy_3"]),
+       unit=st.lists(st.floats(-1.0, 1.0), min_size=11, max_size=11),
+       radius=st.sampled_from([1e-5, 1e-3, 0.1, 2.0]),
+       mu=st.sampled_from([1.0, 10.0, 1e4, 1e8]),
+       fscale=st.sampled_from([1.0, 0.125]))
+def test_stacked_merit_matches_per_block_reference(which, unit, radius, mu, fscale):
+    # covers no scalar rows (logdet_under_identity), a log-det on a scalar
+    # block (scaled_toy) and the spectral-norm program's shape for m = 2, 3
+    p, init = with_start(which)
+    x = p.pack(init) + radius * np.array(unit[:p.total_dim])
+    out = convex._merit(p, x, mu, fscale)
+    ref = reference_merit(p, x, mu, fscale)
+    assert (out is None) == (ref is None)
+    if ref is not None:
+        for a, b in zip(out, ref):
+            assert_close(a, b)
+
+
 def with_start(name):
     if name == "logdet_under_identity":
         return logdet_under_identity()[0], {"Q": 0.5 * np.eye(2)}
     if name == "scaled_toy":
         return scaled_toy(), SCALED_START
+    if name == "norm_toy_3":
+        return norm_toy(b=(0.6, -0.3, 0.2)), {**NORM_START, "q": np.zeros(3),
+                                              "Q": 1e-3 * np.eye(3)}
     return norm_toy(), NORM_START
 
 
@@ -301,12 +370,17 @@ def test_derivatives_once_per_accepted_step(name, monkeypatch):
     # evaluated at each stage start and at each accepted point
     p, init = with_start(name)
     calls = []
-    derivs = convex._logdet_derivs
-    monkeypatch.setattr(convex, "_logdet_derivs", lambda *a: calls.append(1) or derivs(*a))
+    merit = convex._merit
+
+    def counted(*args, derivs=True, **kwargs):
+        if derivs:
+            calls.append(1)
+        return merit(*args, derivs=derivs, **kwargs)
+
+    monkeypatch.setattr(convex, "_merit", counted)
     res = solve(p, init)
     assert res.status == "optimal"
-    blocks = len(p.logdets) + len(p.psd)
-    assert 0 < len(calls) <= (res.newton_steps + len(res.stage_objectives) + 1) * blocks
+    assert 0 < len(calls) <= res.newton_steps + len(res.stage_objectives) + 1
 
 
 def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):

@@ -202,6 +202,32 @@ def test_nominal_trajectory_interpolation_and_validation():
         NominalTrajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 1)))
 
 
+
+def scalar_interpolation(traj, t):
+    """Reference: one time at a time, as state_at did before the batched form."""
+    t = float(np.clip(t, traj.times[0], traj.times[-1]))
+    i = int(np.searchsorted(traj.times, t, side="right") - 1)
+    if i >= traj.times.shape[0] - 1:
+        return traj.states[-1].copy()
+    w = (t - traj.times[i]) / (traj.times[i + 1] - traj.times[i])
+    return (1.0 - w) * traj.states[i] + w * traj.states[i + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_states_at_equals_scalar_interpolation(n):
+    # the batched interpolation rounds as the scalar one, clamping included,
+    # so the closest-approach search finds the same tau and l*
+    rng = np.random.default_rng(n)
+    traj = NominalTrajectory(0.3 + 0.1 * np.arange(n), rng.standard_normal((n, 4)))
+    times = np.concatenate([traj.times, [0.0, traj.t1 + 1.0, traj.t1],
+                            rng.uniform(0.2, traj.t1 + 0.1, 20)])
+    batch = traj.states_at(times)
+    assert batch.shape == (times.shape[0], 4)
+    for t, row in zip(times, batch):
+        assert np.array_equal(row, scalar_interpolation(traj, t))
+        assert np.array_equal(traj.state_at(t), row)
+
+
 def test_lti_similarity_preserves_flow():
     rng = np.random.default_rng(3)
     sys = LTISystem(rng.standard_normal((4, 4)), rng.standard_normal((4, 2)))
