@@ -63,12 +63,19 @@ class Ellipsoid:
         W.setflags(write=False)
         return W
 
-    def boundary_points(self, n: int, rng=None) -> np.ndarray:
-        """n boundary points c + M^(1/2) v with v uniform on the unit sphere."""
+    def boundary_points(self, n: int, rng=None, out=None) -> np.ndarray:
+        """n boundary points c + M^(1/2) v with v uniform on the unit sphere.
+
+        With out, an (n, dim) float array, the draws v and then the points
+        are written into it and it is returned, so that a sampler that calls
+        this at every step reuses one buffer; the points are the same either
+        way, bit for bit.
+        """
         rng = np.random.default_rng(rng)
-        v = rng.standard_normal((n, self.dim))
+        v = rng.standard_normal((n, self.dim), out=out)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return self.center + v @ self.sqrt_shape()
+        # v @ W into v itself: matmul copies an input its output overlaps
+        return np.add(self.center, np.matmul(v, self.sqrt_shape(), out=out), out=out)
 
     @staticmethod
     def ball(center, radius: float) -> "Ellipsoid":

@@ -34,6 +34,11 @@ def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
     count otherwise.  It is the transposed view of a time-major buffer, so
     each time's (n_samples, k) slice is contiguous.  With P, only the
     projected values are kept, and one step's full states at a time.
+
+    Each step draws into, and computes in, buffers allocated once per call,
+    with the operations of X' = X Ad' + U Bd' in the same order as fresh
+    arrays would take them: the random stream and every value are those of
+    a loop that allocates per step.
     """
     if spec.V is not None:
         raise ValueError("sampling is defined for the disturbance-free case")
@@ -46,14 +51,16 @@ def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
     PT = None if P is None else np.asarray(P, dtype=float).T
     buf = np.empty((t_grid.shape[0], n_samples, n if PT is None else PT.shape[1]))
     X = spec.X0.boundary_points(n_samples, rng)
+    XA, UB = np.empty_like(X), np.empty_like(X)  # X Ad' (then X + offset) and U Bd'
+    U = np.empty((n_samples, spec.system.input_dim))
     if len(dts):
         Ad, Bd = discretize(spec.system, float(dts[0]))
     for k, t in enumerate(t_grid):
         if k:
-            U = spec.U.boundary_points(n_samples, rng)
-            X = X @ Ad.T + U @ Bd.T
+            spec.U.boundary_points(n_samples, rng, out=U)
+            np.add(np.matmul(X, Ad.T, out=XA), np.matmul(U, Bd.T, out=UB), out=X)
         if PT is None:
-            buf[k] = X + spec.offset_at(t)
+            np.add(X, spec.offset_at(t), out=buf[k])
         else:
-            np.matmul(X + spec.offset_at(t), PT, out=buf[k])
+            np.matmul(np.add(X, spec.offset_at(t), out=XA), PT, out=buf[k])
     return np.swapaxes(buf, 0, 1)

@@ -188,10 +188,25 @@ def full_state_monte_carlo(specA, specB, P, t_grid, dirs, vals_A, vals_B, d, n_s
             "tube_ok": worst <= 1e-6, "pairwise_ok": closest >= d - 1e-3}
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_monte_carlo_equals_full_state_check(mc_check, seed):
-    assert (verify_monte_carlo(*mc_check, 500, seed=seed)
-            == full_state_monte_carlo(*mc_check, 500, seed=seed))
+@pytest.mark.parametrize("n_samples, seed", [
+    pytest.param(500, 0, id="0"), pytest.param(500, 1, id="1"),
+    # the benchmark's sample count
+    pytest.param(10_000, 0, id="10000-0"), pytest.param(10_000, 1, id="10000-1")])
+def test_monte_carlo_equals_full_state_check(mc_check, n_samples, seed):
+    assert (verify_monte_carlo(*mc_check, n_samples, seed=seed)
+            == full_state_monte_carlo(*mc_check, n_samples, seed=seed))
+
+
+def test_monte_carlo_searches_few_grid_times(mc_check, monkeypatch):
+    # on the bundled quadrotor the clouds' gaps along their means rule out
+    # most of the 41 grid times before any exact search
+    searched = []
+    search = pipeline._closest_pair_distance
+    monkeypatch.setattr(pipeline, "_closest_pair_distance",
+                        lambda A, B: searched.append(1) or search(A, B))
+    verify_monte_carlo(*mc_check, 10_000)
+    assert mc_check[3].shape[0] == 41
+    assert 0 < len(searched) < 41
 
 
 def test_monte_carlo_keeps_no_full_state_array(mc_check):
@@ -529,3 +544,30 @@ def test_closest_pair_sums_coordinates_as_the_kd_tree():
     value = pipeline._closest_pair_distance(np.zeros((1, 3)), offset)
     assert value == float(cKDTree(offset).query(np.zeros((1, 3)))[0][0])
     assert value != float(np.sqrt(offset[0, 2] ** 2 + offset[0, 1] ** 2 + offset[0, 0] ** 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(["apart", "touching", "overlapping", "identical",
+                                       "tiny_far", "sheets", "equal_means"]),
+                      min_size=1, max_size=5),
+       n=st.integers(1, 400), tie=st.booleans(), far=st.sampled_from([0.0, 1e6]))
+def test_pruned_minimum_is_the_exhaustive_minimum(seed, k, kinds, n, tie, far):
+    # one pair of clouds per grid time; n up to 256 takes the nA nB <= PAIR_CHUNK
+    # path, identical clouds and the symmetric pairs of equal_means have
+    # u = 0, and coordinates near 1e6 leave the rounding slack to the bound
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for kind in kinds:
+        if kind == "equal_means":
+            a, b = rng.standard_normal((2, k))
+            A, B = np.stack([a, -a]), np.stack([b, -b])
+        else:
+            A, B = two_clouds(kind, rng, n, max(1, n // 2), k)
+        shift = far * rng.standard_normal(k)
+        pairs.append((A + shift, B + shift))
+    exhaustive = [pipeline._closest_pair_distance(A, B) for A, B in pairs]
+    if tie:  # a second grid time at the minimum
+        pairs.append(pairs[int(np.argmin(exhaustive))])
+    assert pipeline._min_closest_pair_distance(pairs) == min(exhaustive)
+

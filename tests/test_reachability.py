@@ -133,6 +133,57 @@ def test_projected_samples_equal_projected_states(name):
     assert np.swapaxes(pos, 0, 1).flags.c_contiguous
 
 
+def reference_samples(spec, t_grid, n_samples, seed=0, P=None):
+    """sample_trajectories as a loop that allocates every step's arrays."""
+    def boundary(e):
+        v = rng.standard_normal((n_samples, e.dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return e.center + v @ e.sqrt_shape()
+
+    rng = np.random.default_rng(seed)
+    X = boundary(spec.X0)
+    if len(t_grid) > 1:
+        Ad, Bd = discretize(spec.system, float(np.diff(t_grid)[0]))
+    steps = []
+    for k, t in enumerate(t_grid):
+        if k:
+            X = X @ Ad.T + boundary(spec.U) @ Bd.T
+        steps.append(X + spec.offset_at(t) if P is None else (X + spec.offset_at(t)) @ P.T)
+    return np.stack(steps, axis=1)
+
+
+def same_array_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("projected", [False, True])
+def test_sampler_equals_allocating_reference(m, projected):
+    # random dynamics, a singular initial set and an offset control set
+    rng = np.random.default_rng(m)
+    n = 5
+    L0, Lu = rng.standard_normal((n, n - 1)), rng.standard_normal((m, m))
+    system = LTISystem(0.3 * rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+    spec = ReachSpec(system, Ellipsoid(rng.standard_normal(n), L0 @ L0.T),
+                     Ellipsoid(rng.standard_normal(m), Lu @ Lu.T), 2.0)
+    P = rng.standard_normal((3, n)) if projected else None
+    for t_grid in (np.linspace(0.0, 2.0, 21), np.zeros(1)):
+        assert same_array_bits(sample_trajectories(spec, t_grid, 700, seed=m, P=P),
+                               reference_samples(spec, t_grid, 700, seed=m, P=P))
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_bundled_samples_equal_allocating_reference(name):
+    # fixed-wing adds a nominal center offset
+    scenario = load_scenario(builtin_scenario_path(name))
+    P = position_projection(scenario)
+    spec = dataclasses.replace(build_spec(scenario, 0), V=None)
+    t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
+    for proj in (None, P):
+        assert same_array_bits(sample_trajectories(spec, t_grid, 1000, seed=3, P=proj),
+                               reference_samples(spec, t_grid, 1000, seed=3, P=proj))
+
+
 def test_support_sublinear_in_direction():
     spec = quadrotor_spec(quad_steps=64)
     rng = np.random.default_rng(9)
