@@ -32,7 +32,10 @@ the same terms give the projected view (_project), for a whole batch in
 one call: per node the k x k Gram G_i = Mw_i w_i', whose diagonal is q, and
 the center terms summed once per time.  reachsep.distance searches the
 separation of two sets on that view, and reachsep.synthesis reads its safe
-set from it.
+set from it.  Where a Gram form is thin along l, q below GRAM_REL of its
+scale, it has lost the digits the full-state form keeps: the initial-set
+term, in the kernel and the view, and an input node of the view then take
+q and the response from the factor S M^(1/2) instead.
 """
 
 from dataclasses import dataclass, fields
@@ -44,6 +47,11 @@ from .dynamics import LTISystem, NominalTrajectory, expm
 from .ellipsoid import Ellipsoid, HalfspaceSet
 
 VANISH_REL = 1e-13
+# A quadratic form q = <l, M l> read from M is off by ~eps |M| |l|^2 / q
+# relative; read from the factor, q = |M^(1/2) l|^2, by ~eps |M^(1/2)| |l| /
+# q^(1/2).  Below GRAM_REL of its scale |M| |l|^2 q is read from the factor,
+# so that the Gram form is used only where it is within ~2e-12 of q.
+GRAM_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -230,12 +238,20 @@ def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
     of L (D, n): (T, D, n), (T, D) and (T, D, n).
 
     The root is 0 where its square is at the rounding level of M0: a flat X0
-    seen edge-on has no extent, not ~1e-9.
+    seen edge-on has no extent, not ~1e-9.  Where it is above that but below
+    GRAM_REL of the scale, as for a flat X0 seen nearly edge-on, the square
+    and M0 Phi' l come from u = M0^(1/2) Phi' l: |u|^2 and M0^(1/2) u.
     """
     LT = L @ g.Phi0
     MLT = LT @ X0.shape
     q0 = (MLT * LT).sum(axis=-1)
-    alive = q0 > VANISH_REL * np.trace(X0.shape) * (LT * LT).sum(axis=-1)
+    scale = np.trace(X0.shape) * (LT * LT).sum(axis=-1)
+    alive = q0 > VANISH_REL * scale
+    thin = alive & (q0 < GRAM_REL * scale)
+    if thin.any():
+        u = LT[thin] @ X0.sqrt_shape()
+        q0[thin] = (u * u).sum(axis=-1)
+        MLT[thin] = u @ X0.sqrt_shape()
     return LT, np.sqrt(np.where(alive, q0, 0.0)), MLT
 
 
@@ -321,7 +337,10 @@ class _Projected:
     with H0 = P Phi_0 Phi_0' P' for its vanish rule, and the center terms,
     offset included, are one point per time.  Node stacks are
     (T, k, k, N+1), nodes last, as the grid batch's; at t = 0 the N + 1
-    nodes are equal and h = 0 zeroes every panel.
+    nodes are equal and h = 0 zeroes every panel.  Where a term is thin
+    along l, q below GRAM_REL of trace(G) |l|^2, q and G l come from its
+    factor instead: F0 = P Phi_0 M0^(1/2) with G0 = F0 F0', or F_i =
+    w_i M^(1/2) with G_i = F_i F_i'.
     """
 
     times: np.ndarray  # (T,)
@@ -331,22 +350,43 @@ class _Projected:
     tol0: float  # VANISH_REL trace(M0)
     h: np.ndarray  # (T,)
     inputs: tuple  # one Gram node stack per input set, the control set first
+    F0: np.ndarray  # (T, k, n)
+    trace0: np.ndarray  # trace(G0), (T,)
+    factors: tuple  # F_i per input set, (T, N+1, k, m)
+    traces: tuple  # trace(G_i) per input set, (T, N+1)
 
     def take(self, rows) -> "_Projected":
         return _Projected(self.times[rows], self.center[rows], self.G0[rows], self.H0[rows],
-                          self.tol0, self.h[rows], tuple(G[rows] for G in self.inputs))
+                          self.tol0, self.h[rows], tuple(G[rows] for G in self.inputs),
+                          self.F0[rows], self.trace0[rows], tuple(F[rows] for F in self.factors),
+                          tuple(tr[rows] for tr in self.traces))
 
     def response(self, l: np.ndarray) -> np.ndarray:
         """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
         G0l = _apply(self.G0, l)
         q0 = _dot(l, G0l)
         alive0 = q0 > self.tol0 * _dot(l, _apply(self.H0, l))
+        tiny = GRAM_REL * (l * l).sum(axis=-1)  # GRAM_REL |l|^2
+        thin0 = alive0 & (q0 < self.trace0 * tiny)
+        if thin0.any():
+            F0 = self.F0[thin0]
+            u = np.matmul(l[thin0, None], F0)  # (K, 1, n)
+            q0[thin0] = (u * u).sum(axis=-1)[:, 0]
+            G0l[thin0] = np.matmul(F0, u.transpose(0, 2, 1))[..., 0]
         out = G0l / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
         h = self.h[:, None, None]
-        for G in self.inputs:
+        for G, F, trace in zip(self.inputs, self.factors, self.traces):
             Gl = _apply(G, l)  # (T, k, N+1)
-            q = _dot(l, Gl)[:, None]  # (T, 1, N+1)
-            alive = _alive(q)
+            q = _dot(l, Gl)  # (T, N+1)
+            alive = _alive(q[:, None])
+            thin = q < trace * tiny[:, None]
+            if thin.any() and (thin := thin & alive[:, 0]).any():
+                t, i = np.nonzero(thin)
+                Fk = F[t, i]  # (K, k, m)
+                u = np.matmul(l[t, None], Fk)  # (K, 1, m)
+                q[t, i] = (u * u).sum(axis=-1)[:, 0]
+                Gl[t, :, i] = np.matmul(Fk, u.transpose(0, 2, 1))[..., 0]
+            q = q[:, None]
             out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(q > 0.0, q, np.inf)))
         return out
 
@@ -356,14 +396,18 @@ def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
     g = _grids_for(spec, times)
     PPhi0, _, MLT = _initial_terms(g, spec.X0, P)
     x = g.Phi0 @ spec.X0.center
-    inputs = []
+    inputs, factors = [], []
     for stack, E in _inputs(spec, g):
         w, Mw, _ = _input_terms(stack, E, P)
         inputs.append(np.einsum("tiae,tibe->tabi", Mw, w, order="C"))  # G_i = Mw_i w_i'
+        factors.append(w @ E.sqrt_shape())
         x = x + _simpson(g, stack @ E.center)
+    G0 = MLT @ PPhi0.transpose(0, 2, 1)
     return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0],
-                      MLT @ PPhi0.transpose(0, 2, 1), PPhi0 @ PPhi0.transpose(0, 2, 1),
-                      VANISH_REL * float(np.trace(spec.X0.shape)), g.h, tuple(inputs))
+                      G0, PPhi0 @ PPhi0.transpose(0, 2, 1),
+                      VANISH_REL * float(np.trace(spec.X0.shape)), g.h, tuple(inputs),
+                      PPhi0 @ spec.X0.sqrt_shape(), np.trace(G0, axis1=1, axis2=2),
+                      tuple(factors), tuple(np.trace(G, axis1=1, axis2=2) for G in inputs))
 
 
 def _unit_rows(directions) -> np.ndarray:

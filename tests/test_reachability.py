@@ -689,6 +689,26 @@ def test_separation_point_on_flat_initial_set(c, t):
     assert sep.value + sep.gap >= -1e-15
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("t", [0.0, 1.0], ids=["t0", "t1"])
+def test_segment_nearly_edge_on_touches_its_end(t, side):
+    # X0 is the segment E(c, v v'), seen 1e-3 rad off its normal: <l, M0 l>
+    # is 1e-6 of trace(M0) |l|^2 and kept ~1e-10 of its digits read from M0,
+    # which put the touching point 1.4e-11 m off the segment's end in the
+    # kernel and 1.8e-11 m in the projected view.  Read from M0^(1/2), both
+    # are within 1e-12 m of it.
+    v, c = np.array([0.6, -1.3, 0.9]), np.array([1.0, 2.0, -0.5])
+    segment = ReachSpec(LTISystem(np.zeros((3, 3)), np.zeros((3, 1))),
+                        Ellipsoid(c, np.outer(v, v)), Ellipsoid.point([0.0]), 4.0)
+    normal = np.cross(v, [0.0, 0.0, 1.0]) / np.linalg.norm(np.cross(v, [0.0, 0.0, 1.0]))
+    l = np.cos(1e-3) * normal + side * np.sin(1e-3) * v / np.linalg.norm(v)
+    end = c + side * v
+    _, x = support_gradient(segment, t, l)
+    assert np.linalg.norm(x - end) <= 1e-12
+    view = _project(segment, [t], np.eye(3))
+    assert np.linalg.norm(view.center[0] + view.response(l[None])[0] - end) <= 1e-12
+
+
 def reference_sphere_ascent(specA, specB, t, P):
     """The multistart ascent that gave the signed value before the inner hull.
 
@@ -893,17 +913,24 @@ def random_pair(seed, n, m, k, with_V, with_offset, flat_X0):
     return specA, specB, P, l0, rng
 
 
-# m >= 2 and a full-rank U: a single input channel crosses zero along the
-# grid, and at a node next to the crossing q = <l, G l> keeps only
-# eps |G| / q of its digits (the full-state <w, M w>, eps |S| / |w|), which
-# moved a touching point by 5e-8 (seed 8055, n = 3, m = 1, k = 2)
 pair_cases = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5), m=st.integers(2, 3),
                   k=st.sampled_from([2, 3]), with_V=st.booleans(), with_offset=st.booleans(),
                   flat_X0=st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
-@given(**pair_cases)
+# m = 1 too: a single input channel crosses zero along the grid, and at a
+# node next to the crossing q = <l, G l> read from the Gram stack was off by
+# eps |G| / q, which moved a touching point by 5e-8 (seed 8055, n = 3, k = 2)
+@given(**{**pair_cases, "m": st.integers(1, 3)})
+@example(seed=8055, n=3, m=1, k=2, with_V=False, with_offset=False, flat_X0=False)
+# a direction 0.02 deg off the edge-on l0 at t = 0, where q0 is 1e-7 of its
+# scale: read from G0 and from M0, A's touching point was 1.2e-10 and
+# 8.6e-11 off the exact one, and the two 3e-11 apart
+@example(seed=543715411, n=3, m=2, k=2, with_V=False, with_offset=True, flat_X0=True)
+# a control node where q is 2.9e-6 of trace(G) |l|^2: the Gram q was 2.8e-11
+# off, the full-state one 3.5e-14, and B's touching points 6e-11 apart
+@example(seed=517266151, n=5, m=3, k=3, with_V=True, with_offset=False, flat_X0=False)
 def test_gram_oracle_matches_support_gradient(seed, n, m, k, with_V, with_offset, flat_X0):
     specA, specB, P, l0, rng = random_pair(seed, n, m, k, with_V, with_offset, flat_X0)
     times = [0.0, rng.uniform(0.1, specA.horizon), specA.horizon]
@@ -939,7 +966,8 @@ def test_kernel_rows_alone_equal_batched(seed, n, m, k, with_V, with_offset, fla
             assert np.array_equal(got[0], want[j])
         one = _project(alone, [t], P)
         for got, want in [(one.center, view.center), (one.G0, view.G0), (one.H0, view.H0),
-                          (one.h, view.h), *zip(one.inputs, view.inputs)]:
+                          (one.h, view.h), (one.F0, view.F0), (one.trace0, view.trace0), *zip(one.inputs, view.inputs),
+                          *zip(one.factors, view.factors), *zip(one.traces, view.traces)]:
             assert np.array_equal(got[0], want[j])
 
 
