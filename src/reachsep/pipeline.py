@@ -126,24 +126,24 @@ def _cell_rows(a, b, sides):
 
 
 def _mean_frame(A, B):
-    """(a, b, gap, slack): the rows of A and B in an orthonormal frame whose
-    first axis is +-u, u the unit direction between the means; the gap
-    between the clouds along u less slack, floored at 0, which bounds every
-    pair's distance from below (|<u, a - b>| <= ||a - b||); and slack, which
-    covers the rounding of the frame coordinates and of a pair's distance."""
+    """(frame, gap, slack): an orthonormal frame (k, k) whose first row is
+    +-u, u the unit direction between the means of the rows of A and B; the
+    gap between the clouds along u less slack, floored at 0, which bounds
+    every pair's distance from below (|<u, a - b>| <= ||a - b||); and slack,
+    which covers the rounding of the frame coordinates and of a pair's
+    distance."""
     k = A.shape[1]
     u = B.mean(axis=0) - A.mean(axis=0)
     if not np.any(u):
         u = np.eye(k)[0]
     frame = np.linalg.qr(np.column_stack([u, np.eye(k)]))[0].T  # first row +-u / ||u||
-    a, b = A @ frame.T, B @ frame.T
     slack = 16 * k * np.finfo(float).eps * max(float(np.abs(A).max()), float(np.abs(B).max()))
-    pa, pb = a[:, 0], b[:, 0]
+    pa, pb = A @ frame[0], B @ frame[0]
     gap = max(0.0, float(pb.min() - pa.max()) - slack, float(pa.min() - pb.max()) - slack)
-    return a, b, gap, slack
+    return frame, gap, slack
 
 
-def _closest_pair_distance(A, B) -> float:
+def _closest_pair_distance(A, B, mean_frame=None) -> float:
     """min ||a - b|| over the rows of A and B, exactly: the value a search
     over every pair gives, from a pruned set of candidate pairs.
 
@@ -156,15 +156,17 @@ def _closest_pair_distance(A, B) -> float:
     sqrt(delta^2 - gap^2) when the clouds are a gap apart along u.  The
     window suits small clouds far apart, the cells overlapping or wide
     ones; of the two, the pruning with fewer candidate pairs is evaluated,
-    PAIR_CHUNK pairs at a time.  _min_closest_pair_distance takes the
-    minimum over many pairs of clouds with few of these searches.
+    PAIR_CHUNK pairs at a time.  mean_frame is _mean_frame(A, B) when the
+    caller has it already.  _min_closest_pair_distance takes the minimum
+    over many pairs of clouds with few of these searches.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     (nA, k), nB = A.shape, B.shape[0]
     if nA * nB <= PAIR_CHUNK:
         ia, ib = np.divmod(np.arange(nA * nB), nB)
         return float(np.sqrt(_pair_min_sq(A.T, B.T, ia, ib)))
-    a, b, gap, slack = _mean_frame(A, B)
+    frame, gap, slack = _mean_frame(A, B) if mean_frame is None else mean_frame
+    a, b = A @ frame.T, B @ frame.T
     order = np.argsort(b[:, 0])
     b, B = np.take(b, order, axis=0), np.take(B, order, axis=0)
     pa, pb = a[:, 0], b[:, 0]
@@ -199,12 +201,12 @@ def _min_closest_pair_distance(pairs) -> float:
     distance is above best too: the minimum is the one over every pair.
     """
     pairs = list(pairs)
-    bounds = [_mean_frame(A, B)[2:] for A, B in pairs]
+    frames = [_mean_frame(A, B) for A, B in pairs]
     best = np.inf
-    for i in np.argsort([gap for gap, _ in bounds], kind="stable"):
-        gap, slack = bounds[i]
+    for i in np.argsort([gap for _, gap, _ in frames], kind="stable"):
+        _, gap, slack = frames[i]
         if gap - slack <= best:
-            best = min(best, _closest_pair_distance(*pairs[i]))
+            best = min(best, _closest_pair_distance(*pairs[i], frames[i]))
     return best
 
 

@@ -324,6 +324,15 @@ def _dot(l: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _apply(v[:, None], l)[:, 0]
 
 
+def _factor_form(l: np.ndarray, S: np.ndarray, root: np.ndarray):
+    """(q, G l) of G = F F' with F = S root, read from the factor, for rows l
+    (K, k) and a stack S (K, k, d): q = |u|^2 and G l = S (root u), where
+    u = root S' l.  Each row is its own matmul, so it does not depend on the
+    rows beside it."""
+    u = l[:, None] @ S @ root  # (K, 1, d)
+    return (u * u).sum(axis=-1)[:, 0], (S @ (u @ root).transpose(0, 2, 1))[..., 0]
+
+
 @dataclass(frozen=True)
 class _Projected:
     """One spec's reachable sets at a batch of times, seen through P (k, n).
@@ -339,8 +348,8 @@ class _Projected:
     (T, k, k, N+1), nodes last, as the grid batch's; at t = 0 the N + 1
     nodes are equal and h = 0 zeroes every panel.  Where a term is thin
     along l, q below GRAM_REL of trace(G) |l|^2, q and G l come from its
-    factor instead: F0 = P Phi_0 M0^(1/2) with G0 = F0 F0', or F_i =
-    w_i M^(1/2) with G_i = F_i F_i'.
+    factor instead, formed for those rows and nodes only: F0 = P Phi_0
+    M0^(1/2) with G0 = F0 F0', or F_i = w_i M^(1/2) with G_i = F_i F_i'.
     """
 
     times: np.ndarray  # (T,)
@@ -350,15 +359,17 @@ class _Projected:
     tol0: float  # VANISH_REL trace(M0)
     h: np.ndarray  # (T,)
     inputs: tuple  # one Gram node stack per input set, the control set first
-    F0: np.ndarray  # (T, k, n)
+    PPhi0: np.ndarray  # P Phi_0, (T, k, n)
+    root0: np.ndarray  # M0^(1/2)
     trace0: np.ndarray  # trace(G0), (T,)
-    factors: tuple  # F_i per input set, (T, N+1, k, m)
+    factors: tuple  # (w_i (T, N+1, k, m), M^(1/2)) per input set
     traces: tuple  # trace(G_i) per input set, (T, N+1)
 
     def take(self, rows) -> "_Projected":
         return _Projected(self.times[rows], self.center[rows], self.G0[rows], self.H0[rows],
                           self.tol0, self.h[rows], tuple(G[rows] for G in self.inputs),
-                          self.F0[rows], self.trace0[rows], tuple(F[rows] for F in self.factors),
+                          self.PPhi0[rows], self.root0, self.trace0[rows],
+                          tuple((w[rows], root) for w, root in self.factors),
                           tuple(tr[rows] for tr in self.traces))
 
     def response(self, l: np.ndarray) -> np.ndarray:
@@ -369,23 +380,17 @@ class _Projected:
         tiny = GRAM_REL * (l * l).sum(axis=-1)  # GRAM_REL |l|^2
         thin0 = alive0 & (q0 < self.trace0 * tiny)
         if thin0.any():
-            F0 = self.F0[thin0]
-            u = np.matmul(l[thin0, None], F0)  # (K, 1, n)
-            q0[thin0] = (u * u).sum(axis=-1)[:, 0]
-            G0l[thin0] = np.matmul(F0, u.transpose(0, 2, 1))[..., 0]
+            q0[thin0], G0l[thin0] = _factor_form(l[thin0], self.PPhi0[thin0], self.root0)
         out = G0l / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
         h = self.h[:, None, None]
-        for G, F, trace in zip(self.inputs, self.factors, self.traces):
+        for G, (w, root), trace in zip(self.inputs, self.factors, self.traces):
             Gl = _apply(G, l)  # (T, k, N+1)
             q = _dot(l, Gl)  # (T, N+1)
             alive = _alive(q[:, None])
             thin = q < trace * tiny[:, None]
             if thin.any() and (thin := thin & alive[:, 0]).any():
                 t, i = np.nonzero(thin)
-                Fk = F[t, i]  # (K, k, m)
-                u = np.matmul(l[t, None], Fk)  # (K, 1, m)
-                q[t, i] = (u * u).sum(axis=-1)[:, 0]
-                Gl[t, :, i] = np.matmul(Fk, u.transpose(0, 2, 1))[..., 0]
+                q[t, i], Gl[t, :, i] = _factor_form(l[t], w[t, i], root)
             q = q[:, None]
             out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(q > 0.0, q, np.inf)))
         return out
@@ -400,13 +405,13 @@ def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
     for stack, E in _inputs(spec, g):
         w, Mw, _ = _input_terms(stack, E, P)
         inputs.append(np.einsum("tiae,tibe->tabi", Mw, w, order="C"))  # G_i = Mw_i w_i'
-        factors.append(w @ E.sqrt_shape())
+        factors.append((w, E.sqrt_shape()))
         x = x + _simpson(g, stack @ E.center)
     G0 = MLT @ PPhi0.transpose(0, 2, 1)
     return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0],
                       G0, PPhi0 @ PPhi0.transpose(0, 2, 1),
                       VANISH_REL * float(np.trace(spec.X0.shape)), g.h, tuple(inputs),
-                      PPhi0 @ spec.X0.sqrt_shape(), np.trace(G0, axis1=1, axis2=2),
+                      PPhi0, spec.X0.sqrt_shape(), np.trace(G0, axis1=1, axis2=2),
                       tuple(factors), tuple(np.trace(G, axis1=1, axis2=2) for G in inputs))
 
 

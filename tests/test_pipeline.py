@@ -203,7 +203,7 @@ def test_monte_carlo_searches_few_grid_times(mc_check, monkeypatch):
     searched = []
     search = pipeline._closest_pair_distance
     monkeypatch.setattr(pipeline, "_closest_pair_distance",
-                        lambda A, B: searched.append(1) or search(A, B))
+                        lambda *args: searched.append(1) or search(*args))
     verify_monte_carlo(*mc_check, 10_000)
     assert mc_check[3].shape[0] == 41
     assert 0 < len(searched) < 41

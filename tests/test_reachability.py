@@ -966,8 +966,9 @@ def test_kernel_rows_alone_equal_batched(seed, n, m, k, with_V, with_offset, fla
             assert np.array_equal(got[0], want[j])
         one = _project(alone, [t], P)
         for got, want in [(one.center, view.center), (one.G0, view.G0), (one.H0, view.H0),
-                          (one.h, view.h), (one.F0, view.F0), (one.trace0, view.trace0), *zip(one.inputs, view.inputs),
-                          *zip(one.factors, view.factors), *zip(one.traces, view.traces)]:
+                          (one.h, view.h), (one.PPhi0, view.PPhi0), (one.trace0, view.trace0),
+                          *zip(one.inputs, view.inputs), *zip(one.traces, view.traces),
+                          *((a[0], b[0]) for a, b in zip(one.factors, view.factors))]:
             assert np.array_equal(got[0], want[j])
 
 
