@@ -362,17 +362,13 @@ class SolveResult:
     newton_steps: int = 0
 
 
-def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0, derivs: bool = True):
-    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
+def _merit_value(prob, x: np.ndarray, mu: float, fscale: float = 1.0):
+    """(F_mu, G, w) with the objective scaled by fscale; None outside the domain.
 
     prob is a BarrierProblem or its StackedBarrier.  One Cholesky factor of
     the stacked G gives the value; the weights w are fscale * k on log-det
-    rows and 1/mu on barrier rows.  Since w is constant on each block, it
-    commutes with every block-diagonal matrix, so with A = sqrt(w) G^-1 and
-    M_i = A F_i the gradient is F_i . (A sqrt(w))' and the Hessian
-    -tr(M_i M_j): one inverse and two BLAS products.  With derivs=False only
-    F_mu is returned, computed by the same operations, so it equals the first
-    entry bit for bit.
+    rows and 1/mu on barrier rows.  G and w are what _merit_derivs needs at
+    the same point.
     """
     sb = prob.stacked()
     G = sb.value(x)
@@ -383,15 +379,39 @@ def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0, derivs: bool = T
     w = fscale * sb.k
     w[sb.n_obj:] = 1.0 / mu
     val = fscale * (sb.obj_const + float(sb.linear @ x)) + 2.0 * float(w @ np.log(L.diagonal()))
-    if not derivs:
-        return val
+    return val, G, w
+
+
+def _merit_derivs(prob, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
+    """(grad, hess) of F_mu at the point where _merit_value gave G and w.
+
+    Since w is constant on each block, it commutes with every block-diagonal
+    matrix, so with A = sqrt(w) G^-1 and M_i = A F_i the gradient is
+    F_i . (A sqrt(w))' and the Hessian -tr(M_i M_j): one inverse and two
+    BLAS products.
+    """
+    sb = prob.stacked()
     D = sb.total_dim
     rw = np.sqrt(w)
     A = rw[:, None] * np.linalg.inv(G)
     grad = fscale * sb.linear + sb.F.reshape(D, -1) @ (A * rw).T.ravel()
     M = A @ sb.F
     hess = -(M.reshape(D, -1) @ M.transpose(0, 2, 1).reshape(D, -1).T)
-    return val, grad, hess
+    return grad, hess
+
+
+def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0, derivs: bool = True):
+    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
+
+    The value of _merit_value and the derivatives of _merit_derivs.  With
+    derivs=False only F_mu is returned, computed by the same operations, so
+    it equals the first entry bit for bit.
+    """
+    point = _merit_value(prob, x, mu, fscale)
+    if point is None:
+        return None
+    val, G, w = point
+    return (val, *_merit_derivs(prob, G, w, fscale)) if derivs else val
 
 
 def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
@@ -399,11 +419,11 @@ def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
     """Centers F_mu by damped Newton; returns (x, grad_norm, steps).
 
     Backtracking trials evaluate F_mu alone; derivatives are evaluated once
-    per accepted point and carried into the next step.  A trial that passes
-    the Armijo test is taken only if it makes measurable progress: F_mu rose
-    by more than its rounding level, or the gradient norm fell.  Otherwise,
-    and when no trial passes, Newton can no longer improve the point at this
-    mu and the stage ends there.
+    per accepted point, from the G its trial formed and factored, and carried
+    into the next step.  A trial that passes the Armijo test is taken only if
+    it makes measurable progress: F_mu rose by more than its rounding level,
+    or the gradient norm fell.  Otherwise, and when no trial passes, Newton
+    can no longer improve the point at this mu and the stage ends there.
     """
     out = _merit(prob, x, mu, fscale)
     if out is None:
@@ -429,14 +449,15 @@ def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
-            cval = _merit(prob, cand, mu, fscale, derivs=False)
-            if cval is not None and cval >= val + ARMIJO * alpha * decrement:
+            trial = _merit_value(prob, cand, mu, fscale)
+            if trial is not None and trial[0] >= val + ARMIJO * alpha * decrement:
                 break
             alpha *= BACKTRACK
         else:
             return x, gnorm, steps
         steps += 1
-        cout = _merit(prob, cand, mu, fscale)
+        cval, G, w = trial
+        cout = (cval, *_merit_derivs(prob, G, w, fscale))
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cout[1]) >= gnorm):
             return x, gnorm, steps

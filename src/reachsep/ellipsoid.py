@@ -63,19 +63,15 @@ class Ellipsoid:
         W.setflags(write=False)
         return W
 
-    def boundary_points(self, n: int, rng=None, out=None) -> np.ndarray:
-        """n boundary points c + M^(1/2) v with v uniform on the unit sphere.
-
-        With out, an (n, dim) float array, the draws v and then the points
-        are written into it and it is returned, so that a sampler that calls
-        this at every step reuses one buffer; the points are the same either
-        way, bit for bit.
-        """
+    def boundary_points(self, n: int, rng=None) -> np.ndarray:
+        """n boundary points c + M^(1/2) v with v uniform on the unit sphere:
+        the rows of one (n, dim) standard normal draw, scaled to unit length.
+        montecarlo.sample_trajectories takes its draws in the same shape and
+        order, so its samples get the same normals."""
         rng = np.random.default_rng(rng)
-        v = rng.standard_normal((n, self.dim), out=out)
+        v = rng.standard_normal((n, self.dim))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        # v @ W into v itself: matmul copies an input its output overlaps
-        return np.add(self.center, np.matmul(v, self.sqrt_shape(), out=out), out=out)
+        return self.center + v @ self.sqrt_shape()
 
     @staticmethod
     def ball(center, radius: float) -> "Ellipsoid":

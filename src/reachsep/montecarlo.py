@@ -22,6 +22,17 @@ def discretize(system: LTISystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:n, :n], E[:n, n:]
 
 
+def _unit_columns(rng, draws: np.ndarray, out: np.ndarray, sq: np.ndarray,
+                  norm: np.ndarray) -> np.ndarray:
+    """Fills out (dim, N) with the rows of one (N, dim) standard normal draw,
+    transposed and scaled to unit length; the row sums of squares accumulate
+    one coordinate row at a time."""
+    rng.standard_normal(draws.shape, out=draws)
+    np.copyto(out, draws.T)
+    np.add.reduce(np.multiply(out, out, out=sq), axis=0, out=norm)
+    return np.divide(out, np.sqrt(norm, out=norm), out=out)
+
+
 def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
                         P=None) -> np.ndarray:
     """States, or their images under P, of n_samples extremal trajectories at
@@ -31,14 +42,19 @@ def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
     is re-drawn on the boundary of the control set at every grid step.
     Returns an array of shape (n_samples, len(t_grid), k) including any
     nominal center offset, with k = state_dim when P is None and P's row
-    count otherwise.  It is the transposed view of a time-major buffer, so
-    each time's (n_samples, k) slice is contiguous.  With P, only the
-    projected values are kept, and one step's full states at a time.
+    count otherwise.  It is a view of a coordinate-major (len(t_grid), k,
+    n_samples) buffer: each time's positions are one contiguous (k,
+    n_samples) slice, and the view's transpose(1, 2, 0) is that buffer.
+    With P, only the projected values are kept, and one step's full states
+    at a time.
 
-    Each step draws into, and computes in, buffers allocated once per call,
-    with the operations of X' = X Ad' + U Bd' in the same order as fresh
-    arrays would take them: the random stream and every value are those of
-    a loop that allocates per step.
+    Every array is coordinate-major, so each operation runs over whole rows
+    of length n_samples.  The draws are those of Ellipsoid.boundary_points,
+    an (n_samples, dim) standard normal block per set and step in the same
+    generator order, so each sample gets the same normals for any layout.
+    A step is X' = Ad X + Bd [W' c] [V; 1] for the control set's root W and
+    center c; a nonzero nominal offset is added before the projection.
+    Steps compute in buffers allocated once per call.
     """
     if spec.V is not None:
         raise ValueError("sampling is defined for the disturbance-free case")
@@ -47,20 +63,25 @@ def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
     if t_grid[0] != 0.0 or (len(dts) and np.abs(dts - dts[0]).max() > 1e-9):
         raise ValueError("need a uniform time grid starting at 0")
     rng = np.random.default_rng(seed)
-    n = spec.system.state_dim
-    PT = None if P is None else np.asarray(P, dtype=float).T
-    buf = np.empty((t_grid.shape[0], n_samples, n if PT is None else PT.shape[1]))
-    X = spec.X0.boundary_points(n_samples, rng)
-    XA, UB = np.empty_like(X), np.empty_like(X)  # X Ad' (then X + offset) and U Bd'
-    U = np.empty((n_samples, spec.system.input_dim))
+    (n, m), N = (spec.system.state_dim, spec.system.input_dim), n_samples
+    P = None if P is None else np.asarray(P, dtype=float)
+    buf = np.empty((t_grid.shape[0], n if P is None else P.shape[0], N))
+    norm, XA = np.empty(N), np.empty((n, N))  # XA: W0' V, Ad X, then X + offset
+    X = _unit_columns(rng, np.empty((N, n)), np.empty((n, N)), XA, norm)
+    X = np.add(np.matmul(spec.X0.sqrt_shape().T, X, out=XA), spec.X0.center[:, None], out=X)
     if len(dts):
         Ad, Bd = discretize(spec.system, float(dts[0]))
+        BWc = Bd @ np.column_stack([spec.U.sqrt_shape().T, spec.U.center])
+        draws, sq, UB = np.empty((N, m)), np.empty((m, N)), np.empty((n, N))
+        U = np.ones((m + 1, N))  # the unit columns V over a row of ones
     for k, t in enumerate(t_grid):
         if k:
-            spec.U.boundary_points(n_samples, rng, out=U)
-            np.add(np.matmul(X, Ad.T, out=XA), np.matmul(U, Bd.T, out=UB), out=X)
-        if PT is None:
-            np.add(X, spec.offset_at(t), out=buf[k])
+            _unit_columns(rng, draws, U[:m], sq, norm)
+            np.add(np.matmul(Ad, X, out=XA), np.matmul(BWc, U, out=UB), out=X)
+        offset = spec.offset_at(t)
+        Y = np.add(X, offset[:, None], out=XA) if np.any(offset) else X
+        if P is None:
+            np.copyto(buf[k], Y)
         else:
-            np.matmul(np.add(X, spec.offset_at(t), out=XA), PT, out=buf[k])
-    return np.swapaxes(buf, 0, 1)
+            np.matmul(P, Y, out=buf[k])
+    return buf.transpose(2, 0, 1)

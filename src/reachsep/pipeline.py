@@ -125,30 +125,41 @@ def _cell_rows(a, b, sides):
     return order, np.repeat(np.arange(a.shape[0]), around.shape[0]), lo, cnt
 
 
-def _mean_frame(A, B):
-    """(frame, gap, slack): an orthonormal frame (k, k) whose first row is
-    +-u, u the unit direction between the means of the rows of A and B; the
-    gap between the clouds along u less slack, floored at 0, which bounds
-    every pair's distance from below (|<u, a - b>| <= ||a - b||); and slack,
-    which covers the rounding of the frame coordinates and of a pair's
-    distance."""
-    k = A.shape[1]
-    u = B.mean(axis=0) - A.mean(axis=0)
-    if not np.any(u):
-        u = np.eye(k)[0]
-    frame = np.linalg.qr(np.column_stack([u, np.eye(k)]))[0].T  # first row +-u / ||u||
-    slack = 16 * k * np.finfo(float).eps * max(float(np.abs(A).max()), float(np.abs(B).max()))
-    pa, pb = A @ frame[0], B @ frame[0]
-    gap = max(0.0, float(pb.min() - pa.max()) - slack, float(pa.min() - pb.max()) - slack)
-    return frame, gap, slack
+def _mean_frames(posA, posB):
+    """(frames, gaps, slacks) of the clouds in coordinate-major stacks (T, k,
+    nA) and (T, k, nB), per time t: an orthonormal frame (k, k) whose first
+    row is +-u, u the unit direction between the means of the columns of
+    posA[t] and posB[t]; the gap between the clouds along u less slack,
+    floored at 0, which bounds every pair's distance from below
+    (|<u, a - b>| <= ||a - b||); and slack, which covers the rounding of the
+    frame coordinates and of a pair's distance.  Each is taken for every
+    time at once, and no temporary is larger than one stack's (T, n)
+    coordinates along u."""
+    T, k = posA.shape[:2]
+    u = posB.mean(axis=2) - posA.mean(axis=2)
+    u[~u.any(axis=1)] = np.eye(k)[0]
+    # first row of each frame +-u / ||u||
+    frames = np.linalg.qr(np.concatenate([u[:, :, None], np.broadcast_to(np.eye(k), (T, k, k))],
+                                         axis=2))[0].transpose(0, 2, 1)
+    scale = np.maximum.reduce([posA.max(axis=(1, 2)), -posA.min(axis=(1, 2)),
+                               posB.max(axis=(1, 2)), -posB.min(axis=(1, 2))])
+    slacks = 16 * k * np.finfo(float).eps * scale
+
+    def extent(pos):  # per time, the least and greatest coordinate along u
+        along = np.matmul(frames[:, :1], pos)[:, 0]
+        return along.min(axis=1), along.max(axis=1)
+
+    (loA, hiA), (loB, hiB) = extent(posA), extent(posB)
+    gaps = np.maximum.reduce([np.zeros(T), loB - hiA - slacks, loA - hiB - slacks])
+    return frames, gaps, slacks
 
 
 def _closest_pair_distance(A, B, mean_frame=None) -> float:
     """min ||a - b|| over the rows of A and B, exactly: the value a search
     over every pair gives, from a pruned set of candidate pairs.
 
-    Coordinates are taken in the frame of _mean_frame, whose first axis u is
-    the direction between the means.  An upper bound delta comes from
+    Coordinates are taken in the frame of _mean_frames, whose first axis u
+    is the direction between the means.  An upper bound delta comes from
     pairing each a with its two neighbours in B's order along u.  Every pair
     closer than delta then lies in a window of width 2 delta along u (since
     |<u, a - b>| <= ||a - b||), and in neighbouring cells of a grid of side
@@ -156,16 +167,20 @@ def _closest_pair_distance(A, B, mean_frame=None) -> float:
     sqrt(delta^2 - gap^2) when the clouds are a gap apart along u.  The
     window suits small clouds far apart, the cells overlapping or wide
     ones; of the two, the pruning with fewer candidate pairs is evaluated,
-    PAIR_CHUNK pairs at a time.  mean_frame is _mean_frame(A, B) when the
-    caller has it already.  _min_closest_pair_distance takes the minimum
-    over many pairs of clouds with few of these searches.
+    PAIR_CHUNK pairs at a time, on coordinate-major copies of A and B (no
+    copy when A and B are transposed views of coordinate-major arrays).
+    mean_frame is the (frame, gap, slack) of _mean_frames when the caller
+    has it already.  _min_closest_pair_distance takes the minimum over many
+    pairs of clouds with few of these searches.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     (nA, k), nB = A.shape, B.shape[0]
     if nA * nB <= PAIR_CHUNK:
         ia, ib = np.divmod(np.arange(nA * nB), nB)
         return float(np.sqrt(_pair_min_sq(A.T, B.T, ia, ib)))
-    frame, gap, slack = _mean_frame(A, B) if mean_frame is None else mean_frame
+    if mean_frame is None:
+        mean_frame = [x[0] for x in _mean_frames(A.T[None], B.T[None])]
+    frame, gap, slack = mean_frame
     a, b = A @ frame.T, B @ frame.T
     order = np.argsort(b[:, 0])
     b, B = np.take(b, order, axis=0), np.take(B, order, axis=0)
@@ -190,23 +205,25 @@ def _closest_pair_distance(A, B, mean_frame=None) -> float:
     return float(np.sqrt(_rows_min_sq(At, Bt, rows[keep], lo[keep], cnt[keep], best)))
 
 
-def _min_closest_pair_distance(pairs) -> float:
-    """min of _closest_pair_distance(A, B) over the pairs (A, B), exactly,
-    from as few of its searches as their gaps along the means allow.
+def _min_closest_pair_distance(posA, posB) -> float:
+    """min over t of _closest_pair_distance(posA[t].T, posB[t].T), exactly,
+    for coordinate-major stacks (T, k, nA) and (T, k, nB), from as few of
+    its searches as the clouds' gaps along their means allow.
 
-    Pairs are visited in ascending order of their _mean_frame gap, and a
-    pair is searched unless its gap less its slack exceeds the best distance
-    so far.  The true distance of a skipped pair is then above best + slack,
-    and the slack exceeds the rounding of a distance, so its computed
-    distance is above best too: the minimum is the one over every pair.
+    _mean_frames takes every time's frame, gap and slack in one pass over
+    the stacks.  Times are visited in ascending order of gap, and a time is
+    searched, on its (n, k) views, unless its gap less its slack exceeds
+    the best distance so far.  The true distance at a skipped time is then
+    above best + slack, and the slack exceeds the rounding of a distance,
+    so its computed distance is above best too: the minimum is the one over
+    every time.
     """
-    pairs = list(pairs)
-    frames = [_mean_frame(A, B) for A, B in pairs]
+    frames, gaps, slacks = _mean_frames(posA, posB)
     best = np.inf
-    for i in np.argsort([gap for _, gap, _ in frames], kind="stable"):
-        _, gap, slack = frames[i]
-        if gap - slack <= best:
-            best = min(best, _closest_pair_distance(*pairs[i], frames[i]))
+    for t in np.argsort(gaps, kind="stable"):
+        if gaps[t] - slacks[t] <= best:
+            best = min(best, _closest_pair_distance(posA[t].T, posB[t].T,
+                                                    (frames[t], gaps[t], slacks[t])))
     return best
 
 
@@ -218,25 +235,26 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     Draws n_samples extremal trajectories per aircraft, then reports the
     worst tube-halfspace violation and the minimum pairwise distance over
     the grid.  Disturbance sets are ignored during sampling (the samples
-    remain admissible trajectories).  The minimum is exact, from the exact
-    closest-pair search run only at the grid times whose clouds' gap along
-    their means does not rule them out (on the bundled quadrotor, one or
-    two of 41 times); the rest of the check costs about one matrix product
-    per time and aircraft.
+    remain admissible trajectories).  Positions stay in the sampler's
+    coordinate-major (T, k, n_samples) buffers, 8 T k n_samples bytes per
+    aircraft, and every time's check reads its contiguous (k, n_samples)
+    slice: the tube check is one product dirs @ p per time and aircraft.
+    The minimum is exact, from the exact closest-pair search run only at
+    the grid times whose clouds' gap along their means does not rule them
+    out (on the bundled quadrotor, one or two of 41 times).
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
-    # time-major positions (times, n_samples, k), each time's slice contiguous
-    posA = np.swapaxes(sample_trajectories(base_A, t_grid, n_samples, seed=seed, P=P), 0, 1)
-    posB = np.swapaxes(sample_trajectories(base_B, t_grid, n_samples, seed=seed + 1, P=P), 0, 1)
+    posA, posB = (sample_trajectories(base, t_grid, n_samples, seed=seed + j, P=P)
+                  .transpose(1, 2, 0) for j, base in enumerate((base_A, base_B)))
     worst_violation = -np.inf
     if dirs.shape[0]:
         for pos, tube_vals in ((posA, tube_vals_A), (posB, tube_vals_B)):
             for p, vals in zip(pos, tube_vals):
                 # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
-                excess = float(((dirs @ p.T).max(axis=1) - vals).max())
+                excess = float(((dirs @ p).max(axis=1) - vals).max())
                 worst_violation = max(worst_violation, excess)
-    min_pairwise = _min_closest_pair_distance(zip(posA, posB))
+    min_pairwise = _min_closest_pair_distance(posA, posB)
     return {
         "samples_per_aircraft": n_samples,
         "seed": seed,

@@ -43,7 +43,9 @@ class _Canvas:
                 self.height - self.margin - (y - self.ylim[0]) * sy)
 
     def polyline(self, pts, stroke, width=1.0, opacity=1.0, close=False, fill="none"):
-        mapped = " ".join("%.6f,%.6f" % self._map(x, y) for x, y in pts)
+        pts = np.asarray(pts, dtype=float)
+        mapped = np.column_stack(self._map(pts[:, 0], pts[:, 1]))
+        mapped = " ".join(["%.6f,%.6f"] * pts.shape[0]) % tuple(mapped.ravel().tolist())
         tag = "polygon" if close else "polyline"
         self.parts.append(
             f'<{tag} points="{mapped}" fill="{fill}" stroke="{stroke}" '
@@ -75,45 +77,53 @@ class _Canvas:
             f'{body}\n</svg>\n')
 
 
-def _read_tubes(path: Path):
-    """-> {aircraft: {t: [(dir2, value), ...]}} restricted to the plane axes."""
-    rows = path.read_text().strip().splitlines()[1:]
-    out = {}
-    for row in rows:
-        aircraft, t_s, j, dx, dy, dz, val = row.split(",")
-        out.setdefault(aircraft, {}).setdefault(float(t_s), []).append(
-            (np.array([float(dx), float(dy), float(dz)]), float(val)))
-    return out
+def _read_tubes(path: Path, plane):
+    """-> [(aircraft, dirs (D, 2), values (T, D))], one entry per aircraft
+    in file order: its directions restricted to the plane axes, which are
+    the same at every time, and its support values, times ascending."""
+    rows = path.read_text().splitlines()[1:]
+    if not rows:
+        return []
+    names, fields = zip(*(row.split(",", 1) for row in rows))
+    names = np.array(names)
+    # per row: t_s, dir_index, dir_x, dir_y, dir_z, support_value
+    table = np.array(",".join(fields).split(","), dtype=float).reshape(len(rows), 6)
+    tubes = []
+    for aircraft in dict.fromkeys(names):
+        own = table[names == aircraft]
+        own = own[np.argsort(own[:, 0], kind="stable")]
+        n_times = np.unique(own[:, 0]).shape[0]
+        n_dirs = own.shape[0] // n_times
+        if n_dirs * n_times != own.shape[0] or (
+                own[:, 2:5].reshape(n_times, n_dirs, 3) != own[:n_dirs, 2:5]).any():
+            raise ValueError(f"{path}: aircraft {aircraft}'s times have unequal direction sets")
+        tubes.append((aircraft, own[:n_dirs, 2:5][:, list(plane)], own[:, 5].reshape(n_times, -1)))
+    return tubes
 
 
-def _silhouette(entries, plane):
-    """Polygon vertices of the support-halfspace intersection in the plane."""
-    dirs = np.array([e[0][list(plane)] for e in entries])
-    vals = np.array([e[1] for e in entries])
+def _silhouettes(dirs, vals):
+    """Polygon vertices (T, V, 2) of the support-halfspace intersections in
+    the plane, one polygon per row of vals; None below three vertices."""
     keep = np.linalg.norm(dirs, axis=1) > 1e-9
-    dirs, vals = dirs[keep], vals[keep]
+    dirs, vals = dirs[keep], vals[:, keep]
     if dirs.shape[0] < 3:
         return None
     order = np.argsort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    (ax, ay), va = dirs[order].T, vals[order]
+    (ax, ay), va = dirs[order].T, vals[:, order]
     # each vertex solves the 2x2 system of two adjacent halfspaces, by Cramer's rule
-    bx, by, vb = np.roll(ax, -1), np.roll(ay, -1), np.roll(va, -1)
+    bx, by, vb = np.roll(ax, -1), np.roll(ay, -1), np.roll(va, -1, axis=1)
     det = ax * by - ay * bx
     keep = np.abs(det) >= 1e-12
-    pts = np.stack([va * by - vb * ay, ax * vb - bx * va], axis=1)[keep] / det[keep, None]
-    return pts if pts.shape[0] >= 3 else None
+    pts = np.stack([va * by - vb * ay, ax * vb - bx * va], axis=2)[:, keep] / det[keep, None]
+    return pts if pts.shape[1] >= 3 else None
 
 
 def _tube_svg(tube_path: Path, plane, labels, out_path: Path):
-    tubes = _read_tubes(tube_path)
-    if not tubes:
-        return False
     polys = []
-    for aircraft, per_t in tubes.items():
-        for t in sorted(per_t):
-            poly = _silhouette(per_t[t], plane)
-            if poly is not None:
-                polys.append((aircraft, poly))
+    for aircraft, dirs, vals in _read_tubes(tube_path, plane):
+        pts = _silhouettes(dirs, vals)
+        if pts is not None:
+            polys += [(aircraft, poly) for poly in pts]
     if not polys:
         return False
     allpts = np.vstack([p for _, p in polys])

@@ -370,17 +370,29 @@ def test_derivatives_once_per_accepted_step(name, monkeypatch):
     # evaluated at each stage start and at each accepted point
     p, init = with_start(name)
     calls = []
-    merit = convex._merit
-
-    def counted(*args, derivs=True, **kwargs):
-        if derivs:
-            calls.append(1)
-        return merit(*args, derivs=derivs, **kwargs)
-
-    monkeypatch.setattr(convex, "_merit", counted)
+    derivs = convex._merit_derivs
+    monkeypatch.setattr(convex, "_merit_derivs",
+                        lambda *args: calls.append(1) or derivs(*args))
     res = solve(p, init)
     assert res.status == "optimal"
     assert 0 < len(calls) <= res.newton_steps + len(res.stage_objectives) + 1
+
+
+@pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy"])
+def test_one_factorization_per_point(name, monkeypatch):
+    # an accepted trial's factorization is carried into its derivatives, so
+    # no point is evaluated twice at one mu
+    p, init = with_start(name)
+    points = []
+    value = convex._merit_value
+
+    def recorded(prob, x, mu, fscale=1.0):
+        points.append((x.tobytes(), mu))
+        return value(prob, x, mu, fscale)
+
+    monkeypatch.setattr(convex, "_merit_value", recorded)
+    assert solve(p, init).status == "optimal"
+    assert len(set(points)) == len(points)
 
 
 def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):

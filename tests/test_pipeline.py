@@ -553,21 +553,35 @@ def test_closest_pair_sums_coordinates_as_the_kd_tree():
                       min_size=1, max_size=5),
        n=st.integers(1, 400), tie=st.booleans(), far=st.sampled_from([0.0, 1e6]))
 def test_pruned_minimum_is_the_exhaustive_minimum(seed, k, kinds, n, tie, far):
-    # one pair of clouds per grid time; n up to 256 takes the nA nB <= PAIR_CHUNK
+    # one pair of clouds per grid time, in coordinate-major (T, k, n) stacks
+    # as the sampler leaves them; n up to 256 takes the nA nB <= PAIR_CHUNK
     # path, identical clouds and the symmetric pairs of equal_means have
     # u = 0, and coordinates near 1e6 leave the rounding slack to the bound
     rng = np.random.default_rng(seed)
+    nB = n if "identical" in kinds else max(1, n // 2)  # identical clouds share a size
+
+    def symmetric(m):  # m points whose mean is exactly 0: eighths sum exactly
+        h = rng.integers(-8, 9, (m // 2, k)) / 8
+        return np.concatenate([h, -h, np.zeros((m % 2, k))])
+
     pairs = []
     for kind in kinds:
-        if kind == "equal_means":
-            a, b = rng.standard_normal((2, k))
-            A, B = np.stack([a, -a]), np.stack([b, -b])
-        else:
-            A, B = two_clouds(kind, rng, n, max(1, n // 2), k)
+        A, B = (symmetric(n), symmetric(nB)) if kind == "equal_means" else (
+            two_clouds(kind, rng, n, nB, k))
         shift = far * rng.standard_normal(k)
         pairs.append((A + shift, B + shift))
     exhaustive = [pipeline._closest_pair_distance(A, B) for A, B in pairs]
     if tie:  # a second grid time at the minimum
         pairs.append(pairs[int(np.argmin(exhaustive))])
-    assert pipeline._min_closest_pair_distance(pairs) == min(exhaustive)
+    posA, posB = (np.stack([pair[j].T for pair in pairs]) for j in (0, 1))
+    assert pipeline._min_closest_pair_distance(posA, posB) == min(exhaustive)
 
+
+
+def test_pruned_minimum_searches_a_time_whose_gap_is_near_the_best():
+    # the first time visited (gap 0.5 along its means) is sqrt(4.25) apart;
+    # the second's gap, 2, is within a tenth of that best, and its distance,
+    # 2, is the minimum
+    posA = np.array([[[-2.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    posB = np.array([[[0.0, 0.0], [0.5, 0.5]], [[2.0, 2.0], [0.0, 0.0]]])
+    assert pipeline._min_closest_pair_distance(posA, posB) == 2.0

@@ -130,11 +130,35 @@ def test_projected_samples_equal_projected_states(name):
     assert full.shape == (300, t_grid.shape[0], spec.system.state_dim)
     assert pos.shape == (300, t_grid.shape[0], P.shape[0])
     assert np.array_equal(pos, full @ P.T)
-    assert np.swapaxes(pos, 0, 1).flags.c_contiguous
+    assert pos.transpose(1, 2, 0).flags.c_contiguous
 
 
 def reference_samples(spec, t_grid, n_samples, seed=0, P=None):
-    """sample_trajectories as a loop that allocates every step's arrays."""
+    """sample_trajectories as a coordinate-major loop that allocates every
+    step's arrays."""
+    def unit_columns(dim):
+        v = np.ascontiguousarray(rng.standard_normal((n_samples, dim)).T)
+        return v / np.sqrt((v * v).sum(axis=0))
+
+    rng = np.random.default_rng(seed)
+    X0, U = spec.X0, spec.U
+    X = X0.sqrt_shape().T @ unit_columns(X0.dim) + X0.center[:, None]
+    if len(t_grid) > 1:
+        Ad, Bd = discretize(spec.system, float(np.diff(t_grid)[0]))
+        BWc = Bd @ np.column_stack([U.sqrt_shape().T, U.center])
+    steps = []
+    for k, t in enumerate(t_grid):
+        if k:
+            X = Ad @ X + BWc @ np.vstack([unit_columns(U.dim), np.ones(n_samples)])
+        offset = spec.offset_at(t)
+        Y = X + offset[:, None] if np.any(offset) else X
+        steps.append(Y if P is None else P @ Y)
+    return np.stack(steps).transpose(2, 0, 1)
+
+
+def row_major_reference(spec, t_grid, n_samples, seed=0, P=None):
+    """The sampler's earlier, row-major loop: states as (n_samples, n) rows,
+    a step X' = X Ad' + U Bd'."""
     def boundary(e):
         v = rng.standard_normal((n_samples, e.dim))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -156,9 +180,7 @@ def same_array_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("projected", [False, True])
-def test_sampler_equals_allocating_reference(m, projected):
+def random_sampling_spec(m):
     # random dynamics, a singular initial set and an offset control set
     rng = np.random.default_rng(m)
     n = 5
@@ -166,19 +188,46 @@ def test_sampler_equals_allocating_reference(m, projected):
     system = LTISystem(0.3 * rng.standard_normal((n, n)), rng.standard_normal((n, m)))
     spec = ReachSpec(system, Ellipsoid(rng.standard_normal(n), L0 @ L0.T),
                      Ellipsoid(rng.standard_normal(m), Lu @ Lu.T), 2.0)
-    P = rng.standard_normal((3, n)) if projected else None
+    return spec, rng.standard_normal((3, n))
+
+
+def bundled_sampling_spec(name):
+    scenario = load_scenario(builtin_scenario_path(name))
+    t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
+    return (dataclasses.replace(build_spec(scenario, 0), V=None), t_grid,
+            position_projection(scenario))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("projected", [False, True])
+def test_sampler_equals_allocating_reference(m, projected):
+    spec, P = random_sampling_spec(m)
+    P = P if projected else None
     for t_grid in (np.linspace(0.0, 2.0, 21), np.zeros(1)):
         assert same_array_bits(sample_trajectories(spec, t_grid, 700, seed=m, P=P),
                                reference_samples(spec, t_grid, 700, seed=m, P=P))
 
 
+@pytest.mark.parametrize("case", ["m1", "m2", "m3", "m4", "quadrotor_pair", "fixedwing_pair"])
+def test_sampler_keeps_random_stream(case):
+    # every sample gets the normals of the row-major draws, so the layouts
+    # differ only by rounding
+    if case.startswith("m"):
+        spec, P = random_sampling_spec(int(case[1:]))
+        t_grid = np.linspace(0.0, 2.0, 21)
+    else:
+        spec, t_grid, P = bundled_sampling_spec(case)
+    for proj in (None, P):
+        samples = sample_trajectories(spec, t_grid, 700, seed=11, P=proj)
+        ref = row_major_reference(spec, t_grid, 700, seed=11, P=proj)
+        assert samples.shape == ref.shape
+        assert np.all(np.abs(samples - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
 @pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
 def test_bundled_samples_equal_allocating_reference(name):
     # fixed-wing adds a nominal center offset
-    scenario = load_scenario(builtin_scenario_path(name))
-    P = position_projection(scenario)
-    spec = dataclasses.replace(build_spec(scenario, 0), V=None)
-    t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
+    spec, t_grid, P = bundled_sampling_spec(name)
     for proj in (None, P):
         assert same_array_bits(sample_trajectories(spec, t_grid, 1000, seed=3, P=proj),
                                reference_samples(spec, t_grid, 1000, seed=3, P=proj))
