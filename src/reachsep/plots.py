@@ -84,15 +84,14 @@ def _read_tubes(path: Path, plane):
     rows = path.read_text().splitlines()[1:]
     if not rows:
         return []
-    names, fields = zip(*(row.split(",", 1) for row in rows))
-    names = np.array(names)
+    names = np.loadtxt(rows, delimiter=",", usecols=0, dtype=str, ndmin=1)
     # per row: t_s, dir_index, dir_x, dir_y, dir_z, support_value
-    table = np.array(",".join(fields).split(","), dtype=float).reshape(len(rows), 6)
+    table = np.loadtxt(rows, delimiter=",", usecols=range(1, 7), ndmin=2)
     tubes = []
     for aircraft in dict.fromkeys(names):
         own = table[names == aircraft]
         own = own[np.argsort(own[:, 0], kind="stable")]
-        n_times = np.unique(own[:, 0]).shape[0]
+        n_times = 1 + np.count_nonzero(np.diff(own[:, 0]))
         n_dirs = own.shape[0] // n_times
         if n_dirs * n_times != own.shape[0] or (
                 own[:, 2:5].reshape(n_times, n_dirs, 3) != own[:n_dirs, 2:5]).any():

@@ -19,7 +19,7 @@ from reachsep.cli import main
 from reachsep.ellipsoid import Ellipsoid
 from reachsep.montecarlo import sample_trajectories
 from reachsep.pipeline import SEP_TOL, plane_directions, run, verify_monte_carlo
-from reachsep.plots import MissingArtifactError, emit_plots
+from reachsep.plots import MissingArtifactError, _read_tubes, emit_plots
 from reachsep.distance import GAP_REL
 from reachsep.reachability import reach_support, reach_tube
 from reachsep.scenario import (
@@ -388,6 +388,18 @@ def test_empty_direction_set_warns(tmp_path, capsys):
     emit_plots(tmp_path / "out")
     assert not (tmp_path / "out" / "initial_tubes.svg").exists()
     assert (tmp_path / "out" / "separation.svg").exists()
+
+
+def test_tube_csv_with_unequal_direction_sets_is_rejected(tmp_path):
+    # an aircraft's silhouettes are taken for all its times at once, on the
+    # directions of its first time
+    head = "aircraft,t_s,dir_index,dir_x,dir_y,dir_z,support_value\n"
+    rows = ["A,0,0,1,0,0,1", "A,0,1,0,1,0,1", "A,1,0,1,0,0,1", "A,1,1,-1,0,0,1"]
+    path = tmp_path / "tubes.csv"
+    for body in (rows, rows[:3]):
+        path.write_text(head + "\n".join(body) + "\n")
+        with pytest.raises(ValueError, match="unequal direction sets"):
+            _read_tubes(path, (0, 1))
 
 
 def test_emit_plots_missing_artifacts(tmp_path):
