@@ -589,7 +589,6 @@ def test_pruned_minimum_is_the_exhaustive_minimum(seed, k, kinds, n, tie, far):
     assert pipeline._min_closest_pair_distance(posA, posB) == min(exhaustive)
 
 
-
 def test_pruned_minimum_searches_a_time_whose_gap_is_near_the_best():
     # the first time visited (gap 0.5 along its means) is sqrt(4.25) apart;
     # the second's gap, 2, is within a tenth of that best, and its distance,
