@@ -6,13 +6,13 @@ alone: Gilbert's iteration gives an upper bound, the support values a lower
 bound, and the search stops on their duality gap.  Its directions l lie in
 the k-dim position space, so its oracle reads each set through the support
 kernel's projected view (reachsep.reachability._project): a center per
-time and k x k Gram node stacks, whose response at l is the projected
-touching point.  The searches of all grid times run in lockstep on those
-stacks, one oracle call per step for the times still open.  Touching or
-overlapping sets, where the signed value is a nonconvex problem, go to an
-expanding inner hull of the touching points, a polytope grown one point at
-a time: the depth of its nearest facet bounds the penetration depth from
-below, so the signed value gets a duality gap too.
+time and factor node stacks, whose response at l is the projected touching
+point.  The searches of all grid times run in lockstep on that view, one
+oracle call per step for the times still open.  Touching or overlapping
+sets, where the signed value is a nonconvex problem, go to an expanding
+inner hull of the touching points, a polytope grown one point at a time:
+the depth of its nearest facet bounds the penetration depth from below, so
+the signed value gets a duality gap too.
 """
 
 from dataclasses import dataclass
@@ -295,7 +295,7 @@ def separations(specA: ReachSpec, specB: ReachSpec, times, P) -> list:
     """separation at each of a list of times, computed together.
 
     The minimum-norm points of all times run in lockstep on the projected
-    Gram stacks (_Projected), one batched oracle call per step; each time
+    view (_Projected), one batched oracle call per step; each time
     keeps its own stopping rules and leaves the batch when it stops, so its
     result does not depend on the other times.  A time whose run stops
     without a certificate goes on to its inner hull alone.

@@ -58,8 +58,6 @@ def _write_json(path: Path, obj) -> None:
 def plane_directions(scenario: Scenario, pos_dim: int) -> np.ndarray:
     """Evenly spaced unit directions in the scenario's rendering plane."""
     n = scenario.directions
-    if n <= 0:
-        return np.zeros((0, pos_dim))
     angles = 2.0 * np.pi * np.arange(n) / n
     dirs = np.zeros((n, pos_dim))
     dirs[:, scenario.plane[0]] = np.cos(angles)

@@ -29,13 +29,13 @@ single direction at a single time is a 1 x 1 block.
 
 Seen through a (k, n) projection P, with the rows of P as the directions,
 the same terms give the projected view (_project), for a whole batch in
-one call: per node the k x k Gram G_i = Mw_i w_i', whose diagonal is q, and
-the center terms summed once per time.  reachsep.distance searches the
-separation of two sets on that view, and reachsep.synthesis reads its safe
-set from it.  Where a Gram form is thin along l, q below GRAM_REL of its
-scale, it has lost the digits the full-state form keeps: the initial-set
-term, in the kernel and the view, and an input node of the view then take
-q and the response from the factor S M^(1/2) instead.
+one call: per node the k x m factor F_i = (P S_i) M^(1/2), so that
+q_i = |F_i' l|^2, and the center terms summed once per time.  Every
+quadratic form of the view, and the initial-set term of the kernel, is read
+from its factor: |u|^2 keeps its digits where q is small against its scale,
+which <l, G l> read from a Gram matrix G = F F' does not.  reachsep.distance
+searches the separation of two sets on that view, and reachsep.synthesis
+reads its safe set from it.
 """
 
 from dataclasses import dataclass, fields
@@ -47,11 +47,6 @@ from .dynamics import LTISystem, NominalTrajectory, expm
 from .ellipsoid import Ellipsoid, HalfspaceSet
 
 VANISH_REL = 1e-13
-# A quadratic form q = <l, M l> read from M is off by ~eps |M| |l|^2 / q
-# relative; read from the factor, q = |M^(1/2) l|^2, by ~eps |M^(1/2)| |l| /
-# q^(1/2).  Below GRAM_REL of its scale |M| |l|^2 q is read from the factor,
-# so that the Gram form is used only where it is within ~2e-12 of q.
-GRAM_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -237,22 +232,15 @@ def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
     """(Phi' l, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per time of g and row
     of L (D, n): (T, D, n), (T, D) and (T, D, n).
 
-    The root is 0 where its square is at the rounding level of M0: a flat X0
-    seen edge-on has no extent, not ~1e-9.  Where it is above that but below
-    GRAM_REL of the scale, as for a flat X0 seen nearly edge-on, the square
-    and M0 Phi' l come from u = M0^(1/2) Phi' l: |u|^2 and M0^(1/2) u.
+    The square and M0 Phi' l come from the factor, u = Phi' l M0^(1/2): |u|^2
+    and u M0^(1/2).  The root is 0 where its square is at the rounding level
+    of M0: a flat X0 seen edge-on has no extent, not ~1e-9.
     """
     LT = L @ g.Phi0
-    MLT = LT @ X0.shape
-    q0 = (MLT * LT).sum(axis=-1)
-    scale = np.trace(X0.shape) * (LT * LT).sum(axis=-1)
-    alive = q0 > VANISH_REL * scale
-    thin = alive & (q0 < GRAM_REL * scale)
-    if thin.any():
-        u = LT[thin] @ X0.sqrt_shape()
-        q0[thin] = (u * u).sum(axis=-1)
-        MLT[thin] = u @ X0.sqrt_shape()
-    return LT, np.sqrt(np.where(alive, q0, 0.0)), MLT
+    u = LT @ X0.sqrt_shape()
+    q0 = (u * u).sum(axis=-1)
+    alive = q0 > VANISH_REL * np.trace(X0.shape) * (LT * LT).sum(axis=-1)
+    return LT, np.sqrt(np.where(alive, q0, 0.0)), u @ X0.sqrt_shape()
 
 
 def _input_terms(stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
@@ -308,29 +296,22 @@ def _touching_points(spec: ReachSpec, g: _Grid, L: np.ndarray):
     return points + _offsets(spec, g)[:, None], x0, profiles[0]
 
 
-def _apply(G: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """G_t l_t for each row l_t of l (T, k), with G a (T, k, k) stack or a
-    node stack (T, k, k, N+1).  The sum over columns runs in order, so a
-    row's result does not depend on the rows beside it."""
-    shape = (l.shape[0],) + (1,) * (G.ndim - 2)
-    out = G[:, :, 0] * l[:, 0].reshape(shape)
-    for b in range(1, l.shape[1]):
-        out = out + G[:, :, b] * l[:, b].reshape(shape)
+def _apply(F: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """F_t v_t per time t, with F a (T, k, c) stack or a node stack
+    (T, k, c, N+1) and v (T, c) or, one per node, (T, c, N+1).  The sum over
+    the c columns runs in order, so a row's result does not depend on the
+    rows beside it."""
+    v = v.reshape(v.shape[:1] + (1,) + v.shape[1:] + (1,) * (F.ndim - v.ndim - 1))
+    out = F[:, :, 0] * v[:, :, 0]
+    for c in range(1, F.shape[2]):
+        out += F[:, :, c] * v[:, :, c]
     return out
 
 
 def _dot(l: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<l_t, v_t> for each row l_t of l (T, k), with v (T, k) or (T, k, N+1)."""
+    """<l_t, v_t> per time t, with l and v (T, k), or v (T, k, N+1) and l
+    (T, k) or (T, k, N+1)."""
     return _apply(v[:, None], l)[:, 0]
-
-
-def _factor_form(l: np.ndarray, S: np.ndarray, root: np.ndarray):
-    """(q, G l) of G = F F' with F = S root, read from the factor, for rows l
-    (K, k) and a stack S (K, k, d): q = |u|^2 and G l = S (root u), where
-    u = root S' l.  Each row is its own matmul, so it does not depend on the
-    rows beside it."""
-    u = l[:, None] @ S @ root  # (K, 1, d)
-    return (u * u).sum(axis=-1)[:, 0], (S @ (u @ root).transpose(0, 2, 1))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -338,81 +319,60 @@ class _Projected:
     """One spec's reachable sets at a batch of times, seen through P (k, n).
 
     Directions l lie in the k-dim image of P, so each term of the support
-    value at P'l is a quadratic form in l.  An input set E enters through its
-    Gram node stack G_i = Mw_i w_i' (k x k), from the kernel's terms with the
-    rows of P as the directions: q_i = <l, G_i l>, and the projected
-    touching-point response is G_i l / sqrt(q_i), under the kernel's panel
-    and vanish rules.  The initial set enters through G0 = P Phi_0 M0 Phi_0' P',
-    with H0 = P Phi_0 Phi_0' P' for its vanish rule, and the center terms,
-    offset included, are one point per time.  Node stacks are
-    (T, k, k, N+1), nodes last, as the grid batch's; at t = 0 the N + 1
-    nodes are equal and h = 0 zeroes every panel.  Where a term is thin
-    along l, q below GRAM_REL of trace(G) |l|^2, q and G l come from its
-    factor instead, formed for those rows and nodes only: F0 = P Phi_0
-    M0^(1/2) with G0 = F0 F0', or F_i = w_i M^(1/2) with G_i = F_i F_i'.
+    value at P'l is a quadratic form in l, read from its factor.  An input
+    set E enters through its factor node stack F_i = (P S_i) M^(1/2), from the
+    kernel's w_i with the rows of P as the directions: with u_i = F_i' l,
+    q_i = |u_i|^2 and the projected touching-point response is
+    F_i u_i / sqrt(q_i), under the kernel's panel and vanish rules.  The
+    initial set enters through F0 = P Phi_0 M0^(1/2) the same way, its
+    vanish rule reading |PPhi0' l|^2 as the kernel reads |Phi' l|^2, and the
+    center terms, offset included, are one point per time.  Node stacks are
+    (T, k, m, N+1), nodes last, as the grid batch's; at t = 0 the N + 1 nodes
+    are equal and h = 0 zeroes every panel.
     """
 
     times: np.ndarray  # (T,)
     center: np.ndarray  # (T, k)
-    G0: np.ndarray  # (T, k, k)
-    H0: np.ndarray  # (T, k, k)
+    PPhi0: np.ndarray  # P Phi_0, (T, k, n)
+    F0: np.ndarray  # P Phi_0 M0^(1/2), (T, k, n)
     tol0: float  # VANISH_REL trace(M0)
     h: np.ndarray  # (T,)
-    inputs: tuple  # one Gram node stack per input set, the control set first
-    PPhi0: np.ndarray  # P Phi_0, (T, k, n)
-    root0: np.ndarray  # M0^(1/2)
-    trace0: np.ndarray  # trace(G0), (T,)
-    factors: tuple  # (w_i (T, N+1, k, m), M^(1/2)) per input set
-    traces: tuple  # trace(G_i) per input set, (T, N+1)
+    inputs: tuple  # one factor node stack per input set, the control set first
 
     def take(self, rows) -> "_Projected":
-        return _Projected(self.times[rows], self.center[rows], self.G0[rows], self.H0[rows],
-                          self.tol0, self.h[rows], tuple(G[rows] for G in self.inputs),
-                          self.PPhi0[rows], self.root0, self.trace0[rows],
-                          tuple((w[rows], root) for w, root in self.factors),
-                          tuple(tr[rows] for tr in self.traces))
+        return _Projected(self.times[rows], self.center[rows], self.PPhi0[rows], self.F0[rows],
+                          self.tol0, self.h[rows], tuple(F[rows] for F in self.inputs))
 
     def response(self, l: np.ndarray) -> np.ndarray:
         """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
-        G0l = _apply(self.G0, l)
-        q0 = _dot(l, G0l)
-        alive0 = q0 > self.tol0 * _dot(l, _apply(self.H0, l))
-        tiny = GRAM_REL * (l * l).sum(axis=-1)  # GRAM_REL |l|^2
-        thin0 = alive0 & (q0 < self.trace0 * tiny)
-        if thin0.any():
-            q0[thin0], G0l[thin0] = _factor_form(l[thin0], self.PPhi0[thin0], self.root0)
-        out = G0l / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
+        # the initial set as the kernel reads it, one matmul per time
+        LT, u0 = (l[:, None] @ self.PPhi0)[:, 0], (l[:, None] @ self.F0)[:, 0]  # (T, n)
+        q0 = (u0 * u0).sum(axis=-1)
+        alive0 = q0 > self.tol0 * (LT * LT).sum(axis=-1)
+        out = (self.F0 @ u0[..., None])[..., 0] / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
         h = self.h[:, None, None]
-        for G, (w, root), trace in zip(self.inputs, self.factors, self.traces):
-            Gl = _apply(G, l)  # (T, k, N+1)
-            q = _dot(l, Gl)  # (T, N+1)
-            alive = _alive(q[:, None])
-            thin = q < trace * tiny[:, None]
-            if thin.any() and (thin := thin & alive[:, 0]).any():
-                t, i = np.nonzero(thin)
-                q[t, i], Gl[t, :, i] = _factor_form(l[t], w[t, i], root)
-            q = q[:, None]
-            out = out + _panel_sum(h, alive, Gl / np.sqrt(np.where(q > 0.0, q, np.inf)))
+        for F in self.inputs:
+            u = _apply(F.swapaxes(1, 2), l)  # (T, m, N+1)
+            q = _dot(u, u)[:, None]  # (T, 1, N+1)
+            Fu = _apply(F, u)  # (T, k, N+1)
+            out = out + _panel_sum(h, _alive(q), Fu / np.sqrt(np.where(q > 0.0, q, np.inf)))
         return out
 
 
 def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
     """spec's reachable sets at the given times, seen through P (k, n)."""
     g = _grids_for(spec, times)
-    PPhi0, _, MLT = _initial_terms(g, spec.X0, P)
     x = g.Phi0 @ spec.X0.center
-    inputs, factors = [], []
+    inputs = []
     for stack, E in _inputs(spec, g):
-        w, Mw, _ = _input_terms(stack, E, P)
-        inputs.append(np.einsum("tiae,tibe->tabi", Mw, w, order="C"))  # G_i = Mw_i w_i'
-        factors.append((w, E.sqrt_shape()))
+        F = np.empty((g.times.shape[0], P.shape[0], E.dim, stack.shape[1]))
+        np.matmul(P @ stack, E.sqrt_shape(), out=np.moveaxis(F, -1, 1))  # nodes last, no copy
+        inputs.append(F)
         x = x + _simpson(g, stack @ E.center)
-    G0 = MLT @ PPhi0.transpose(0, 2, 1)
-    return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0],
-                      G0, PPhi0 @ PPhi0.transpose(0, 2, 1),
-                      VANISH_REL * float(np.trace(spec.X0.shape)), g.h, tuple(inputs),
-                      PPhi0, spec.X0.sqrt_shape(), np.trace(G0, axis1=1, axis2=2),
-                      tuple(factors), tuple(np.trace(G, axis1=1, axis2=2) for G in inputs))
+    PPhi0 = P @ g.Phi0
+    return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0], PPhi0,
+                      PPhi0 @ spec.X0.sqrt_shape(), VANISH_REL * float(np.trace(spec.X0.shape)),
+                      g.h, tuple(inputs))
 
 
 def _unit_rows(directions) -> np.ndarray:

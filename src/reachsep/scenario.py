@@ -107,7 +107,8 @@ _FIELDS = (
            "must be a positive number of at most horizon_s"),
     _Field("quad_steps", "quad_steps", int, 200, lambda v, got: v >= 16,
            "must be an integer of at least 16"),
-    _Field("directions", "directions", int, 32),
+    _Field("directions", "directions", int, 32, lambda v, got: v >= 0,
+           "must be a non-negative integer"),
     _Field("plane", "plane", tuple, (0, 1), _distinct_axes("position"),
            "must be two distinct integer axes of the position space"),
     _Field("control_plane", "control_plane", tuple, (0, 1), _distinct_axes("input"),

@@ -290,16 +290,17 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     The reach set's initial-set image and control-integral parts are each
     covered by an ellipsoid tight along l*, summed tightly, and finally
     Minkowski-added to a radius-d ball.  Both parts are read from the
-    kernel's projected view at t: its center, G0 (the initial-set image) and
-    the control set's Gram nodes.  Support along l* reproduces
-    reach_support + d up to quadrature tolerance.
+    kernel's projected view at t: its center, and the shapes F0 F0' of the
+    initial-set image and F F' of each control node, from the view's factors.
+    Support along l* reproduces reach_support + d up to quadrature tolerance.
     """
     if d < 0.0:
         raise ValueError("separation radius must be nonnegative")
     P = np.atleast_2d(np.asarray(P, dtype=float))
     l_pos = P @ np.asarray(l_star, dtype=float)
     view = _project(spec_shrunk, [t], P)
-    center, M_x0, M_s = view.center[0], view.G0[0], view.inputs[0][0]  # M_s: (k, k, N+1)
+    F0, F = view.F0[0], view.inputs[0][0]  # F: (k, m, N+1)
+    center, M_x0, M_s = view.center[0], F0 @ F0.T, np.einsum("amj,bmj->abj", F, F)
     simpson_w = _grids_for(spec_shrunk, [t]).simpson_w[0]
     # control integral: weights pi proportional to the integrand along l*
     pi = np.sqrt(np.clip(l_pos @ np.tensordot(l_pos, M_s, axes=1), 0.0, None))

@@ -291,6 +291,7 @@ def test_exit_three_on_schema_error(tmp_path, capsys):
     (["--grid-step", "9"], "grid_step_s"),  # longer than the 4 s horizon
     (["--verify-mc", "-3"], "'verify_mc'"),
     (["--seed", "-1"], "'seed'"),
+    (["--directions", "-1"], "directions"),
 ])
 def test_cli_invalid_overrides_exit_three(tmp_path, capsys, flags, field):
     code = main(["run", str(builtin_scenario_path("quadrotor_pair")),
@@ -321,6 +322,7 @@ def test_run_count_options_must_be_non_negative_integers(tmp_path, capsys, optio
     ("scalarization.max_iters", 0),
     ("margins.part2_m", "x"),
     ("horizon_s", -1),
+    ("directions", -5),
 ])
 def test_malformed_top_level_field_exits_three(tmp_path, capsys, path, value):
     # every top-level field is checked before any work: none raises, none
