@@ -26,8 +26,8 @@ class LTISystem:
     A: np.ndarray
     B: np.ndarray
     labels: tuple = ()
-    # reachability's quadrature grids, keyed by (t, steps); A and B are
-    # read-only, so every spec built on this system can share them
+    # reachability's quadrature grid batches, keyed by (times, steps); A and B
+    # are read-only, so every spec built on this system can share them
     grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

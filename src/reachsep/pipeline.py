@@ -28,7 +28,6 @@ from .scenario import (
     ScenarioError,
     build_nominal,
     build_spec,
-    field_error,
     load_document,
     position_projection,
     scenario_from_dict,
@@ -299,12 +298,6 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
         "center_distance_m": center_gap,
         "required_separation_m": scenario.d,
     })
-    if scenario.horizon < geom.tau - 1e-12:
-        exc = field_error("horizon", f"({scenario.horizon}) is shorter than the "
-                                     f"encounter time {geom.tau}")
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 3
-
     specA = build_spec(scenario, 0)
     specB = build_spec(scenario, 1)
     sysA, sysB = specA.system, specB.system

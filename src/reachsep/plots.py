@@ -146,9 +146,9 @@ def _ellipse_pts(center, shape, n=64):
 def emit_plots(out_dir) -> list:
     """Render SVG figures from run artifacts; returns the written paths.
 
-    Raises MissingArtifactError when a required input file is absent.  If the
-    tube CSVs carry no rows (empty direction set) the tube figures are
-    skipped with a warning.
+    Raises MissingArtifactError when a required input file is absent.  A tube
+    figure whose CSV carries fewer than three directions has no silhouettes,
+    and is skipped with a warning.
     """
     import sys
 
@@ -167,7 +167,7 @@ def emit_plots(out_dir) -> list:
         if _tube_svg(path, plane, labels, out / name):
             written.append(out / name)
         else:
-            print(f"warning: no tube silhouettes for {name} (empty direction set)",
+            print(f"warning: no tube silhouettes for {name} (fewer than three directions)",
                   file=sys.stderr)
 
     # control-set ellipses in the configured control plane

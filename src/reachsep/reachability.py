@@ -12,10 +12,10 @@ midpoint rule, and the initial-set root counts only above the rounding level
 of M0.  The quadrature has one shape: a grid batch (_Grid) of T times, N + 1
 nodes each, holding (T, ...) stacks of weights and transition matrices.  t = 0
 is a grid like the others: its N + 1 nodes all sit at s = 0, with h = 0 and
-step E = I, so its weights and every panel are 0.  Each time's grid is built
-once per (t, step-count) pair and cached on the system, so every spec built
-on it shares it; the times a call needs that are not cached yet are built
-together, in one recursion over a (T, N+1, n, n) stack.  Every input set
+step E = I, so its weights and every panel are 0.  The batch of each
+request, its times and step count, is built once, in one recursion over a
+(T, N+1, n, n) stack, and cached whole on the system, so every spec built on
+it shares it.  Every input set
 enters through one kernel, which takes a grid batch whole: with S_i = Phi_i B
 for U and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values
 integrate <w_i, c> and sqrt(q_i), touching points the responses S_i c and
@@ -108,11 +108,9 @@ class _Grid:
     Phi0: np.ndarray  # (T, n, n): e^(A t)
     PhiB: np.ndarray  # (T, N+1, n, m): PhiB[:, i] = e^(A (t - s_i)) B
 
-    def take(self, rows, times=None) -> "_Grid":
-        """The given rows, answering for times (by default their own); a
-        disturbance stack already built comes along."""
-        out = _Grid(self.times[rows] if times is None else times,
-                    *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
+    def take(self, rows) -> "_Grid":
+        """The given rows; a disturbance stack already built comes along."""
+        out = _Grid(*(getattr(self, f.name)[rows] for f in fields(self)))
         if "Phi" in vars(self):
             vars(out)["Phi"] = self.Phi[rows]
         return out
@@ -171,29 +169,16 @@ def _build_grids(system: LTISystem, times, n_steps: int) -> _Grid:
 def _grids_for(spec: ReachSpec, times) -> _Grid:
     """The grid batch of a list of times, checked against the horizon.
 
-    A grid depends on A, B, t and the step count only, so each time is built
-    once per system and cached on it as a row of the batch it was built in,
-    shared by every spec of the system; the times not cached yet are built
-    in one batch.  Consecutive rows of one batch are returned as a view, any
-    other request as a copy.  The batch's times are the ones asked for; h
-    and the stacks are those of the cached rows.  A disturbance set's stack
-    (_Grid.Phi) is built once per cached batch and kept with it.
+    A batch depends on A, B, its times and the step count only, so each
+    request is built once per system and cached on it whole, shared by every
+    spec of the system.  A disturbance set's stack (_Grid.Phi) is built once
+    per batch and kept with it.
     """
-    times = [_check_time(spec, t) for t in times]
+    key = (tuple(_check_time(spec, t) for t in times), spec.quad_steps)
     cache = spec.system.grids
-    keys = [(round(t, 12), spec.quad_steps) for t in times]
-    missing = {key: t for key, t in zip(keys, times) if key not in cache}
-    if missing:
-        batch = _build_grids(spec.system, list(missing.values()), spec.quad_steps)
-        cache.update((key, (batch, j)) for j, key in enumerate(missing))
-    rows = [cache[key] for key in keys]
-    batch, first = rows[0] if rows else (_build_grids(spec.system, [], spec.quad_steps), 0)
-    if not all(b is batch and j == first + i for i, (b, j) in enumerate(rows)):
-        return _Grid(np.array(times), *(np.stack([getattr(b, f.name)[j] for b, j in rows])
-                                        for f in fields(_Grid)[1:]))
-    if spec.V is not None:
-        batch.Phi  # a disturbance set's stack: built once per batch, kept with it
-    return batch.take(slice(first, first + len(rows)), np.array(times))
+    if key not in cache:
+        cache[key] = _build_grids(spec.system, key[0], spec.quad_steps)
+    return cache[key]
 
 
 def _check_time(spec: ReachSpec, t: float) -> float:
@@ -437,6 +422,8 @@ def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
     unit = _unit_rows(directions)
     g = _grids_for(spec, times)
+    if spec.V is not None:
+        g.Phi  # a disturbance set's stack: built once per batch, carried by its rows
     vals = np.empty((times.shape[0], unit.shape[0]))
     for i in range(times.shape[0]):
         vals[i] = _support_values(spec, g.take(slice(i, i + 1)), unit)[0]

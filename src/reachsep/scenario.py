@@ -125,12 +125,6 @@ _FIELDS = (
 )
 
 
-def field_error(attr: str, rule: str) -> ScenarioError:
-    """The error naming the document field behind Scenario attribute attr."""
-    path = next(f.path for f in _FIELDS if f.attr == attr)
-    return ScenarioError(f"field 'scenario.{path}' {rule}")
-
-
 @dataclass(frozen=True)
 class AircraftConfig:
     ident: str

@@ -392,6 +392,19 @@ def test_empty_direction_set_warns(tmp_path, capsys):
     assert (tmp_path / "out" / "separation.svg").exists()
 
 
+def test_two_directions_skip_tube_figures(tmp_path, capsys):
+    # two directions leave tube rows but no silhouette: the warning names the
+    # direction count, not an empty set
+    code = run(builtin_scenario_path("quadrotor_pair"), tmp_path / "out",
+               {**FAST, "directions": 2, "plots": True})
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "no tube silhouettes for initial_tubes.svg (fewer than three directions)" in err
+    assert "empty direction set" not in err
+    assert len((tmp_path / "out" / "tubes.csv").read_text().splitlines()) > 1
+    assert not (tmp_path / "out" / "initial_tubes.svg").exists()
+
+
 def test_tube_csv_with_unequal_direction_sets_is_rejected(tmp_path):
     # an aircraft's silhouettes are taken for all its times at once, on the
     # directions of its first time
@@ -433,24 +446,22 @@ def test_python_dash_m_runs_without_install(tmp_path):
 
 @pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
 def test_grids_shared_per_system(name, tmp_path, monkeypatch):
-    # every spec of one aircraft shares its system's grids, and the quad
-    # pair's equal dynamics share one system: each output time is built
-    # once per distinct system, counted at the batched build
+    # every spec of one aircraft shares its system's grid batches, and the
+    # quad pair's equal dynamics share one system: each distinct request, the
+    # output grid and tau alone, is built once per distinct system
     built = []
     build = reachability._build_grids
 
     def counting_build(system, times, n_steps):
-        built.extend(times)
+        built.append(len(times))
         return build(system, times, n_steps)
 
     monkeypatch.setattr(reachability, "_build_grids", counting_build)
     assert run(builtin_scenario_path(name), tmp_path, FAST) == 0
     n_times = len((tmp_path / "separation.csv").read_text().splitlines()) - 1
-    assert n_times > 0
-    if name == "quadrotor_pair":
-        assert len(built) == n_times
-    else:
-        assert len(built) <= 2 * n_times
+    assert n_times > 1
+    n_systems = 1 if name == "quadrotor_pair" else 2
+    assert sorted(built) == [1] * n_systems + [n_times] * n_systems
 
 
 def test_benchmark_trace_wraps_resolve():

@@ -1088,35 +1088,37 @@ def reference_grid(system, t, n_steps):
 
 @pytest.mark.parametrize("quad_steps", [64, 33], ids=["even", "odd"])
 @pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
-def test_batched_grids_match_per_time_build(name, quad_steps):
+def test_batched_grids_match_per_time_build(name, quad_steps, monkeypatch):
     spec = dataclasses.replace(build_spec(load_scenario(builtin_scenario_path(name)), 0),
                                quad_steps=quad_steps)
+    built = []
+    build = reachability._build_grids
+
+    def counting_build(system, times, n_steps):
+        built.append(tuple(times))
+        return build(system, times, n_steps)
+
+    monkeypatch.setattr(reachability, "_build_grids", counting_build)
     H = spec.horizon
-    reachability._grids_for(spec, [0.45 * H])
     times = [0.0, 0.2 * H, 0.45 * H, 0.7 * H, H]
     g = reachability._grids_for(spec, times)
     assert np.array_equal(g.times, times)
     for j, t in enumerate(times):
         h, Phi, PhiB, w = reference_grid(spec.system, t, quad_steps)
-        assert g.h[j] == h
-        # Phi is rebuilt on first use, from the step the batch used
-        for got, want in [(g.Phi0[j], Phi[0]), (g.PhiB[j], PhiB), (g.simpson_w[j], w),
-                          (g.Phi[j], Phi)]:
-            assert got.shape == want.shape and np.array_equal(got, want)
-    # the cached time keeps its row of the first batch; the others were built
-    # together, in order, in a second one
-    rows = [spec.system.grids[(round(t, 12), quad_steps)] for t in times]
-    first, second = rows[2][0], rows[0][0]
-    assert first is not second
-    assert [b is second for b, _ in rows] == [True, True, False, True, True]
-    assert [j for _, j in rows] == [0, 1, 0, 2, 3]
-    # consecutive rows of one batch are served as a view, any other request as a copy
-    assert np.shares_memory(reachability._grids_for(spec, times[3:]).PhiB, second.PhiB)
-    assert not np.shares_memory(g.PhiB, second.PhiB)
-    # a disturbance set's stack is built once per batch and kept with it
+        # a time's batch row and its own single-time batch both equal the
+        # reference; Phi is rebuilt on first use, from the step the batch used
+        for grid, row in [(g, j), (reachability._grids_for(spec, [t]), 0)]:
+            assert grid.times[row] == t and grid.h[row] == h
+            for got, want in [(grid.Phi0[row], Phi[0]), (grid.PhiB[row], PhiB),
+                              (grid.simpson_w[row], w), (grid.Phi[row], Phi)]:
+                assert got.shape == want.shape and np.array_equal(got, want)
+    # each request is built once and cached whole on the system: a repeated
+    # request returns the same batch, a disturbance set's stack included
+    assert reachability._grids_for(spec, times) is g
+    assert reachability._grids_for(spec, [H]) is reachability._grids_for(spec, [H])
     disturbed = dataclasses.replace(spec, V=Ellipsoid.ball(np.zeros(spec.system.state_dim), 0.1))
-    assert np.shares_memory(reachability._grids_for(disturbed, times[3:]).Phi,
-                            reachability._grids_for(disturbed, times[3:]).Phi)
+    assert reachability._grids_for(disturbed, times).Phi is g.Phi
+    assert built == [tuple(times), *((t,) for t in times)]
 
 
 # ---------------------------------------------------------------- inner-hull polytope
