@@ -400,18 +400,16 @@ def _merit_derivs(prob, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
     return grad, hess
 
 
-def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0, derivs: bool = True):
+def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0):
     """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
 
-    The value of _merit_value and the derivatives of _merit_derivs.  With
-    derivs=False only F_mu is returned, computed by the same operations, so
-    it equals the first entry bit for bit.
+    The value of _merit_value and the derivatives of _merit_derivs.
     """
     point = _merit_value(prob, x, mu, fscale)
     if point is None:
         return None
     val, G, w = point
-    return (val, *_merit_derivs(prob, G, w, fscale)) if derivs else val
+    return (val, *_merit_derivs(prob, G, w, fscale))
 
 
 def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,

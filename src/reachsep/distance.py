@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reachability import ReachSpec, _dot, _project, _Projected
+from .reachability import ReachSpec, _dot, _grids_for, _project, _Projected
 
 GAP_REL = 1e-12  # duality-gap stop of both separation loops, relative to max(1, |value|)
 MNP_MAX_ITERS = 1000  # per loop; a capped run returns its lower bound, uncertified
@@ -301,7 +301,7 @@ def separations(specA: ReachSpec, specB: ReachSpec, times, P) -> list:
     without a certificate goes on to its inner hull alone.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    A, B = _project(specA, times, P), _project(specB, times, P)
+    A, B = (_project(spec, _grids_for(spec, times), P) for spec in (specA, specB))
     lower, z, l, s, closed = _min_norm_point(A, B)
     seps = []
     for j in range(lower.shape[0]):

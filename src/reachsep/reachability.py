@@ -15,30 +15,31 @@ is a grid like the others: its N + 1 nodes all sit at s = 0, with h = 0 and
 step E = I, so its weights and every panel are 0.  The batch of each
 request, its times and step count, is built once, in one recursion over a
 (T, N+1, n, n) stack, and cached whole on the system, so every spec built on
-it shares it.  Every input set
-enters through one kernel, which takes a grid batch whole: with S_i = Phi_i B
-for U and Phi_i for V, w_i = S_i' l and q_i = <w_i, M w_i>; support values
-integrate <w_i, c> and sqrt(q_i), touching points the responses S_i c and
-S_i M w_i / sqrt(q_i), each center term by Simpson and each root term by the
-panel rule.  A root term is sampled at every node where q_i > 0, sqrt(q_i)
-for the value and M w_i / sqrt(q_i) for the point; a node below VANISH_REL of
-its column's maximum only sends its panels to the midpoint rule.  So <l, x*>
-is the support value.  A (D, n) block of directions gives w as one
-(T, N+1, D, m) product, the panel rule runs per time and direction, and a
-single direction at a single time is a 1 x 1 block.
+it shares it.
 
-Seen through a (k, n) projection P, with the rows of P as the directions,
-the same terms give the projected view (_project), for a whole batch in
-one call: per node the k x m factor F_i = (P S_i) M^(1/2), so that
-q_i = |F_i' l|^2, and the center terms summed once per time.  Every
-quadratic form of the view, and the initial-set term of the kernel, is read
-from its factor: |u|^2 keeps its digits where q is small against its scale,
-which <l, G l> read from a Gram matrix G = F F' does not.  reachsep.distance
-searches the separation of two sets on that view, and reachsep.synthesis
-reads its safe set from it.
+Every support value and touching point comes from one kernel, the
+projected view (_project): a spec's reachable sets at the times of a grid
+batch, seen through a (k, n) projection P.  With S_i = Phi_i B for U and
+Phi_i for V, an input set enters through its factor node stack
+F_i = (P S_i) M^(1/2), the initial set through F0 = P Phi_0 M0^(1/2), and
+the center terms, each input center by Simpson, are one point per time.
+Along a direction l of the k-dim image of P every quadratic form is read
+from its factor, q_i = |F_i' l|^2: |u|^2 keeps its digits where q is small
+against its scale, which <l, G l> read from a Gram matrix G = F F' does
+not.  Support values along the rows of P (_Projected.values) add to the
+center the root terms (_Projected.roots): the initial-set root and each
+input set's integral of sqrt(q_i) by the panel rule.  The touching point's
+response at l (_Projected.response)
+integrates F_i u_i / sqrt(q_i), u_i = F_i' l, by the same rule.  A root
+term is sampled at every node where q_i > 0; a node below VANISH_REL of its
+column's maximum only sends its panels to the midpoint rule.  So <l, x*> is
+the support value.  reach_support reads the view with P = l, polytopes and
+tubes with the unit directions as P, and touching points with P = I.
+reachsep.distance searches the separation of two sets on the view, and
+reachsep.synthesis reads its safe set and phase-one constants from it.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -125,8 +126,8 @@ class _Grid:
 def _panel_sum(h, alive: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Sum over the panels of samples, nodes on the last axis: Simpson, with
     the midpoint rule on panels where a node is not alive.  The one panel
-    rule of every root term, in support values, touching points and the
-    projected response; alive and h broadcast against samples."""
+    rule of every root term, in the view's support values and response;
+    alive and h broadcast against samples."""
     dead = ~alive
     vanish = dead[..., :-1:2] | dead[..., 1::2] | dead[..., 2::2]
     simp = (h / 3.0) * (samples[..., :-1:2] + 4.0 * samples[..., 1::2] + samples[..., 2::2])
@@ -206,79 +207,9 @@ def _simpson(g: _Grid, samples: np.ndarray) -> np.ndarray:
     return (g.simpson_w[:, None] @ samples)[:, 0]
 
 
-def _root_integral(g: _Grid, q: np.ndarray) -> np.ndarray:
-    """Integral of sqrt(q) over each grid of g, q (T, N+1, D), by the panel
-    rule with each column vanishing relative to its own maximum: (T, D)."""
-    q = np.moveaxis(q, 1, -1)
-    return _panel_sum(g.h[:, None, None], _alive(q), np.sqrt(np.clip(q, 0.0, None)))
-
-
-def _initial_terms(g: _Grid, X0: Ellipsoid, L: np.ndarray):
-    """(Phi' l, <l, Phi M0 Phi' l>^(1/2), M0 Phi' l) per time of g and row
-    of L (D, n): (T, D, n), (T, D) and (T, D, n).
-
-    The square and M0 Phi' l come from the factor, u = Phi' l M0^(1/2): |u|^2
-    and u M0^(1/2).  The root is 0 where its square is at the rounding level
-    of M0: a flat X0 seen edge-on has no extent, not ~1e-9.
-    """
-    LT = L @ g.Phi0
-    u = LT @ X0.sqrt_shape()
-    q0 = (u * u).sum(axis=-1)
-    alive = q0 > VANISH_REL * np.trace(X0.shape) * (LT * LT).sum(axis=-1)
-    return LT, np.sqrt(np.where(alive, q0, 0.0)), u @ X0.sqrt_shape()
-
-
-def _input_terms(stack: np.ndarray, E: Ellipsoid, L: np.ndarray):
-    """(w_i, M_E w_i, q_i = <w_i, M_E w_i>) with w_i = stack_i' l, for an
-    input set E entering through stack (T, N+1, n, m): Phi_i B for the
-    control set, Phi_i for the disturbance.  For a (D, n) block of rows, w
-    is (T, N+1, D, m) and q is (T, N+1, D)."""
-    w = L @ stack
-    Mw = w @ E.shape
-    return w, Mw, (Mw * w).sum(axis=-1)
-
-
 def _inputs(spec: ReachSpec, g: _Grid):
     """(stack, set) of each input set: the control set first, then V if any."""
     return [(g.PhiB, spec.U)] + ([(g.Phi, spec.V)] if spec.V is not None else [])
-
-
-def _support_values(spec: ReachSpec, g: _Grid, L: np.ndarray):
-    """Support values of the reachable sets at the times of g along each row
-    of L (D, n): (T, D)."""
-    LT, root0, _ = _initial_terms(g, spec.X0, L)
-    values = LT @ spec.X0.center + root0
-    for stack, E in _inputs(spec, g):
-        w, _, q = _input_terms(stack, E, L)
-        values = values + _simpson(g, w @ E.center) + _root_integral(g, q)
-    return values + (L @ _offsets(spec, g)[..., None])[..., 0]
-
-
-def _touching_points(spec: ReachSpec, g: _Grid, L: np.ndarray):
-    """Touching points of the reachable sets at the times of g, one per time
-    and row of L (D, n).
-
-    Returns (points, x0, u): the states maximizing <l, x> (T, D, n), center
-    offset included; the initial states (T, D, n) and control profiles
-    (T, N+1, D, m) that reach them, each the maximizer of <l, x> over its
-    set.  Where a quadratic form is 0 the maximizer is the set's center:
-    dividing M w by an infinite root there leaves the center alone.  The
-    centers' response is integrated by Simpson on every panel, as in the
-    support value.
-    """
-    _, root0, MLT = _initial_terms(g, spec.X0, L)
-    x0 = spec.X0.center + MLT / np.where(root0 > 0.0, root0, np.inf)[..., None]
-    points = x0 @ g.Phi0.transpose(0, 2, 1)
-    profiles = []
-    for stack, E in _inputs(spec, g):
-        _, Mw, q = _input_terms(stack, E, L)
-        alive = _alive(np.moveaxis(q, 1, -1))[:, :, None]  # (T, D, 1, N+1)
-        du = Mw / np.sqrt(np.where(q > 0.0, q, np.inf))[..., None]
-        response = np.moveaxis(du @ stack.transpose(0, 1, 3, 2), 1, -1)  # (T, D, n, N+1)
-        points = (points + _simpson(g, stack @ E.center)[:, None]
-                  + _panel_sum(g.h[:, None, None, None], alive, response))
-        profiles.append(E.center + du)
-    return points + _offsets(spec, g)[:, None], x0, profiles[0]
 
 
 def _apply(F: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,15 +236,14 @@ class _Projected:
 
     Directions l lie in the k-dim image of P, so each term of the support
     value at P'l is a quadratic form in l, read from its factor.  An input
-    set E enters through its factor node stack F_i = (P S_i) M^(1/2), from the
-    kernel's w_i with the rows of P as the directions: with u_i = F_i' l,
-    q_i = |u_i|^2 and the projected touching-point response is
-    F_i u_i / sqrt(q_i), under the kernel's panel and vanish rules.  The
-    initial set enters through F0 = P Phi_0 M0^(1/2) the same way, its
-    vanish rule reading |PPhi0' l|^2 as the kernel reads |Phi' l|^2, and the
-    center terms, offset included, are one point per time.  Node stacks are
-    (T, k, m, N+1), nodes last, as the grid batch's; at t = 0 the N + 1 nodes
-    are equal and h = 0 zeroes every panel.
+    set E enters through its factor node stack F_i = (P S_i) M^(1/2): with
+    u_i = F_i' l, q_i = |u_i|^2, and the touching point's response is
+    F_i u_i / sqrt(q_i), each under the panel and vanish rules.  The initial
+    set enters through F0 = P Phi_0 M0^(1/2) the same way, with the vanish
+    rule reading |u0|^2 against tol0 |PPhi0' l|^2, and the center terms,
+    offset included, are one point per time.  Node stacks are
+    (T, k, m, N+1), nodes last, as the grid batch's; at t = 0 the N + 1
+    nodes are equal and h = 0 zeroes every panel.
     """
 
     times: np.ndarray  # (T,)
@@ -328,32 +258,69 @@ class _Projected:
         return _Projected(self.times[rows], self.center[rows], self.PPhi0[rows], self.F0[rows],
                           self.tol0, self.h[rows], tuple(F[rows] for F in self.inputs))
 
-    def response(self, l: np.ndarray) -> np.ndarray:
-        """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
-        # the initial set as the kernel reads it, one matmul per time
-        LT, u0 = (l[:, None] @ self.PPhi0)[:, 0], (l[:, None] @ self.F0)[:, 0]  # (T, n)
+    def _q0(self, u0: np.ndarray, LT: np.ndarray) -> np.ndarray:
+        """|u0|^2 of the initial set's factor image u0 = F0' l, along the last
+        axis, or 0 where it is at the rounding level of M0, tol0 |LT|^2 with
+        LT = PPhi0' l: a flat X0 seen edge-on has no extent, not ~1e-9."""
         q0 = (u0 * u0).sum(axis=-1)
-        alive0 = q0 > self.tol0 * (LT * LT).sum(axis=-1)
-        out = (self.F0 @ u0[..., None])[..., 0] / np.sqrt(np.where(alive0, q0, np.inf))[:, None]
+        return np.where(q0 > self.tol0 * (LT * LT).sum(axis=-1), q0, 0.0)
+
+    def roots(self) -> list:
+        """The root terms of the support values along the rows of P, (T, k)
+        each: the initial set's, then each input set's integral of sqrt(q)
+        by the panel rule, each q read from its factor row."""
+        roots = [np.sqrt(self._q0(self.F0, self.PPhi0))]
         h = self.h[:, None, None]
+        for F in self.inputs:
+            q = (F * F).sum(axis=2)  # (T, k, N+1)
+            roots.append(_panel_sum(h, _alive(q), np.sqrt(q)))
+        return roots
+
+    def values(self) -> np.ndarray:
+        """Support values along the rows of P, (T, k): the center plus the
+        root terms."""
+        values = self.center
+        for root in self.roots():
+            values = values + root
+        return values
+
+    def images(self, l: np.ndarray):
+        """The factor images of P'l, one row of l (T, k) per time, each with
+        its root: (u0, r0) of the initial set, u0 = F0' l (T, n) and
+        r0 = |u0| (T, 1); then (u, q, r) per input set, u = F' l (T, m, N+1),
+        q = |u|^2 and r = |u| (T, 1, N+1).  A root is inf where its square is
+        0, so dividing by it leaves the set's center alone."""
+        LT, u0 = (l[:, None] @ self.PPhi0)[:, 0], (l[:, None] @ self.F0)[:, 0]  # (T, n)
+        q0 = self._q0(u0, LT)
+        images = []
         for F in self.inputs:
             u = _apply(F.swapaxes(1, 2), l)  # (T, m, N+1)
             q = _dot(u, u)[:, None]  # (T, 1, N+1)
-            Fu = _apply(F, u)  # (T, k, N+1)
-            out = out + _panel_sum(h, _alive(q), Fu / np.sqrt(np.where(q > 0.0, q, np.inf)))
+            images.append((u, q, np.sqrt(np.where(q > 0.0, q, np.inf))))
+        return (u0, np.sqrt(np.where(q0 > 0.0, q0, np.inf))[:, None]), images
+
+    def response(self, l: np.ndarray) -> np.ndarray:
+        """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
+        (u0, r0), images = self.images(l)
+        out = (self.F0 @ u0[..., None])[..., 0] / r0
+        h = self.h[:, None, None]
+        for F, (u, q, r) in zip(self.inputs, images):
+            out = out + _panel_sum(h, _alive(q), _apply(F, u) / r)
         return out
 
 
-def _project(spec: ReachSpec, times, P: np.ndarray) -> _Projected:
-    """spec's reachable sets at the given times, seen through P (k, n)."""
-    g = _grids_for(spec, times)
+def _project(spec: ReachSpec, g: _Grid, P: np.ndarray) -> _Projected:
+    """spec's reachable sets at the times of the grid batch g, seen through P (k, n)."""
     x = g.Phi0 @ spec.X0.center
     inputs = []
     for stack, E in _inputs(spec, g):
+        W = P @ stack  # (T, N+1, k, m)
+        # the products with M^(1/2) and c over the last axis run as one 2-D
+        # matmul each, not one per node; F keeps the nodes last
         F = np.empty((g.times.shape[0], P.shape[0], E.dim, stack.shape[1]))
-        np.matmul(P @ stack, E.sqrt_shape(), out=np.moveaxis(F, -1, 1))  # nodes last, no copy
+        F.transpose(0, 3, 1, 2)[...] = (W.reshape(-1, E.dim) @ E.sqrt_shape()).reshape(W.shape)
         inputs.append(F)
-        x = x + _simpson(g, stack @ E.center)
+        x = x + _simpson(g, (stack.reshape(-1, E.dim) @ E.center).reshape(stack.shape[:-1]))
     PPhi0 = P @ g.Phi0
     return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0], PPhi0,
                       PPhi0 @ spec.X0.sqrt_shape(), VANISH_REL * float(np.trace(spec.X0.shape)),
@@ -378,31 +345,37 @@ def _direction(l) -> np.ndarray:
 def reach_support(spec: ReachSpec, t: float, l) -> float:
     """Support value of the reachable set at time t along direction l."""
     l = _direction(l)
-    return float(_support_values(spec, _grids_for(spec, [t]), l[None, :])[0, 0])
+    return float(_project(spec, _grids_for(spec, [t]), l[None, :]).values()[0, 0])
 
 
 def disturbance_contribution(spec: ReachSpec, t: float, l) -> float:
-    """The two disturbance terms of the support formula, on their own."""
+    """The two disturbance terms of the support formula, on their own: the
+    support value of the spec with X0 and U at the origin and no offset."""
     l = _direction(l)
     if spec.V is None:
         return 0.0
-    g = _grids_for(spec, [t])
-    w, _, q = _input_terms(g.Phi, spec.V, l[None, :])
-    return float((_simpson(g, w @ spec.V.center) + _root_integral(g, q))[0, 0])
+    n, m = spec.system.state_dim, spec.system.input_dim
+    return reach_support(replace(spec, X0=Ellipsoid.point(np.zeros(n)),
+                                 U=Ellipsoid.point(np.zeros(m)), center_offset=None), t, l)
 
 
 def reach_point(spec: ReachSpec, t: float, l):
     """Exactly reachable state maximizing <l, x>, with its witnesses.
 
     Returns (state, x0, (s_grid, u_profile)).  The initial state and control
-    profile are the support-function maximizers; re-integrating them through
-    the dynamics reproduces the support value up to quadrature tolerance.
+    profile are the support-function maximizers, recovered from the factor
+    images F0' l and F' l of the view; re-integrating them through the
+    dynamics reproduces the support value up to quadrature tolerance.
     """
     if spec.V is not None:
         raise ValueError("extremal recovery is defined for the disturbance-free case")
-    g = _grids_for(spec, [t])
-    points, x0, u = _touching_points(spec, g, _direction(l)[None, :])
-    return points[0, 0], x0[0, 0], (np.linspace(0.0, g.times[0], u.shape[1]), u[0, :, 0])
+    l = _direction(l)[None, :]
+    view = _project(spec, _grids_for(spec, [t]), np.eye(spec.system.state_dim))
+    (u0, r0), ((u, _, r),) = view.images(l)
+    x0 = spec.X0.center + spec.X0.sqrt_shape() @ (u0 / r0)[0]
+    profile = spec.U.center + (u / r)[0].T @ spec.U.sqrt_shape()
+    return (view.center[0] + view.response(l)[0], x0,
+            (np.linspace(0.0, view.times[0], profile.shape[0]), profile))
 
 
 def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
@@ -410,14 +383,14 @@ def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
     unit = _unit_rows(directions)
     if unit.shape[0] == 0:
         raise ValueError("need at least one direction")
-    return HalfspaceSet(unit, _support_values(spec, _grids_for(spec, [t]), unit)[0])
+    return HalfspaceSet(unit, _project(spec, _grids_for(spec, [t]), unit).values()[0])
 
 
 def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:
     """Support values over a time grid for a family of directions (possibly none).
 
-    The grid batch is read one time row at a time: all rows at once would
-    hold every time's (N+1, D, m) temporaries together.
+    The grid batch is projected one time row at a time: all rows at once
+    would hold every time's (D, m, N+1) factor nodes together.
     """
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
     unit = _unit_rows(directions)
@@ -426,7 +399,7 @@ def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:
         g.Phi  # a disturbance set's stack: built once per batch, carried by its rows
     vals = np.empty((times.shape[0], unit.shape[0]))
     for i in range(times.shape[0]):
-        vals[i] = _support_values(spec, g.take(slice(i, i + 1)), unit)[0]
+        vals[i] = _project(spec, g.take(slice(i, i + 1)), unit).values()[0]
     return ReachTube(times, unit, vals)
 
 
@@ -437,5 +410,6 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     gradient then includes the worst-case disturbance contribution.
     """
     l = _direction(l)
-    point = _touching_points(spec, _grids_for(spec, [t]), l[None, :])[0][0, 0]
+    view = _project(spec, _grids_for(spec, [t]), np.eye(spec.system.state_dim))
+    point = view.center[0] + view.response(l[None, :])[0]
     return float(l @ point), point

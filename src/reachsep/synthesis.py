@@ -19,8 +19,7 @@ import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt, support
-from .reachability import (ReachSpec, _grids_for, _initial_terms, _input_terms, _project,
-                           _root_integral)
+from .reachability import ReachSpec, _grids_for, _project
 
 PI_FLOOR_REL = 1e-12
 
@@ -128,22 +127,25 @@ def estimate_encounter(nomA, nomB, P, d: float) -> EncounterGeometry:
 def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartIConstants:
     """Support-expression constants at (tau, l); defaults to l = l*.
 
-    Shares the reach-support quadrature grid, so assembling the phase-one
-    support value reproduces reach_support exactly for any fixed control set.
+    The root terms are the support kernel's: x0_term and gamma_U are the
+    roots of the spec's projected view with P = l, and gamma_I the control
+    root of that view with the unit ball as the control set.  The views are
+    read on the reach-support quadrature grid, and a0 and b from it, so
+    assembling the phase-one support value reproduces reach_support for any
+    fixed control set.
     """
     if spec.horizon < geom.tau - 1e-12:
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grids_for(spec, [geom.tau])
-    L = l[None, :]
-    LT, x0_term, _ = _initial_terms(g, spec.X0, L)
-    W, _, qU = _input_terms(g.PhiB, spec.U, L)
+    x0_term, gamma_U = (float(r[0, 0]) for r in _project(spec, g, l[None, :]).roots()[:2])
+    unit = replace(spec, U=Ellipsoid.ball(np.zeros(spec.system.input_dim), 1.0))
     return PartIConstants(
-        a0=float((LT @ spec.X0.center)[0, 0]),
-        b=g.simpson_w[0] @ W[0, :, 0],
-        x0_term=float(x0_term[0, 0]),
-        gamma_U=float(_root_integral(g, qU)[0, 0]),
-        gamma_I=float(_root_integral(g, (W * W).sum(axis=-1))[0, 0]),
+        a0=float(l @ g.Phi0[0] @ spec.X0.center),
+        b=g.simpson_w[0] @ (l @ g.PhiB[0]),
+        x0_term=x0_term,
+        gamma_U=gamma_U,
+        gamma_I=float(_project(unit, g, l[None, :]).roots()[1][0, 0]),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -297,10 +299,11 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
         raise ValueError("separation radius must be nonnegative")
     P = np.atleast_2d(np.asarray(P, dtype=float))
     l_pos = P @ np.asarray(l_star, dtype=float)
-    view = _project(spec_shrunk, [t], P)
+    g = _grids_for(spec_shrunk, [t])
+    view = _project(spec_shrunk, g, P)
     F0, F = view.F0[0], view.inputs[0][0]  # F: (k, m, N+1)
     center, M_x0, M_s = view.center[0], F0 @ F0.T, np.einsum("amj,bmj->abj", F, F)
-    simpson_w = _grids_for(spec_shrunk, [t]).simpson_w[0]
+    simpson_w = g.simpson_w[0]
     # control integral: weights pi proportional to the integrand along l*
     pi = np.sqrt(np.clip(l_pos @ np.tensordot(l_pos, M_s, axes=1), 0.0, None))
     if pi.max() <= 0.0:

@@ -21,15 +21,17 @@ from reachsep.montecarlo import sample_trajectories
 from reachsep.pipeline import SEP_TOL, plane_directions, run, verify_monte_carlo
 from reachsep.plots import MissingArtifactError, _read_tubes, emit_plots
 from reachsep.distance import GAP_REL
-from reachsep.reachability import reach_support, reach_tube
+from reachsep.reachability import disturbance_contribution, reach_support, reach_tube
 from reachsep.scenario import (
     ScenarioError,
+    build_nominal,
     build_spec,
     builtin_scenario_path,
     load_scenario,
     position_projection,
     scenario_from_dict,
 )
+from reachsep.synthesis import estimate_encounter
 
 FAST = {"grid_step": 0.5, "quad_steps": 64, "directions": 8}
 
@@ -119,6 +121,52 @@ def test_tubes_csv_matches_reach_support(quad_run):
         spec = dataclasses.replace(build_spec(scen, i), U=Ellipsoid(np.array(sol[name]["q"]), Q @ Q))
         l = np.array([float(dx), float(dy), float(dz)])
         assert float(value) == pytest.approx(reach_support(spec, float(t), P.T @ l), rel=1e-8)
+
+
+def test_disturbed_quadrotor_run(tmp_path):
+    # the bundled quadrotors with a velocity-rate disturbance on both: the
+    # synthesis asks for d plus each aircraft's disturbance term at
+    # (tau, -+l*), the tubes are the disturbed shrunk sets, and a second run
+    # writes the same bytes
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    for entry in doc["aircraft"]:
+        entry["disturbance_set"] = {"state_rate_radii": [0, 0, 0, 1e-3, 1e-3, 1e-3, 0, 0, 0, 0]}
+    path = tmp_path / "disturbed.json"
+    path.write_text(json.dumps(doc))
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert run(path, out) == 0
+    assert run(path, again) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+    scen = scenario_from_dict(json.loads((out / "scenario.json").read_text()))
+    P = position_projection(scen)
+    geom = estimate_encounter(build_nominal(scen, 0), build_nominal(scen, 1), P, scen.d)
+    specs = [build_spec(scen, i) for i in (0, 1)]
+    assert all(spec.V is not None for spec in specs)
+    sol = json.loads((out / "solution.json").read_text())
+    d_eff = (scen.d + disturbance_contribution(specs[0], geom.tau, -geom.l_star)
+             + disturbance_contribution(specs[1], geom.tau, geom.l_star))
+    assert d_eff > scen.d
+    assert sol["d_effective_m"] == d_eff
+    assert json.loads((out / "verification.json").read_text())["uncertified_times"] == []
+
+    shrunk = {}
+    for name, spec in zip("AB", specs):
+        Q = np.array(sol["aircraft"][name]["Q"])
+        shrunk[name] = dataclasses.replace(
+            spec, U=Ellipsoid(np.array(sol["aircraft"][name]["q"]), Q @ Q))
+    # the exact directions: some support values are near 0, where the
+    # 9-digit direction cells alone move them by more than 1e-8 relative
+    dirs = plane_directions(scen, P.shape[0]) @ P
+    rows = (out / "tubes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 41 * 32
+    for row in rows:
+        name, t, j, _, _, _, value = row.split(",")
+        rho = reach_support(shrunk[name], float(t), dirs[int(j)])
+        assert float(value) == pytest.approx(rho, rel=1e-8)
 
 
 def test_verification_artifact(quad_run):

@@ -29,7 +29,6 @@ from reachsep.reachability import (
     VANISH_REL,
     ReachSpec,
     _project,
-    _touching_points,
     disturbance_contribution,
     reach_point,
     reach_polytope_outer,
@@ -415,11 +414,9 @@ def test_tube_matches_pointwise_calls():
     dirs[:, 1] = np.sin(angles)
     tube = reach_tube(spec, times, dirs)
     for i, t in enumerate(times):
-        points = _touching_points(spec, reachability._grids_for(spec, [t]), tube.directions)[0][0]
-        for j in range(6):
-            assert tube.support_values[i, j] == pytest.approx(
-                reach_support(spec, t, tube.directions[j]), abs=1e-12)
-            assert tube.directions[j] @ points[j] <= tube.support_values[i, j] + 1e-9
+        for j, l in enumerate(tube.directions):
+            assert tube.support_values[i, j] == pytest.approx(reach_support(spec, t, l), abs=1e-12)
+            assert l @ support_gradient(spec, t, l)[1] <= tube.support_values[i, j] + 1e-9
 
 
 def reference_reach_support(spec, t, l):
@@ -517,21 +514,24 @@ def test_vanishing_panels_judged_per_direction():
 
 def reference_touching_point(spec, t, l):
     """support_gradient's point one direction at a time, as it was before the
-    batched kernel: einsum quadratic forms, the per-direction panel rule, and
-    the initial set's own support at t = 0.  Kept as the kernel's reference.
-    The input center's response is integrated by Simpson on every panel, as
-    in the support value, and the rest of the response by the panel rule."""
+    batched kernel: einsum quadratic forms of the input sets and the
+    per-direction panel rule.  Kept as the kernel's reference.  The input
+    center's response is integrated by Simpson on every panel, as in the
+    support value, and the rest of the response by the panel rule.  The
+    initial set's form is read from its factor u = M0^(1/2) Phi' l, at t = 0
+    too: read from M0, it put the point of a flat X0 seen 0.02 deg off
+    edge-on 1.4e-10 off (the seed-543715411 example of
+    test_gram_oracle_matches_support_gradient)."""
     t = min(float(t), spec.horizon)
     l = np.asarray(l, dtype=float)
     offset = spec.offset_at(t)
-    if t == 0.0:
-        return support(spec.X0, l)[1] + offset
     g = reachability._grids_for(spec, [t])
     h, Phi = g.h[0], g.Phi[0]
     lT = Phi[0].T @ l
-    q0 = float(lT @ spec.X0.shape @ lT)
+    u0 = spec.X0.sqrt_shape() @ lT
+    q0 = float(u0 @ u0)
     alive0 = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
-    x0 = spec.X0.center + (spec.X0.shape @ lT / np.sqrt(q0) if alive0 else 0.0)
+    x0 = spec.X0.center + (spec.X0.sqrt_shape() @ u0 / np.sqrt(q0) if alive0 else 0.0)
     state = Phi[0] @ x0
     for stack, E in [(g.PhiB[0], spec.U), (Phi, spec.V)]:
         if E is None:
@@ -565,14 +565,17 @@ def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset
         B = spec.system.B
         dirs = dirs - dirs @ B @ np.linalg.pinv(B)
     tube = reach_tube(spec, [t], dirs)
-    points, x0, u = (a[0] for a in _touching_points(spec, reachability._grids_for(spec, [t]),
-                                                       tube.directions))
-    assert x0.shape == (n_dirs, n) and u.shape[1:] == (n_dirs, m)
     # a flat U's maximizer flips sign where w turns orthogonal to it, so next
     # to such a node the two sums of q give maximizers up to
     # eps / sqrt(VANISH_REL) ~ 7e-10 apart; the value <l, x> stays well-conditioned
     point_tol = 1e-9 if flat_U else 1e-12
-    for l, point, value in zip(tube.directions, points, tube.support_values[0]):
+    for l, value in zip(tube.directions, tube.support_values[0]):
+        point = support_gradient(spec, t, l)[1]
+        if spec.V is None:
+            # reach_point reads the same touching point, with its witnesses
+            state, x0, (s, u) = reach_point(spec, t, l)
+            assert np.array_equal(state, point)
+            assert x0.shape == (n,) and u.shape == (s.shape[0], m)
         ref = reference_touching_point(spec, t, l)
         assert np.linalg.norm(point - ref) <= point_tol * max(1.0, np.linalg.norm(ref))
         assert abs(l @ point - value) <= 1e-12 * max(1.0, abs(value))
@@ -658,16 +661,16 @@ def test_separation_shifted_quadrotors():
 
 def projected(specA, specB, times, P):
     """Both specs' sets at the given times, seen through P: the oracle's input."""
-    return _project(specA, times, P), _project(specB, times, P)
+    return tuple(_project(spec, reachability._grids_for(spec, times), P) for spec in (specA, specB))
 
 
 def full_state_oracle(specA, specB, t, P, l):
-    """g(l) and s at one time and direction from support_gradient, the
-    full-state kernel: the oracle before the projected view, kept as its
+    """g(l) and s at one time and direction from reference_touching_point,
+    the full-state kernel the projected view replaced: kept as the oracle's
     reference."""
-    vA, xA = support_gradient(specA, t, -(P.T @ l))
-    vB, xB = support_gradient(specB, t, P.T @ l)
-    return -vA - vB, P @ xA - P @ xB
+    lA, lB = -(P.T @ l), P.T @ l
+    xA, xB = reference_touching_point(specA, t, lA), reference_touching_point(specB, t, lB)
+    return -(lA @ xA) - (lB @ xB), P @ xA - P @ xB
 
 
 coords = st.floats(-50.0, 50.0)
@@ -754,7 +757,7 @@ def test_segment_nearly_edge_on_touches_its_end(t, side):
     end = c + side * v
     _, x = support_gradient(segment, t, l)
     assert np.linalg.norm(x - end) <= 1e-12
-    view = _project(segment, [t], np.eye(3))
+    view = _project(segment, reachability._grids_for(segment, [t]), np.eye(3))
     assert np.linalg.norm(view.center[0] + view.response(l[None])[0] - end) <= 1e-12
 
 
@@ -767,20 +770,18 @@ def reference_sphere_ascent(specA, specB, t, P):
 
     Projected supergradient ascent of g from deterministic sphere starts (the
     axes first, then a seeded fill, 8 in all), up to 200 backtracking steps
-    each; it certifies nothing.  Each backtracking search asks the full-state
-    kernel for all its step sizes as one block of directions, and takes the
-    first that improves g.  Kept as the reference the certified value must
-    not fall below.
+    each; it certifies nothing.  Each backtracking search asks the oracle for
+    all its step sizes as one block of directions, on copies of the view's
+    one time, and takes the first that improves g.  Kept as the reference the
+    certified value must not fall below.
     """
     k = P.shape[0]
-    gA, gB = reachability._grids_for(specA, [t]), reachability._grids_for(specB, [t])
+    A, B = projected(specA, specB, [t], P)
 
     def oracle(L):
         # g(l) = -rho_A(-P'l) - rho_B(P'l) and s = P x_A - P x_B per row of L
-        lA, lB = -(L @ P), L @ P
-        xA = _touching_points(specA, gA, lA)[0][0]
-        xB = _touching_points(specB, gB, lB)[0][0]
-        return -(lA * xA).sum(axis=1) - (lB * xB).sum(axis=1), xA @ P.T - xB @ P.T
+        rows = [0] * L.shape[0]
+        return _oracle(A.take(rows), B.take(rows), L)
 
     starts = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)]
     rng = np.random.default_rng(0)
@@ -877,7 +878,7 @@ def growing_ball_spec(center, radius, rate, horizon=4.0):
 def test_every_oracle_value_is_a_support_value(offset, monkeypatch):
     # the projected oracle feeds the minimum-norm point and the inner hull; every
     # g(l) and s it gives them, at every time of a batch, is the support
-    # pair of the full-state kernel, and each value is the best g at its time
+    # pair of the full-state reference, and each value is the best g at its time
     calls = []
     oracle = distance._oracle
 
@@ -996,8 +997,9 @@ def test_gram_oracle_matches_support_gradient(seed, n, m, k, with_V, with_offset
     g, s = _oracle(*projected(specA, specB, [t for t, _ in rows], P),
                    np.array([l for _, l in rows]))
     for (t, l), g_t, s_t in zip(rows, g, s):
-        vA, xA = support_gradient(specA, t, -(P.T @ l))
-        vB, xB = support_gradient(specB, t, P.T @ l)
+        lA, lB = -(P.T @ l), P.T @ l
+        xA, xB = reference_touching_point(specA, t, lA), reference_touching_point(specB, t, lB)
+        vA, vB = lA @ xA, lB @ xB
         assert abs(g_t - (-vA - vB)) <= 1e-12 * max(1.0, abs(vA), abs(vB))
         scale = max(1.0, np.linalg.norm(P @ xA), np.linalg.norm(P @ xB))
         assert np.linalg.norm(s_t - (P @ xA - P @ xB)) <= 1e-12 * scale
@@ -1006,26 +1008,31 @@ def test_gram_oracle_matches_support_gradient(seed, n, m, k, with_V, with_offset
 @settings(max_examples=30, deadline=None)
 @given(**pair_cases)
 def test_kernel_rows_alone_equal_batched(seed, n, m, k, with_V, with_offset, flat_X0):
-    # each time of a grid batch comes out of the kernel and the projected
-    # view bit for bit as it does alone, on a system of its own so that its
-    # grid is built alone too: the lockstep verification relies on it
+    # each time of a grid batch comes out of the kernel bit for bit as it
+    # does alone, on a system of its own so that its grid is built alone too:
+    # the support values along full-state directions L and the rows of P,
+    # the touching points' responses and the view's fields.  The lockstep
+    # verification relies on it
     spec, _, P, _, rng = random_pair(seed, n, m, k, with_V, with_offset, flat_X0)
     times = [0.0, *np.sort(rng.uniform(0.0, spec.horizon, 3)), spec.horizon]
     L = unit_rows(rng.standard_normal((rng.integers(1, 5), n)))
     batch = reachability._grids_for(spec, times)
-    values = reachability._support_values(spec, batch, L)
-    points = _touching_points(spec, batch, L)
-    view = _project(spec, times, P)
-    for j, t in enumerate(times):
+    grids = []
+    for t in times:
         alone = dataclasses.replace(spec, system=LTISystem(spec.system.A, spec.system.B))
-        grid = reachability._grids_for(alone, [t])
-        assert np.array_equal(reachability._support_values(alone, grid, L)[0], values[j])
-        for got, want in zip(_touching_points(alone, grid, L), points):
-            assert np.array_equal(got[0], want[j])
-        one = _project(alone, [t], P)
-        for got, want in [(one.center, view.center), (one.PPhi0, view.PPhi0), (one.F0, view.F0),
-                          (one.h, view.h), *zip(one.inputs, view.inputs)]:
-            assert np.array_equal(got[0], want[j])
+        grids.append((alone, reachability._grids_for(alone, [t])))
+    for rows in (L, P, np.eye(n)):
+        view = _project(spec, batch, rows)
+        values = view.values()
+        l = unit_rows(rng.standard_normal((len(times), rows.shape[0])))
+        response = view.response(l)
+        for j, (alone, grid) in enumerate(grids):
+            one = _project(alone, grid, rows)
+            assert np.array_equal(one.values()[0], values[j])
+            assert np.array_equal(one.response(l[j:j + 1])[0], response[j])
+            for got, want in [(one.center, view.center), (one.PPhi0, view.PPhi0),
+                              (one.F0, view.F0), (one.h, view.h), *zip(one.inputs, view.inputs)]:
+                assert np.array_equal(got[0], want[j])
 
 
 @settings(max_examples=30, deadline=None)
