@@ -13,7 +13,6 @@ the verification fails; the exit code carries the verdict:
 """
 
 import dataclasses
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -45,7 +44,6 @@ from .reachability import reach_support  # noqa: F401
 from .scenario import load_scenario  # noqa: F401
 
 SEP_TOL = 1e-6
-PAIR_CHUNK = 1 << 16  # candidate pairs _closest_pair_distance evaluates at once
 
 
 def _write_json(path: Path, obj) -> None:
@@ -80,185 +78,61 @@ def _write_tubes_csv(path: Path, dirs, tubes: dict) -> None:
     path.write_text(text)
 
 
-def _pair_min_sq(A, B, ia, ib) -> float:
-    """Smallest squared distance over the pairs (A[:, ia], B[:, ib]) of the
-    columns of A and B, coordinates summed in order, as a k-d tree sums them."""
-    sq = np.zeros(ia.shape[0])
-    for a, b in zip(A, B):
-        d = a[ia] - b[ib]
-        sq += d * d
-    return float(sq.min())
-
-
-def _rows_min_sq(A, B, ia, lo, cnt, best: float = np.inf) -> float:
-    """Smallest squared distance over the pairs (A[:, ia[r]], B[:, lo[r] + j]),
-    j < cnt[r], at most PAIR_CHUNK pairs at a time."""
-    ends = np.cumsum(cnt)
-    total = int(ends[-1]) if ends.shape[0] else 0
-    for p0 in range(0, total, PAIR_CHUNK):
-        p = np.arange(p0, min(p0 + PAIR_CHUNK, total))
-        r = np.searchsorted(ends, p, side="right")
-        best = min(best, _pair_min_sq(A, B, ia[r], lo[r] + p - (ends[r] - cnt[r])))
-    return best
-
-
-def _cell_rows(a, b, sides):
-    """(order of b, rows) pairing each row of a with the rows of b in the 3^k
-    cells around its own, on a grid with the given side per axis or coarser."""
-    origin = np.minimum(a.min(axis=0), b.min(axis=0))
-    spans = np.maximum(a.max(axis=0), b.max(axis=0)) - origin
-    # at most 2^20 - 4 cells per axis, so that keys fit in 60 bits and the
-    # rounding of cell coordinates stays far below one cell
-    sides = np.maximum(sides, spans / ((1 << 20) - 4))
-    weights = (1 << 20) ** np.arange(a.shape[1], dtype=np.int64)
-    key_a, key_b = ((np.floor((x - origin) / sides).astype(np.int64) + 1) @ weights
-                    for x in (a, b))
-    order = np.argsort(key_b)
-    key_b = key_b[order]
-    around = np.array(list(itertools.product((-1, 0, 1), repeat=a.shape[1]))) @ weights
-    keys = (key_a[:, None] + around).ravel()
-    lo = np.searchsorted(key_b, keys, side="left")
-    cnt = np.searchsorted(key_b, keys, side="right") - lo
-    return order, np.repeat(np.arange(a.shape[0]), around.shape[0]), lo, cnt
-
-
-def _mean_frames(posA, posB):
-    """(frames, gaps, slacks) of the clouds in coordinate-major stacks (T, k,
-    nA) and (T, k, nB), per time t: an orthonormal frame (k, k) whose first
-    row is +-u, u the unit direction between the means of the columns of
-    posA[t] and posB[t]; the gap between the clouds along u less slack,
-    floored at 0, which bounds every pair's distance from below
-    (|<u, a - b>| <= ||a - b||); and slack, which covers the rounding of the
-    frame coordinates and of a pair's distance.  Each is taken for every
-    time at once, and no temporary is larger than one stack's (T, n)
-    coordinates along u."""
-    T, k = posA.shape[:2]
-    u = posB.mean(axis=2) - posA.mean(axis=2)
-    u[~u.any(axis=1)] = np.eye(k)[0]
-    # first row of each frame +-u / ||u||
-    frames = np.linalg.qr(np.concatenate([u[:, :, None], np.broadcast_to(np.eye(k), (T, k, k))],
-                                         axis=2))[0].transpose(0, 2, 1)
-    scale = np.maximum.reduce([posA.max(axis=(1, 2)), -posA.min(axis=(1, 2)),
-                               posB.max(axis=(1, 2)), -posB.min(axis=(1, 2))])
-    slacks = 16 * k * np.finfo(float).eps * scale
-
-    def extent(pos):  # per time, the least and greatest coordinate along u
-        along = np.matmul(frames[:, :1], pos)[:, 0]
-        return along.min(axis=1), along.max(axis=1)
-
-    (loA, hiA), (loB, hiB) = extent(posA), extent(posB)
-    gaps = np.maximum.reduce([np.zeros(T), loB - hiA - slacks, loA - hiB - slacks])
-    return frames, gaps, slacks
-
-
-def _closest_pair_distance(A, B, mean_frame=None) -> float:
-    """min ||a - b|| over the rows of A and B, exactly: the value a search
-    over every pair gives, from a pruned set of candidate pairs.
-
-    Coordinates are taken in the frame of _mean_frames, whose first axis u
-    is the direction between the means.  An upper bound delta comes from
-    pairing each a with its two neighbours in B's order along u.  Every pair
-    closer than delta then lies in a window of width 2 delta along u (since
-    |<u, a - b>| <= ||a - b||), and in neighbouring cells of a grid of side
-    delta along u (Rabin 1976); across u the side shrinks to
-    sqrt(delta^2 - gap^2) when the clouds are a gap apart along u.  The
-    window suits small clouds far apart, the cells overlapping or wide
-    ones; of the two, the pruning with fewer candidate pairs is evaluated,
-    PAIR_CHUNK pairs at a time, on coordinate-major copies of A and B (no
-    copy when A and B are transposed views of coordinate-major arrays).
-    mean_frame is the (frame, gap, slack) of _mean_frames when the caller
-    has it already.  _min_closest_pair_distance takes the minimum over many
-    pairs of clouds with few of these searches.
-    """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    (nA, k), nB = A.shape, B.shape[0]
-    if nA * nB <= PAIR_CHUNK:
-        ia, ib = np.divmod(np.arange(nA * nB), nB)
-        return float(np.sqrt(_pair_min_sq(A.T, B.T, ia, ib)))
-    if mean_frame is None:
-        mean_frame = [x[0] for x in _mean_frames(A.T[None], B.T[None])]
-    frame, gap, slack = mean_frame
-    a, b = A @ frame.T, B @ frame.T
-    order = np.argsort(b[:, 0])
-    b, B = np.take(b, order, axis=0), np.take(B, order, axis=0)
-    pa, pb = a[:, 0], b[:, 0]
-    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    rows = np.arange(nA)
-    right = np.minimum(np.searchsorted(pb, pa), nB - 1)
-    best = min(_pair_min_sq(At, Bt, rows, right),
-               _pair_min_sq(At, Bt, rows, np.maximum(right - 1, 0)))
-    if best == 0.0:
-        return 0.0
-    # widened past the rounding of the frame coordinates and cell indices
-    reach = np.sqrt(best) * (1.0 + 1e-6) + slack
-    lo = np.searchsorted(pb, pa - reach, side="left")
-    cnt = np.searchsorted(pb, pa + reach, side="right") - lo
-    if cnt.sum() > nA + nB and k <= 3:
-        perp = np.sqrt((reach - gap) * (reach + gap)) + slack
-        cell_order, cell_rows, cell_lo, cell_cnt = _cell_rows(a, b, np.r_[reach, [perp] * (k - 1)])
-        if cell_cnt.sum() < cnt.sum():
-            Bt, rows, lo, cnt = Bt[:, cell_order], cell_rows, cell_lo, cell_cnt
-    keep = cnt > 0
-    return float(np.sqrt(_rows_min_sq(At, Bt, rows[keep], lo[keep], cnt[keep], best)))
-
-
-def _min_closest_pair_distance(posA, posB) -> float:
-    """min over t of _closest_pair_distance(posA[t].T, posB[t].T), exactly,
-    for coordinate-major stacks (T, k, nA) and (T, k, nB), from as few of
-    its searches as the clouds' gaps along their means allow.
-
-    _mean_frames takes every time's frame, gap and slack in one pass over
-    the stacks.  Times are visited in ascending order of gap, and a time is
-    searched, on its (n, k) views, unless its gap less its slack exceeds
-    the best distance so far.  The true distance at a skipped time is then
-    above best + slack, and the slack exceeds the rounding of a distance,
-    so its computed distance is above best too: the minimum is the one over
-    every time.
-    """
-    frames, gaps, slacks = _mean_frames(posA, posB)
-    best = np.inf
-    for t in np.argsort(gaps, kind="stable"):
-        if gaps[t] - slacks[t] <= best:
-            best = min(best, _closest_pair_distance(posA[t].T, posB[t].T,
-                                                    (frames[t], gaps[t], slacks[t])))
-    return best
+def _slab_gap(l, pA, pB) -> float:
+    """min_a <l, a> - max_b <l, b> over the columns of pA and pB (k, n): for
+    a unit l, a lower bound on min ||a - b||, since <l, a - b> <= ||a - b||."""
+    return float((l @ pA).min() - (l @ pB).max())
 
 
 def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
-                       tube_vals_A, tube_vals_B, d: float, n_samples: int,
+                       tube_vals_A, tube_vals_B, seps, d: float, n_samples: int,
                        seed: int = 0) -> dict:
-    """Sampled-trajectory falsification of the reported tubes.
+    """Sampled-trajectory falsification of the reported tubes and of the
+    separation certificate.
 
-    Draws n_samples extremal trajectories per aircraft, then reports the
-    worst tube-halfspace violation and the minimum pairwise distance over
-    the grid.  Disturbance sets are ignored during sampling (the samples
-    remain admissible trajectories).  Positions stay in the sampler's
+    Draws n_samples extremal trajectories per aircraft and checks, at each
+    grid time t_j, the tube halfspaces and the separation seps[j] (value_j
+    at the unit direction l_j).  Every pair of samples obeys
+    ||a - b|| >= <l_j, a> - <l_j, b>, so the samples' slab gap
+    slab_j = min_a <l_j, a> - max_b <l_j, b> bounds their pairwise minimum
+    from below, and pairwise_ok reads min_j slab_j.  The samples are
+    reachable states, so slab_j >= g(l_j) = value_j up to quadrature error;
+    certificate_ok is false when some time falls short by more than the
+    1e-3 m tolerance pairwise_ok uses, and the time of the smallest
+    slab_j - value_j is reported with it.  Disturbance sets are dropped
+    while sampling; they are centered at the origin, so dropping one only
+    shrinks every support value, and the samples stay inside the disturbed
+    sets that value_j describes.  Positions stay in the sampler's
     coordinate-major (T, k, n_samples) buffers, 8 T k n_samples bytes per
     aircraft, and every time's check reads its contiguous (k, n_samples)
-    slice: the tube check is one product dirs @ p per time and aircraft.
-    The minimum is exact, from the exact closest-pair search run only at
-    the grid times whose clouds' gap along their means does not rule them
-    out (on the bundled quadrotor, one or two of 41 times).
+    slices: one product dirs @ p per aircraft for the tubes, and one l_j @ p
+    per aircraft for the slab.
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
     posA, posB = (sample_trajectories(base, t_grid, n_samples, seed=seed + j, P=P)
                   .transpose(1, 2, 0) for j, base in enumerate((base_A, base_B)))
-    worst_violation = -np.inf
-    if dirs.shape[0]:
-        for pos, tube_vals in ((posA, tube_vals_A), (posB, tube_vals_B)):
-            for p, vals in zip(pos, tube_vals):
+    worst_violation, min_slab, min_excess, excess_time = -np.inf, np.inf, np.inf, None
+    for t, pA, pB, vals_A, vals_B, sep in zip(t_grid, posA, posB, tube_vals_A, tube_vals_B, seps):
+        if dirs.shape[0]:
+            for p, vals in ((pA, vals_A), (pB, vals_B)):
                 # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
-                excess = float(((dirs @ p).max(axis=1) - vals).max())
-                worst_violation = max(worst_violation, excess)
-    min_pairwise = _min_closest_pair_distance(posA, posB)
+                violation = float(((dirs @ p).max(axis=1) - vals).max())
+                worst_violation = max(worst_violation, violation)
+        slab = _slab_gap(sep.direction, pA, pB)
+        min_slab = min(min_slab, slab)
+        if slab - sep.value < min_excess:
+            min_excess, excess_time = slab - sep.value, float(t)
     return {
         "samples_per_aircraft": n_samples,
         "seed": seed,
         "worst_halfspace_violation": worst_violation if np.isfinite(worst_violation) else None,
-        "min_pairwise_distance_m": min_pairwise,
+        "min_slab_gap_m": min_slab,
+        "min_certificate_excess_m": min_excess,
+        "certificate_excess_time_s": excess_time,
         "tube_ok": (not np.isfinite(worst_violation)) or worst_violation <= 1e-6,
-        "pairwise_ok": min_pairwise >= d - 1e-3,
+        "pairwise_ok": min_slab >= d - 1e-3,
+        "certificate_ok": min_excess >= -1e-3,
     }
 
 
@@ -399,11 +273,12 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     if n_mc:
         mc = verify_monte_carlo(shrunkA, shrunkB, P, t_grid, dirs, tubes["A"].support_values,
-                                tubes["B"].support_values, scenario.d, n_mc, seed=seed)
+                                tubes["B"].support_values, seps, scenario.d, n_mc, seed=seed)
         _write_json(out / "mc.json", mc)
-        print(f"monte carlo: min pairwise {mc['min_pairwise_distance_m']:.4f} m, "
-              f"tube ok {mc['tube_ok']}, pairwise ok {mc['pairwise_ok']}")
-        safe = safe and mc["tube_ok"] and mc["pairwise_ok"]
+        print(f"monte carlo: min slab gap {mc['min_slab_gap_m']:.4f} m, "
+              f"tube ok {mc['tube_ok']}, pairwise ok {mc['pairwise_ok']}, "
+              f"certificate ok {mc['certificate_ok']}")
+        safe = safe and mc["tube_ok"] and mc["pairwise_ok"] and mc["certificate_ok"]
 
     if overrides.get("plots"):
         from .plots import emit_plots

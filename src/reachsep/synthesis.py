@@ -19,7 +19,7 @@ import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt, support
-from .reachability import ReachSpec, _grids_for, _project
+from .reachability import ReachSpec, _alive, _grids_for, _panel_sum, _project
 
 PI_FLOOR_REL = 1e-12
 
@@ -129,23 +129,24 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
 
     The root terms are the support kernel's: x0_term and gamma_U are the
     roots of the spec's projected view with P = l, and gamma_I the control
-    root of that view with the unit ball as the control set.  The views are
-    read on the reach-support quadrature grid, and a0 and b from it, so
-    assembling the phase-one support value reproduces reach_support for any
-    fixed control set.
+    root with the unit ball as the control set, read by the same panel rule
+    from the rows w = l' Phi B that b integrates.  All are read on the
+    reach-support quadrature grid, so assembling the phase-one support value
+    reproduces reach_support for any fixed control set.
     """
     if spec.horizon < geom.tau - 1e-12:
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grids_for(spec, [geom.tau])
     x0_term, gamma_U = (float(r[0, 0]) for r in _project(spec, g, l[None, :]).roots()[:2])
-    unit = replace(spec, U=Ellipsoid.ball(np.zeros(spec.system.input_dim), 1.0))
+    w = l @ g.PhiB[0]  # (N+1, m)
+    q = (w * w).sum(axis=-1)
     return PartIConstants(
         a0=float(l @ g.Phi0[0] @ spec.X0.center),
-        b=g.simpson_w[0] @ (l @ g.PhiB[0]),
+        b=g.simpson_w[0] @ w,
         x0_term=x0_term,
         gamma_U=gamma_U,
-        gamma_I=float(_project(unit, g, l[None, :]).roots()[1][0, 0]),
+        gamma_I=float(_panel_sum(g.h[:, None, None], _alive(q), np.sqrt(q))[0, 0]),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 

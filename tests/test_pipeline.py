@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 import reachsep
 from reachsep import distance, pipeline, reachability
@@ -20,7 +19,7 @@ from reachsep.ellipsoid import Ellipsoid
 from reachsep.montecarlo import sample_trajectories
 from reachsep.pipeline import SEP_TOL, plane_directions, run, verify_monte_carlo
 from reachsep.plots import MissingArtifactError, _read_tubes, emit_plots
-from reachsep.distance import GAP_REL
+from reachsep.distance import GAP_REL, separations
 from reachsep.reachability import disturbance_contribution, reach_support, reach_tube
 from reachsep.scenario import (
     ScenarioError,
@@ -201,14 +200,14 @@ def test_iteration_cap_recorded_as_uncertified(quad_run, tmp_path, monkeypatch, 
 def test_monte_carlo_artifact(quad_run):
     _, out = quad_run
     mc = json.loads((out / "mc.json").read_text())
-    assert mc["tube_ok"] and mc["pairwise_ok"]
-    assert mc["min_pairwise_distance_m"] >= 1.0 - 1e-3
+    assert mc["tube_ok"] and mc["pairwise_ok"] and mc["certificate_ok"]
+    assert mc["min_slab_gap_m"] >= 1.0 - 1e-3
 
 
 @pytest.fixture(scope="module")
 def mc_check(quad_run):
     """verify_monte_carlo's arguments on the bundled quadrotor grid, for the
-    control sets quad_run synthesized."""
+    control sets quad_run synthesized, with their grid separations."""
     scenario = load_scenario(builtin_scenario_path("quadrotor_pair"))
     sol = json.loads((quad_run[1] / "solution.json").read_text())["aircraft"]
     specs = []
@@ -219,21 +218,33 @@ def mc_check(quad_run):
     t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
     dirs = plane_directions(scenario, P.shape[0])
     vals = [reach_tube(spec, t_grid, dirs @ P).support_values for spec in specs]
-    return (*specs, P, t_grid, dirs, *vals, scenario.d)
+    return (*specs, P, t_grid, dirs, *vals, separations(*specs, t_grid, P), scenario.d)
 
 
-def full_state_monte_carlo(specA, specB, P, t_grid, dirs, vals_A, vals_B, d, n_samples,
-                           seed=0) -> dict:
-    """The check from whole sampled state arrays, projected afterwards."""
+def full_state_slabs(specA, specB, P, t_grid, seps, n_samples, seed=0) -> tuple:
+    """(positions of A, of B, slab gap per grid time) from whole sampled state
+    arrays, projected afterwards: positions (T, n_samples, k)."""
     pos = [np.ascontiguousarray(np.swapaxes(
         sample_trajectories(spec, t_grid, n_samples, seed=seed + j) @ P.T, 0, 1))
         for j, spec in enumerate((specA, specB))]
+    slabs = [float((a @ sep.direction).min() - (b @ sep.direction).max())
+             for a, b, sep in zip(*pos, seps)]
+    return (*pos, slabs)
+
+
+def full_state_monte_carlo(specA, specB, P, t_grid, dirs, vals_A, vals_B, seps, d,
+                           n_samples, seed=0) -> dict:
+    """The check from whole sampled state arrays, projected afterwards."""
+    posA, posB, slabs = full_state_slabs(specA, specB, P, t_grid, seps, n_samples, seed)
     worst = max(float((p[i] @ dirs.T - vals[i]).max())
-                for p, vals in zip(pos, (vals_A, vals_B)) for i in range(len(t_grid)))
-    closest = min(pipeline._closest_pair_distance(a, b) for a, b in zip(*pos))
+                for p, vals in ((posA, vals_A), (posB, vals_B)) for i in range(len(t_grid)))
+    excess = [slab - sep.value for slab, sep in zip(slabs, seps)]
+    j = int(np.argmin(excess))
     return {"samples_per_aircraft": n_samples, "seed": seed,
-            "worst_halfspace_violation": worst, "min_pairwise_distance_m": closest,
-            "tube_ok": worst <= 1e-6, "pairwise_ok": closest >= d - 1e-3}
+            "worst_halfspace_violation": worst, "min_slab_gap_m": min(slabs),
+            "min_certificate_excess_m": excess[j], "certificate_excess_time_s": float(t_grid[j]),
+            "tube_ok": worst <= 1e-6, "pairwise_ok": min(slabs) >= d - 1e-3,
+            "certificate_ok": excess[j] >= -1e-3}
 
 
 @pytest.mark.parametrize("n_samples, seed", [
@@ -245,16 +256,21 @@ def test_monte_carlo_equals_full_state_check(mc_check, n_samples, seed):
             == full_state_monte_carlo(*mc_check, n_samples, seed=seed))
 
 
-def test_monte_carlo_searches_few_grid_times(mc_check, monkeypatch):
-    # on the bundled quadrotor the clouds' gaps along their means rule out
-    # most of the 41 grid times before any exact search
-    searched = []
-    search = pipeline._closest_pair_distance
-    monkeypatch.setattr(pipeline, "_closest_pair_distance",
-                        lambda *args: searched.append(1) or search(*args))
-    verify_monte_carlo(*mc_check, 10_000)
-    assert mc_check[3].shape[0] == 41
-    assert 0 < len(searched) < 41
+def test_monte_carlo_falsifies_a_raised_certificate(mc_check):
+    # raising one grid time's certified value 2 mm above its samples' slab
+    # falsifies the certificate at that time, and only there
+    specA, specB, P, t_grid = mc_check[:4]
+    seps = mc_check[7]
+    j = 17
+    slab = full_state_slabs(specA, specB, P, t_grid, seps, 500)[2][j]
+    raised = list(seps)
+    raised[j] = dataclasses.replace(seps[j], value=slab + 2e-3)
+    mc = verify_monte_carlo(*mc_check[:7], raised, *mc_check[8:], 500)
+    assert not mc["certificate_ok"]
+    assert mc["certificate_excess_time_s"] == t_grid[j]
+    assert mc["min_certificate_excess_m"] == pytest.approx(-2e-3, abs=1e-12)
+    assert mc["tube_ok"] and mc["pairwise_ok"]
+    assert verify_monte_carlo(*mc_check, 500)["certificate_ok"]
 
 
 def test_monte_carlo_keeps_no_full_state_array(mc_check):
@@ -547,9 +563,8 @@ def cloud(rng, n, k, center, radius):
 
 
 def two_clouds(kind, rng, nA, nB, k):
-    """A pair of point clouds of one of the shapes the closest-pair search
-    must handle; overlapping clouds and close sheets defeat its window alone,
-    tiny far-apart clouds its grid alone."""
+    """A pair of point clouds: apart, touching, overlapping or identical
+    balls, tiny balls far apart, or coplanar points in two parallel planes."""
     e = np.eye(k)[0]
     if kind == "identical":
         A = cloud(rng, nA, k, np.zeros(k), 1.0)
@@ -572,88 +587,22 @@ def brute_closest_pair(A, B):
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
        kind=st.sampled_from(["apart", "touching", "overlapping", "identical", "tiny_far",
                              "sheets"]),
-       nA=st.integers(1, 300), nB=st.integers(1, 300), duplicates=st.booleans(),
-       chunk=st.sampled_from([7, 64, pipeline.PAIR_CHUNK]))
-def test_closest_pair_matches_brute_force(seed, k, kind, nA, nB, duplicates, chunk):
+       nA=st.integers(1, 300), nB=st.integers(1, 300),
+       along=st.sampled_from(["random", "last_axis", "means"]))
+def test_slab_gap_bounds_closest_pair(seed, k, kind, nA, nB, along):
+    # l points from B towards A, as the separation's direction does; along
+    # the last axis, the sheets' normal, the slab is their exact gap
     rng = np.random.default_rng(seed)
     A, B = two_clouds(kind, rng, nA, nB, k)
-    if duplicates:  # repeated points within each cloud
-        A, B = np.vstack([A, A[: nA // 2]]), np.vstack([B[: nB // 3], B])
-    # a small chunk takes the pruned path on small clouds, and ends chunks mid-row
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "PAIR_CHUNK", chunk)
-        value = pipeline._closest_pair_distance(A, B)
+    l = {"random": rng.standard_normal(k), "last_axis": -np.eye(k)[-1],
+         "means": A.mean(axis=0) - B.mean(axis=0)}[along]
+    if not l.any():
+        l = np.eye(k)[0]
+    l = l / np.linalg.norm(l)
     truth = brute_closest_pair(A, B)
-    assert abs(value - truth) <= 1e-12 * max(1.0, truth)
+    slab = pipeline._slab_gap(l, np.ascontiguousarray(A.T), np.ascontiguousarray(B.T))
+    assert slab <= truth + 1e-12 * max(1.0, truth)
     if kind == "identical":
-        assert value == 0.0
-
-
-@pytest.mark.parametrize("kind", ["apart", "overlapping", "tiny_far", "sheets"])
-def test_closest_pair_is_the_kd_tree_value(kind, monkeypatch):
-    # mc.json's min_pairwise_distance_m stays the value the k-d tree gave,
-    # bit for bit; no chunk of candidates is larger than PAIR_CHUNK, and
-    # apart, overlapping and tiny far clouds need about 2 nA pairs, those of
-    # the upper bound (the window prunes the first and last, the cells the
-    # second); sheets a quarter of their width apart (this seed's draw)
-    # defeat both prunings
-    rng = np.random.default_rng(5)
-    A, B = two_clouds(kind, rng, 3000, 2000, 3)
-    sizes = []
-    pair_min_sq = pipeline._pair_min_sq
-    monkeypatch.setattr(pipeline, "_pair_min_sq",
-                        lambda A, B, ia, ib: sizes.append(ia.shape[0]) or pair_min_sq(A, B, ia, ib))
-    value = pipeline._closest_pair_distance(A, B)
-    assert value == float(cKDTree(B).query(A, k=1)[0].min())
-    assert max(sizes) <= pipeline.PAIR_CHUNK
-    if kind != "sheets":
-        assert sum(sizes) <= 2 * (A.shape[0] + B.shape[0])
-
-
-def test_closest_pair_sums_coordinates_as_the_kd_tree():
-    # summed in another order, this offset's squared length rounds to a
-    # distance one ulp away from the k-d tree's
-    offset = np.array([[-1.177993576136327, -3.577141140795525, -0.8274811279490453]])
-    value = pipeline._closest_pair_distance(np.zeros((1, 3)), offset)
-    assert value == float(cKDTree(offset).query(np.zeros((1, 3)))[0][0])
-    assert value != float(np.sqrt(offset[0, 2] ** 2 + offset[0, 1] ** 2 + offset[0, 0] ** 2))
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
-       kinds=st.lists(st.sampled_from(["apart", "touching", "overlapping", "identical",
-                                       "tiny_far", "sheets", "equal_means"]),
-                      min_size=1, max_size=5),
-       n=st.integers(1, 400), tie=st.booleans(), far=st.sampled_from([0.0, 1e6]))
-def test_pruned_minimum_is_the_exhaustive_minimum(seed, k, kinds, n, tie, far):
-    # one pair of clouds per grid time, in coordinate-major (T, k, n) stacks
-    # as the sampler leaves them; n up to 256 takes the nA nB <= PAIR_CHUNK
-    # path, identical clouds and the symmetric pairs of equal_means have
-    # u = 0, and coordinates near 1e6 leave the rounding slack to the bound
-    rng = np.random.default_rng(seed)
-    nB = n if "identical" in kinds else max(1, n // 2)  # identical clouds share a size
-
-    def symmetric(m):  # m points whose mean is exactly 0: eighths sum exactly
-        h = rng.integers(-8, 9, (m // 2, k)) / 8
-        return np.concatenate([h, -h, np.zeros((m % 2, k))])
-
-    pairs = []
-    for kind in kinds:
-        A, B = (symmetric(n), symmetric(nB)) if kind == "equal_means" else (
-            two_clouds(kind, rng, n, nB, k))
-        shift = far * rng.standard_normal(k)
-        pairs.append((A + shift, B + shift))
-    exhaustive = [pipeline._closest_pair_distance(A, B) for A, B in pairs]
-    if tie:  # a second grid time at the minimum
-        pairs.append(pairs[int(np.argmin(exhaustive))])
-    posA, posB = (np.stack([pair[j].T for pair in pairs]) for j in (0, 1))
-    assert pipeline._min_closest_pair_distance(posA, posB) == min(exhaustive)
-
-
-def test_pruned_minimum_searches_a_time_whose_gap_is_near_the_best():
-    # the first time visited (gap 0.5 along its means) is sqrt(4.25) apart;
-    # the second's gap, 2, is within a tenth of that best, and its distance,
-    # 2, is the minimum
-    posA = np.array([[[-2.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
-    posB = np.array([[[0.0, 0.0], [0.5, 0.5]], [[2.0, 2.0], [0.0, 0.0]]])
-    assert pipeline._min_closest_pair_distance(posA, posB) == 2.0
+        assert slab <= 0.0
+    if kind == "sheets" and along == "last_axis":
+        assert slab == B[0, -1]
