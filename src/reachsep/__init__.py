@@ -15,7 +15,6 @@ from .dynamics import (
     QuadrotorParams,
     expm,
     fixedwing_linearized,
-    propagate_nominal,
     quadrotor_linearized,
 )
 from .ellipsoid import (

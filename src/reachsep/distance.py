@@ -243,12 +243,15 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     Gilbert's own direction.  A and B hold one time; starts from the bounds
     of _min_norm_point at it and returns (lower, upper, l, closed), closed
     when upper - lower <= GAP_REL * max(1, |lower|), open after
-    MNP_MAX_ITERS hull steps.
+    MNP_MAX_ITERS hull steps, or as soon as a step leaves the facet planes
+    unchanged: the next query would be the same, and so would its oracle
+    point, so later steps could move the bounds by rounding at most.
     """
     k = A.center.shape[1]
     hull = _Polytope(k)
     queries = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)]
     upper = float(np.linalg.norm(z))
+    facets = None
     for _ in range(MNP_MAX_ITERS):
         for q in queries:
             g, p = _oracle(A, B, q[None])
@@ -258,7 +261,7 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
                 lower, l = float(g[0]), q
         z_norm = float(np.linalg.norm(z))
         upper = min(upper, z_norm)
-        facets = hull.facets()  # rows (n, offset): <n, x> + offset <= 0 on H
+        previous, facets = facets, hull.facets()  # rows (n, offset): <n, x> + offset <= 0 on H
         if facets is None:
             normal = np.linalg.svd(hull.points - hull.points[0])[2][-1]
             queries = [normal, -normal] + ([z / z_norm] if z_norm > 0.0 else [])
@@ -269,6 +272,8 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
             queries = [-nearest[:-1]]
         if upper - lower <= GAP_REL * max(1.0, abs(lower)):
             return lower, upper, l, True
+        if facets is not None and np.array_equal(facets, previous):
+            break
     return lower, upper, l, False
 
 
@@ -277,8 +282,8 @@ class Separation:
     """Result of one separation check: the signed value and its direction.
 
     certified: the duality gap closed, so value is the signed separation to
-    within GAP_REL.  False only when the iteration cap was hit; value is then
-    the best lower bound found.
+    within GAP_REL.  False only when the iteration cap was hit or the inner
+    hull stopped changing; value is then the best lower bound found.
     gap: when the minimum-norm point certifies (the sets are apart),
     ||P x_A(l) - P x_B(l)|| - value at the returned direction l; otherwise
     the inner hull's upper bound minus value.  Either way value + gap bounds
@@ -324,7 +329,8 @@ def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> Separation:
     finds it when the sets are apart; when that stops without a certificate
     (the sets touch or overlap, or its cap was hit), the inner hull of the
     oracle points takes over and bounds the signed value from above.  Both
-    stop on a duality gap of GAP_REL; a run that hits MNP_MAX_ITERS returns
-    its best lower bound, marked uncertified.  separations of one time.
+    stop on a duality gap of GAP_REL; a run that hits MNP_MAX_ITERS, or an
+    inner hull that stops changing, returns its best lower bound, marked
+    uncertified.  separations of one time.
     """
     return separations(specA, specB, [t], P)[0]

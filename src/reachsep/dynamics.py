@@ -4,7 +4,9 @@ Two vehicle models are provided.  The quadrotor is linearized about hover with
 the yaw channel removed (10 states, 3 inputs); the fixed-wing model is the
 longitudinal plane linearized about leveled cruise (6 states, 2 inputs).
 Numeric stability/control derivatives for the fixed-wing model are scenario
-inputs, not constants of this module.
+inputs, not constants of this module.  A nominal trajectory is a uniformly
+sampled state sequence; both vehicles' nominals are straight lines built in
+closed form by reachsep.scenario.build_nominal, with no integrator.
 """
 
 from dataclasses import dataclass, field
@@ -13,10 +15,6 @@ import numpy as np
 
 QUADROTOR_LABELS = ("x", "y", "z", "vx", "vy", "vz", "phi", "theta", "p", "q")
 FIXEDWING_LABELS = ("x", "z", "u", "w", "q", "theta")
-
-
-class DivergenceError(RuntimeError):
-    """Raised when numerical integration produces non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -228,32 +226,3 @@ def fixedwing_linearized(p: FixedWingParams) -> LTISystem:
         [0.0, 0.0],
     ])
     return LTISystem(A, B, FIXEDWING_LABELS)
-
-
-def propagate_nominal(f_rhs, x0, u_star, horizon: float, dt: float) -> NominalTrajectory:
-    """Fixed-step RK4 integration of x' = f_rhs(t, x, u_star).
-
-    The step count is ceil(horizon/dt); the grid is uniform with the final
-    sample at the horizon.  Raises DivergenceError naming the time if the
-    state goes non-finite.
-    """
-    if dt <= 0.0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
-    n_steps = int(np.ceil(horizon / dt - 1e-12))
-    h = horizon / n_steps
-    x = np.asarray(x0, dtype=float).copy()
-    u = np.asarray(u_star, dtype=float)
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    states = np.empty((n_steps + 1, x.shape[0]))
-    states[0] = x
-    for k in range(n_steps):
-        t = times[k]
-        k1 = np.asarray(f_rhs(t, x, u), dtype=float)
-        k2 = np.asarray(f_rhs(t + 0.5 * h, x + 0.5 * h * k1, u), dtype=float)
-        k3 = np.asarray(f_rhs(t + 0.5 * h, x + 0.5 * h * k2, u), dtype=float)
-        k4 = np.asarray(f_rhs(t + h, x + h * k3, u), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state diverged at t = {times[k + 1]:.6g} s")
-        states[k + 1] = x
-    return NominalTrajectory(times, states)

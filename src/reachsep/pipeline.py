@@ -174,10 +174,6 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     })
     specA = build_spec(scenario, 0)
     specB = build_spec(scenario, 1)
-    sysA, sysB = specA.system, specB.system
-    if np.array_equal(sysA.A, sysB.A) and np.array_equal(sysA.B, sysB.B):
-        # equal dynamics: B's sets use A's system, and with it its grids
-        specB = dataclasses.replace(specB, system=sysA)
     t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
     dirs = plane_directions(scenario, pos_dim)
     state_dirs = dirs @ P

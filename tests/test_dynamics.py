@@ -1,19 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachsep.dynamics import (
-    DivergenceError,
     FixedWingParams,
     LTISystem,
     NominalTrajectory,
     QuadrotorParams,
     expm,
     fixedwing_linearized,
-    propagate_nominal,
     quadrotor_linearized,
 )
+from reachsep.scenario import build_nominal, build_spec, builtin_scenario_path, scenario_from_dict
 
 
 # ---------------------------------------------------------------- expm
@@ -157,41 +159,68 @@ def test_fixedwing_requires_forward_speed():
         FixedWingParams(u_star=0.0)
 
 
-# ---------------------------------------------------------------- propagation
+# ---------------------------------------------------------------- nominal
 
 
-def test_propagate_constant_zero_field():
-    traj = propagate_nominal(lambda t, x, u: np.zeros_like(x), [1.0, 2.0], [], 1.0, 0.1)
-    assert np.allclose(traj.states, [1.0, 2.0])
+def rk4_nominal(f, x0, horizon, dt):
+    """Fixed-step RK4 of x' = f(x) at the step horizon / ceil(horizon / dt),
+    stopping at the horizon: the reference build_nominal's closed form
+    matches bit for bit."""
+    n_steps = int(np.ceil(horizon / dt - 1e-12))
+    h = horizon / n_steps
+    x = np.asarray(x0, dtype=float).copy()
+    states = [x]
+    for _ in range(n_steps):
+        k1 = np.asarray(f(x), dtype=float)
+        k2 = np.asarray(f(x + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(f(x + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(f(x + h * k3), dtype=float)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.linspace(0.0, horizon, n_steps + 1), np.array(states)
 
 
-def test_propagate_constant_velocity_exact():
-    v = np.array([-0.2, 0.0, 0.0])
-    traj = propagate_nominal(lambda t, x, u: v, [1.6, 0.5, 0.0], [], 4.0, 0.1)
-    expect = np.array([1.6, 0.5, 0.0]) + np.outer(traj.times, v)
-    assert np.allclose(traj.states, expect, atol=1e-13)
+# signed zeros too: RK4 turns a -0.0 velocity into +0.0 after one step
+coordinate = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
 
 
-def test_propagate_linear_field_matches_expm():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    x0 = np.array([1.0, -2.0])
-    traj = propagate_nominal(lambda t, x, u: A @ x, x0, [], 2.0, 0.01)
-    for i in [0, 50, 120, 200]:
-        assert np.allclose(traj.states[i], expm(A, traj.times[i]) @ x0, atol=1e-10)
-
-
-def test_propagate_superposition():
-    A = np.array([[0.0, 1.0], [-1.0, -0.2]])
-    f = lambda t, x, u: A @ x
-    a = propagate_nominal(f, [1.0, 0.0], [], 3.0, 0.01)
-    b = propagate_nominal(f, [0.0, 1.0], [], 3.0, 0.01)
-    ab = propagate_nominal(f, [1.0, 1.0], [], 3.0, 0.01)
-    assert np.allclose(ab.states, a.states + b.states, atol=1e-9)
-
-
-def test_propagate_divergence_names_time():
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="t ="):
-        propagate_nominal(lambda t, x, u: x**2, [10.0], [], 5.0, 0.01)
+@settings(max_examples=150, deadline=None)
+@given(vehicle=st.sampled_from(["quadrotor", "fixedwing"]), data=st.data(),
+       horizon=st.floats(0.25, 30.0), steps=st.integers(1, 120),
+       divides=st.booleans(), stretch=st.floats(0.0, 1.0))
+def test_nominal_is_rk4_bit_for_bit(vehicle, data, horizon, steps, divides, stretch):
+    # grid steps that divide the horizon and grid steps that do not, where
+    # the nominal's step is horizon / ceil(horizon / grid_step)
+    name = "quadrotor_pair" if vehicle == "quadrotor" else "fixedwing_pair"
+    doc = json.loads(builtin_scenario_path(name).read_text())
+    dim = 3 if vehicle == "quadrotor" else 2
+    for entry in doc["aircraft"]:
+        entry["initial_position_m"] = data.draw(st.lists(coordinate, min_size=dim, max_size=dim))
+        entry["initial_velocity_mps"] = data.draw(st.lists(coordinate, min_size=dim, max_size=dim))
+    grid_step = horizon / steps if divides else horizon / (steps + stretch)
+    sc = scenario_from_dict({**doc, "horizon_s": horizon, "grid_step_s": min(grid_step, horizon)})
+    for i, ac in enumerate(sc.aircraft):
+        if vehicle == "quadrotor":
+            A, x0 = sc.systems[i].A, build_spec(sc, i).X0.center
+            # the center sets only position and velocity, and the position
+            # rows read only velocity, so the rate A x0 is constant
+            assert not (A @ (A @ x0)).any()
+            f = lambda x: A @ x
+        else:
+            x0 = np.zeros(6)
+            x0[0:2] = ac.position
+            x0[2] = abs(ac.velocity[0])
+            if ac.velocity[0] < 0.0:
+                x0[2] = -x0[2]
+            rate = np.zeros(6)
+            rate[0:2] = ac.velocity
+            f = lambda x: rate
+        times, states = rk4_nominal(f, x0, sc.horizon, sc.grid_step)
+        nominal = build_nominal(sc, i)
+        assert np.array_equal(nominal.times, times)
+        assert np.array_equal(nominal.states, states)
+        assert np.array_equal(np.signbit(nominal.states), np.signbit(states))
 
 
 def test_nominal_trajectory_interpolation_and_validation():

@@ -400,6 +400,27 @@ def test_malformed_top_level_field_exits_three(tmp_path, capsys, path, value):
     assert f"'scenario.{path}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("aircraft", 0, "initial_position_m", 0), float("nan"), "aircraft[0].initial_position_m"),
+    (("aircraft", 1, "initial_velocity_mps", 0), float("inf"), "aircraft[1].initial_velocity_mps"),
+    (("required_separation_m",), float("inf"), "scenario.required_separation_m"),
+    (("horizon_s",), 10**400, "scenario.horizon_s"),  # beyond the float range
+    (("aircraft", 0, "params", "mass_kg"), float("-inf"), "aircraft[0].params.mass_kg"),
+])
+def test_non_finite_number_exits_three(tmp_path, capsys, path, value, field):
+    # json reads NaN and Infinity; a non-finite number is malformed input,
+    # named by its field, not a divergence or an infeasible encounter
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(bad, tmp_path / "out", {}) == 3
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_scenario_quad_steps_validated(tmp_path, capsys):
     doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
     doc["quad_steps"] = 4
@@ -526,6 +547,18 @@ def test_grids_shared_per_system(name, tmp_path, monkeypatch):
     assert n_times > 1
     n_systems = 1 if name == "quadrotor_pair" else 2
     assert sorted(built) == [1] * n_systems + [n_times] * n_systems
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_one_system_per_scenario(name):
+    # every spec of an aircraft is built on the scenario's one system; the
+    # quad pair's equal dynamics share it, the fixed-wing pair's flipped
+    # cruise does not
+    sc = load_scenario(builtin_scenario_path(name))
+    specs = [build_spec(sc, i, with_disturbance=w) for i in (0, 1) for w in (True, False)]
+    assert specs[0].system is specs[1].system is sc.systems[0]
+    assert specs[2].system is specs[3].system is sc.systems[1]
+    assert (build_spec(sc, 0).system is build_spec(sc, 1).system) == (name == "quadrotor_pair")
 
 
 def test_benchmark_trace_wraps_resolve():

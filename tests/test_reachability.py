@@ -1048,6 +1048,25 @@ def test_separation_alone_equals_batched(seed, n, m, k, with_V, with_offset, fla
         assert_same_bits(separation(specA, specB, t, P), sep)
 
 
+def test_inner_hull_returns_once_the_hull_stops_changing(monkeypatch):
+    # the sliver @example above at t = 0.363: the minimum-norm point stops
+    # open, and the hull's nearest facet is a sliver between two oracle points
+    # 1.5e-12 apart.  The oracle along its normal returns a point the hull
+    # already has, so the facet planes stop changing and every later step
+    # would repeat the last one; the hull returns open there, uncertified,
+    # with the bounds that MNP_MAX_ITERS (1000) steps reach
+    steps = []
+    facets = _Polytope.facets
+    monkeypatch.setattr(_Polytope, "facets", lambda hull: steps.append(1) or facets(hull))
+    specA, specB, P, _, rng = random_pair(585, 3, 2, 3, True, True, True)
+    t = np.sort(rng.uniform(0.0, specA.horizon, 3))[0]
+    sep = separation(specA, specB, t, P)
+    assert len(steps) == 19
+    assert not sep.certified
+    assert sep.value == pytest.approx(0.35906653629247054, abs=1e-12)
+    assert sep.value + sep.gap == pytest.approx(0.40071805887400325, abs=1e-12)
+
+
 def shrunk_fast_pair(name):
     """Both shrunk specs of a bundled scenario at quad_steps 64 and a 0.5 s grid."""
     scen = scenario_from_dict({**load_document(builtin_scenario_path(name)),

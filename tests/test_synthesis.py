@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reachsep import synthesis
 from reachsep.convex import (INIT_MARGIN, KKT_TOL, MAX_NEWTON, BarrierProblem,
                               InfeasibleProblemError, solve)
-from reachsep.dynamics import LTISystem, QuadrotorParams, propagate_nominal, quadrotor_linearized
+from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
 from reachsep.ellipsoid import Ellipsoid, containment_block, contains, psd_sqrt, support
 from reachsep.montecarlo import sample_trajectories
 from reachsep.reachability import ReachSpec, reach_support
@@ -54,10 +54,16 @@ def quad_pair(torque_r=0.0005, horizon=4.0):
         return ReachSpec(sys, Ellipsoid(c0, M0), U, horizon, quad_steps=200)
     specA = spec([1.6, 0.5, 0.0], [-0.2, 0.0, 0.0])
     specB = spec([0.0, 0.0, 0.0], [0.2, 0.0, 0.0])
-    nomA = propagate_nominal(lambda t, x, u: sys.A @ x, specA.X0.center, [], horizon, 0.1)
-    nomB = propagate_nominal(lambda t, x, u: sys.A @ x, specB.X0.center, [], horizon, 0.1)
-    geom = estimate_encounter(nomA, nomB, P3, d=1.0)
+    geom = estimate_encounter(*bundled_quad_nominals(horizon), P3, d=1.0)
     return specA, specB, geom
+
+
+def bundled_quad_nominals(horizon):
+    """The bundled quad pair's nominals on its 0.1 s grid: the centers of
+    quad_pair's specs, drifting at their velocities."""
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    sc = scenario_from_dict(doc, {"horizon": horizon})
+    return build_nominal(sc, 0), build_nominal(sc, 1)
 
 
 # ---------------------------------------------------------------- encounter
@@ -73,7 +79,7 @@ def test_encounter_quadrotor_scenario():
 
 
 def test_encounter_degenerate_geometry():
-    traj = propagate_nominal(lambda t, x, u: np.zeros_like(x), np.zeros(10), [], 2.0, 0.1)
+    traj = NominalTrajectory(np.linspace(0.0, 2.0, 21), np.zeros((21, 10)))
     with pytest.raises(DegenerateGeometryError):
         estimate_encounter(traj, traj, P3, d=1.0)
 
@@ -503,9 +509,7 @@ def test_loop_reports_joint_infeasibility():
         return ReachSpec(sys, Ellipsoid(c0, M0), U, 4.0, quad_steps=200)
     specA = spec([1.6, 0.5, 0.0], [-0.2, 0.0, 0.0])
     specB = spec([0.0, 0.0, 0.0], [0.2, 0.0, 0.0])
-    nomA = propagate_nominal(lambda t, x, u: sys.A @ x, specA.X0.center, [], 4.0, 0.1)
-    nomB = propagate_nominal(lambda t, x, u: sys.A @ x, specB.X0.center, [], 4.0, 0.1)
-    geom = estimate_encounter(nomA, nomB, P3, d=1.0)
+    geom = estimate_encounter(*bundled_quad_nominals(4.0), P3, d=1.0)
     with pytest.raises(JointInfeasibilityError) as exc:
         scalarization_loop(specA, specB, geom, P3, method="norm", k0=1.0, shrink=0.8)
     assert "distance" in str(exc.value)
