@@ -19,7 +19,6 @@ from .dynamics import (
 )
 from .ellipsoid import (
     Ellipsoid,
-    HalfspaceSet,
     affine_map,
     contains,
     minkowski_sum_external,
@@ -29,7 +28,6 @@ from .reachability import (
     ReachSpec,
     ReachTube,
     reach_point,
-    reach_polytope_outer,
     reach_support,
     reach_tube,
 )

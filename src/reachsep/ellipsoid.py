@@ -84,32 +84,6 @@ class Ellipsoid:
         return Ellipsoid(c, np.zeros((c.shape[0], c.shape[0])))
 
 
-@dataclass(frozen=True)
-class HalfspaceSet:
-    """Intersection of halfspaces {x : <direction_i, x> <= offset_i}."""
-
-    directions: np.ndarray  # (k, n), unit rows
-    offsets: np.ndarray  # (k,)
-
-    def __post_init__(self):
-        d = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        b = np.atleast_1d(np.asarray(self.offsets, dtype=float))
-        if d.shape[0] != b.shape[0]:
-            raise ValueError("direction/offset count mismatch")
-        norms = np.linalg.norm(d, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-12:
-            raise ValueError("halfspace directions must be unit vectors")
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "offsets", b)
-
-    def contains_point(self, x, tol: float = 0.0) -> bool:
-        return bool(np.all(self.directions @ np.asarray(x, dtype=float) <= self.offsets + tol))
-
-    def violation(self, x) -> float:
-        """Largest constraint violation at x (negative means strictly inside)."""
-        return float((self.directions @ np.asarray(x, dtype=float) - self.offsets).max())
-
-
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, clipping tiny negatives."""
     w, V = np.linalg.eigh(0.5 * (M + M.T))

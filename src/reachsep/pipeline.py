@@ -9,7 +9,8 @@ the verification fails; the exit code carries the verdict:
     0  pipeline complete and grid-wide separation holds
     1  structural infeasibility (no control-set pair can work)
     2  pipeline complete but the verification found a violation
-    3  malformed scenario or inconsistent configuration
+    3  malformed scenario, inconsistent configuration, or no encounter to
+       resolve (aircraft closest at the start, or with coincident centers)
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from .scenario import (
     scenario_from_dict,
 )
 from .synthesis import (
+    DegenerateGeometryError,
     EncounterGeometry,
     JointInfeasibilityError,
     estimate_encounter,
@@ -164,7 +166,11 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     pos_dim = P.shape[0]
     nomA = build_nominal(scenario, 0)
     nomB = build_nominal(scenario, 1)
-    geom = estimate_encounter(nomA, nomB, P, scenario.d)
+    try:
+        geom = estimate_encounter(nomA, nomB, P, scenario.d)
+    except DegenerateGeometryError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 3
     center_gap = float(np.linalg.norm(P @ geom.c_A_tau - P @ nomB.state_at(geom.tau)))
     _write_json(out / "encounter.json", {
         "tau_s": geom.tau,
@@ -197,10 +203,9 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     print(f"encounter: tau = {geom.tau:.3f} s, center gap {center_gap:.3f} m; "
           f"initial separation {sep0:.3f} m (required {scenario.d:.3f} m)")
 
-    # disturbances are handled as extra required separation, not in synthesis;
-    # the copies keep their system, and with it its grids
-    synA = dataclasses.replace(specA, V=None)
-    synB = dataclasses.replace(specB, V=None)
+    # disturbances are handled as extra required separation, not in synthesis
+    synA = build_spec(scenario, 0, with_disturbance=False)
+    synB = build_spec(scenario, 1, with_disturbance=False)
     d_eff = scenario.d
     if specA.V is not None:
         d_eff += disturbance_contribution(specA, geom.tau, -geom.l_star)

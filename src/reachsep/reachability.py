@@ -33,8 +33,8 @@ response at l (_Projected.response)
 integrates F_i u_i / sqrt(q_i), u_i = F_i' l, by the same rule.  A root
 term is sampled at every node where q_i > 0; a node below VANISH_REL of its
 column's maximum only sends its panels to the midpoint rule.  So <l, x*> is
-the support value.  reach_support reads the view with P = l, polytopes and
-tubes with the unit directions as P, and touching points with P = I.
+the support value.  reach_support reads the view with P = l, tubes with
+the unit directions as P, and touching points with P = I.
 reachsep.distance searches the separation of two sets on the view, and
 reachsep.synthesis reads its safe set and phase-one constants from it.
 """
@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import LTISystem, NominalTrajectory, expm
-from .ellipsoid import Ellipsoid, HalfspaceSet
+from .ellipsoid import Ellipsoid
 
 VANISH_REL = 1e-13
 
@@ -376,14 +376,6 @@ def reach_point(spec: ReachSpec, t: float, l):
     profile = spec.U.center + (u / r)[0].T @ spec.U.sqrt_shape()
     return (view.center[0] + view.response(l)[0], x0,
             (np.linspace(0.0, view.times[0], profile.shape[0]), profile))
-
-
-def reach_polytope_outer(spec: ReachSpec, t: float, directions) -> HalfspaceSet:
-    """Outer polytope from support values along the given directions."""
-    unit = _unit_rows(directions)
-    if unit.shape[0] == 0:
-        raise ValueError("need at least one direction")
-    return HalfspaceSet(unit, _project(spec, _grids_for(spec, [t]), unit).values()[0])
 
 
 def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:

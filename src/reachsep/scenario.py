@@ -11,7 +11,7 @@ table of top-level fields, ``_FIELDS``.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -163,13 +163,13 @@ class Scenario:
     aircraft: tuple[AircraftConfig, AircraftConfig]
 
     @cached_property
-    def systems(self) -> tuple[LTISystem, LTISystem]:
-        """Each aircraft's LTI model, built once; aircraft with equal A and B
-        share one system, and with it its quadrature grids."""
+    def specs(self) -> tuple[ReachSpec, ReachSpec]:
+        """Each aircraft's ReachSpec, built once by _spec; aircraft with equal
+        A and B share one LTISystem, and with it its quadrature grids."""
         a, b = (_linearize(self, i) for i in range(2))
         if np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B):
             b = a
-        return a, b
+        return _spec(self, 0, a), _spec(self, 1, b)
 
     def to_dict(self) -> dict:
         out = {}
@@ -228,9 +228,7 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
             dist = _vec(dist, "state_rate_radii", dims.state, f"{where}.disturbance_set")
         crafts.append(AircraftConfig(ident, position, velocity, params, iset, cset, dist))
     scenario = Scenario(**got, aircraft=(crafts[0], crafts[1]))
-    # the vehicle-specific blocks are validated by building each spec once
-    for i in range(2):
-        build_spec(scenario, i)
+    scenario.specs  # the vehicle-specific blocks are validated by building the specs
     return scenario
 
 
@@ -261,7 +259,7 @@ def position_projection(scenario: Scenario) -> np.ndarray:
 
 
 def _linearize(scenario: Scenario, i: int) -> LTISystem:
-    """World-frame LTI model for aircraft i (read it from Scenario.systems).
+    """World-frame LTI model for aircraft i (read it from Scenario.specs).
 
     A fixed-wing craft cruising in -x is conjugated by the axis flip
     S = diag(-1, 1, -1, 1, 1, 1), which leaves the vertical dynamics intact
@@ -295,60 +293,54 @@ def _linearize(scenario: Scenario, i: int) -> LTISystem:
     return sys
 
 
-def _initial_ellipsoid(scenario: Scenario, i: int) -> Ellipsoid:
+def _spec(scenario: Scenario, i: int, system: LTISystem) -> ReachSpec:
+    """Aircraft i's ReachSpec on system, the one place its sets are built.
+
+    The initial set, then the control set, are read in that order, so a
+    ScenarioError names the first bad field.  Quadrotor nominal motion lives
+    in the initial-set center; fixed-wing states are deviations from trim, so
+    its initial set is centered at zero and the cruise line is the center
+    offset.
+    """
     ac = scenario.aircraft[i]
-    where = f"aircraft[{i}].initial_set"
+    dims = _DIMS[scenario.vehicle]
+    where, cwhere = f"aircraft[{i}].initial_set", f"aircraft[{i}].control_set"
     pr = _need(ac.initial_set, "position_radius_m", float, where)
     vr = _need(ac.initial_set, "velocity_radius_mps", float, where)
-    center = np.zeros(_DIMS[scenario.vehicle].state)
+    center = np.zeros(dims.state)
+    offset = None
     if scenario.vehicle == "quadrotor":
         ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.0)
         rr = _need(ac.initial_set, "rate_radius_radps", float, where, 0.0)
         center[0:3] = ac.position
         center[3:6] = ac.velocity
         radii = [pr] * 3 + [vr] * 3 + [ar] * 2 + [rr] * 2
-        return Ellipsoid(center, np.diag(np.square(radii)))
-    ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.01)
-    radii = [pr, pr, vr, vr, ar, ar]
-    # fixed-wing states are deviations from trim; the cruise line lives in
-    # the center offset, so the deviation set is centered at zero
-    return Ellipsoid(center, np.diag(np.square(radii)))
-
-
-def _control_ellipsoid(scenario: Scenario, i: int) -> Ellipsoid:
-    ac = scenario.aircraft[i]
-    where = f"aircraft[{i}].control_set"
-    center = np.zeros(_DIMS[scenario.vehicle].input)
-    if scenario.vehicle == "quadrotor":
-        tr = _need(ac.control_set, "thrust_radius_n", float, where)
-        qr = _need(ac.control_set, "torque_radius_nm", float, where)
-        return Ellipsoid(center, np.diag([tr**2, qr**2, qr**2]))
-    er = _need(ac.control_set, "elevator_radius_rad", float, where)
-    tr = _need(ac.control_set, "throttle_radius", float, where)
-    return Ellipsoid(center, np.diag([er**2, tr**2]))
-
-
-def build_nominal(scenario: Scenario, i: int) -> NominalTrajectory:
-    """Nominal center trajectory on the output grid, a straight line.
-
-    The quadrotor nominal is the free flow of the hover-linearized model from
-    the initial center, a constant-velocity drift at rate A x0: the center
-    sets only position and velocity, and the position rows read only
-    velocity, so A (A x0) = 0.  The fixed-wing nominal is the leveled cruise
-    line, carried as a center offset for the deviation dynamics.  Either way
-    the rate is constant, and the samples are x0 plus whole steps of
-    horizon / ceil(horizon / grid_step).
-    """
-    ac = scenario.aircraft[i]
-    if scenario.vehicle == "quadrotor":
-        x0 = _initial_ellipsoid(scenario, i).center
-        rate = scenario.systems[i].A @ x0
+        tr = _need(ac.control_set, "thrust_radius_n", float, cwhere)
+        qr = _need(ac.control_set, "torque_radius_nm", float, cwhere)
+        control_radii = [tr, qr, qr]
     else:
-        x0 = np.zeros(_DIMS[scenario.vehicle].state)
+        ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.01)
+        radii = [pr, pr, vr, vr, ar, ar]
+        control_radii = [_need(ac.control_set, "elevator_radius_rad", float, cwhere),
+                         _need(ac.control_set, "throttle_radius", float, cwhere)]
+        x0 = np.zeros(dims.state)
         x0[0:2] = ac.position
         x0[2] = -abs(ac.velocity[0]) if ac.velocity[0] < 0.0 else abs(ac.velocity[0])
         rate = np.zeros_like(x0)
         rate[0:2] = ac.velocity
+        offset = _line(scenario, x0, rate)
+    V = None
+    if ac.disturbance_radii is not None:
+        V = Ellipsoid(np.zeros(dims.state), np.diag(np.square(ac.disturbance_radii)))
+    return ReachSpec(system, Ellipsoid(center, np.diag(np.square(radii))),
+                     Ellipsoid(np.zeros(dims.input), np.diag(np.square(control_radii))),
+                     scenario.horizon, V=V, quad_steps=scenario.quad_steps,
+                     center_offset=offset)
+
+
+def _line(scenario: Scenario, x0: np.ndarray, rate: np.ndarray) -> NominalTrajectory:
+    """x0 plus whole steps of horizon / ceil(horizon / grid_step) at a
+    constant rate, on the output grid."""
     n_steps = int(np.ceil(scenario.horizon / scenario.grid_step - 1e-12))
     h = scenario.horizon / n_steps
     # RK4's step, whose four stages are equal at a constant rate, kept in its
@@ -359,16 +351,25 @@ def build_nominal(scenario: Scenario, i: int) -> NominalTrajectory:
     return NominalTrajectory(np.linspace(0.0, scenario.horizon, n_steps + 1), states)
 
 
+def build_nominal(scenario: Scenario, i: int) -> NominalTrajectory:
+    """Nominal center trajectory on the output grid, a straight line.
+
+    The quadrotor nominal is the free flow of the hover-linearized model from
+    the initial center, a constant-velocity drift at rate A x0: the center
+    sets only position and velocity, and the position rows read only
+    velocity, so A (A x0) = 0.  The fixed-wing nominal is the leveled cruise
+    line, the spec's center offset for the deviation dynamics.
+    """
+    spec = scenario.specs[i]
+    if scenario.vehicle == "fixedwing":
+        return spec.center_offset
+    return _line(scenario, spec.X0.center, spec.system.A @ spec.X0.center)
+
+
 def build_spec(scenario: Scenario, i: int, with_disturbance: bool = True) -> ReachSpec:
-    """ReachSpec for aircraft i on Scenario.systems[i]; quadrotor nominal
-    motion lives in the initial-set center, fixed-wing in the center offset."""
-    sys = scenario.systems[i]
-    X0 = _initial_ellipsoid(scenario, i)
-    U = _control_ellipsoid(scenario, i)
-    V = None
-    ac = scenario.aircraft[i]
-    if with_disturbance and ac.disturbance_radii is not None:
-        V = Ellipsoid(np.zeros(sys.state_dim), np.diag(np.square(ac.disturbance_radii)))
-    offset = None if scenario.vehicle == "quadrotor" else build_nominal(scenario, i)
-    return ReachSpec(sys, X0, U, scenario.horizon, V=V,
-                     quad_steps=scenario.quad_steps, center_offset=offset)
+    """Aircraft i's ReachSpec, Scenario.specs[i]; with_disturbance=False drops
+    its disturbance set, on a copy that keeps the system and its grids."""
+    spec = scenario.specs[i]
+    if with_disturbance or spec.V is None:
+        return spec
+    return replace(spec, V=None)

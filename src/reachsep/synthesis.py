@@ -18,14 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
-from .ellipsoid import Ellipsoid, minkowski_sum_external, psd_sqrt, support
+from .ellipsoid import Ellipsoid, minkowski_sum_external, support
 from .reachability import ReachSpec, _alive, _grids_for, _panel_sum, _project
 
 PI_FLOOR_REL = 1e-12
 
 
 class DegenerateGeometryError(ValueError):
-    """Center trajectories coincide at closest approach; supply l* manually."""
+    """The nominals give no encounter to resolve: closest at the first shared
+    time, or with coincident centers."""
 
 
 class JointInfeasibilityError(RuntimeError):
@@ -104,7 +105,9 @@ def estimate_encounter(nomA, nomB, P, d: float) -> EncounterGeometry:
 
     tau minimizes the projected center distance over the shared time domain
     (ties resolved to the earliest time); l* points from B's center toward
-    A's, embedded into state space through P'.
+    A's, embedded into state space through P'.  Raises
+    DegenerateGeometryError when the centers coincide there, or when tau is
+    the first shared time: aircraft that only fly apart have no encounter.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     t_lo = max(nomA.t0, nomB.t0)
@@ -119,8 +122,12 @@ def estimate_encounter(nomA, nomB, P, d: float) -> EncounterGeometry:
     norm = np.linalg.norm(rel)
     if norm < 1e-9:
         raise DegenerateGeometryError(
-            f"nominal centers coincide at closest approach (t = {tau:.6g} s); "
-            "provide the avoidance direction explicitly")
+            f"nominal centers coincide at closest approach (t = {tau:.6g} s), "
+            "so no avoidance direction is defined")
+    if i == 0:
+        raise DegenerateGeometryError(
+            f"the aircraft are closest at the first shared time (t = {tau:.6g} s, "
+            f"center gap {norm:.6g} m): their nominals do not approach each other")
     return EncounterGeometry(tau, P.T @ (rel / norm), d, XA[i])
 
 
@@ -152,12 +159,14 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
 
 
 def _control_whitening(U: Ellipsoid):
-    """(W, Winv, wmin) for the control set; synthesis needs U nondegenerate."""
-    W = psd_sqrt(U.shape)
-    wmin = float(np.linalg.eigvalsh(W).min())
+    """(W, Winv, wmin, wmax) for the control set, W the root U caches;
+    synthesis needs U nondegenerate."""
+    W = U.sqrt_shape()
+    w = np.linalg.eigvalsh(W)
+    wmin = float(w.min())
     if wmin <= 0.0:
         raise ValueError("control-set shape must be positive definite for synthesis")
-    return W, np.linalg.inv(W), wmin
+    return W, np.linalg.inv(W), wmin, float(w.max())
 
 
 def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
@@ -175,7 +184,7 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     if k < 0.0:
         raise ValueError("scalarization factor must be nonnegative")
     m = U_B.dim
-    W, _, _ = _control_whitening(U_B)
+    W, _, _, _ = _control_whitening(U_B)
     bW = W @ consts.b
     const_term = consts.clearance(float(geom.l_star @ geom.c_A_tau), U_B)
     beta = float(np.linalg.norm(bW))
@@ -236,8 +245,7 @@ def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: fl
     [[1 - lam, 0, qt'], [0, lam I, wmin Qb W^-1], [qt, ., I]] with Q = wmin Qb.
     """
     m = U.dim
-    W, Winv, wmin = _control_whitening(U)
-    wmax = float(np.linalg.eigvalsh(W).max())
+    W, Winv, wmin, wmax = _control_whitening(U)
     bW = W @ consts.b
     prob = BarrierProblem()
     qt = prob.add_vector_var("q", m)

@@ -202,7 +202,7 @@ def test_nominal_is_rk4_bit_for_bit(vehicle, data, horizon, steps, divides, stre
     sc = scenario_from_dict({**doc, "horizon_s": horizon, "grid_step_s": min(grid_step, horizon)})
     for i, ac in enumerate(sc.aircraft):
         if vehicle == "quadrotor":
-            A, x0 = sc.systems[i].A, build_spec(sc, i).X0.center
+            A, x0 = sc.specs[i].system.A, build_spec(sc, i).X0.center
             # the center sets only position and velocity, and the position
             # rows read only velocity, so the rate A x0 is constant
             assert not (A @ (A @ x0)).any()

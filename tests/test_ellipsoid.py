@@ -4,7 +4,6 @@ import pytest
 from reachsep.ellipsoid import (
     DegenerateDirectionError,
     Ellipsoid,
-    HalfspaceSet,
     affine_map,
     containment_block,
     contains,
@@ -59,14 +58,6 @@ def test_sqrt_shape_computed_once_and_read_only(monkeypatch):
     assert e.sqrt_shape() is W
     e.boundary_points(5, 0)
     assert calls == []
-
-
-def test_halfspace_requires_unit_directions():
-    with pytest.raises(ValueError):
-        HalfspaceSet(np.array([[2.0, 0.0]]), np.array([1.0]))
-    hs = HalfspaceSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
-    assert hs.contains_point([0.5, 0.5])
-    assert not hs.contains_point([1.5, 0.0])
 
 
 # ---------------------------------------------------------------- support

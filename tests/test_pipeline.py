@@ -122,16 +122,20 @@ def test_tubes_csv_matches_reach_support(quad_run):
         assert float(value) == pytest.approx(reach_support(spec, float(t), P.T @ l), rel=1e-8)
 
 
-def test_disturbed_quadrotor_run(tmp_path):
-    # the bundled quadrotors with a velocity-rate disturbance on both: the
-    # synthesis asks for d plus each aircraft's disturbance term at
-    # (tau, -+l*), the tubes are the disturbed shrunk sets, and a second run
-    # writes the same bytes
+def disturbed_quad_doc() -> dict:
+    # the bundled quadrotors with a velocity-rate disturbance on both
     doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
     for entry in doc["aircraft"]:
         entry["disturbance_set"] = {"state_rate_radii": [0, 0, 0, 1e-3, 1e-3, 1e-3, 0, 0, 0, 0]}
+    return doc
+
+
+def test_disturbed_quadrotor_run(tmp_path):
+    # the synthesis asks for d plus each aircraft's disturbance term at
+    # (tau, -+l*), the tubes are the disturbed shrunk sets, and a second run
+    # writes the same bytes
     path = tmp_path / "disturbed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(disturbed_quad_doc()))
     out, again = tmp_path / "out", tmp_path / "again"
     assert run(path, out) == 0
     assert run(path, again) == 0
@@ -346,6 +350,29 @@ def test_exit_three_on_schema_error(tmp_path, capsys):
     assert "aircraft[1].initial_position_m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("swapped_velocities", "closest at the first shared time (t = 0 s, center gap 1.67631 m)"),
+    ("coincident_starts", "nominal centers coincide at closest approach (t = 0 s)"),
+], ids=["swapped_velocities", "coincident_starts"])
+def test_degenerate_encounter_exits_three(tmp_path, capsys, case, message):
+    # aircraft that fly apart are closest at t = 0, and aircraft on one path
+    # have no avoidance direction: neither has an encounter to resolve
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    a, b = doc["aircraft"]
+    if case == "swapped_velocities":
+        a["initial_velocity_mps"], b["initial_velocity_mps"] = (b["initial_velocity_mps"],
+                                                                a["initial_velocity_mps"])
+    else:
+        b["initial_position_m"], b["initial_velocity_mps"] = (a["initial_position_m"],
+                                                              a["initial_velocity_mps"])
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    assert run(path, tmp_path / "out", FAST) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and message in err, err
+    assert not (tmp_path / "out" / "encounter.json").exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--grid-step", "0"], "grid_step_s"),
     (["--grid-step", "-0.5"], "grid_step_s"),
@@ -556,9 +583,36 @@ def test_one_system_per_scenario(name):
     # cruise does not
     sc = load_scenario(builtin_scenario_path(name))
     specs = [build_spec(sc, i, with_disturbance=w) for i in (0, 1) for w in (True, False)]
-    assert specs[0].system is specs[1].system is sc.systems[0]
-    assert specs[2].system is specs[3].system is sc.systems[1]
+    assert specs[0].system is specs[1].system is sc.specs[0].system
+    assert specs[2].system is specs[3].system is sc.specs[1].system
     assert (build_spec(sc, 0).system is build_spec(sc, 1).system) == (name == "quadrotor_pair")
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair", "disturbed"])
+def test_specs_built_once(name, monkeypatch):
+    # scenario_from_dict builds each aircraft's sets once, in Scenario.specs;
+    # build_spec and build_nominal read them and make no ellipsoid of their own
+    doc = (disturbed_quad_doc() if name == "disturbed"
+           else json.loads(builtin_scenario_path(name).read_text()))
+    made = []
+    init = Ellipsoid.__post_init__
+
+    def counting_init(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(Ellipsoid, "__post_init__", counting_init)
+    sc = scenario_from_dict(doc)
+    n_made = len(made)
+    assert n_made == (6 if name == "disturbed" else 4)
+    for i in (0, 1):
+        for w in (True, False):
+            build_spec(sc, i, with_disturbance=w)
+        build_nominal(sc, i)
+    assert len(made) == n_made
+    for i in (0, 1):
+        assert build_spec(sc, i) is sc.specs[i]
+        assert build_spec(sc, i, with_disturbance=False).V is None
 
 
 def test_benchmark_trace_wraps_resolve():

@@ -31,7 +31,6 @@ from reachsep.reachability import (
     _project,
     disturbance_contribution,
     reach_point,
-    reach_polytope_outer,
     reach_support,
     reach_tube,
     support_gradient,
@@ -364,34 +363,32 @@ def test_polytope_octagon_circumscribes_ball():
     spec = integrator_spec()
     angles = np.arange(8) * np.pi / 4.0
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    hs = reach_polytope_outer(spec, 2.0, dirs)
-    assert np.allclose(hs.offsets, 3.0, atol=1e-9)
+    tube = reach_tube(spec, [2.0], dirs)
+    assert np.allclose(tube.support_values[0], 3.0, atol=1e-9)
 
 
 def test_polytope_contains_touching_points_and_samples():
     spec = quadrotor_spec()
     rng = np.random.default_rng(14)
     dirs = rng.standard_normal((16, 10))
-    hs = reach_polytope_outer(spec, 4.0, dirs)
-    for l in hs.directions:
+    tube = reach_tube(spec, [4.0], dirs)
+    values = tube.support_values[0]
+
+    def violation(x):
+        return (tube.directions @ x - values).max()
+
+    for l in tube.directions:
         state, _, _ = reach_point(spec, 4.0, l)
-        assert hs.violation(state) <= 1e-8
+        assert violation(state) <= 1e-8
     traj = sample_trajectories(spec, np.linspace(0.0, 4.0, 41), 1000, seed=6)
-    worst = max(hs.violation(x) for x in traj[:, -1, :])
+    worst = max(violation(x) for x in traj[:, -1, :])
     assert worst <= 1e-6
-
-
-def test_polytope_empty_directions_rejected():
-    with pytest.raises(ValueError):
-        reach_polytope_outer(integrator_spec(), 1.0, np.zeros((0, 2)))
 
 
 def test_zero_direction_rows_rejected():
     dirs = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="directions must be nonzero"):
         reach_tube(integrator_spec(), [0.0, 1.0], dirs)
-    with pytest.raises(ValueError, match="directions must be nonzero"):
-        reach_polytope_outer(integrator_spec(), 1.0, dirs)
     # an empty family is a valid tube with no columns
     tube = reach_tube(integrator_spec(), [0.0, 1.0], np.zeros((0, 2)))
     assert tube.support_values.shape == (2, 0)
@@ -495,9 +492,6 @@ def test_batched_support_matches_reference(seed, n, m, with_V, with_offset, flat
         ref = reference_reach_support(spec, t, l)
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
         assert abs(reach_support(spec, t, l) - ref) <= 1e-12 * max(1.0, abs(ref))
-    if n_dirs:
-        polytope = reach_polytope_outer(spec, t, dirs)
-        assert np.array_equal(polytope.offsets, tube.support_values[0])
 
 
 def test_vanishing_panels_judged_per_direction():
