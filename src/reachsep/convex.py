@@ -15,20 +15,22 @@ feasibility, multiplying mu by 10 per stage until the barrier duality-gap
 estimate (total barrier dimension / mu) drops below 1e-7.  Problem sizes here
 are tiny (around fifteen scalars), so all Hessians are dense.
 
-Every log-det objective block, PSD constraint block and scalar row sits on
-the diagonal of one affine block-diagonal matrix G(x) = F0 + sum_i x_i F_i
-(StackedBarrier, built once per solve), each row weighted by fscale * k on
-log-det blocks and 1/mu on barrier blocks.  So F_mu at a trial point is one
-Cholesky factor of G, and its gradient and Hessian at an accepted point are
-one inverse of G and two BLAS products.  The Armijo test reads only F_mu, so
-backtracking trials evaluate the value alone, by the same operations as the
-full evaluation, so every accept/reject decision is the one the full
-evaluation would make.  The gradient and Hessian are evaluated once per
-accepted point and carried into the next Newton step.  One rule ends a stage
-early: an Armijo step counts only if F_mu rose by more than its rounding
-level or the gradient norm fell, since once neither holds Newton can make no
-measurable progress at this mu (the centering stop of Boyd & Vandenberghe,
-Convex Optimization, 9.5, 11.3).
+A problem is built on a BarrierProblem (variables, objective terms,
+constraints) and evaluated only on the StackedBarrier that its stacked()
+returns, once per solve: every log-det objective block, PSD constraint block
+and scalar row on the diagonal of one affine block-diagonal matrix
+G(x) = F0 + sum_i x_i F_i, each row weighted by fscale * k on log-det blocks
+and 1/mu on barrier blocks.  One rule, worst_violation (each block's
+smallest eigenvalue), checks the start against INIT_MARGIN.  F_mu at a trial
+point is one Cholesky factor of G, and its gradient and Hessian at an
+accepted point are one inverse of G and two BLAS products.  The Armijo test
+reads only F_mu, so backtracking trials evaluate the value alone.  A stage
+starts on the accepted-point path: the value at its first point, then the
+gradient and Hessian from the G that value factored, carried into the next
+Newton step.  One rule ends a stage early: an Armijo step counts only if
+F_mu rose by more than its rounding level or the gradient norm fell, since
+once neither holds Newton can make no measurable progress at this mu (the
+centering stop of Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3).
 """
 
 from dataclasses import dataclass, field
@@ -107,13 +109,6 @@ class AffineMatrixExpr:
         self.F0 = np.zeros((dim, dim))
         self.F = np.zeros((problem.total_dim, dim, dim))
 
-    def set_const(self, rows: int, cols: int, mat) -> "AffineMatrixExpr":
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        self.F0[rows:rows + mat.shape[0], cols:cols + mat.shape[1]] += mat
-        if rows != cols:
-            self.F0[cols:cols + mat.shape[1], rows:rows + mat.shape[0]] += mat.T
-        return self
-
     def add_scalar(self, block: VarBlock, mat) -> "AffineMatrixExpr":
         """G += x_scalar * mat (mat must be symmetric)."""
         self.F[block.offset] += np.asarray(mat, dtype=float)
@@ -143,9 +138,6 @@ class AffineMatrixExpr:
         """Places coeff * (M(x) @ R) at G[row0:, col0:] plus its transpose mirror."""
         C = coeff * (_sym_basis(block.size) @ np.asarray(R, dtype=float))
         return self._add_stack(block, row0, col0, C)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return _affine(self.F0, self.F, x)
 
 
 @dataclass
@@ -253,7 +245,7 @@ class BarrierProblem:
                 out[name] = float(x[blk.offset])
         return out
 
-    # ------------------------------------------------------------ evaluation
+    # ------------------------------------------------------------ stacking
 
     def stacked(self) -> "StackedBarrier":
         """Every log-det block, PSD block and scalar row on one block diagonal.
@@ -280,18 +272,6 @@ class BarrierProblem:
         return StackedBarrier(F0, F, k, n_obj, names, tuple(starts), self.linear.copy(),
                               self.obj_const, D)
 
-    def objective(self, x: np.ndarray) -> float:
-        return self.stacked().objective(x)
-
-    def barrier_dimension(self) -> int:
-        return sum(e.dim for e in self.psd) + len(self.scalars)
-
-    def strictly_feasible(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return self.stacked().strictly_feasible(x, margin)
-
-    def worst_violation(self, x: np.ndarray) -> tuple[str, float]:
-        return self.stacked().worst_violation(x)
-
 
 @dataclass(frozen=True)
 class StackedBarrier:
@@ -309,9 +289,6 @@ class StackedBarrier:
     obj_const: float
     total_dim: int
 
-    def stacked(self) -> "StackedBarrier":
-        return self
-
     def value(self, x: np.ndarray) -> np.ndarray:
         return _affine(self.F0, self.F, x)
 
@@ -325,26 +302,12 @@ class StackedBarrier:
             return -np.inf
         return val + 2.0 * float(self.k[:self.n_obj] @ np.log(L.diagonal()))
 
-    def _block_minima(self, x: np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of each block at x, in the order of names."""
-        G = self.value(x)
-        return np.array([np.linalg.eigvalsh(G[a:b, a:b])[0]
-                         for a, b in zip(self.starts, self.starts[1:])])
-
-    def strictly_feasible(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        """Every block PD (margin 0: G's Cholesky factor exists, as in the
-        merit), or with every eigenvalue at least margin."""
-        if margin > 0.0:
-            return bool(self._block_minima(x).min(initial=np.inf) >= margin)
-        try:
-            np.linalg.cholesky(self.value(x))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
     def worst_violation(self, x: np.ndarray) -> tuple[str, float]:
-        """Most violated block at x (most negative eigenvalue), log-det blocks included."""
-        minima = self._block_minima(x)
+        """The block with the smallest eigenvalue at x, log-det blocks
+        included, and that eigenvalue; ("", inf) with no blocks."""
+        G = self.value(x)
+        minima = np.array([np.linalg.eigvalsh(G[a:b, a:b])[0]
+                           for a, b in zip(self.starts, self.starts[1:])])
         if minima.size == 0:
             return "", np.inf
         b = int(np.argmin(minima))
@@ -362,15 +325,13 @@ class SolveResult:
     newton_steps: int = 0
 
 
-def _merit_value(prob, x: np.ndarray, mu: float, fscale: float = 1.0):
+def _merit_value(sb: StackedBarrier, x: np.ndarray, mu: float, fscale: float = 1.0):
     """(F_mu, G, w) with the objective scaled by fscale; None outside the domain.
 
-    prob is a BarrierProblem or its StackedBarrier.  One Cholesky factor of
-    the stacked G gives the value; the weights w are fscale * k on log-det
-    rows and 1/mu on barrier rows.  G and w are what _merit_derivs needs at
-    the same point.
+    One Cholesky factor of the stacked G gives the value; the weights w are
+    fscale * k on log-det rows and 1/mu on barrier rows.  G and w are what
+    _merit_derivs needs at the same point.
     """
-    sb = prob.stacked()
     G = sb.value(x)
     try:
         L = np.linalg.cholesky(G)
@@ -382,7 +343,7 @@ def _merit_value(prob, x: np.ndarray, mu: float, fscale: float = 1.0):
     return val, G, w
 
 
-def _merit_derivs(prob, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
+def _merit_derivs(sb: StackedBarrier, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
     """(grad, hess) of F_mu at the point where _merit_value gave G and w.
 
     Since w is constant on each block, it commutes with every block-diagonal
@@ -390,7 +351,6 @@ def _merit_derivs(prob, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
     F_i . (A sqrt(w))' and the Hessian -tr(M_i M_j): one inverse and two
     BLAS products.
     """
-    sb = prob.stacked()
     D = sb.total_dim
     rw = np.sqrt(w)
     A = rw[:, None] * np.linalg.inv(G)
@@ -400,32 +360,23 @@ def _merit_derivs(prob, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
     return grad, hess
 
 
-def _merit(prob, x: np.ndarray, mu: float, fscale: float = 1.0):
-    """(F_mu, grad, hess) with the objective scaled by fscale; None outside the domain.
-
-    The value of _merit_value and the derivatives of _merit_derivs.
-    """
-    point = _merit_value(prob, x, mu, fscale)
-    if point is None:
-        return None
-    val, G, w = point
-    return (val, *_merit_derivs(prob, G, w, fscale))
-
-
-def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
+def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
                   fscale: float = 1.0):
     """Centers F_mu by damped Newton; returns (x, grad_norm, steps).
 
     Backtracking trials evaluate F_mu alone; derivatives are evaluated once
-    per accepted point, from the G its trial formed and factored, and carried
-    into the next step.  A trial that passes the Armijo test is taken only if
-    it makes measurable progress: F_mu rose by more than its rounding level,
-    or the gradient norm fell.  Otherwise, and when no trial passes, Newton
-    can no longer improve the point at this mu and the stage ends there.
+    per accepted point, the start included, from the G its value formed and
+    factored, and carried into the next step.  A trial that passes the Armijo
+    test is taken only if it makes measurable progress: F_mu rose by more
+    than its rounding level, or the gradient norm fell.  Otherwise, and when
+    no trial passes, Newton can no longer improve the point at this mu and
+    the stage ends there.
     """
-    out = _merit(prob, x, mu, fscale)
-    if out is None:
+    start = _merit_value(sb, x, mu, fscale)
+    if start is None:
         raise RuntimeError("iterate left the barrier domain")
+    val, G, w = start
+    out = (val, *_merit_derivs(sb, G, w, fscale))
     steps = 0
     for _ in range(MAX_NEWTON):
         val, grad, hess = out
@@ -435,7 +386,7 @@ def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
         reg = 0.0
         while True:
             try:
-                step = np.linalg.solve(hess - reg * np.eye(prob.total_dim), -grad)
+                step = np.linalg.solve(hess - reg * np.eye(sb.total_dim), -grad)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and grad @ step > 0.0:
@@ -447,7 +398,7 @@ def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
-            trial = _merit_value(prob, cand, mu, fscale)
+            trial = _merit_value(sb, cand, mu, fscale)
             if trial is not None and trial[0] >= val + ARMIJO * alpha * decrement:
                 break
             alpha *= BACKTRACK
@@ -455,7 +406,7 @@ def _newton_stage(prob: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
             return x, gnorm, steps
         steps += 1
         cval, G, w = trial
-        cout = (cval, *_merit_derivs(prob, G, w, fscale))
+        cout = (cval, *_merit_derivs(sb, G, w, fscale))
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cout[1]) >= gnorm):
             return x, gnorm, steps
@@ -476,14 +427,13 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     """
     x = prob.pack(init)
     sb = prob.stacked()
-    if not sb.strictly_feasible(x, margin=INIT_MARGIN):
-        name, worst = sb.worst_violation(x)
+    name, worst = sb.worst_violation(x)
+    if not worst >= INIT_MARGIN:  # a NaN minimum is rejected too
         raise InfeasibleStartError(
             f"initial point is not strictly feasible (constraint {name!r}, margin {worst:.3e})")
-    scale = max(1.0, float(np.abs(prob.linear).max(initial=0.0)),
-                max((k for _, k in prob.logdets), default=0.0))
+    scale = max(1.0, float(np.abs(sb.linear).max(initial=0.0)), float(sb.k.max(initial=0.0)))
     fscale = 1.0 / scale
-    nu = prob.barrier_dimension()
+    nu = sb.k.shape[0] - sb.n_obj
     mu = 1.0
     stage_objectives = []
     total_steps = 0

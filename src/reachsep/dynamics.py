@@ -13,17 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-QUADROTOR_LABELS = ("x", "y", "z", "vx", "vy", "vz", "phi", "theta", "p", "q")
-FIXEDWING_LABELS = ("x", "z", "u", "w", "q", "theta")
-
 
 @dataclass(frozen=True)
 class LTISystem:
-    """x' = A x + B u with fixed A, B and named states."""
+    """x' = A x + B u with fixed A, B."""
 
     A: np.ndarray
     B: np.ndarray
-    labels: tuple = ()
     # reachability's quadrature grid batches, keyed by (times, steps); A and B
     # are read-only, so every spec built on this system can share them
     grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -35,14 +31,10 @@ class LTISystem:
             raise ValueError("A must be square")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError("B rows must match state dimension")
-        labels = tuple(self.labels) if self.labels else tuple(f"x{i}" for i in range(A.shape[0]))
-        if len(labels) != A.shape[0]:
-            raise ValueError("label count must match state dimension")
         A.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def state_dim(self) -> int:
@@ -55,7 +47,7 @@ class LTISystem:
     def similarity(self, S: np.ndarray) -> "LTISystem":
         """Coordinate change x_new = S x: returns (S A S^-1, S B)."""
         S = np.asarray(S, dtype=float)
-        return LTISystem(S @ self.A @ np.linalg.inv(S), S @ self.B, self.labels)
+        return LTISystem(S @ self.A @ np.linalg.inv(S), S @ self.B)
 
 
 @dataclass(frozen=True)
@@ -203,7 +195,7 @@ def quadrotor_linearized(p: QuadrotorParams) -> LTISystem:
     B = np.zeros((10, 3))
     B[5, 0] = 1.0 / p.m
     B[8:10, 1:3] = np.linalg.inv(p.J)[0:2, 0:2]
-    return LTISystem(A, B, QUADROTOR_LABELS)
+    return LTISystem(A, B)
 
 
 def fixedwing_linearized(p: FixedWingParams) -> LTISystem:
@@ -225,4 +217,4 @@ def fixedwing_linearized(p: FixedWingParams) -> LTISystem:
         [p.M_de, 0.0],
         [0.0, 0.0],
     ])
-    return LTISystem(A, B, FIXEDWING_LABELS)
+    return LTISystem(A, B)

@@ -44,6 +44,9 @@ class _Dims(NamedTuple):
 
 _DIMS = {"quadrotor": _Dims(10, 3, 3), "fixedwing": _Dims(6, 2, 2)}
 _REQUIRED = object()
+# bound on every nominal position coordinate over the horizon: squares and
+# sums of squares of center gaps then stay far inside the float range
+_REACH_M = 1e150
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}
 
@@ -220,6 +223,13 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         ident = _need(entry, "id", str, where)
         position = _vec(entry, "initial_position_m", dims.position, where)
         velocity = _vec(entry, "initial_velocity_mps", dims.position, where)
+        # python floats: an overflow reads inf, with no warning
+        reach_p = float(np.abs(position).max())
+        reach_v = max(1.0, got["horizon"]) * float(np.abs(velocity).max())
+        if not reach_p + reach_v <= _REACH_M:
+            key = "initial_position_m" if reach_p > _REACH_M else "initial_velocity_mps"
+            raise ScenarioError(f"field '{where}.{key}' puts the nominal more than "
+                                f"{_REACH_M:g} m from the origin within the horizon")
         params = _need(entry, "params", dict, where)
         iset = _need(entry, "initial_set", dict, where)
         cset = _need(entry, "control_set", dict, where)

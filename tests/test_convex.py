@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from reachsep import convex
 from reachsep.convex import (
+    INIT_MARGIN,
     BarrierProblem,
     InfeasibleProblemError,
     InfeasibleStartError,
@@ -21,7 +22,7 @@ def logdet_under_identity():
     Q = p.add_symmetric_var("Q", 2)
     p.add_logdet_objective(Q, 1.0)
     lmi = p.new_psd_constraint(2, "cap")
-    lmi.set_const(0, 0, np.eye(2))
+    lmi.F0[:] = np.eye(2)
     lmi.add_symmetric(Q, 0, 0, coeff=-1.0)
     return p, Q
 
@@ -149,9 +150,19 @@ def test_infeasible_start_names_violated_logdet_block():
     # the log-det domain Q > 0, so the error names logdet(Q) and its -0.1
     p, _ = logdet_under_identity()
     x = p.pack({"Q": np.diag([0.5, -0.1])})
-    assert p.worst_violation(x) == ("logdet(Q)", pytest.approx(-0.1))
+    assert p.stacked().worst_violation(x) == ("logdet(Q)", pytest.approx(-0.1))
     with pytest.raises(InfeasibleStartError, match=r"'logdet\(Q\)', margin -1.000e-01"):
         solve(p, {"Q": np.diag([0.5, -0.1])})
+
+
+def test_start_within_init_margin_rejected():
+    # Q = diag(0.5, INIT_MARGIN / 2) is positive definite, so G has a Cholesky
+    # factor, but its smallest eigenvalue is below INIT_MARGIN: the start is
+    # refused and the error names logdet(Q); at 2 INIT_MARGIN it is accepted
+    p, _ = logdet_under_identity()
+    with pytest.raises(InfeasibleStartError, match=r"'logdet\(Q\)', margin 5.000e-09"):
+        solve(p, {"Q": np.diag([0.5, 0.5 * INIT_MARGIN])})
+    assert solve(p, {"Q": np.diag([0.5, 2.0 * INIT_MARGIN])}).status == "optimal"
 
 
 def test_monotone_central_path():
@@ -174,15 +185,16 @@ def test_perturbation_certificate():
     p = scaled_toy()
     res = solve(p, SCALED_START)
     x_star = p.pack(res.values)
+    sb = p.stacked()
     rng = np.random.default_rng(2)
     tried = 0
     for _ in range(500):
         dx = 1e-3 * rng.standard_normal(p.total_dim)
         x = x_star + dx
-        if not p.strictly_feasible(x):
+        if not sb.worst_violation(x)[1] > 0.0:
             continue
         tried += 1
-        assert p.objective(x) <= res.objective + 1e-6
+        assert sb.objective(x) <= res.objective + 1e-6
         if tried >= 100:
             break
     assert tried >= 100
@@ -197,7 +209,7 @@ def norm_toy_start(b=(0.6, -0.3), gamma=0.4, margin=0.05, const=0.5):
 def test_restore_is_strictly_feasible():
     p = norm_toy()
     init = norm_toy_start()
-    assert p.strictly_feasible(p.pack(init), margin=1e-8)
+    assert p.stacked().worst_violation(p.pack(init))[1] >= 1e-8
 
 
 def test_restore_reports_structural_infeasibility():
@@ -212,8 +224,8 @@ def test_restore_slides_center_when_needed():
     b = np.array([0.6, -0.3])
     p = norm_toy(b=b, margin=0.6)
     init = norm_toy_start(b=b, margin=0.6)
-    assert p.strictly_feasible(p.pack(init), margin=1e-8)
-    assert not p.strictly_feasible(p.pack(NORM_START), margin=1e-8)
+    assert p.stacked().worst_violation(p.pack(init))[1] >= 1e-8
+    assert not p.stacked().worst_violation(p.pack(NORM_START))[1] >= 1e-8
     assert float(b @ init["q"]) < 0.0  # slid against the b coefficient
 
 
@@ -276,6 +288,16 @@ def test_placement_matches_entry_loops(seed):
     assert np.array_equal(expr.F, F)
 
 
+def full_merit(sb, x, mu, fscale):
+    """(F_mu, grad, hess), None outside the domain: the value of _merit_value
+    and the derivatives of _merit_derivs at the same point."""
+    point = convex._merit_value(sb, x, mu, fscale)
+    if point is None:
+        return None
+    val, G, w = point
+    return (val, *convex._merit_derivs(sb, G, w, fscale))
+
+
 @settings(max_examples=200, deadline=None)
 @given(which=st.sampled_from(["scaled_toy", "norm_toy"]),
        unit=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
@@ -286,15 +308,15 @@ def test_value_only_merit_is_bit_identical(which, unit, radius, mu, fscale):
     # the line search decides on the value-only merit, so every accept/reject
     # matches the full evaluation only if the two agree to the last bit
     p, init = with_start(which)
+    sb = p.stacked()
     x = p.pack(init) + radius * np.array(unit[:p.total_dim])
-    full = convex._merit(p, x, mu, fscale)
-    value = convex._merit_value(p, x, mu, fscale)
+    full = full_merit(sb, x, mu, fscale)
+    value = convex._merit_value(sb, x, mu, fscale)
     if full is None:
         assert value is None
     else:
         assert value[0] == full[0]
-    for expr in p.psd + [e for e, _ in p.logdets]:
-        assert np.array_equal(expr.value(x), expr.F0 + np.tensordot(x, expr.F, axes=1))
+    assert np.array_equal(sb.value(x), sb.F0 + np.tensordot(x, sb.F, axes=1))
 
 
 def reference_merit(p, x, mu, fscale):
@@ -306,7 +328,7 @@ def reference_merit(p, x, mu, fscale):
     hess = np.zeros((D, D))
     weighted = [(e, fscale * k) for e, k in p.logdets] + [(e, 1.0 / mu) for e in p.psd]
     for expr, w in weighted:
-        G = expr.value(x)
+        G = expr.F0 + np.tensordot(x, expr.F, axes=1)
         try:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
@@ -345,7 +367,7 @@ def test_stacked_merit_matches_per_block_reference(which, unit, radius, mu, fsca
     # block (scaled_toy) and the spectral-norm program's shape for m = 2, 3
     p, init = with_start(which)
     x = p.pack(init) + radius * np.array(unit[:p.total_dim])
-    out = convex._merit(p, x, mu, fscale)
+    out = full_merit(p.stacked(), x, mu, fscale)
     ref = reference_merit(p, x, mu, fscale)
     assert (out is None) == (ref is None)
     if ref is not None:
@@ -395,19 +417,19 @@ def test_one_factorization_per_point(name, monkeypatch):
     assert len(set(points)) == len(points)
 
 
-def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
+def reference_newton_stage(sb, x, mu, gtol, fscale=1.0):
     # the stage with full-merit trials: every evaluation, trials included,
     # computes value, gradient and Hessian, and nothing is carried over
     steps = 0
     for _ in range(convex.MAX_NEWTON):
-        val, grad, hess = convex._merit(prob, x, mu, fscale)
+        val, grad, hess = full_merit(sb, x, mu, fscale)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
             return x, gnorm, steps
         reg = 0.0
         while True:
             try:
-                step = np.linalg.solve(hess - reg * np.eye(prob.total_dim), -grad)
+                step = np.linalg.solve(hess - reg * np.eye(sb.total_dim), -grad)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and grad @ step > 0.0:
@@ -420,7 +442,7 @@ def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
         accepted = False
         while alpha > 1e-16:
             cand = x + alpha * step
-            cout = convex._merit(prob, cand, mu, fscale)
+            cout = full_merit(sb, cand, mu, fscale)
             if cout is not None and cout[0] >= val + convex.ARMIJO * alpha * decrement:
                 accepted = True
                 break
@@ -433,7 +455,7 @@ def reference_newton_stage(prob, x, mu, gtol, fscale=1.0):
                 and np.linalg.norm(cout[1]) >= gnorm):
             return x, gnorm, steps
         x = cand
-    gnorm = float(np.linalg.norm(convex._merit(prob, x, mu, fscale)[1]))
+    gnorm = float(np.linalg.norm(full_merit(sb, x, mu, fscale)[1]))
     return x, gnorm, steps
 
 
@@ -448,7 +470,7 @@ def solve_matches_reference(p, init, monkeypatch):
             res.stage_objectives, res.newton_steps) == (
         ref.objective, ref.kkt_residual, ref.barrier_mu_final, ref.status,
         ref.stage_objectives, ref.newton_steps)
-    assert p.strictly_feasible(p.pack(res.values))
+    assert p.stacked().worst_violation(p.pack(res.values))[1] > 0.0
     return res, ref
 
 

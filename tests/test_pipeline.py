@@ -448,6 +448,23 @@ def test_non_finite_number_exits_three(tmp_path, capsys, path, value, field):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("quadrotor_pair", "initial_velocity_mps", 1e307),  # squared gaps overflow
+    ("quadrotor_pair", "initial_velocity_mps", 1e308),  # the nominal's step overflows
+    ("fixedwing_pair", "initial_position_m", 1e200),  # squared gaps overflow
+])
+def test_overflowing_nominal_exits_three(tmp_path, capsys, name, key, value):
+    # a finite number whose nominal leaves the float range is malformed input:
+    # it is named by its field before any overflow (RuntimeWarnings are errors)
+    doc = json.loads(builtin_scenario_path(name).read_text())
+    doc["aircraft"][0][key][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(bad, tmp_path / "out", {}) == 3
+    assert f"'aircraft[0].{key}' puts the nominal more than" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scenario.json").exists()
+
+
 def test_scenario_quad_steps_validated(tmp_path, capsys):
     doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
     doc["quad_steps"] = 4

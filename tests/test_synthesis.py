@@ -360,14 +360,15 @@ def test_norm_start_strictly_feasible(case):
     prob, init = norm_start(consts, const_term, U, margin)
     g = gamma_I * float(np.linalg.eigvalsh(W).min())
     centered = {"q": np.zeros(len(b)), "Q": 1e-3 * np.eye(len(b)), "lam": 0.5, "s": 2e-3}
-    if prob.strictly_feasible(prob.pack(centered), margin=INIT_MARGIN):
+    sb = prob.stacked()
+    if sb.worst_violation(prob.pack(centered))[1] >= INIT_MARGIN:
         # every solve that started there before keeps its start
         for name, v in centered.items():
             assert np.array_equal(init[name], v), name
     # no point at all is strictly feasible at INIT_MARGIN once the slack is
     # about INIT_MARGIN times the coefficients; the start needs a factor ~30 more
     if sup > 1e-6 * (1.0 + beta + g):
-        assert prob.strictly_feasible(prob.pack(init), margin=INIT_MARGIN)
+        assert sb.worst_violation(prob.pack(init))[1] >= INIT_MARGIN
         if beta > 0.0 and not np.array_equal(init["q"], centered["q"]):
             # the center slides against b~, which raises the distance slack
             assert float(bW @ init["q"]) < 0.0
