@@ -47,6 +47,13 @@ _REQUIRED = object()
 # bound on every nominal position coordinate over the horizon: squares and
 # sums of squares of center gaps then stay far inside the float range
 _REACH_M = 1e150
+# bound on every set radius, and floor on the quadrotor's mass and inertia
+# entries: over a horizon of seconds a set's spread (a radius, times a gain
+# of at most 1 / _MASS_MIN, times powers of time) stays near 1e62 or below,
+# so the polytope's plane normals, whose squares are fourth powers of the
+# spread, stay inside the float range
+_RADIUS_MAX = 1e30
+_MASS_MIN = 1e-30
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}
 
@@ -82,6 +89,20 @@ def _vec(d: dict, key: str, n: int, where: str) -> np.ndarray:
     if len(v) != n or any(_as(float, x) is None for x in v):
         raise ScenarioError(f"field '{where}.{key}' must be a list of {n} finite numbers")
     return np.asarray(v, dtype=float)
+
+
+def _check_radius(largest: float, key: str, where: str) -> None:
+    """A ScenarioError naming the field when the largest magnitude of its
+    set radii exceeds _RADIUS_MAX."""
+    if not largest <= _RADIUS_MAX:
+        raise ScenarioError(f"field '{where}.{key}' must be at most {_RADIUS_MAX:g} "
+                            "in magnitude")
+
+
+def _radius(d: dict, key: str, where: str, default=_REQUIRED) -> float:
+    r = _need(d, key, float, where, default)
+    _check_radius(abs(r), key, where)
+    return r
 
 
 class _Field(NamedTuple):
@@ -236,6 +257,7 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         dist = _need(entry, "disturbance_set", dict, where, None)
         if dist is not None:
             dist = _vec(dist, "state_rate_radii", dims.state, f"{where}.disturbance_set")
+            _check_radius(float(np.abs(dist).max()), "state_rate_radii", f"{where}.disturbance_set")
         crafts.append(AircraftConfig(ident, position, velocity, params, iset, cset, dist))
     scenario = Scenario(**got, aircraft=(crafts[0], crafts[1]))
     scenario.specs  # the vehicle-specific blocks are validated by building the specs
@@ -280,6 +302,9 @@ def _linearize(scenario: Scenario, i: int) -> LTISystem:
     if scenario.vehicle == "quadrotor":
         m = _need(ac.params, "mass_kg", float, where)
         Jd = _vec(ac.params, "inertia_diag_kgm2", 3, where)
+        for key, v in (("mass_kg", m), ("inertia_diag_kgm2", Jd.min())):
+            if not v >= _MASS_MIN:
+                raise ScenarioError(f"field '{where}.{key}' must be at least {_MASS_MIN:g}")
         g = _need(ac.params, "gravity_mps2", float, where)
         try:
             return quadrotor_linearized(QuadrotorParams(m=m, J=np.diag(Jd), g=g))
@@ -315,24 +340,24 @@ def _spec(scenario: Scenario, i: int, system: LTISystem) -> ReachSpec:
     ac = scenario.aircraft[i]
     dims = _DIMS[scenario.vehicle]
     where, cwhere = f"aircraft[{i}].initial_set", f"aircraft[{i}].control_set"
-    pr = _need(ac.initial_set, "position_radius_m", float, where)
-    vr = _need(ac.initial_set, "velocity_radius_mps", float, where)
+    pr = _radius(ac.initial_set, "position_radius_m", where)
+    vr = _radius(ac.initial_set, "velocity_radius_mps", where)
     center = np.zeros(dims.state)
     offset = None
     if scenario.vehicle == "quadrotor":
-        ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.0)
-        rr = _need(ac.initial_set, "rate_radius_radps", float, where, 0.0)
+        ar = _radius(ac.initial_set, "attitude_radius_rad", where, 0.0)
+        rr = _radius(ac.initial_set, "rate_radius_radps", where, 0.0)
         center[0:3] = ac.position
         center[3:6] = ac.velocity
         radii = [pr] * 3 + [vr] * 3 + [ar] * 2 + [rr] * 2
-        tr = _need(ac.control_set, "thrust_radius_n", float, cwhere)
-        qr = _need(ac.control_set, "torque_radius_nm", float, cwhere)
+        tr = _radius(ac.control_set, "thrust_radius_n", cwhere)
+        qr = _radius(ac.control_set, "torque_radius_nm", cwhere)
         control_radii = [tr, qr, qr]
     else:
-        ar = _need(ac.initial_set, "attitude_radius_rad", float, where, 0.01)
+        ar = _radius(ac.initial_set, "attitude_radius_rad", where, 0.01)
         radii = [pr, pr, vr, vr, ar, ar]
-        control_radii = [_need(ac.control_set, "elevator_radius_rad", float, cwhere),
-                         _need(ac.control_set, "throttle_radius", float, cwhere)]
+        control_radii = [_radius(ac.control_set, "elevator_radius_rad", cwhere),
+                         _radius(ac.control_set, "throttle_radius", cwhere)]
         x0 = np.zeros(dims.state)
         x0[0:2] = ac.position
         x0[2] = -abs(ac.velocity[0]) if ac.velocity[0] < 0.0 else abs(ac.velocity[0])

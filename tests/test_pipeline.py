@@ -465,6 +465,40 @@ def test_overflowing_nominal_exits_three(tmp_path, capsys, name, key, value):
     assert not (tmp_path / "out" / "scenario.json").exists()
 
 
+@pytest.mark.parametrize("name, path, value, rule", [
+    ("quadrotor_pair", ("initial_set", "position_radius_m"), 1e200, "at most 1e+30"),
+    ("quadrotor_pair", ("control_set", "thrust_radius_n"), 1e200, "at most 1e+30"),
+    ("quadrotor_pair", ("disturbance_set", "state_rate_radii"), [0.0] * 9 + [-1e200],
+     "at most 1e+30"),
+    ("quadrotor_pair", ("params", "mass_kg"), 1e-310, "at least 1e-30"),
+    ("quadrotor_pair", ("params", "inertia_diag_kgm2"), [0.005, 1e-310, 0.01], "at least 1e-30"),
+    ("fixedwing_pair", ("control_set", "elevator_radius_rad"), 1e200, "at most 1e+30"),
+])
+def test_overflowing_set_exits_three(tmp_path, capsys, name, path, value, rule):
+    # a finite radius whose square or spread, or a mass or inertia whose
+    # inverse, leaves the float range is malformed input, named by its field
+    # before any overflow (RuntimeWarnings are errors)
+    doc = json.loads(builtin_scenario_path(name).read_text())
+    block, key = path
+    doc["aircraft"][0].setdefault(block, {})[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(bad, tmp_path / "out", {}) == 3
+    assert f"'aircraft[0].{block}.{key}' must be {rule}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scenario.json").exists()
+
+
+def test_sets_at_their_bounds_are_accepted():
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    ac = doc["aircraft"][0]
+    ac["initial_set"]["position_radius_m"] = -1e30
+    ac["control_set"]["thrust_radius_n"] = 1e30
+    ac["params"]["mass_kg"] = 1e-30
+    ac["params"]["inertia_diag_kgm2"] = [1e-30] * 3
+    spec = scenario_from_dict(doc).specs[0]
+    assert spec.X0.shape[0, 0] == spec.U.shape[0, 0] == np.square(1e30)
+
+
 def test_scenario_quad_steps_validated(tmp_path, capsys):
     doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
     doc["quad_steps"] = 4

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -229,6 +231,95 @@ def test_bundled_samples_equal_allocating_reference(name):
     for proj in (None, P):
         assert same_array_bits(sample_trajectories(spec, t_grid, 1000, seed=3, P=proj),
                                reference_samples(spec, t_grid, 1000, seed=3, P=proj))
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def fail_on_call(fn, k):
+    """fn, raising DrawFailed on its k-th call (1-based)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise DrawFailed(k)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class FailingGenerator:
+    """A seeded Generator whose standard_normal raises on its k-th call."""
+
+    def __init__(self, seed, k):
+        self.standard_normal = fail_on_call(np.random.Generator(np.random.PCG64(seed))
+                                            .standard_normal, k)
+
+
+@pytest.mark.parametrize("step", [1, 2, 20])
+@pytest.mark.parametrize("where", ["draw", "offset"])
+def test_sampler_failure_at_a_step_is_raised_and_joins_the_helper(step, where, monkeypatch):
+    # call 1 is the initial draw or the t = 0 offset; call step + 1 is step's
+    spec, t_grid, P = bundled_sampling_spec("fixedwing_pair")
+    t_grid = t_grid[:21]
+    if where == "draw":
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingGenerator(seed, step + 1))
+    else:
+        monkeypatch.setattr(ReachSpec, "offset_at", fail_on_call(ReachSpec.offset_at, step + 1))
+    before = threading.active_count()
+    with pytest.raises(DrawFailed, match=str(step + 1)):
+        sample_trajectories(spec, t_grid, 300, seed=1, P=P)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_samples, n_times", [(0, 21), (0, 1), (50, 1)])
+@pytest.mark.parametrize("projected", [False, True])
+def test_sampler_shapes_without_samples_or_steps(n_samples, n_times, projected):
+    spec, P = random_sampling_spec(2)
+    P = P if projected else None
+    t_grid = np.linspace(0.0, 2.0, 21)[:n_times]
+    before = threading.active_count()
+    samples = sample_trajectories(spec, t_grid, n_samples, seed=2, P=P)
+    assert samples.shape == (n_samples, n_times, 5 if P is None else 3)
+    assert same_array_bits(samples, reference_samples(spec, t_grid, n_samples, seed=2, P=P))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("t_grid", [[], [0.5, 1.0], [0.0, 1.0, 3.0]])
+def test_sampler_rejects_a_grid_that_is_not_uniform_from_zero(t_grid):
+    spec, _ = random_sampling_spec(1)
+    with pytest.raises(ValueError, match="uniform time grid starting at 0"):
+        sample_trajectories(spec, t_grid, 10)
+
+
+def test_concurrent_samplers_keep_their_streams():
+    # more callers than cores, each with its own helper, and a short switch
+    # interval: a slot handed over before it is filled or read, or a block
+    # drawn out of order, changes the samples' bits
+    spec, P = random_sampling_spec(3)
+    t_grid = np.linspace(0.0, 2.0, 41)
+    refs = [reference_samples(spec, t_grid, 200, seed=s, P=P) for s in range(6)]
+    results = {}
+
+    def caller(s):
+        for _ in range(5):
+            results.setdefault(s, []).append(sample_trajectories(spec, t_grid, 200, seed=s, P=P))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(s,)) for s in range(6)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    for s, ref in enumerate(refs):
+        assert len(results[s]) == 5
+        assert all(same_array_bits(r, ref) for r in results[s])
 
 
 def test_support_sublinear_in_direction():
