@@ -37,13 +37,13 @@ from .synthesis import (
     EncounterGeometry,
     JointInfeasibilityError,
     estimate_encounter,
-    safe_set,
     scalarization_loop,
 )
 
 # not called here, but importable as pipeline.<name> for the perfbench trace
 from .reachability import reach_support  # noqa: F401
 from .scenario import load_scenario  # noqa: F401
+from .synthesis import safe_set  # noqa: F401
 
 SEP_TOL = 1e-6
 
@@ -234,8 +234,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     shrunkA = dataclasses.replace(specA, U=solA.control_set())
     shrunkB = dataclasses.replace(specB, U=solB.control_set())
-    safeB = safe_set(dataclasses.replace(synB, U=solB.control_set()), geom.tau, d_eff,
-                     geom.l_star, P)
+    safeB = solA.safe_set  # the set phase two was solved against
 
     sol_doc = {"method": scenario.method, "k_used": k_used,
                "margins": {"part1_m": scenario.margin1 if scenario.margin1 is not None

@@ -54,6 +54,7 @@ _REACH_M = 1e150
 # spread, stay inside the float range
 _RADIUS_MAX = 1e30
 _MASS_MIN = 1e-30
+_CONTROL_MIN = 1e-30  # floor on every control radius: its square must stay positive
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}
 
@@ -99,9 +100,11 @@ def _check_radius(largest: float, key: str, where: str) -> None:
                             "in magnitude")
 
 
-def _radius(d: dict, key: str, where: str, default=_REQUIRED) -> float:
+def _radius(d: dict, key: str, where: str, default=_REQUIRED, least: float = 0.0) -> float:
     r = _need(d, key, float, where, default)
     _check_radius(abs(r), key, where)
+    if not abs(r) >= least:
+        raise ScenarioError(f"field '{where}.{key}' must be at least {least:g} in magnitude")
     return r
 
 
@@ -350,14 +353,14 @@ def _spec(scenario: Scenario, i: int, system: LTISystem) -> ReachSpec:
         center[0:3] = ac.position
         center[3:6] = ac.velocity
         radii = [pr] * 3 + [vr] * 3 + [ar] * 2 + [rr] * 2
-        tr = _radius(ac.control_set, "thrust_radius_n", cwhere)
-        qr = _radius(ac.control_set, "torque_radius_nm", cwhere)
+        tr = _radius(ac.control_set, "thrust_radius_n", cwhere, least=_CONTROL_MIN)
+        qr = _radius(ac.control_set, "torque_radius_nm", cwhere, least=_CONTROL_MIN)
         control_radii = [tr, qr, qr]
     else:
         ar = _radius(ac.initial_set, "attitude_radius_rad", where, 0.01)
         radii = [pr, pr, vr, vr, ar, ar]
-        control_radii = [_radius(ac.control_set, "elevator_radius_rad", cwhere),
-                         _radius(ac.control_set, "throttle_radius", cwhere)]
+        control_radii = [_radius(ac.control_set, key, cwhere, least=_CONTROL_MIN)
+                         for key in ("elevator_radius_rad", "throttle_radius")]
         x0 = np.zeros(dims.state)
         x0[0:2] = ac.position
         x0[2] = -abs(ac.velocity[0]) if ac.velocity[0] < 0.0 else abs(ac.velocity[0])

@@ -6,8 +6,9 @@ authority (a log-det term weighted by the scalarization factor k) against the
 achieved clearance.  Phase two then maximizes A's control set subject to A's
 reachable set avoiding B's separation-inflated safe set.  Both phases reduce
 to log-det programs over a containment LMI plus one scalar distance
-inequality.  The spectral-norm programs are solved by the barrier method from
-a closed-form strictly feasible start; the scaled phase one (the control set
+inequality, built from the same parts: an AircraftBlock and a DistanceRow.
+The spectral-norm programs are solved by the barrier method from a
+closed-form strictly feasible start; the scaled phase one (the control set
 restricted to r times the original) is solved in closed form.
 Infeasibility of phase two sends the scalarization loop back to phase one
 with a smaller k.
@@ -72,10 +73,24 @@ class PartIConstants:
     def support_scaled(self, q, r: float) -> float:
         return self.a0 + self.offset + float(self.b @ q) + self.x0_term + r * self.gamma_U
 
-    def clearance(self, target: float, U: Ellipsoid) -> float:
-        """target minus the support value with the control set shrunk to its
-        center c_U: the constant part of the distance term."""
-        return target - self.a0 - self.offset - self.x0_term - float(self.b @ U.center)
+
+@dataclass(frozen=True)
+class DistanceRow:
+    """const - sum of (<b, q - c_U> + gamma_I s) over terms >= bound, with one
+    (block, b, gamma_I) term per aircraft; block names the aircraft whose
+    center q, control-set center c_U and epigraph s >= ||Q||_2 it reads."""
+
+    name: str
+    const: float
+    bound: float
+    terms: tuple
+
+
+def distance_row(consts: PartIConstants, target: float, U: Ellipsoid, bound: float,
+                 block: str) -> DistanceRow:
+    """The row target - (support bound at (tau, l)) >= bound, as data."""
+    const = target - consts.a0 - consts.offset - consts.x0_term - float(consts.b @ U.center)
+    return DistanceRow("distance", const, bound, ((block, consts.b, consts.gamma_I),))
 
 
 @dataclass(frozen=True)
@@ -95,6 +110,7 @@ class SynthesisSolution:
     barrier_mu_final: float | None  # None when solved in closed form
     stage_objectives: tuple  # F's objective after each barrier stage
     r: float | None = None  # scaled method only
+    safe_set: Ellipsoid | None = None  # phase two only: the set A avoids
 
     def control_set(self) -> Ellipsoid:
         return Ellipsoid(self.q, self.Q @ self.Q)
@@ -159,14 +175,48 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
 
 
 def _control_whitening(U: Ellipsoid):
-    """(W, Winv, wmin, wmax) for the control set, W the root U caches;
-    synthesis needs U nondegenerate."""
+    """(W, wmin, wmax) for the control set, W the root U caches; synthesis
+    needs U nondegenerate."""
     W = U.sqrt_shape()
     w = np.linalg.eigvalsh(W)
     wmin = float(w.min())
     if wmin <= 0.0:
         raise ValueError("control-set shape must be positive definite for synthesis")
-    return W, np.linalg.inv(W), wmin, float(w.max())
+    return W, wmin, float(w.max())
+
+
+class AircraftBlock:
+    """One aircraft's variables in a spectral-norm program, whitened by the
+    root W of its control set U: center q = c_U + W qt, shape factor
+    Q = wmin Qb, S-lemma multiplier lam and epigraph s = wmin sb.  Built in
+    two steps, since a BarrierProblem takes no variable after its first
+    constraint: the constructor declares, constrain() adds the blocks."""
+
+    def __init__(self, prob: BarrierProblem, U: Ellipsoid):
+        m = U.dim
+        self.W, self.wmin, self.wmax = _control_whitening(U)
+        self.qt, self.Qb = prob.add_vector_var("q", m), prob.add_symmetric_var("Q", m)
+        self.lam, self.sb = prob.add_scalar_var("lam"), prob.add_scalar_var("s")
+
+    def constrain(self, prob: BarrierProblem) -> None:
+        """Adds the containment LMI, scaled by diag(1, I, W^-1) so that U is the
+        unit ball and every block order one ([[1 - lam, 0, qt'],
+        [0, lam I, wmin Qb W^-1], [qt, ., I]]), s I - Q PSD, Q PSD and s_cap."""
+        m = self.qt.size
+        lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
+        lmi.F0[0, 0] = 1.0
+        lmi.F0[1 + m:, 1 + m:] = np.eye(m)
+        lmi.F[self.lam.offset, 0, 0] = -1.0
+        lmi.F[self.lam.offset, 1:1 + m, 1:1 + m] = np.eye(m)
+        lmi.add_vector(self.qt, 0, 1 + m)
+        lmi.add_symmetric_rmul(self.Qb, 1, 1 + m, np.linalg.inv(self.W), coeff=self.wmin)
+        epi = prob.new_psd_constraint(m, "spectral_epigraph")
+        epi.add_scalar(self.sb, np.eye(m))
+        epi.add_symmetric(self.Qb, 0, 0, coeff=-1.0)
+        prob.new_psd_constraint(m, "Q_psd").add_symmetric(self.Qb, 0, 0)
+        # containment caps ||Q|| at wmax, so this never binds; it bounds the
+        # domain when gamma_I = 0 leaves s otherwise free
+        prob.add_scalar_constraint("s_cap", {self.sb: [-1.0]}, 2.0 * self.wmax / self.wmin)
 
 
 def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
@@ -184,17 +234,17 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     if k < 0.0:
         raise ValueError("scalarization factor must be nonnegative")
     m = U_B.dim
-    W, _, _, _ = _control_whitening(U_B)
+    W = _control_whitening(U_B)[0]
     bW = W @ consts.b
-    const_term = consts.clearance(float(geom.l_star @ geom.c_A_tau), U_B)
+    row = distance_row(consts, float(geom.l_star @ geom.c_A_tau), U_B, margin, aircraft)
     beta = float(np.linalg.norm(bW))
-    slack = const_term - margin + beta  # distance slack at r = 0
+    slack = row.const - row.bound + beta  # distance slack at r = 0
     if slack <= 0.0:
         raise InfeasibleProblemError("distance", f"best slack {slack:.3e}")
     slope = beta + consts.gamma_U
     r = min(1.0, slack / slope, k * m / slope) if slope > 0.0 else float(k > 0.0)
     qt = -(1.0 - r) / beta * bW if beta > 0.0 else np.zeros(m)
-    distance = const_term - float(bW @ qt) - r * consts.gamma_U
+    distance = row.const - float(bW @ qt) - r * consts.gamma_U
     objective = distance + (k * m * np.log(r) if k > 0.0 else 0.0)
     return SynthesisSolution(
         aircraft, U_B.center + W @ qt, r * W, r, k, objective, distance,
@@ -204,15 +254,15 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
 def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
     """Strictly feasible start of the spectral-norm program, in closed form.
 
-    In the whitened variables of _norm_program, with distance row
-    slack0 - <bW, qt> - g s >= 0.  Starts at qt = 0, Q = eps I, lam = 1/2,
-    s = 2 eps with eps = 1e-3.  When the distance row bites there, the center
-    slides to qt = -theta bW / ||bW|| with lam = (1 - theta^2) / 2, theta the
-    midpoint of the interval on which the distance row and the containment
-    LMI both hold (lam >= eps + eps^2 keeps the LMI PSD for any theta <= 1);
-    eps shrinks so that the eps terms take at most half of the slack.  Raises
-    InfeasibleProblemError("distance") when no admissible center has a
-    positive distance slack.
+    In an AircraftBlock's whitened variables, named q, Q, lam, s, with the
+    distance row slack0 - <bW, q> - g s >= 0.  Starts at q = 0, Q = eps I,
+    lam = 1/2, s = 2 eps with eps = 1e-3.  When the distance row bites there,
+    the center slides to q = -theta bW / ||bW|| with lam = (1 - theta^2) / 2,
+    theta the midpoint of the interval on which the distance row and the
+    containment LMI both hold (lam >= eps + eps^2 keeps the LMI PSD for any
+    theta <= 1); eps shrinks so that the eps terms take at most half of the
+    slack.  Raises InfeasibleProblemError("distance") when no admissible
+    center has a positive distance slack.
     """
     m = len(bW)
     beta = float(np.linalg.norm(bW))
@@ -228,59 +278,30 @@ def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
     return {"q": qt, "Q": eps * np.eye(m), "lam": 0.5 * (1.0 - theta**2), "s": 2.0 * eps}
 
 
-def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: float,
-                  w_dist: float, margin: float, aircraft: str) -> SynthesisSolution:
-    """The spectral-norm program shared by both phases.
+def _norm_program(row: DistanceRow, U: Ellipsoid, k: float, w_dist: float) -> SynthesisSolution:
+    """The spectral-norm program of both phases: one aircraft block, one row.
 
-    Maximizes w_dist * (distance term) + k log det Q over centers q and shape
-    factors Q of sub-ellipsoids of U, subject to the distance inequality
-    (distance term >= margin).  The distance term is const_term - <b, q - c_U>
-    - ||Q||_2 gamma_I; the spectral norm enters by the epigraph pair
-    {s I - Q PSD, s in the distance term}, so the problem is affine in
-    (q, Q, s, lam).  Phase one uses w_dist = 1, phase two w_dist = 0, k = 1.
-
-    The containment LMI is written in whitened control coordinates: with
-    q = c_U + W qt and the congruence scaling diag(1, I, W^-1), the outer set
-    becomes the unit ball and every block is order one,
-    [[1 - lam, 0, qt'], [0, lam I, wmin Qb W^-1], [qt, ., I]] with Q = wmin Qb.
+    Maximizes w_dist * (the row's distance term) + k log det Q over
+    sub-ellipsoids E(q, Q^2) of U subject to the row; ||Q||_2 enters by the
+    epigraph s, so the program is affine in (q, Q, lam, s).  Phase one uses
+    w_dist = 1, phase two w_dist = 0, k = 1.
     """
-    m = U.dim
-    W, Winv, wmin, wmax = _control_whitening(U)
-    bW = W @ consts.b
+    (aircraft, b, gamma_I), = row.terms
     prob = BarrierProblem()
-    qt = prob.add_vector_var("q", m)
-    Qb = prob.add_symmetric_var("Q", m)  # Q = wmin * Qb
-    lam = prob.add_scalar_var("lam")
-    sb = prob.add_scalar_var("s")  # s = wmin * sb
-    prob.add_constant_objective(w_dist * const_term + k * m * np.log(wmin))
-    prob.add_linear_objective(qt, -w_dist * bW)
-    prob.add_linear_objective(sb, -w_dist * consts.gamma_I * wmin)
-    prob.add_logdet_objective(Qb, k)
-    lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
-    lmi.F0[0, 0] = 1.0
-    lmi.F0[1 + m:, 1 + m:] = np.eye(m)
-    lmi.F[lam.offset, 0, 0] = -1.0
-    lmi.F[lam.offset, 1:1 + m, 1:1 + m] = np.eye(m)
-    lmi.add_vector(qt, 0, 1 + m)
-    lmi.add_symmetric_rmul(Qb, 1, 1 + m, Winv, coeff=wmin)
-    epi = prob.new_psd_constraint(m, "spectral_epigraph")
-    epi.add_scalar(sb, np.eye(m))
-    epi.add_symmetric(Qb, 0, 0, coeff=-1.0)
-    qpsd = prob.new_psd_constraint(m, "Q_psd")
-    qpsd.add_symmetric(Qb, 0, 0)
-    prob.add_scalar_constraint("distance", {qt: -bW, sb: -consts.gamma_I * wmin},
-                               const_term - margin)
-    # containment caps ||Q|| at wmax, so this never binds; it bounds the
-    # domain when gamma_I = 0 leaves s otherwise free
-    prob.add_scalar_constraint("s_cap", {sb: [-1.0]}, 2.0 * wmax / wmin)
-    init = feasibility_restore(bW, consts.gamma_I * wmin, const_term - margin)
-    res = solve(prob, init)
-    q_val = U.center + W @ res.values["q"]
-    s_val = float(res.values["s"])
-    Q_val = wmin * 0.5 * (res.values["Q"] + res.values["Q"].T)
+    blk = AircraftBlock(prob, U)
+    m, wmin, bW = U.dim, blk.wmin, blk.W @ b
+    prob.add_constant_objective(w_dist * row.const + k * m * np.log(wmin))
+    prob.add_linear_objective(blk.qt, -w_dist * bW)
+    prob.add_linear_objective(blk.sb, -w_dist * gamma_I * wmin)
+    prob.add_logdet_objective(blk.Qb, k)
+    prob.add_scalar_constraint(row.name, {blk.qt: -bW, blk.sb: -gamma_I * wmin},
+                               row.const - row.bound)
+    blk.constrain(prob)
+    res = solve(prob, feasibility_restore(bW, gamma_I * wmin, row.const - row.bound))
+    qt, Qb, s_val = res.values["q"], res.values["Q"], float(res.values["s"])
     return SynthesisSolution(
-        aircraft, q_val, Q_val, float(res.values["lam"]), k, res.objective,
-        const_term - float(bW @ res.values["q"]) - s_val * wmin * consts.gamma_I,
+        aircraft, U.center + blk.W @ qt, wmin * 0.5 * (Qb + Qb.T), float(res.values["lam"]),
+        k, res.objective, row.const - float(bW @ qt) - s_val * wmin * gamma_I,
         res.kkt_residual, res.status, res.newton_steps, res.barrier_mu_final,
         tuple(res.stage_objectives))
 
@@ -288,10 +309,8 @@ def _norm_program(consts: PartIConstants, const_term: float, U: Ellipsoid, k: fl
 def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
                       k: float, margin: float = 0.0, aircraft: str = "B") -> SynthesisSolution:
     """Phase one with the control-authority term bounded through ||Q||_2."""
-    if k < 0.0:
-        raise ValueError("scalarization factor must be nonnegative")
-    const_term = consts.clearance(float(geom.l_star @ geom.c_A_tau), U_B)
-    return _norm_program(consts, const_term, U_B, k, 1.0, margin, aircraft)
+    row = distance_row(consts, float(geom.l_star @ geom.c_A_tau), U_B, margin, aircraft)
+    return _norm_program(row, U_B, k, 1.0)
 
 
 def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid:
@@ -340,8 +359,8 @@ def solve_part2(specA: ReachSpec, safeB: Ellipsoid, geom: EncounterGeometry,
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     consts = part1_constants(specA, geom, l=-geom.l_star)
-    const_term = consts.clearance(-support(safeB, P @ geom.l_star)[0], U_A)
-    return _norm_program(consts, const_term, U_A, 1.0, 0.0, margin, "A")
+    row = distance_row(consts, -support(safeB, P @ geom.l_star)[0], U_A, margin, "A")
+    return replace(_norm_program(row, U_A, 1.0, 0.0), safe_set=safeB)
 
 
 def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeometry,

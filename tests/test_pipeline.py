@@ -473,11 +473,17 @@ def test_overflowing_nominal_exits_three(tmp_path, capsys, name, key, value):
     ("quadrotor_pair", ("params", "mass_kg"), 1e-310, "at least 1e-30"),
     ("quadrotor_pair", ("params", "inertia_diag_kgm2"), [0.005, 1e-310, 0.01], "at least 1e-30"),
     ("fixedwing_pair", ("control_set", "elevator_radius_rad"), 1e200, "at most 1e+30"),
+    # a control radius below 1e-30: its square leaves synthesis no set to whiten
+    ("quadrotor_pair", ("control_set", "thrust_radius_n"), 0, "at least 1e-30"),
+    ("quadrotor_pair", ("control_set", "thrust_radius_n"), 1e-200, "at least 1e-30"),
+    ("quadrotor_pair", ("control_set", "torque_radius_nm"), 1e-300, "at least 1e-30"),
+    ("fixedwing_pair", ("control_set", "elevator_radius_rad"), 0, "at least 1e-30"),
 ])
 def test_overflowing_set_exits_three(tmp_path, capsys, name, path, value, rule):
     # a finite radius whose square or spread, or a mass or inertia whose
-    # inverse, leaves the float range is malformed input, named by its field
-    # before any overflow (RuntimeWarnings are errors)
+    # inverse, leaves the float range is malformed input, and so is a control
+    # radius too small to synthesize; each is named by its field before any
+    # overflow or traceback (RuntimeWarnings are errors)
     doc = json.loads(builtin_scenario_path(name).read_text())
     block, key = path
     doc["aircraft"][0].setdefault(block, {})[key] = value
@@ -493,10 +499,12 @@ def test_sets_at_their_bounds_are_accepted():
     ac = doc["aircraft"][0]
     ac["initial_set"]["position_radius_m"] = -1e30
     ac["control_set"]["thrust_radius_n"] = 1e30
+    ac["control_set"]["torque_radius_nm"] = -1e-30
     ac["params"]["mass_kg"] = 1e-30
     ac["params"]["inertia_diag_kgm2"] = [1e-30] * 3
     spec = scenario_from_dict(doc).specs[0]
     assert spec.X0.shape[0, 0] == spec.U.shape[0, 0] == np.square(1e30)
+    assert spec.U.shape[1, 1] == np.square(1e-30)
 
 
 def test_scenario_quad_steps_validated(tmp_path, capsys):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachsep import synthesis
@@ -23,11 +23,13 @@ from reachsep.scenario import (
 )
 from reachsep.synthesis import (
     DegenerateGeometryError,
+    DistanceRow,
     EncounterGeometry,
     JointInfeasibilityError,
     PartIConstants,
     estimate_encounter,
     feasibility_restore,
+    distance_row,
     part1_constants,
     safe_set,
     scalarization_loop,
@@ -318,10 +320,11 @@ def norm_start(consts, const_term, U, margin):
         seen.update(prob=prob, init=init)
         raise _Captured
 
+    row = DistanceRow("distance", const_term, margin, (("B", consts.b, consts.gamma_I),))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "solve", capture)
         with pytest.raises(_Captured):
-            synthesis._norm_program(consts, const_term, U, 1.0, 1.0, margin, "B")
+            synthesis._norm_program(row, U, 1.0, 1.0)
     return seen["prob"], seen["init"]
 
 
@@ -372,6 +375,70 @@ def test_norm_start_strictly_feasible(case):
         if beta > 0.0 and not np.array_equal(init["q"], centered["q"]):
             # the center slides against b~, which raises the distance slack
             assert float(bW @ init["q"]) < 0.0
+
+
+@functools.cache
+def bundled_synthesis_inputs(name):
+    """(specs without disturbance, geometry, P, output grid) of a bundled scenario."""
+    sc = scenario_from_dict(json.loads(builtin_scenario_path(name).read_text()))
+    P = position_projection(sc)
+    geom = estimate_encounter(build_nominal(sc, 0), build_nominal(sc, 1), P, sc.d)
+    specs = tuple(build_spec(sc, i, with_disturbance=False) for i in (0, 1))
+    return specs, geom, P, np.arange(0.0, sc.horizon + 1e-9, sc.grid_step)
+
+
+def unit_floats(n):
+    return st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["quadrotor_pair", "fixedwing_pair"]), i=st.integers(0, 1),
+       at_encounter=st.booleans(), center=st.floats(0.0, 0.99), size=st.floats(1e-3, 1.0),
+       data=st.data())
+def test_distance_row_bounds_reach_support(name, i, at_encounter, center, size, data):
+    # for any sub-ellipsoid E(q, Q^2) of U and s = ||Q||_2, the support bound
+    # the row charges (target minus its distance term) is at least the
+    # kernel's support of the reach set with that control set
+    specs, geom, P, t_grid = bundled_synthesis_inputs(name)
+    spec, m = specs[i], specs[i].U.dim
+    if at_encounter:
+        t, l = geom.tau, (1.0 if i else -1.0) * geom.l_star
+    else:
+        t = float(t_grid[data.draw(st.integers(1, len(t_grid) - 1))])
+        l_pos = data.draw(unit_floats(P.shape[0]))
+        assume(np.linalg.norm(l_pos) > 1e-3)
+        l = P.T @ (l_pos / np.linalg.norm(l_pos))
+    # E(qt, A^2) inside the unit ball, mapped into U = E(c_U, W^2) by W
+    v = data.draw(unit_floats(m))
+    qt = center * v / max(1.0, float(np.linalg.norm(v)))
+    G = data.draw(unit_floats(m * m)).reshape(m, m)
+    A = G @ G.T + 1e-6 * np.eye(m)
+    A *= size * (1.0 - float(np.linalg.norm(qt))) / np.linalg.norm(A, 2)
+    W = spec.U.sqrt_shape()
+    q, Q = spec.U.center + W @ qt, psd_sqrt(W @ A @ A @ W)
+    consts = part1_constants(spec, EncounterGeometry(t, l, geom.d, geom.c_A_tau))
+    row = distance_row(consts, 0.0, spec.U, 0.0, "AB"[i])
+    (_, b, gamma_I), = row.terms
+    bound = -(row.const - float(b @ (q - spec.U.center)) - gamma_I * np.linalg.norm(Q, 2))
+    rho = reach_support(dataclasses.replace(spec, U=Ellipsoid(q, Q @ Q)), t, l)
+    assert bound >= rho - 1e-9 * max(1.0, abs(rho))
+
+
+def test_both_phases_build_one_block_and_one_row():
+    # the variables and the stacked block order the barrier solver sees: the
+    # log-det objective, the aircraft block's PSD blocks, then the rows
+    specA, specB, geom = quad_pair()
+    layouts = []
+
+    def recording_solve(prob, init):
+        layouts.append((tuple(prob.blocks), prob.stacked().names))
+        return solve(prob, init)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "solve", recording_solve)
+        scalarization_loop(specA, specB, geom, P3, method="norm")
+    assert layouts == [(("q", "Q", "lam", "s"), ("logdet(Q)", "containment", "spectral_epigraph",
+                                                 "Q_psd", "distance", "s_cap"))] * 2
 
 
 # ---------------------------------------------------------------- safe set
@@ -483,6 +550,12 @@ def test_loop_single_iteration_when_feasible():
                                                    method="norm", k0=1.0, shrink=0.8)
     assert k_used == 1.0
     assert len(diags) == 1 and diags[0]["outcome"] == "feasible"
+    # phase two carries the safe set it was solved against
+    safeB = safe_set(dataclasses.replace(specB, U=solB.control_set()), geom.tau, geom.d,
+                     geom.l_star, P3)
+    assert np.array_equal(solA.safe_set.center, safeB.center)
+    assert np.array_equal(solA.safe_set.shape, safeB.shape)
+    assert solB.safe_set is None
 
 
 def test_loop_shrinks_k_until_feasible():
