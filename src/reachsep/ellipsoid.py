@@ -66,7 +66,7 @@ class Ellipsoid:
     def boundary_points(self, n: int, rng=None) -> np.ndarray:
         """n boundary points c + M^(1/2) v with v uniform on the unit sphere:
         the rows of one (n, dim) standard normal draw, scaled to unit length.
-        montecarlo.sample_trajectories takes its draws in the same shape and
+        montecarlo.positions takes its draws in the same shape and
         order, so its samples get the same normals."""
         rng = np.random.default_rng(rng)
         v = rng.standard_normal((n, self.dim))

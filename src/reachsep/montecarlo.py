@@ -78,30 +78,30 @@ def _drawn_unit_columns(rng, out: np.ndarray, count: int):
         helper.join()
 
 
-def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
-                        P=None) -> np.ndarray:
-    """States, or their images under P, of n_samples extremal trajectories at
-    the (uniform) grid times.
+def positions(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0, P=None):
+    """Yields, at each (uniform) grid time in order, the (k, n_samples) states
+    of n_samples extremal trajectories, or their images under P, including
+    any nominal center offset; k = state_dim when P is None and P's row count
+    otherwise.
 
     Initial states are drawn on the boundary of the initial set; the control
-    is re-drawn on the boundary of the control set at every grid step.
-    Returns an array of shape (n_samples, len(t_grid), k) including any
-    nominal center offset, with k = state_dim when P is None and P's row
-    count otherwise.  It is a view of a coordinate-major (len(t_grid), k,
-    n_samples) buffer: each time's positions are one contiguous (k,
-    n_samples) slice, and the view's transpose(1, 2, 0) is that buffer.
-    With P, only the projected values are kept, and one step's full states
-    at a time.
+    is re-drawn on the boundary of the control set at every grid step.  The
+    yielded array is one of the generator's own buffers, overwritten by the
+    next step: read it, or copy it, before resuming, and never write into
+    it.  A bad spec or grid is rejected here, at the call, before any thread
+    starts.  Close the generator (contextlib.closing) when leaving it early:
+    closing joins the helper thread that draws the controls.
 
     Every array is coordinate-major, so each operation runs over whole rows
     of length n_samples.  The draws are those of Ellipsoid.boundary_points,
     an (n_samples, dim) standard normal block per set and step in the same
     generator order, so each sample gets the same normals for any layout.
-    The initial block is drawn here; the control blocks are drawn on a
-    helper thread while this one steps (_drawn_unit_columns).  A step is
-    X' = Ad X + Bd [W' c] [V; 1] for the control set's root W and center c;
-    a nonzero nominal offset is added before the projection.  Steps compute
-    in buffers allocated once per call.
+    The initial block is drawn on the calling thread; the control blocks are
+    drawn on a helper thread while this one steps (_drawn_unit_columns).  A
+    step is X' = Ad X + Bd [W' c] [V; 1] for the control set's root W and
+    center c; a nonzero nominal offset is added before the projection.  Steps
+    compute in buffers allocated once per call, the size of a few (n,
+    n_samples) arrays whatever the grid's length.
     """
     if spec.V is not None:
         raise ValueError("sampling is defined for the disturbance-free case")
@@ -109,32 +109,54 @@ def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
     dts = np.diff(t_grid)
     if not t_grid.size or t_grid[0] != 0.0 or (len(dts) and np.abs(dts - dts[0]).max() > 1e-9):
         raise ValueError("need a uniform time grid starting at 0")
+    return _steps(spec, t_grid, float(dts[0]) if len(dts) else None, n_samples, seed,
+                  None if P is None else np.asarray(P, dtype=float))
+
+
+def _steps(spec: ReachSpec, t_grid: np.ndarray, dt, N: int, seed: int, P):
+    """positions' generator, for a grid it has checked; dt is its step."""
     rng = np.random.default_rng(seed)
-    (n, m), N = (spec.system.state_dim, spec.system.input_dim), n_samples
-    P = None if P is None else np.asarray(P, dtype=float)
-    buf = np.empty((t_grid.shape[0], n if P is None else P.shape[0], N))
+    n, m = spec.system.state_dim, spec.system.input_dim
     norm, XA = np.empty(N), np.empty((n, N))  # XA: W0' V, Ad X, then X + offset
+    pos = None if P is None else np.empty((P.shape[0], N))
     X = _unit_columns(rng.standard_normal((N, n)), np.empty((n, N)), XA, norm)
     X = np.add(np.matmul(spec.X0.sqrt_shape().T, X, out=XA), spec.X0.center[:, None], out=X)
 
-    def keep(k):
+    def at(k):
         offset = spec.offset_at(t_grid[k])
         Y = np.add(X, offset[:, None], out=XA) if np.any(offset) else X
-        if P is None:
-            np.copyto(buf[k], Y)
-        else:
-            np.matmul(P, Y, out=buf[k])
+        return Y if P is None else np.matmul(P, Y, out=pos)
 
-    keep(0)
-    if len(dts):
-        Ad, Bd = discretize(spec.system, float(dts[0]))
-        BWc = Bd @ np.column_stack([spec.U.sqrt_shape().T, spec.U.center])
-        U = np.ones((m + 1, N))  # the unit columns V over a row of ones
-        with closing(_drawn_unit_columns(rng, U[:m], len(dts))) as columns:
-            for k, _ in enumerate(columns, 1):
-                np.matmul(Ad, X, out=XA)
-                # XA + BWc U with BWc U written over X: the sum of the
-                # allocating step, in its order
-                np.add(XA, np.matmul(BWc, U, out=X), out=X)
-                keep(k)
+    yield at(0)
+    if dt is None:
+        return
+    Ad, Bd = discretize(spec.system, dt)
+    BWc = Bd @ np.column_stack([spec.U.sqrt_shape().T, spec.U.center])
+    U = np.ones((m + 1, N))  # the unit columns V over a row of ones
+    with closing(_drawn_unit_columns(rng, U[:m], len(t_grid) - 1)) as columns:
+        for k, _ in enumerate(columns, 1):
+            np.matmul(Ad, X, out=XA)
+            # XA + BWc U with BWc U written over X: the sum of the
+            # allocating step, in its order
+            np.add(XA, np.matmul(BWc, U, out=X), out=X)
+            yield at(k)
+
+
+def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,
+                        P=None) -> np.ndarray:
+    """positions(spec, t_grid, n_samples, seed, P) collected: an array of
+    shape (n_samples, len(t_grid), k), bit for bit the yielded states.
+
+    It is a view of a coordinate-major (len(t_grid), k, n_samples) buffer,
+    8 len(t_grid) k n_samples bytes: each time's positions are one contiguous
+    (k, n_samples) slice, and the view's transpose(1, 2, 0) is that buffer.
+    A check that reads one time at a time should iterate positions instead
+    and keep no such buffer.
+    """
+    steps = positions(spec, t_grid, n_samples, seed, P)
+    k = spec.system.state_dim if P is None else np.shape(P)[0]
+    buf = np.empty((np.shape(t_grid)[0], k, n_samples))
+    with closing(steps):
+        for row, Y in zip(buf, steps):
+            np.copyto(row, Y)
     return buf.transpose(2, 0, 1)

@@ -16,11 +16,12 @@ the verification fails; the exit code carries the verdict:
 import dataclasses
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 
-from .montecarlo import sample_trajectories
+from .montecarlo import positions
 from .distance import separation, separations
 from .reachability import ReachSpec, disturbance_contribution, reach_tube
 from .scenario import (
@@ -41,6 +42,7 @@ from .synthesis import (
 )
 
 # not called here, but importable as pipeline.<name> for the perfbench trace
+from .montecarlo import sample_trajectories  # noqa: F401
 from .reachability import reach_support  # noqa: F401
 from .scenario import load_scenario  # noqa: F401
 from .synthesis import safe_set  # noqa: F401
@@ -86,6 +88,11 @@ def _slab_gap(l, pA, pB) -> float:
     return float((l @ pA).min() - (l @ pB).max())
 
 
+def _finite(values) -> bool:
+    """No value is NaN or infinite (true for no values)."""
+    return bool(np.isfinite(values).all())
+
+
 def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
                        tube_vals_A, tube_vals_B, seps, d: float, n_samples: int,
                        seed: int = 0) -> dict:
@@ -101,44 +108,50 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     reachable states, so slab_j >= g(l_j) = value_j up to quadrature error;
     certificate_ok is false when some time falls short by more than the
     1e-3 m tolerance pairwise_ok uses, and the time of the smallest
-    slab_j - value_j is reported with it.  Disturbance sets are dropped
-    while sampling; they are centered at the origin, so dropping one only
-    shrinks every support value, and the samples stay inside the disturbed
-    sets that value_j describes.  Positions stay in the sampler's
-    coordinate-major (T, k, n_samples) buffers, 8 T k n_samples bytes per
-    aircraft, and every time's check reads its contiguous (k, n_samples)
-    slices: one product dirs @ p per aircraft for the tubes, written into
-    one (D, n_samples) buffer for the whole check, and one l_j @ p per
-    aircraft for the slab.
+    slab_j - value_j is reported with it.  A NaN or infinite halfspace
+    violation, slab or excess fails its flag and is reported as None (the
+    excess with the first such time).  Disturbance sets are dropped while
+    sampling; they are centered at the origin, so dropping one only shrinks
+    every support value, and the samples stay inside the disturbed sets that
+    value_j describes.
+
+    Both aircraft are sampled in lockstep (montecarlo.positions), one grid
+    time at a time, so no (T, k, n_samples) position array is kept; each
+    time's check reads the two contiguous (k, n_samples) slices: one product
+    dirs @ p per aircraft for the tubes, written into one (D, n_samples)
+    buffer for the whole check, and one l_j @ p per aircraft for the slab.
+    On any exit both samplers are closed, which joins their helper threads.
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
-    # allocated before the samples: peak RSS follows glibc's heap layout, and
-    # in this order quad_pair's peak read ~0.5 MB lower (2-core Linux host)
     heights = np.empty((dirs.shape[0], n_samples))
-    posA, posB = (sample_trajectories(base, t_grid, n_samples, seed=seed + j, P=P)
-                  .transpose(1, 2, 0) for j, base in enumerate((base_A, base_B)))
-    worst_violation, min_slab, min_excess, excess_time = -np.inf, np.inf, np.inf, None
-    for t, pA, pB, vals_A, vals_B, sep in zip(t_grid, posA, posB, tube_vals_A, tube_vals_B, seps):
-        if dirs.shape[0]:
-            for p, vals in ((pA, vals_A), (pB, vals_B)):
-                # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
-                violation = float((np.matmul(dirs, p, out=heights).max(axis=1) - vals).max())
-                worst_violation = max(worst_violation, violation)
-        slab = _slab_gap(sep.direction, pA, pB)
-        min_slab = min(min_slab, slab)
-        if slab - sep.value < min_excess:
-            min_excess, excess_time = slab - sep.value, float(t)
+    violations, slabs, excess = [], [], []
+    with closing(positions(base_A, t_grid, n_samples, seed, P)) as posA, \
+            closing(positions(base_B, t_grid, n_samples, seed + 1, P)) as posB:
+        for pA, pB, vals_A, vals_B, sep in zip(posA, posB, tube_vals_A, tube_vals_B, seps):
+            if dirs.shape[0]:
+                for p, vals in ((pA, vals_A), (pB, vals_B)):
+                    # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
+                    violations.append(
+                        float((np.matmul(dirs, p, out=heights).max(axis=1) - vals).max()))
+            slabs.append(_slab_gap(sep.direction, pA, pB))
+            excess.append(slabs[-1] - sep.value)
+    # the first time that is not finite, else the first smallest excess
+    j = next((j for j, e in enumerate(excess) if not np.isfinite(e)),
+             int(np.argmin(excess)) if excess else None)
+    worst = max(violations, default=None) if _finite(violations) else None
+    min_slab = min(slabs, default=None) if _finite(slabs) else None
+    min_excess = excess[j] if _finite(excess) and excess else None
     return {
         "samples_per_aircraft": n_samples,
         "seed": seed,
-        "worst_halfspace_violation": worst_violation if np.isfinite(worst_violation) else None,
+        "worst_halfspace_violation": worst,
         "min_slab_gap_m": min_slab,
         "min_certificate_excess_m": min_excess,
-        "certificate_excess_time_s": excess_time,
-        "tube_ok": (not np.isfinite(worst_violation)) or worst_violation <= 1e-6,
-        "pairwise_ok": min_slab >= d - 1e-3,
-        "certificate_ok": min_excess >= -1e-3,
+        "certificate_excess_time_s": None if j is None else float(t_grid[j]),
+        "tube_ok": _finite(violations) and (worst is None or worst <= 1e-6),
+        "pairwise_ok": _finite(slabs) and (min_slab is None or min_slab >= d - 1e-3),
+        "certificate_ok": _finite(excess) and (min_excess is None or min_excess >= -1e-3),
     }
 
 
@@ -279,7 +292,8 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
         mc = verify_monte_carlo(shrunkA, shrunkB, P, t_grid, dirs, tubes["A"].support_values,
                                 tubes["B"].support_values, seps, scenario.d, n_mc, seed=seed)
         _write_json(out / "mc.json", mc)
-        print(f"monte carlo: min slab gap {mc['min_slab_gap_m']:.4f} m, "
+        gap = mc["min_slab_gap_m"]
+        print(f"monte carlo: min slab gap {'not finite' if gap is None else f'{gap:.4f} m'}, "
               f"tube ok {mc['tube_ok']}, pairwise ok {mc['pairwise_ok']}, "
               f"certificate ok {mc['certificate_ok']}")
         safe = safe and mc["tube_ok"] and mc["pairwise_ok"] and mc["certificate_ok"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -277,19 +278,69 @@ def test_monte_carlo_falsifies_a_raised_certificate(mc_check):
     assert verify_monte_carlo(*mc_check, 500)["certificate_ok"]
 
 
-def test_monte_carlo_keeps_no_full_state_array(mc_check):
-    # projected positions only: the check's allocation peak stays below one
-    # aircraft's (n_samples, T, n) state array
-    n_samples, t_grid = 500, mc_check[3]
+def monte_carlo_peak(mc_check, n_samples) -> int:
+    """verify_monte_carlo's tracemalloc allocation peak, in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         verify_monte_carlo(*mc_check, n_samples)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < n_samples * t_grid.shape[0] * mc_check[0].system.state_dim * 8
+
+
+def test_monte_carlo_keeps_no_full_state_array(mc_check):
+    # projected positions only: the check's allocation peak stays below one
+    # aircraft's (n_samples, T, n) state array
+    n_samples, t_grid = 500, mc_check[3]
+    assert (monte_carlo_peak(mc_check, n_samples)
+            < n_samples * t_grid.shape[0] * mc_check[0].system.state_dim * 8)
+
+
+def test_monte_carlo_peak_stays_below_a_position_buffer(mc_check):
+    # both aircraft are sampled in lockstep and no (T, k, N) position array
+    # is kept: at the benchmark's sample count the peak read 8.8-9.5 MB,
+    # where the two 9.84 MB position arrays kept before put it at 25.1-25.8 MB
+    assert monte_carlo_peak(mc_check, 10_000) < 12e6
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_monte_carlo_fails_on_a_non_finite_tube_value(mc_check, value):
+    # one support value at one time makes that time's violation NaN or +inf
+    vals_A = mc_check[5].copy()
+    vals_A[9, 4] = value
+    mc = verify_monte_carlo(*mc_check[:5], vals_A, *mc_check[6:], 500)
+    assert not mc["tube_ok"] and mc["worst_halfspace_violation"] is None
+    assert mc["pairwise_ok"] and mc["certificate_ok"]
+    json.dumps(mc, allow_nan=False)
+
+
+def test_monte_carlo_fails_on_nan_directions(mc_check):
+    # every slab and excess is NaN: no flag passes on them, and the first
+    # grid time is reported with a null excess
+    seps = [dataclasses.replace(sep, direction=np.full_like(sep.direction, np.nan))
+            for sep in mc_check[7]]
+    mc = verify_monte_carlo(*mc_check[:7], seps, *mc_check[8:], 500)
+    assert mc["tube_ok"]
+    assert not mc["pairwise_ok"] and not mc["certificate_ok"]
+    assert mc["min_slab_gap_m"] is None and mc["min_certificate_excess_m"] is None
+    assert mc["certificate_excess_time_s"] == 0.0
+    json.dumps(mc, allow_nan=False)
+
+
+@pytest.mark.parametrize("j", [0, 1, 20])
+def test_monte_carlo_check_failure_is_raised_and_joins_the_samplers(mc_check, j):
+    # a direction of the wrong length at grid time j fails its slab product;
+    # the kept traceback holds the check's frame, so its samplers are not
+    # collected, and only closing them joins their helpers
+    seps = list(mc_check[7])
+    seps[j] = dataclasses.replace(seps[j], direction=seps[j].direction[:2])
+    before = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        verify_monte_carlo(*mc_check[:7], seps, *mc_check[8:], 500)
+    assert threading.active_count() == before
+    assert raised.traceback
 
 
 def test_plots_written(quad_run):

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from reachsep.dynamics import (
     quadrotor_linearized,
 )
 from reachsep.ellipsoid import Ellipsoid, support
-from reachsep.montecarlo import discretize, sample_trajectories
+from reachsep.montecarlo import discretize, positions, sample_trajectories
 from reachsep.pipeline import plane_directions
 from reachsep.distance import (
     GAP_REL,
@@ -180,6 +181,12 @@ def same_array_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def stacked_positions(spec, t_grid, n_samples, seed=0, P=None):
+    """positions' yields, each copied before the next step, as (N, T, k)."""
+    steps = [Y.copy() for Y in positions(spec, t_grid, n_samples, seed, P)]
+    return np.stack(steps).transpose(2, 0, 1)
+
+
 def random_sampling_spec(m):
     # random dynamics, a singular initial set and an offset control set
     rng = np.random.default_rng(m)
@@ -204,8 +211,9 @@ def test_sampler_equals_allocating_reference(m, projected):
     spec, P = random_sampling_spec(m)
     P = P if projected else None
     for t_grid in (np.linspace(0.0, 2.0, 21), np.zeros(1)):
-        assert same_array_bits(sample_trajectories(spec, t_grid, 700, seed=m, P=P),
-                               reference_samples(spec, t_grid, 700, seed=m, P=P))
+        samples = sample_trajectories(spec, t_grid, 700, seed=m, P=P)
+        assert same_array_bits(samples, reference_samples(spec, t_grid, 700, seed=m, P=P))
+        assert same_array_bits(samples, stacked_positions(spec, t_grid, 700, seed=m, P=P))
 
 
 @pytest.mark.parametrize("case", ["m1", "m2", "m3", "m4", "quadrotor_pair", "fixedwing_pair"])
@@ -229,8 +237,9 @@ def test_bundled_samples_equal_allocating_reference(name):
     # fixed-wing adds a nominal center offset
     spec, t_grid, P = bundled_sampling_spec(name)
     for proj in (None, P):
-        assert same_array_bits(sample_trajectories(spec, t_grid, 1000, seed=3, P=proj),
-                               reference_samples(spec, t_grid, 1000, seed=3, P=proj))
+        samples = sample_trajectories(spec, t_grid, 1000, seed=3, P=proj)
+        assert same_array_bits(samples, reference_samples(spec, t_grid, 1000, seed=3, P=proj))
+        assert same_array_bits(samples, stacked_positions(spec, t_grid, 1000, seed=3, P=proj))
 
 
 class DrawFailed(Exception):
@@ -291,20 +300,41 @@ def test_sampler_rejects_a_grid_that_is_not_uniform_from_zero(t_grid):
     spec, _ = random_sampling_spec(1)
     with pytest.raises(ValueError, match="uniform time grid starting at 0"):
         sample_trajectories(spec, t_grid, 10)
+    # at the call, before the generator is started
+    with pytest.raises(ValueError, match="uniform time grid starting at 0"):
+        positions(spec, t_grid, 10)
+
+
+@pytest.mark.parametrize("taken", [0, 1, 2, 7])
+def test_positions_closed_early_joins_the_helper(taken):
+    spec, P = random_sampling_spec(2)
+    t_grid = np.linspace(0.0, 2.0, 21)
+    ref = reference_samples(spec, t_grid, 300, seed=4, P=P)
+    before = threading.active_count()
+    steps = positions(spec, t_grid, 300, seed=4, P=P)
+    for k, Y in zip(range(taken), steps):
+        assert same_array_bits(Y, ref[:, k].T)
+    steps.close()
+    assert threading.active_count() == before
 
 
 def test_concurrent_samplers_keep_their_streams():
     # more callers than cores, each with its own helper, and a short switch
     # interval: a slot handed over before it is filled or read, or a block
-    # drawn out of order, changes the samples' bits
+    # drawn out of order, changes the samples' bits.  Each caller also steps
+    # two samplers in lockstep, as the Monte Carlo check does.
     spec, P = random_sampling_spec(3)
     t_grid = np.linspace(0.0, 2.0, 41)
-    refs = [reference_samples(spec, t_grid, 200, seed=s, P=P) for s in range(6)]
-    results = {}
+    refs = [reference_samples(spec, t_grid, 200, seed=s, P=P) for s in range(7)]
+    results, lockstep = {}, {}
 
     def caller(s):
         for _ in range(5):
             results.setdefault(s, []).append(sample_trajectories(spec, t_grid, 200, seed=s, P=P))
+        with closing(positions(spec, t_grid, 200, s, P)) as a, \
+                closing(positions(spec, t_grid, 200, s + 1, P)) as b:
+            steps = [(A.copy(), B.copy()) for A, B in zip(a, b)]
+        lockstep[s] = [np.stack(c).transpose(2, 0, 1) for c in zip(*steps)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -317,9 +347,11 @@ def test_concurrent_samplers_keep_their_streams():
     finally:
         sys.setswitchinterval(interval)
     assert not any(c.is_alive() for c in callers)
-    for s, ref in enumerate(refs):
+    for s, ref in enumerate(refs[:6]):
         assert len(results[s]) == 5
         assert all(same_array_bits(r, ref) for r in results[s])
+        assert same_array_bits(lockstep[s][0], ref)
+        assert same_array_bits(lockstep[s][1], refs[s + 1])
 
 
 def test_support_sublinear_in_direction():
