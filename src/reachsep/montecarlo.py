@@ -6,7 +6,6 @@ so every sample is a genuinely reachable state: if one ever leaves a reported
 tube (beyond tolerance), the tube is wrong.
 """
 
-import threading
 from contextlib import closing
 
 import numpy as np
@@ -35,49 +34,6 @@ def _unit_columns(draws: np.ndarray, out: np.ndarray, sq: np.ndarray,
     return np.divide(out, np.sqrt(norm, out=norm), out=out)
 
 
-def _drawn_unit_columns(rng, out: np.ndarray, count: int):
-    """Refills out (dim, N) with the unit columns of count (N, dim) standard
-    normal blocks, yielding it after each.
-
-    A helper thread is the only user of rng: it draws the blocks in
-    generator order into a ring of two while the caller steps with the
-    previous columns (standard_normal releases the GIL).  Two semaphores pass
-    the slots between the threads.  A failed draw is raised here, and
-    closing the generator, on any exit, stops and joins the helper.
-    """
-    dim, N = out.shape
-    ring, sq, norm = np.empty((2, N, dim)), np.empty((dim, N)), np.empty(N)
-    free, full = threading.Semaphore(2), threading.Semaphore(0)
-    stop, failure = threading.Event(), []
-
-    def draw():
-        try:
-            for i in range(count):
-                free.acquire()
-                if stop.is_set():
-                    return
-                rng.standard_normal((N, dim), out=ring[i % 2])
-                full.release()
-        except BaseException as exc:  # handed to the caller, which raises it
-            failure.append(exc)
-            full.release()
-
-    helper = threading.Thread(target=draw, name="montecarlo-normals")
-    helper.start()
-    try:
-        for i in range(count):
-            full.acquire()
-            if failure:
-                raise failure[0]
-            _unit_columns(ring[i % 2], out, sq, norm)
-            free.release()
-            yield out
-    finally:
-        stop.set()
-        free.release()
-        helper.join()
-
-
 def positions(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0, P=None):
     """Yields, at each (uniform) grid time in order, the (k, n_samples) states
     of n_samples extremal trajectories, or their images under P, including
@@ -90,14 +46,16 @@ def positions(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0, P=None):
     next step: read it, or copy it, before resuming, and never write into
     it.  A bad spec or grid is rejected here, at the call, before any thread
     starts.  Close the generator (contextlib.closing) when leaving it early:
-    closing joins the helper thread that draws the controls.
+    closing joins the worker thread that draws the controls.
 
     Every array is coordinate-major, so each operation runs over whole rows
     of length n_samples.  The draws are those of Ellipsoid.boundary_points,
     an (n_samples, dim) standard normal block per set and step in the same
     generator order, so each sample gets the same normals for any layout.
-    The initial block is drawn on the calling thread; the control blocks are
-    drawn on a helper thread while this one steps (_drawn_unit_columns).  A
+    The initial block is drawn on the calling thread.  The control blocks
+    are drawn, in order and up to two ahead, by a one-worker thread pool, the
+    seeded generator's only user from then on, while this thread steps
+    (standard_normal releases the GIL); a failed draw is raised here.  A
     step is X' = Ad X + Bd [W' c] [V; 1] for the control set's root W and
     center c; a nonzero nominal offset is added before the projection.  Steps
     compute in buffers allocated once per call, the size of a few (n,
@@ -118,6 +76,10 @@ def _steps(spec: ReachSpec, t_grid: np.ndarray, dt, N: int, seed: int, P):
     rng = np.random.default_rng(seed)
     n, m = spec.system.state_dim, spec.system.input_dim
     norm, XA = np.empty(N), np.empty((n, N))  # XA: W0' V, Ad X, then X + offset
+    # ring and sq hold the control draws; allocated on the first step instead,
+    # the bundled quadrotor check's peak RSS swung by 2.4 MB with the name of
+    # the checkout's directory (heap layout)
+    ring, sq = np.empty((2, N, m)), np.empty((m, N))
     pos = None if P is None else np.empty((P.shape[0], N))
     X = _unit_columns(rng.standard_normal((N, n)), np.empty((n, N)), XA, norm)
     X = np.add(np.matmul(spec.X0.sqrt_shape().T, X, out=XA), spec.X0.center[:, None], out=X)
@@ -133,13 +95,26 @@ def _steps(spec: ReachSpec, t_grid: np.ndarray, dt, N: int, seed: int, P):
     Ad, Bd = discretize(spec.system, dt)
     BWc = Bd @ np.column_stack([spec.U.sqrt_shape().T, spec.U.center])
     U = np.ones((m + 1, N))  # the unit columns V over a row of ones
-    with closing(_drawn_unit_columns(rng, U[:m], len(t_grid) - 1)) as columns:
-        for k, _ in enumerate(columns, 1):
+    # imported here, on the first step: concurrent.futures imports logging,
+    # which every import of the pipeline would otherwise pay for; imported
+    # before the buffers above, it read about 1 MB more peak RSS on that check
+    from concurrent.futures import ThreadPoolExecutor
+
+    count = len(t_grid) - 1
+    with ThreadPoolExecutor(1, thread_name_prefix="montecarlo-normals") as pool:
+        def draw(b):
+            return pool.submit(rng.standard_normal, (N, m), out=ring[b % 2])
+
+        draws = [draw(b) for b in range(min(2, count))]
+        for b in range(count):
+            _unit_columns(draws[b % 2].result(), U[:m], sq, norm)
+            if b + 2 < count:
+                draws[b % 2] = draw(b + 2)
             np.matmul(Ad, X, out=XA)
             # XA + BWc U with BWc U written over X: the sum of the
             # allocating step, in its order
             np.add(XA, np.matmul(BWc, U, out=X), out=X)
-            yield at(k)
+            yield at(b + 1)
 
 
 def sample_trajectories(spec: ReachSpec, t_grid, n_samples: int, seed: int = 0,

@@ -120,7 +120,8 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     time's check reads the two contiguous (k, n_samples) slices: one product
     dirs @ p per aircraft for the tubes, written into one (D, n_samples)
     buffer for the whole check, and one l_j @ p per aircraft for the slab.
-    On any exit both samplers are closed, which joins their helper threads.
+    On any exit both samplers are closed, which joins the worker thread
+    each draws its controls on; a failed draw is raised here.
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
@@ -197,7 +198,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     })
     specA = build_spec(scenario, 0)
     specB = build_spec(scenario, 1)
-    t_grid = np.arange(0.0, scenario.horizon + 1e-9, scenario.grid_step)
+    t_grid = nomA.times  # the output grid: whole steps from 0 to the horizon
     dirs = plane_directions(scenario, pos_dim)
     state_dirs = dirs @ P
     if dirs.shape[0] == 0:

@@ -220,7 +220,7 @@ class AircraftBlock:
 
 
 def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
-                 k: float, margin: float = 0.0, aircraft: str = "B") -> SynthesisSolution:
+                 k: float, margin: float = 0.0) -> SynthesisSolution:
     """Phase one with the control set restricted to r * (original), r in [0, 1].
 
     Solved in closed form.  With q = c_U + W qt and b~ = W b, the control set
@@ -236,7 +236,7 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     m = U_B.dim
     W = _control_whitening(U_B)[0]
     bW = W @ consts.b
-    row = distance_row(consts, float(geom.l_star @ geom.c_A_tau), U_B, margin, aircraft)
+    row = distance_row(consts, float(geom.l_star @ geom.c_A_tau), U_B, margin, "B")
     beta = float(np.linalg.norm(bW))
     slack = row.const - row.bound + beta  # distance slack at r = 0
     if slack <= 0.0:
@@ -247,7 +247,7 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     distance = row.const - float(bW @ qt) - r * consts.gamma_U
     objective = distance + (k * m * np.log(r) if k > 0.0 else 0.0)
     return SynthesisSolution(
-        aircraft, U_B.center + W @ qt, r * W, r, k, objective, distance,
+        "B", U_B.center + W @ qt, r * W, r, k, objective, distance,
         0.0, "optimal", 0, None, (), r=r)
 
 
@@ -307,9 +307,9 @@ def _norm_program(row: DistanceRow, U: Ellipsoid, k: float, w_dist: float) -> Sy
 
 
 def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
-                      k: float, margin: float = 0.0, aircraft: str = "B") -> SynthesisSolution:
+                      k: float, margin: float = 0.0) -> SynthesisSolution:
     """Phase one with the control-authority term bounded through ||Q||_2."""
-    row = distance_row(consts, float(geom.l_star @ geom.c_A_tau), U_B, margin, aircraft)
+    row = distance_row(consts, float(geom.l_star @ geom.c_A_tau), U_B, margin, "B")
     return _norm_program(row, U_B, k, 1.0)
 
 
@@ -350,7 +350,7 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
 
 
 def solve_part2(specA: ReachSpec, safeB: Ellipsoid, geom: EncounterGeometry,
-                U_A: Ellipsoid, P, margin: float = 0.0) -> SynthesisSolution:
+                P, margin: float = 0.0) -> SynthesisSolution:
     """Phase two: the largest control set for A that avoids B's safe set.
 
     Maximizes log det Q subject to the containment LMI in A's original
@@ -359,8 +359,8 @@ def solve_part2(specA: ReachSpec, safeB: Ellipsoid, geom: EncounterGeometry,
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     consts = part1_constants(specA, geom, l=-geom.l_star)
-    row = distance_row(consts, -support(safeB, P @ geom.l_star)[0], U_A, margin, "A")
-    return replace(_norm_program(row, U_A, 1.0, 0.0), safe_set=safeB)
+    row = distance_row(consts, -support(safeB, P @ geom.l_star)[0], specA.U, margin, "A")
+    return replace(_norm_program(row, specA.U, 1.0, 0.0), safe_set=safeB)
 
 
 def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeometry,
@@ -390,7 +390,7 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         safeB = safe_set(replace(specB, U=solB.control_set()), geom.tau, geom.d,
                          geom.l_star, P)
         try:
-            solA = solve_part2(specA, safeB, geom, specA.U, P, margin=margin2)
+            solA = solve_part2(specA, safeB, geom, P, margin=margin2)
         except InfeasibleProblemError as exc:
             diagnostics.append({
                 "k": k, "outcome": f"phase two infeasible: {exc.constraint}",

@@ -184,6 +184,16 @@ def test_verification_artifact(quad_run):
     assert -1e-12 <= ver["max_duality_gap_m"] <= SEP_TOL
 
 
+def test_grid_ends_at_the_horizon(tmp_path):
+    # 0.3 s does not divide the 10 s horizon: the grid takes 34 whole steps
+    # of 10/34 s, so tau = 10 s, the instant synthesis constrains, is verified
+    assert run(builtin_scenario_path("fixedwing_pair"), tmp_path, {**FAST, "grid_step": 0.3}) == 0
+    ver = json.loads((tmp_path / "verification.json").read_text())
+    rows = (tmp_path / "separation.csv").read_text().splitlines()[1:]
+    assert ver["grid_times"] == len(rows) == 35
+    assert float(rows[-1].split(",")[0]) == 10.0
+
+
 def test_iteration_cap_recorded_as_uncertified(quad_run, tmp_path, monkeypatch, capsys):
     # with no steps allowed every grid time returns its first lower bound,
     # uncertified; a lower bound alone cannot verify the run
@@ -751,6 +761,19 @@ def test_run_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "mc.json").exists()
     assert (tmp_path / "out" / "separation.svg").exists()
+
+
+def test_pipeline_import_loads_no_thread_pool():
+    # the sampler imports concurrent.futures, and with it logging, only when
+    # it steps: runs that never sample do not pay for them at import
+    src = Path(reachsep.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import reachsep.pipeline\n"
+            "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def cloud(rng, n, k, center, radius):

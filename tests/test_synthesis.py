@@ -522,7 +522,7 @@ def test_part2_far_safe_set_keeps_full_authority():
     # the spectral bound charges the full torque sensitivity to every axis
     specA, specB, geom = quad_pair()
     far = Ellipsoid.ball([0.0, -20000.0, 0.0], 1.0)
-    sol = solve_part2(specA, far, geom, specA.U, P3)
+    sol = solve_part2(specA, far, geom, P3)
     W = specA.U.sqrt_shape()
     assert np.allclose(sol.Q, W, atol=1e-3 * np.abs(W).max())
     assert np.linalg.norm(sol.q - specA.U.center) <= 1e-4
@@ -534,7 +534,7 @@ def test_part2_certifies_tau_separation():
     solB = solve_matrix_norm(c, geom, specB.U, 1.0, margin=0.5)
     shrunkB = dataclasses.replace(specB, U=solB.control_set())
     sB = safe_set(shrunkB, geom.tau, geom.d, geom.l_star, P3)
-    solA = solve_part2(specA, sB, geom, specA.U, P3)
+    solA = solve_part2(specA, sB, geom, P3)
     shrunkA = dataclasses.replace(specA, U=solA.control_set())
     lo_A = -reach_support(shrunkA, geom.tau, -geom.l_star)
     hi_B = reach_support(shrunkB, geom.tau, geom.l_star)
