@@ -3,8 +3,9 @@
 Handles exactly the problem class the control-set synthesis needs: maximize a
 concave objective (linear terms plus coefficient * log det of a variable
 block) subject to affine symmetric-matrix expressions required PSD and affine
-scalar inequalities.  Decision variables are named blocks: vectors, symmetric
-matrices (parameterized by their upper triangle) and scalars.
+scalar inequalities, each a 1x1 such expression.  Decision variables are named
+blocks: vectors, symmetric matrices (parameterized by their upper triangle)
+and scalars.
 
 The solver follows the central path of
 
@@ -140,13 +141,6 @@ class AffineMatrixExpr:
         return self._add_stack(block, row0, col0, C)
 
 
-@dataclass
-class ScalarAffineExpr:
-    name: str
-    a: np.ndarray
-    b: float
-
-
 class BarrierProblem:
     """Concave maximization over named blocks with PSD and scalar constraints."""
 
@@ -157,7 +151,7 @@ class BarrierProblem:
         self.obj_const = 0.0
         self.logdets: list[tuple[AffineMatrixExpr, float]] = []
         self.psd: list[AffineMatrixExpr] = []
-        self.scalars: list[ScalarAffineExpr] = []
+        self.scalars: list[AffineMatrixExpr] = []  # 1x1 blocks
 
     # ------------------------------------------------------------ variables
 
@@ -194,6 +188,8 @@ class BarrierProblem:
 
     def add_logdet_objective(self, block: VarBlock, k: float):
         """Adds k * log det(block); for a scalar block this is k * log(value)."""
+        if block.kind == "vector":
+            raise ValueError(f"log det of vector block {block.name!r} is not defined")
         if k < 0.0:
             raise ValueError("log det coefficient must be nonnegative")
         if k == 0.0:
@@ -214,11 +210,13 @@ class BarrierProblem:
         return expr
 
     def add_scalar_constraint(self, name: str, coeffs: dict, const: float):
-        """coeffs maps VarBlock -> coefficient array; expression must be >= 0."""
-        a = np.zeros(self.total_dim)
+        """const + sum <coeffs[block], block> >= 0, as a 1x1 block; coeffs maps
+        VarBlock -> coefficient array."""
+        row = AffineMatrixExpr(self, 1, name)
+        row.F0[0, 0] = const
         for blk, c in coeffs.items():
-            a[blk.offset:blk.offset + blk.dim] = np.atleast_1d(np.asarray(c, dtype=float))
-        self.scalars.append(ScalarAffineExpr(name, a, float(const)))
+            row.F[blk.offset:blk.offset + blk.dim, 0, 0] = np.atleast_1d(c)
+        self.scalars.append(row)
 
     # ------------------------------------------------------------ packing
 
@@ -253,24 +251,19 @@ class BarrierProblem:
         Built from the problem as it stands, so a constraint added later needs
         a new one; solve builds it once per call.
         """
-        exprs = [e for e, _ in self.logdets] + self.psd
-        dims = [e.dim for e in exprs] + [1] * len(self.scalars)
-        starts = np.cumsum([0] + dims)
+        exprs = [e for e, _ in self.logdets] + self.psd + self.scalars
+        starts = np.cumsum([0] + [e.dim for e in exprs])
         n, D = int(starts[-1]), self.total_dim
         F0, F = np.zeros((n, n)), np.zeros((D, n, n))
         for expr, a, b in zip(exprs, starts, starts[1:]):
             F0[a:b, a:b] = expr.F0
             F[:, a:b, a:b] = expr.F
-        for s, j in zip(self.scalars, starts[len(exprs):]):
-            F0[j, j] = s.b
-            F[:, j, j] = s.a
         n_obj = int(starts[len(self.logdets)])
         k = np.zeros(n)
         for (_, kc), a, b in zip(self.logdets, starts, starts[1:]):
             k[a:b] = kc
-        names = tuple(e.name for e in exprs) + tuple(s.name for s in self.scalars)
-        return StackedBarrier(F0, F, k, n_obj, names, tuple(starts), self.linear.copy(),
-                              self.obj_const, D)
+        return StackedBarrier(F0, F, k, n_obj, tuple(e.name for e in exprs), tuple(starts),
+                              self.linear.copy(), self.obj_const, D)
 
 
 @dataclass(frozen=True)

@@ -224,11 +224,8 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
     # disturbances are handled as extra required separation, not in synthesis
     synA = build_spec(scenario, 0, with_disturbance=False)
     synB = build_spec(scenario, 1, with_disturbance=False)
-    d_eff = scenario.d
-    if specA.V is not None:
-        d_eff += disturbance_contribution(specA, geom.tau, -geom.l_star)
-    if specB.V is not None:
-        d_eff += disturbance_contribution(specB, geom.tau, geom.l_star)
+    d_eff = (scenario.d + disturbance_contribution(specA, geom.tau, -geom.l_star)
+             + disturbance_contribution(specB, geom.tau, geom.l_star))
     geom_eff = EncounterGeometry(geom.tau, geom.l_star, d_eff, geom.c_A_tau)
 
     try:

@@ -172,7 +172,6 @@ def emit_plots(out_dir) -> list:
 
     # control-set ellipses in the configured control plane
     cp = tuple(scenario["control_plane"])
-    c = None
     groups = []
     for name in ("A", "B"):
         ac = solution["aircraft"][name]

@@ -16,6 +16,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from sys import float_info
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from .dynamics import (
     LTISystem,
     NominalTrajectory,
     QuadrotorParams,
+    expm,
     fixedwing_linearized,
     quadrotor_linearized,
 )
@@ -47,13 +49,15 @@ _REQUIRED = object()
 # bound on every nominal position coordinate over the horizon: squares and
 # sums of squares of center gaps then stay far inside the float range
 _REACH_M = 1e150
-# bound on every set radius, and floor on the quadrotor's mass and inertia
-# entries: over a horizon of seconds a set's spread (a radius, times a gain
-# of at most 1 / _MASS_MIN, times powers of time) stays near 1e62 or below,
-# so the polytope's plane normals, whose squares are fourth powers of the
-# spread, stay inside the float range
+# bound on every set radius and params number, and floor on the quadrotor's
+# mass, inertia entries and gravity and on the fixed-wing trim airspeed: a
+# set's spread (a radius, times a gain of at most 1 / _MASS_MIN, times the
+# linearized model's growth over the horizon, at most _GROWTH_MAX) stays near
+# 1e72 or below, so the polytope's plane normals, whose squares are fourth
+# powers of the spread, stay inside the float range
 _RADIUS_MAX = 1e30
 _MASS_MIN = 1e-30
+_GROWTH_MAX = 1e12  # on max |e^(A horizon)|
 _CONTROL_MIN = 1e-30  # floor on every control radius: its square must stay positive
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}
@@ -92,9 +96,9 @@ def _vec(d: dict, key: str, n: int, where: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _check_radius(largest: float, key: str, where: str) -> None:
+def _check_magnitude(largest: float, key: str, where: str) -> None:
     """A ScenarioError naming the field when the largest magnitude of its
-    set radii exceeds _RADIUS_MAX."""
+    set radii or params numbers exceeds _RADIUS_MAX."""
     if not largest <= _RADIUS_MAX:
         raise ScenarioError(f"field '{where}.{key}' must be at most {_RADIUS_MAX:g} "
                             "in magnitude")
@@ -102,7 +106,7 @@ def _check_radius(largest: float, key: str, where: str) -> None:
 
 def _radius(d: dict, key: str, where: str, default=_REQUIRED, least: float = 0.0) -> float:
     r = _need(d, key, float, where, default)
-    _check_radius(abs(r), key, where)
+    _check_magnitude(abs(r), key, where)
     if not abs(r) >= least:
         raise ScenarioError(f"field '{where}.{key}' must be at least {least:g} in magnitude")
     return r
@@ -260,7 +264,8 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         dist = _need(entry, "disturbance_set", dict, where, None)
         if dist is not None:
             dist = _vec(dist, "state_rate_radii", dims.state, f"{where}.disturbance_set")
-            _check_radius(float(np.abs(dist).max()), "state_rate_radii", f"{where}.disturbance_set")
+            _check_magnitude(float(np.abs(dist).max()), "state_rate_radii",
+                             f"{where}.disturbance_set")
         crafts.append(AircraftConfig(ident, position, velocity, params, iset, cset, dist))
     scenario = Scenario(**got, aircraft=(crafts[0], crafts[1]))
     scenario.specs  # the vehicle-specific blocks are validated by building the specs
@@ -296,39 +301,73 @@ def position_projection(scenario: Scenario) -> np.ndarray:
 def _linearize(scenario: Scenario, i: int) -> LTISystem:
     """World-frame LTI model for aircraft i (read it from Scenario.specs).
 
-    A fixed-wing craft cruising in -x is conjugated by the axis flip
-    S = diag(-1, 1, -1, 1, 1, 1), which leaves the vertical dynamics intact
-    while aligning the model's position coordinates with the world frame.
+    Every params number is range-checked by _param, and the model may grow
+    by at most _GROWTH_MAX over the horizon.  Past that, the error names the
+    params field that, set to zero, brings the growth within the bound (the
+    largest in magnitude if several do).  A fixed-wing craft cruising in -x
+    is conjugated by the axis flip S = diag(-1, 1, -1, 1, 1, 1), which leaves
+    the vertical dynamics intact while aligning the model's position
+    coordinates with the world frame.
     """
     ac = scenario.aircraft[i]
     where = f"aircraft[{i}].params"
     if scenario.vehicle == "quadrotor":
-        m = _need(ac.params, "mass_kg", float, where)
-        Jd = _vec(ac.params, "inertia_diag_kgm2", 3, where)
-        for key, v in (("mass_kg", m), ("inertia_diag_kgm2", Jd.min())):
-            if not v >= _MASS_MIN:
-                raise ScenarioError(f"field '{where}.{key}' must be at least {_MASS_MIN:g}")
-        g = _need(ac.params, "gravity_mps2", float, where)
-        try:
-            return quadrotor_linearized(QuadrotorParams(m=m, J=np.diag(Jd), g=g))
-        except ValueError as exc:
-            raise ScenarioError(f"field '{where}': {exc}") from exc
-    keys = ["X_u", "X_w", "X_q", "Z_u", "Z_w", "Z_q", "M_u", "M_w", "M_q",
-            "X_de", "X_dt", "Z_de", "M_de"]
-    vals = {k: _need(ac.params, k, float, where) for k in keys}
-    try:
-        p = FixedWingParams(
-            u_star=_need(ac.params, "airspeed_trim_mps", float, where),
-            theta_star=_need(ac.params, "pitch_trim_rad", float, where, 0.0),
-            w_star=_need(ac.params, "heave_trim_mps", float, where, 0.0),
-            g=_need(ac.params, "gravity_mps2", float, where),
-            **vals)
-    except ValueError as exc:
-        raise ScenarioError(f"field '{where}': {exc}") from exc
-    sys = fixedwing_linearized(p)
-    if ac.velocity[0] < 0.0:
+        vals = {"m": _param(ac.params, "mass_kg", where, least=_MASS_MIN),
+                "J": np.diag(_param(ac.params, "inertia_diag_kgm2", where, least=_MASS_MIN, n=3)),
+                "g": _param(ac.params, "gravity_mps2", where, least=_MASS_MIN)}
+        fields, model = {"gravity_mps2": "g"}, quadrotor_linearized  # the one params entry of A
+        sys = model(QuadrotorParams(**vals))
+    else:
+        vals = {attr: _param(ac.params, key, where, default, least)
+                for key, (attr, default, least) in _FIXEDWING_PARAMS.items()}
+        fields = {key: attr for key, (attr, *_) in _FIXEDWING_PARAMS.items()}
+        model = fixedwing_linearized
+        sys = model(FixedWingParams(**vals))
+    growth = _growth(sys, scenario.horizon)
+    if not growth <= _GROWTH_MAX:
+        def zeroed(key):
+            # a plain namespace: the params classes refuse a zero gravity or
+            # trim airspeed
+            left = _growth(model(SimpleNamespace(**{**vals, fields[key]: 0.0})), scenario.horizon)
+            return not left <= _GROWTH_MAX, -abs(vals[fields[key]])
+        raise ScenarioError(
+            f"field '{where}.{min(fields, key=zeroed)}' makes the linearized model grow by more "
+            f"than {_GROWTH_MAX:g} over horizon_s (max |e^(A horizon_s)| is {growth:.3g})")
+    if scenario.vehicle == "fixedwing" and ac.velocity[0] < 0.0:
         sys = sys.similarity(np.diag([-1.0, 1.0, -1.0, 1.0, 1.0, 1.0]))
     return sys
+
+
+# fixed-wing params: document key -> FixedWingParams field, default and floor
+_FIXEDWING_PARAMS = {
+    "airspeed_trim_mps": ("u_star", _REQUIRED, _MASS_MIN),
+    "pitch_trim_rad": ("theta_star", 0.0, None), "heave_trim_mps": ("w_star", 0.0, None),
+    "gravity_mps2": ("g", _REQUIRED, None),
+    **{key: (key, _REQUIRED, None) for key in ("X_u", "X_w", "X_q", "Z_u", "Z_w", "Z_q", "M_u",
+                                               "M_w", "M_q", "X_de", "X_dt", "Z_de", "M_de")}}
+
+
+def _param(params: dict, key: str, where: str, default=_REQUIRED, least: float | None = None,
+           n: int = 0):
+    """params[key], a number or with n a list of n, with a ScenarioError
+    naming the field unless every entry is at most _RADIUS_MAX in magnitude
+    and, given least, at least least."""
+    v = _vec(params, key, n, where) if n else _need(params, key, float, where, default)
+    _check_magnitude(float(np.abs(v).max()), key, where)
+    if least is not None and not np.min(v) >= least:
+        raise ScenarioError(f"field '{where}.{key}' must be at least {least:g}")
+    return v
+
+
+def _growth(system: LTISystem, horizon: float) -> float:
+    """max |e^(A horizon)|, the model's largest gain from a state over the
+    horizon; inf when it leaves the float range."""
+    with np.errstate(all="ignore"):
+        M = system.A * horizon
+        if not np.isfinite(np.abs(M).sum()):
+            return np.inf
+        E = expm(M)
+    return float(np.abs(E).max()) if np.isfinite(E).all() else np.inf
 
 
 def _spec(scenario: Scenario, i: int, system: LTISystem) -> ReachSpec:

@@ -70,9 +70,6 @@ class PartIConstants:
     gamma_I: float  # int <l, Phi B B' Phi' l>^(1/2) ds
     offset: float  # nominal-trajectory contribution along l
 
-    def support_scaled(self, q, r: float) -> float:
-        return self.a0 + self.offset + float(self.b @ q) + self.x0_term + r * self.gamma_U
-
 
 @dataclass(frozen=True)
 class DistanceRow:
@@ -206,8 +203,7 @@ class AircraftBlock:
         lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
         lmi.F0[0, 0] = 1.0
         lmi.F0[1 + m:, 1 + m:] = np.eye(m)
-        lmi.F[self.lam.offset, 0, 0] = -1.0
-        lmi.F[self.lam.offset, 1:1 + m, 1:1 + m] = np.eye(m)
+        lmi.add_scalar(self.lam, np.diag([-1.0] + [1.0] * m + [0.0] * m))
         lmi.add_vector(self.qt, 0, 1 + m)
         lmi.add_symmetric_rmul(self.Qb, 1, 1 + m, np.linalg.inv(self.W), coeff=self.wmin)
         epi = prob.new_psd_constraint(m, "spectral_epigraph")
@@ -344,8 +340,6 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
         M_ctrl = np.zeros((P.shape[0], P.shape[0]))
     reach_ell = minkowski_sum_external(Ellipsoid(center, M_x0),
                                        Ellipsoid(np.zeros(P.shape[0]), M_ctrl), l_pos)
-    if d == 0.0:
-        return reach_ell
     return minkowski_sum_external(reach_ell, Ellipsoid.ball(np.zeros(P.shape[0]), d), l_pos)
 
 

@@ -236,6 +236,37 @@ def test_sym_vec_roundtrip():
     assert np.allclose(vec_to_sym(sym_to_vec(M), 4), M)
 
 
+def test_logdet_objective_refuses_a_vector_block():
+    # a 1x1 log-det block would read only the vector's first entry
+    p = BarrierProblem()
+    q = p.add_vector_var("q", 2)
+    for k in (1.0, 0.0):
+        with pytest.raises(ValueError, match="vector block 'q'"):
+            p.add_logdet_objective(q, k)
+    assert p.logdets == []
+
+
+def test_scalar_rows_are_one_by_one_blocks():
+    # a scalar row is a 1x1 block: const at F0[0, 0], each block's
+    # coefficients on F[:, 0, 0]; stacked places it after the log-det and
+    # PSD blocks, in insertion order, by the same loop
+    p = BarrierProblem()
+    q, r = p.add_vector_var("q", 2), p.add_scalar_var("r")
+    p.add_scalar_constraint("first", {q: [2.0, -3.0], r: [0.5]}, 1.5)
+    p.add_logdet_objective(r, 2.0)
+    p.new_psd_constraint(2, "psd").add_scalar(r, np.eye(2))
+    p.add_scalar_constraint("second", {r: [-1.0]}, 4.0)
+    row = p.scalars[0]
+    assert (row.name, row.dim, row.F0.tolist()) == ("first", 1, [[1.5]])
+    assert row.F[:, 0, 0].tolist() == [2.0, -3.0, 0.5]
+    sb = p.stacked()
+    assert sb.names == ("logdet(r)", "psd", "first", "second")
+    assert sb.starts == (0, 1, 3, 4, 5)
+    x = np.array([0.1, 0.2, 0.7])
+    np.testing.assert_allclose(np.diag(sb.value(x))[3:], [1.5 + 0.2 - 0.6 + 0.35, 4.0 - 0.7],
+                               rtol=1e-15)
+
+
 def _loop_placement(F, block, kind, row0, col0, coeff, R):
     """Reference: the entry-by-entry loops the placement methods replaced."""
     m = block.size
@@ -339,12 +370,13 @@ def reference_merit(p, x, mu, fscale):
         grad += w * np.einsum("ijk,kj->i", expr.F, Ginv)
         hess -= w * np.einsum("iab,jba->ij", M, M)
     for row in p.scalars:
-        sv = float(row.a @ x + row.b)
+        a = row.F[:, 0, 0]
+        sv = float(a @ x + row.F0[0, 0])
         if sv <= 0.0:
             return None
         val += np.log(sv) / mu
-        grad += row.a / (mu * sv)
-        hess -= np.outer(row.a, row.a) / (mu * sv**2)
+        grad += a / (mu * sv)
+        hess -= np.outer(a, a) / (mu * sv**2)
     return val, grad, hess
 
 

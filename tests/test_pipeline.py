@@ -31,7 +31,7 @@ from reachsep.scenario import (
     position_projection,
     scenario_from_dict,
 )
-from reachsep.synthesis import estimate_encounter
+from reachsep.synthesis import JointInfeasibilityError, estimate_encounter, scalarization_loop
 
 FAST = {"grid_step": 0.5, "quad_steps": 64, "directions": 8}
 
@@ -563,9 +563,80 @@ def test_sets_at_their_bounds_are_accepted():
     ac["control_set"]["torque_radius_nm"] = -1e-30
     ac["params"]["mass_kg"] = 1e-30
     ac["params"]["inertia_diag_kgm2"] = [1e-30] * 3
+    ac["params"]["gravity_mps2"] = 1e-30
     spec = scenario_from_dict(doc).specs[0]
     assert spec.X0.shape[0, 0] == spec.U.shape[0, 0] == np.square(1e30)
     assert spec.U.shape[1, 1] == np.square(1e-30)
+
+
+@pytest.mark.parametrize("name, key, value, rule", [
+    ("quadrotor_pair", "gravity_mps2", 1e300, "must be at most 1e+30 in magnitude"),
+    ("fixedwing_pair", "M_de", 1e300, "must be at most 1e+30 in magnitude"),
+    ("fixedwing_pair", "airspeed_trim_mps", 1e300, "must be at most 1e+30 in magnitude"),
+    # finite gains whose model grows past the float range over the horizon:
+    # gravity couples the pitch angle into the speeds, and M_w = 1e6 with the
+    # bundled Z_q makes a mode that grows by about e^(3.7e3 t)
+    ("fixedwing_pair", "gravity_mps2", 1e30, "makes the linearized model grow by more than 1e+12"),
+    ("fixedwing_pair", "M_w", 1e6, "makes the linearized model grow by more than 1e+12"),
+    ("quadrotor_pair", "gravity_mps2", 1e30, "makes the linearized model grow by more than 1e+12"),
+    ("quadrotor_pair", "gravity_mps2", 0, "must be at least 1e-30"),
+    ("fixedwing_pair", "airspeed_trim_mps", -1, "must be at least 1e-30"),
+])
+def test_overflowing_params_exit_three(tmp_path, capsys, name, key, value, rule):
+    # a params number whose gain, or whose model's growth over the horizon,
+    # leaves the float range is malformed input, named by its field before
+    # any overflow or traceback (RuntimeWarnings are errors)
+    doc = json.loads(builtin_scenario_path(name).read_text())
+    doc["aircraft"][0]["params"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(bad, tmp_path / "out", {}) == 3
+    assert f"'aircraft[0].params.{key}' {rule}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scenario.json").exists()
+
+
+def test_params_at_their_bounds_are_accepted():
+    doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
+    params = doc["aircraft"][0]["params"]
+    params.update(M_de=1e30, Z_w=-1e30, airspeed_trim_mps=1e-30)
+    scenario_from_dict(doc)
+
+
+def _params_leaves():
+    for name in ("quadrotor_pair", "fixedwing_pair"):
+        params = json.loads(builtin_scenario_path(name).read_text())["aircraft"][0]["params"]
+        for key, v in params.items():
+            yield from ((name, key, i) for i in range(len(v))) if isinstance(v, list) \
+                else [(name, key, None)]
+
+
+@pytest.mark.parametrize("name, key, index", list(_params_leaves()))
+def test_every_params_leaf_ends_named(name, key, index):
+    # each numeric params leaf of aircraft A at each extreme value either
+    # names its field or synthesizes at reduced fidelity to an answer or to
+    # a named infeasibility (RuntimeWarnings are errors)
+    base = json.loads(builtin_scenario_path(name).read_text())
+    for value in (0, -1, 1e-300, 1e30, 1e300, -1e300):
+        doc = json.loads(json.dumps(base))
+        params = doc["aircraft"][0]["params"]
+        if index is None:
+            params[key] = value
+        else:
+            params[key][index] = value
+        try:
+            scenario = scenario_from_dict(doc, {"quad_steps": 16, "grid_step": 1.0})
+        except ScenarioError as exc:
+            assert f"'aircraft[0].params.{key}'" in str(exc), (value, str(exc))
+            continue
+        P = position_projection(scenario)
+        geom = estimate_encounter(build_nominal(scenario, 0), build_nominal(scenario, 1), P,
+                                  scenario.d)
+        try:
+            scalarization_loop(*scenario.specs, geom, P, method=scenario.method,
+                               k0=scenario.k0, margin1=scenario.margin1,
+                               margin2=scenario.margin2)
+        except JointInfeasibilityError:
+            pass
 
 
 def test_scenario_quad_steps_validated(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_constants_double_integrator():
 def test_constants_reproduce_reach_support():
     _, specB, geom = quad_pair()
     c = part1_constants(specB, geom)
-    assembled = c.support_scaled(specB.U.center, 1.0)
+    assembled = c.a0 + c.offset + float(c.b @ specB.U.center) + c.x0_term + c.gamma_U
     assert assembled == pytest.approx(reach_support(specB, geom.tau, geom.l_star), abs=1e-8)
 
 
