@@ -10,11 +10,13 @@ time and factor node stacks, whose response at l is the projected touching
 point.  The searches of all grid times run in lockstep on that view, one
 oracle call per step for the times still open.  Touching or overlapping
 sets, where the signed value is a nonconvex problem, go to an expanding
-inner hull of the touching points, a polytope grown one point at a time:
-the depth of its nearest facet bounds the penetration depth from below, so
-the signed value gets a duality gap too.
+inner hull of the touching points, a polytope grown in rounds, each one
+oracle call along many directions: the depth of its nearest facet bounds
+the penetration depth from below, so the signed value gets a duality gap
+too.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +124,7 @@ def _min_norm_point(A: _Projected, B: _Projected):
 
 
 class _Polytope:
-    """Convex hull of points in 2 or 3 dimensions, grown one point at a time.
+    """Convex hull of points in 2 or 3 dimensions, grown a batch of points at a time.
 
     Faces are k-tuples of point indices, oriented outward: an edge (i, j)
     runs counterclockwise in 2-D, a triangle (i, j, l) is counterclockwise
@@ -130,73 +132,119 @@ class _Polytope:
     joins itself to each horizon ridge (a ridge of a deleted face whose other
     face stays) by putting itself in the place of the deleted face's
     remaining vertex, which keeps the orientation.  A point that sees no face
-    beyond the rounding level, repeats an earlier point (its faces would have
-    no normal), or whose horizon is not one cycle, is left out, so the
-    polytope stays a closed hull of some of the points and lies inside their
-    convex hull.  Until the points span k dimensions it has no faces, and
-    each call to facets tries again to start from a simplex.
+    beyond the rounding level, repeats a vertex of a face it sees (its faces
+    would have no normal), whose horizon is not one cycle, or whose new faces
+    would leave a vertex next to the horizon outside (a fold, from a point
+    within rounding of the surface), is left out, so the polytope stays a
+    closed hull of some of the points and lies inside their convex hull.
+    Until the points span k dimensions it has no faces: basis holds an
+    orthonormal basis of their affine hull, widened only by the points that
+    leave it, and once it spans k dimensions each call to facets tries to
+    start from a simplex.
     """
 
     def __init__(self, dim: int):
         self.points = np.empty((0, dim))
         self.faces = np.empty((0, dim), dtype=int)
         self.planes = np.empty((0, dim + 1))  # rows (n, offset): <n, x> + offset <= 0 inside
-
-    def _tol(self) -> float:
-        return 16.0 * np.finfo(float).eps * float(np.abs(self.points).max(initial=0.0))
+        self.basis = np.empty((0, dim))  # orthonormal rows spanning the points' affine hull
+        self.tol = 0.0  # the rounding level of the points' coordinates
 
     def _planes(self, faces) -> np.ndarray:
-        V = self.points[faces]
-        d = V[:, 1:] - V[:, :1]
-        planes = np.empty((faces.shape[0], faces.shape[1] + 1))
-        n = planes[:, :-1]
-        if faces.shape[1] == 2:
-            n[:, 0], n[:, 1] = d[:, 0, 1], -d[:, 0, 0]
-        else:
-            n[:] = np.cross(d[:, 0], d[:, 1])
-        n /= np.sqrt((n * n).sum(axis=1))[:, None]
-        planes[:, -1] = -(n * V[:, 0]).sum(axis=1)
-        return planes
+        """The planes (n, offset) of faces, in Python floats: a new point
+        makes a few faces, too few for numpy's per-call cost to pay."""
+        planes = []
+        for V in self.points[faces].tolist():
+            if len(V) == 2:
+                (x0, y0), (x1, y1) = V
+                n = (y1 - y0, x0 - x1)
+            else:  # the cross product of the two edges
+                (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = V
+                ax, ay, az, bx, by, bz = x1 - x0, y1 - y0, z1 - z0, x2 - x0, y2 - y0, z2 - z0
+                n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+            r = math.sqrt(sum(c * c for c in n))
+            n = [c / r for c in n]
+            planes.append(n + [-sum(c * v for c, v in zip(n, V[0]))])
+        return np.array(planes).reshape(-1, faces.shape[1] + 1)
 
-    def add(self, p) -> None:
-        self.points = np.vstack([self.points, p])
+    def add(self, points) -> bool:
+        """Add a batch of points (rows), inserted one at a time once the
+        polytope has faces.  True when the batch widened the affine hull."""
+        first = self.points.shape[0]
+        self.points = np.vstack([self.points, points])
+        self.tol = 16.0 * np.finfo(float).eps * float(np.abs(self.points).max())
         if self.faces.shape[0]:
-            self._insert(self.points.shape[0] - 1)
+            for i in range(first, self.points.shape[0]):
+                self._insert(i)
+            return False
+        rank = self.basis.shape[0]
+        for i in range(max(first, 1), self.points.shape[0]):
+            self._widen(i)
+        return self.basis.shape[0] > rank
+
+    def _widen(self, i: int) -> None:
+        """Add points[i]'s direction from points[0] to the basis if it leaves the affine hull."""
+        r = self.points[i] - self.points[0]
+        for _ in range(2):  # Gram-Schmidt twice keeps the rows orthonormal
+            r = r - (r @ self.basis.T) @ self.basis
+        height = float(np.sqrt(r @ r))
+        if height > self.tol and self.basis.shape[0] < self.basis.shape[1]:
+            self.basis = np.vstack([self.basis, r / height])
 
     def _insert(self, i: int) -> None:
-        seen = self.planes[:, :-1] @ self.points[i] + self.planes[:, -1] > self._tol()
-        if not seen.any() or (self.points[:i] == self.points[i]).all(axis=1).any():
+        """Join points[i] to the faces it sees, or leave it out."""
+        p = self.points[i]
+        seen = self.planes[:, :-1] @ p + self.planes[:, -1] > self.tol
+        if not seen.any():
             return
-        k = self.faces.shape[1]
-        ridges = {}
-        for f in self.faces[seen].tolist():
-            for j in range(k):
-                key = tuple(sorted(f[:j] + f[j + 1:]))
-                # a ridge of two deleted faces is not on the horizon
-                ridges[key] = None if key in ridges else (f, j)
-        horizon = [fj for fj in ridges.values() if fj is not None]
-        if k == 2:
-            closed = len(horizon) == 2
-        else:  # the directed horizon edges must form a single cycle
-            succ = {f[(j + 1) % 3]: f[(j + 2) % 3] for f, j in horizon}
-            start = v = horizon[0][0][(horizon[0][1] + 1) % 3]
-            cycle = set()
-            while v in succ and v not in cycle:
-                cycle.add(v)
-                v = succ[v]
-            closed = v == start and len(succ) == len(horizon) == len(cycle)
-        if not closed:
+        gone = self.faces[seen]
+        if (self.points[gone.ravel()] == p).all(axis=1).any():
             return
-        new = np.array([f for f, _ in horizon])
-        new[np.arange(len(horizon)), [j for _, j in horizon]] = i
-        self.faces = np.vstack([self.faces[~seen], new])
-        self.planes = np.vstack([self.planes[~seen], self._planes(new)])
+        gone = gone.tolist()
+        if len(gone[0]) == 2:
+            # the deleted edges must form one chain: i joins its first start
+            # and its last end
+            starts, ends = {a for a, _ in gone}, {b for _, b in gone}
+            first, last = starts - ends, ends - starts
+            if len(first) != 1 or len(last) != 1:
+                return
+            new = [[first.pop(), i], [i, last.pop()]]
+        else:
+            # a directed edge of the deleted faces whose reverse is not among
+            # them is on the horizon; each joins i as (a, b, i), which keeps the
+            # orientation.  They must form a single cycle
+            edges = [(f[j], f[j - 2]) for f in gone for j in range(3)]
+            both = set(edges)
+            horizon = [e for e in edges if e[::-1] not in both]
+            succ = dict(horizon)
+            if len(succ) != len(horizon):
+                return
+            v = start = next(iter(succ))
+            for _ in range(len(succ) - 1):
+                v = succ.get(v, start)
+                if v == start:
+                    return
+            if succ.get(v) != start:
+                return
+            new = [[a, b, i] for a, b in succ.items()]
+        # a point within rounding of the surface can see a face but not its
+        # neighbour, and fold a new face over that neighbour: every vertex of a
+        # kept face at the horizon must stay inside the new faces
+        new = np.array(new)
+        kept, planes = self.faces[~seen], self._planes(new)
+        at_horizon = np.zeros(self.points.shape[0], dtype=bool)
+        at_horizon[new] = True
+        ring = self.points[kept[at_horizon[kept].any(axis=1)].ravel()]
+        if not (ring @ planes[:, :-1].T + planes[:, -1] <= self.tol).all():
+            return
+        self.faces = np.concatenate([kept, new])
+        self.planes = np.concatenate([self.planes[~seen], planes])
 
     def _start(self) -> bool:
         """Faces of a simplex of the points, then every other point inserted;
         False while the points are flat."""
         X, k = self.points, self.points.shape[1]
-        if X.shape[0] <= k:
+        if self.basis.shape[0] < k:
             return False
         simplex = [int(np.argmax(np.linalg.norm(X - X.mean(axis=0), axis=1)))]
         basis = np.empty((0, k))
@@ -205,7 +253,7 @@ class _Polytope:
             r = r - (r @ basis.T) @ basis
             far = int(np.argmax(np.linalg.norm(r, axis=1)))
             height = float(np.linalg.norm(r[far]))
-            if height <= self._tol():
+            if height <= self.tol:
                 return False
             simplex.append(far)
             basis = np.vstack([basis, r[far] / height])
@@ -225,6 +273,28 @@ class _Polytope:
             return None
         return self.planes
 
+    def nearest(self) -> np.ndarray:
+        """The point of the polytope nearest 0, for 0 outside it.  It lies on
+        a face that 0 sees: at the foot of 0 on the face's plane when the foot
+        is inside the face, else on one of the face's edges."""
+        seen = self.planes[:, -1] > 0.0
+        planes, V = self.planes[seen], self.points[self.faces[seen]]  # V: (faces, k, k)
+        E = np.roll(V, -1, axis=1) - V  # the edges; in 2-D each face twice, as (a, b), (b, a)
+        frac = np.clip(-(V * E).sum(axis=2) / np.maximum((E * E).sum(axis=2), np.finfo(float).tiny),
+                       0.0, 1.0)
+        X = [(V + frac[..., None] * E).reshape(-1, V.shape[2])]
+        if V.shape[2] == 3:
+            foot = -planes[:, -1:] * planes[:, :-1]
+            inside = ((planes[:, None, :-1] * np.cross(E, foot[:, None] - V)).sum(axis=2) >= 0.0)
+            X.append(foot[inside.all(axis=1)])
+        X = np.vstack(X)
+        return X[np.argmin((X * X).sum(axis=1))]
+
+    def normals(self) -> np.ndarray:
+        """Orthonormal rows spanning the complement of the affine hull's basis."""
+        U = np.linalg.svd(np.eye(self.basis.shape[1]) - self.basis.T @ self.basis)[0]
+        return U[:, :self.basis.shape[1] - self.basis.shape[0]].T
+
 
 def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np.ndarray):
     """Signed separation from an inner hull, for sets that touch or overlap.
@@ -232,47 +302,68 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     Every oracle point lies in C = P(A_t) - P(B_t), so their convex hull H is
     inside C.  Once 0 is inside H, the distance from 0 to H's nearest facet
     is at most the penetration depth of C, so minus that distance bounds the
-    signed value from above.  Gilbert's z keeps moving toward each new point,
-    so ||z|| stays an upper bound too: it certifies touching and flat sets,
-    and sets that turn out to be apart.  Every g(l) bounds the value from
-    below.  Seeded with the 2k axis directions, each step adds its oracle
-    point to H (_Polytope) and asks the oracle along the outward normal of
-    the facet nearest 0: the expanding polytope of collision detection (van
-    den Bergen 2001).  While the points are flat and span no polytope, it
-    asks along both normals of their affine hull and along z / ||z||,
-    Gilbert's own direction.  A and B hold one time; starts from the bounds
-    of _min_norm_point at it and returns (lower, upper, l, closed), closed
-    when upper - lower <= GAP_REL * max(1, |lower|), open after
-    MNP_MAX_ITERS hull steps, or as soon as a step leaves the facet planes
-    unchanged: the next query would be the same, and so would its oracle
-    point, so later steps could move the bounds by rounding at most.
+    signed value from above; while 0 is outside H, the norm of H's point
+    nearest 0 does.  Gilbert's z keeps moving toward each new point, so
+    ||z|| stays an upper bound too: it certifies touching and flat sets.
+    Every g(l) bounds the value from below.
+
+    It runs in rounds, each one batched oracle call (the view of the one
+    time, replicated per query) whose points join H (_Polytope) together.
+    Seeded with the 2k axis directions, each round asks along the outward
+    normal of every facet that could still raise the lower bound, offset >
+    lower + GAP_REL max(1, |lower|): the expanding polytope of collision
+    detection (van den Bergen 2001), all open facets at once.  While 0 is
+    outside H it also asks toward H's nearest point, as GJK does.  While the
+    points are flat and span no polytope, it asks along both signs of each
+    normal of their affine hull and along z / ||z||, Gilbert's own direction.
+
+    A and B hold one time; starts from the bounds of _min_norm_point at it
+    and returns (lower, upper, l, closed).  It stops closed when upper -
+    lower <= GAP_REL * max(1, |lower|); open when the bounds cross by more
+    than that (the oracle's points and values disagree, as a flat set's
+    vanish rule can make them, and the bounds can only move toward each
+    other), after MNP_MAX_ITERS rounds, or as soon as a round leaves the
+    facet planes unchanged or, while flat, widens the affine hull by no point
+    and moves neither bound: the next round would ask the same, or only
+    Gilbert's direction again, so later rounds could move the bounds by
+    rounding at most.
     """
     k = A.center.shape[1]
     hull = _Polytope(k)
-    queries = [sign * e for e in np.eye(k) for sign in (1.0, -1.0)]
+    queries = np.vstack([np.eye(k), -np.eye(k)])
     upper = float(np.linalg.norm(z))
     facets = None
     for _ in range(MNP_MAX_ITERS):
-        for q in queries:
-            g, p = _oracle(A, B, q[None])
-            hull.add(p[0])
-            z = _toward(z[None], p)[0]
-            if g[0] > lower:
-                lower, l = float(g[0]), q
+        rows = np.zeros(queries.shape[0], dtype=int)
+        g, points = _oracle(A.take(rows), B.take(rows), queries)
+        bounds = (lower, upper)
+        for p in points:
+            z = _toward(z[None], p[None])[0]
+        best = int(np.argmax(g))
+        if g[best] > lower:
+            lower, l = float(g[best]), queries[best]
+        widened = hull.add(points)
         z_norm = float(np.linalg.norm(z))
         upper = min(upper, z_norm)
         previous, facets = facets, hull.facets()  # rows (n, offset): <n, x> + offset <= 0 on H
+        tol = GAP_REL * max(1.0, abs(lower))
         if facets is None:
-            normal = np.linalg.svd(hull.points - hull.points[0])[2][-1]
-            queries = [normal, -normal] + ([z / z_norm] if z_norm > 0.0 else [])
+            normals = hull.normals()
+            queries = np.vstack([normals, -normals] + ([z / z_norm] if z_norm > 0.0 else []))
         else:
-            nearest = facets[np.argmax(facets[:, -1])]
-            if nearest[-1] <= 0.0:
-                upper = min(upper, float(nearest[-1]))
-            queries = [-nearest[:-1]]
-        if upper - lower <= GAP_REL * max(1.0, abs(lower)):
-            return lower, upper, l, True
-        if facets is not None and np.array_equal(facets, previous):
+            nearest = float(facets[:, -1].max())
+            queries = -facets[facets[:, -1] > lower + tol, :-1]
+            if nearest <= 0.0:
+                upper = min(upper, nearest)
+            else:  # 0 is outside H: its nearest point is in C, and GJK asks toward it
+                w = hull.nearest()
+                w_norm = float(np.linalg.norm(w))
+                upper = min(upper, w_norm)
+                queries = np.vstack([queries, w / w_norm])
+        if upper - lower <= tol:  # closed, unless the bounds cross
+            return lower, upper, l, bool(upper - lower >= -tol)
+        if not queries.shape[0] or (np.array_equal(facets, previous) if facets is not None
+                                    else not widened and (lower, upper) == bounds):
             break
     return lower, upper, l, False
 
@@ -282,12 +373,14 @@ class Separation:
     """Result of one separation check: the signed value and its direction.
 
     certified: the duality gap closed, so value is the signed separation to
-    within GAP_REL.  False only when the iteration cap was hit or the inner
-    hull stopped changing; value is then the best lower bound found.
+    within GAP_REL.  False only when the iteration cap was hit, the inner
+    hull stopped changing or its bounds crossed; value is then the best lower
+    bound found.
     gap: when the minimum-norm point certifies (the sets are apart),
     ||P x_A(l) - P x_B(l)|| - value at the returned direction l; otherwise
     the inner hull's upper bound minus value.  Either way value + gap bounds
-    the signed separation from above.
+    the signed separation from above, to the accuracy of the oracle: a
+    negative gap is bounds that crossed, uncertified.
     """
 
     value: float
@@ -330,7 +423,7 @@ def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> Separation:
     (the sets touch or overlap, or its cap was hit), the inner hull of the
     oracle points takes over and bounds the signed value from above.  Both
     stop on a duality gap of GAP_REL; a run that hits MNP_MAX_ITERS, or an
-    inner hull that stops changing, returns its best lower bound, marked
-    uncertified.  separations of one time.
+    inner hull that stops changing or whose bounds cross, returns its best
+    lower bound, marked uncertified.  separations of one time.
     """
     return separations(specA, specB, [t], P)[0]

@@ -33,13 +33,16 @@ response at l (_Projected.response)
 integrates F_i u_i / sqrt(q_i), u_i = F_i' l, by the same rule.  A root
 term is sampled at every node where q_i > 0; a node below VANISH_REL of its
 column's maximum only sends its panels to the midpoint rule.  So <l, x*> is
-the support value.  reach_support reads the view with P = l, tubes with
-the unit directions as P, and touching points with P = I.
+the support value.  reach_support reads the view with P = l, touching
+points with P = I, and tubes with P an orthonormal basis Q of the span of
+their directions, each direction then read through its coefficients in Q
+(_Projected.through), so a family of many directions in a plane costs two
+projected rows per time.
 reachsep.distance searches the separation of two sets on the view, and
 reachsep.synthesis reads its safe set and phase-one constants from it.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -108,13 +111,6 @@ class _Grid:
     E: np.ndarray  # (T, n, n): e^(A h)
     Phi0: np.ndarray  # (T, n, n): e^(A t)
     PhiB: np.ndarray  # (T, N+1, n, m): PhiB[:, i] = e^(A (t - s_i)) B
-
-    def take(self, rows) -> "_Grid":
-        """The given rows; a disturbance stack already built comes along."""
-        out = _Grid(*(getattr(self, f.name)[rows] for f in fields(self)))
-        if "Phi" in vars(self):
-            vars(out)["Phi"] = self.Phi[rows]
-        return out
 
     @cached_property
     def Phi(self) -> np.ndarray:
@@ -258,6 +254,17 @@ class _Projected:
         return _Projected(self.times[rows], self.center[rows], self.PPhi0[rows], self.F0[rows],
                           self.tol0, self.h[rows], tuple(F[rows] for F in self.inputs))
 
+    def through(self, C: np.ndarray) -> "_Projected":
+        """The view through C P, C (D, k): every field is a linear image of P,
+        so the two projections compose, and the rows of C P are read by the
+        same values() and panel rule as a view projected through C P.  Node
+        stacks become (T, D, m, N+1)."""
+        def compose(F):
+            T, k, m, nodes = F.shape
+            return (C @ F.reshape(T, k, m * nodes)).reshape(T, C.shape[0], m, nodes)
+        return _Projected(self.times, self.center @ C.T, C @ self.PPhi0, C @ self.F0, self.tol0,
+                          self.h, tuple(compose(F) for F in self.inputs))
+
     def _q0(self, u0: np.ndarray, LT: np.ndarray) -> np.ndarray:
         """|u0|^2 of the initial set's factor image u0 = F0' l, along the last
         axis, or 0 where it is at the rounding level of M0, tol0 |LT|^2 with
@@ -378,20 +385,30 @@ def reach_point(spec: ReachSpec, t: float, l):
             (np.linspace(0.0, view.times[0], profile.shape[0]), profile))
 
 
+def _span(unit: np.ndarray) -> np.ndarray:
+    """An orthonormal basis Q (r, n) of the span of the rows of unit (D, n),
+    from its SVD: the right singular vectors of s > s_max max(D, n) eps."""
+    _, s, Vt = np.linalg.svd(unit, full_matrices=False)
+    return Vt[:int((s > s.max(initial=0.0) * max(unit.shape) * np.finfo(float).eps).sum())]
+
+
 def reach_tube(spec: ReachSpec, time_grid, directions) -> ReachTube:
     """Support values over a time grid for a family of directions (possibly none).
 
-    The grid batch is projected one time row at a time: all rows at once
-    would hold every time's (D, m, N+1) factor nodes together.
+    The grid batch is projected once, through an orthonormal basis Q of the
+    span of the directions (the plane directions of a scenario span 2), and
+    each time row is read through the coefficients C = unit Q' of the
+    directions in that basis (_Projected.through): all rows at once would
+    hold every time's (D, m, N+1) factor nodes together.
     """
     times = np.atleast_1d(np.asarray(time_grid, dtype=float))
     unit = _unit_rows(directions)
-    g = _grids_for(spec, times)
-    if spec.V is not None:
-        g.Phi  # a disturbance set's stack: built once per batch, carried by its rows
+    Q = _span(unit)
+    view = _project(spec, _grids_for(spec, times), Q)
+    C = unit @ Q.T
     vals = np.empty((times.shape[0], unit.shape[0]))
     for i in range(times.shape[0]):
-        vals[i] = _project(spec, g.take(slice(i, i + 1)), unit).values()[0]
+        vals[i] = view.take(slice(i, i + 1)).through(C).values()[0]
     return ReachTube(times, unit, vals)
 
 

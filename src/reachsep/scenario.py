@@ -302,40 +302,54 @@ def _linearize(scenario: Scenario, i: int) -> LTISystem:
     """World-frame LTI model for aircraft i (read it from Scenario.specs).
 
     Every params number is range-checked by _param, and the model may grow
-    by at most _GROWTH_MAX over the horizon.  Past that, the error names the
-    params field that, set to zero, brings the growth within the bound (the
-    largest in magnitude if several do).  A fixed-wing craft cruising in -x
-    is conjugated by the axis flip S = diag(-1, 1, -1, 1, 1, 1), which leaves
+    by at most _GROWTH_MAX over the horizon.  Past that, the error names
+    horizon_s when the model with the params of the bundled scenario of the
+    same vehicle grows past the bound too, and else the params field that,
+    set to zero, brings the growth within the bound (the largest in
+    magnitude if several do).  A fixed-wing craft cruising in -x is
+    conjugated by the axis flip S = diag(-1, 1, -1, 1, 1, 1), which leaves
     the vertical dynamics intact while aligning the model's position
     coordinates with the world frame.
     """
     ac = scenario.aircraft[i]
     where = f"aircraft[{i}].params"
-    if scenario.vehicle == "quadrotor":
-        vals = {"m": _param(ac.params, "mass_kg", where, least=_MASS_MIN),
-                "J": np.diag(_param(ac.params, "inertia_diag_kgm2", where, least=_MASS_MIN, n=3)),
-                "g": _param(ac.params, "gravity_mps2", where, least=_MASS_MIN)}
-        fields, model = {"gravity_mps2": "g"}, quadrotor_linearized  # the one params entry of A
-        sys = model(QuadrotorParams(**vals))
-    else:
-        vals = {attr: _param(ac.params, key, where, default, least)
-                for key, (attr, default, least) in _FIXEDWING_PARAMS.items()}
-        fields = {key: attr for key, (attr, *_) in _FIXEDWING_PARAMS.items()}
-        model = fixedwing_linearized
-        sys = model(FixedWingParams(**vals))
+    vals, fields, params, model = _model_params(scenario.vehicle, ac.params, where)
+    sys = model(params(**vals))
     growth = _growth(sys, scenario.horizon)
     if not growth <= _GROWTH_MAX:
         def zeroed(key):
-            # a plain namespace: the params classes refuse a zero gravity or
-            # trim airspeed
             left = _growth(model(SimpleNamespace(**{**vals, fields[key]: 0.0})), scenario.horizon)
             return not left <= _GROWTH_MAX, -abs(vals[fields[key]])
+        bundled = load_document(builtin_scenario_path(f"{scenario.vehicle}_pair"))
+        reference = _model_params(scenario.vehicle, bundled["aircraft"][0]["params"], where)[0]
+        if not _growth(model(SimpleNamespace(**reference)), scenario.horizon) <= _GROWTH_MAX:
+            field = "scenario.horizon_s"
+        else:
+            field = f"{where}.{min(fields, key=zeroed)}"
         raise ScenarioError(
-            f"field '{where}.{min(fields, key=zeroed)}' makes the linearized model grow by more "
-            f"than {_GROWTH_MAX:g} over horizon_s (max |e^(A horizon_s)| is {growth:.3g})")
+            f"field '{field}' makes the linearized model grow by more than {_GROWTH_MAX:g} "
+            f"over horizon_s (max |e^(A horizon_s)| is {growth:.3g})")
     if scenario.vehicle == "fixedwing" and ac.velocity[0] < 0.0:
         sys = sys.similarity(np.diag([-1.0, 1.0, -1.0, 1.0, 1.0, 1.0]))
     return sys
+
+
+def _model_params(vehicle: str, params: dict, where: str):
+    """(values, fields, params class, model) of a params block: the
+    range-checked numbers by attribute, the document keys that enter A with
+    their attributes, and the linearization.  The growth rule's trials hand
+    the model a plain namespace: the params classes refuse a zero gravity or
+    trim airspeed."""
+    if vehicle == "quadrotor":
+        vals = {"m": _param(params, "mass_kg", where, least=_MASS_MIN),
+                "J": np.diag(_param(params, "inertia_diag_kgm2", where, least=_MASS_MIN, n=3)),
+                "g": _param(params, "gravity_mps2", where, least=_MASS_MIN)}
+        # gravity is the one params entry of A
+        return vals, {"gravity_mps2": "g"}, QuadrotorParams, quadrotor_linearized
+    vals = {attr: _param(params, key, where, default, least)
+            for key, (attr, default, least) in _FIXEDWING_PARAMS.items()}
+    return (vals, {key: attr for key, (attr, *_) in _FIXEDWING_PARAMS.items()}, FixedWingParams,
+            fixedwing_linearized)
 
 
 # fixed-wing params: document key -> FixedWingParams field, default and floor

@@ -595,6 +595,23 @@ def test_overflowing_params_exit_three(tmp_path, capsys, name, key, value, rule)
     assert not (tmp_path / "out" / "scenario.json").exists()
 
 
+def test_growth_over_a_long_horizon_names_the_horizon(tmp_path, capsys):
+    # the quadrotor's growth is about g t^3 / 6, so over 1e5 s the bundled
+    # gravity grows it by 1.6e15 too: the horizon is what to change, and it is
+    # named instead of gravity (zeroing gravity would also pass the bound)
+    doc = json.loads(builtin_scenario_path("quadrotor_pair").read_text())
+    doc["horizon_s"] = 1e5
+    for entry in doc["aircraft"]:
+        entry["initial_velocity_mps"] = [0.0, 0.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(bad, tmp_path / "out", {}) == 3
+    err = capsys.readouterr().err
+    assert "'scenario.horizon_s' makes the linearized model grow by more than 1e+12" in err
+    assert "params" not in err
+    assert not (tmp_path / "out" / "scenario.json").exists()
+
+
 def test_params_at_their_bounds_are_accepted():
     doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
     params = doc["aircraft"][0]["params"]

@@ -1,11 +1,12 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from contextlib import closing
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
@@ -539,6 +540,66 @@ def test_tube_matches_pointwise_calls():
             assert l @ support_gradient(spec, t, l)[1] <= tube.support_values[i, j] + 1e-9
 
 
+def bundled_tube_case(name, disturbed=False):
+    """Aircraft A's spec of a bundled scenario, its output grid and its plane
+    directions in state coordinates; disturbed adds the velocity-rate
+    disturbance set of the disturbed CI document to both quadrotors."""
+    doc = load_document(builtin_scenario_path(name))
+    if disturbed:
+        for entry in doc["aircraft"]:
+            entry["disturbance_set"] = {"state_rate_radii": [0, 0, 0, 1e-3, 1e-3, 1e-3, 0, 0, 0, 0]}
+    scen = scenario_from_dict(doc)
+    P = position_projection(scen)
+    return scen.specs[0], build_nominal(scen, 0).times, plane_directions(scen, P.shape[0]) @ P
+
+
+def test_reach_tube_projects_once(monkeypatch):
+    calls = []
+    project = reachability._project
+    monkeypatch.setattr(reachability, "_project",
+                        lambda *args: calls.append(1) or project(*args))
+    spec, times, dirs = bundled_tube_case("quadrotor_pair")
+    reach_tube(spec, times, dirs)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, disturbed", [("quadrotor_pair", False),
+                                             ("quadrotor_pair", True),
+                                             ("fixedwing_pair", False)],
+                         ids=["quad", "disturbed", "fixedwing_offset"])
+def test_plane_direction_tubes_match_reach_support(name, disturbed):
+    # the tube reads each row through the span of the plane directions; it
+    # agrees with the view projected along each direction alone, at t = 0,
+    # with a disturbance set, and with the fixed-wing's center offset
+    spec, times, dirs = bundled_tube_case(name, disturbed)
+    assert (spec.V is not None) == disturbed
+    assert (spec.center_offset is not None) == (name == "fixedwing_pair")
+    rows = [0, len(times) // 3, len(times) - 1]
+    tube = reach_tube(spec, times, dirs)
+    for i in rows:
+        for j, l in enumerate(tube.directions):
+            want = reach_support(spec, times[i], l)
+            assert abs(tube.support_values[i, j] - want) <= 1e-12 * max(1.0, abs(want)), (i, j)
+
+
+def test_reach_tube_holds_no_stack_of_every_time():
+    # fixed-wing at its bundled 0.1 s grid: 101 times, 32 directions.  Its
+    # grid is built first, so the peak is the tube's own working memory,
+    # which stays below one (T, D, m, N+1) stack of factor nodes (10.4 MB)
+    spec, times, dirs = bundled_tube_case("fixedwing_pair")
+    reachability._grids_for(spec, times)
+    stack = times.shape[0] * dirs.shape[0] * spec.U.dim * (spec.quad_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reach_tube(spec, times, dirs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (times.shape[0], dirs.shape[0]) == (101, 32)
+    assert peak < stack
+
+
 def reference_reach_support(spec, t, l):
     """reach_support one direction at a time, as it was before the batched
     kernel: einsum quadratic forms and the per-direction panel rule, plus
@@ -940,6 +1001,11 @@ def assert_brackets(sep, truth):
          swap=False, overlap=1e-7)
 @example(k=3, center=(0.0, 0.0, 0.0), axis=(0.3, -0.5, 0.8), radius=1.25, ratio=2.2,
          swap=False, overlap=1e-3)
+# an oracle point 1.06e-14 above one hull face, within rounding of its
+# neighbour's plane, folded a new face over the neighbour; the hull then
+# stopped with a gap of 1.8e-12
+@example(k=3, center=(0.0, 0.0, 0.0), axis=(0.0, 3.0, 0.25), radius=1.0, ratio=1.0,
+         swap=False, overlap=1.0)
 @given(k=st.sampled_from([2, 3]),
        center=st.tuples(coords, coords, coords),
        axis=st.tuples(coords, coords, coords).filter(lambda v: np.linalg.norm(v[:2]) > 1e-3),
@@ -1165,23 +1231,48 @@ def test_separation_alone_equals_batched(seed, n, m, k, with_V, with_offset, fla
         assert_same_bits(separation(specA, specB, t, P), sep)
 
 
-def test_inner_hull_returns_once_the_hull_stops_changing(monkeypatch):
+def test_inner_hull_stops_when_its_bounds_cross(monkeypatch):
     # the sliver @example above at t = 0.363: the minimum-norm point stops
-    # open, and the hull's nearest facet is a sliver between two oracle points
-    # 1.5e-12 apart.  The oracle along its normal returns a point the hull
-    # already has, so the facet planes stop changing and every later step
-    # would repeat the last one; the hull returns open there, uncertified,
-    # with the bounds that MNP_MAX_ITERS (1000) steps reach
-    steps = []
+    # open, with the sets apart, so the hull's upper bound is the distance
+    # from 0 to its nearest point.  A's flat X0 is seen nearly edge-on there,
+    # where the vanish rule of its root term drops ~2e-7 between nearby
+    # directions, so an oracle point lies 2e-7 outside the halfspace of
+    # another: after 10 rounds the upper bound falls 5.7e-8 below the lower
+    # one.  The bounds can only move toward each other, so the hull stops
+    # there, uncertified.  One expanding step at a time, the hull stalled
+    # after 19 steps with the bounds [0.35906653629247054, 0.40071805887400325]
+    rounds = []
     facets = _Polytope.facets
-    monkeypatch.setattr(_Polytope, "facets", lambda hull: steps.append(1) or facets(hull))
+    monkeypatch.setattr(_Polytope, "facets", lambda hull: rounds.append(1) or facets(hull))
     specA, specB, P, _, rng = random_pair(585, 3, 2, 3, True, True, True)
     t = np.sort(rng.uniform(0.0, specA.horizon, 3))[0]
     sep = separation(specA, specB, t, P)
-    assert len(steps) == 19
+    assert len(rounds) == 10
     assert not sep.certified
-    assert sep.value == pytest.approx(0.35906653629247054, abs=1e-12)
-    assert sep.value + sep.gap == pytest.approx(0.40071805887400325, abs=1e-12)
+    assert sep.value == pytest.approx(0.35906656545767346, abs=1e-12)
+    assert sep.value + sep.gap == pytest.approx(0.3590665085419143, abs=1e-12)
+
+
+def test_flat_hull_stops_when_a_round_adds_nothing(monkeypatch):
+    # aircraft A of the bundled quadrotors with a thrust radius of 1e30 N, at
+    # reduced fidelity: C is 1e30 m long in z, so at the rounding level of its
+    # coordinates (3.5e15 m) every oracle point lies on one line, and the hull
+    # stays flat.  Its third round widens the line by no point and moves no
+    # bound, so it stops there, with the bounds that 1,000 rounds reached when
+    # the flat branch ran to its cap (about 50 s)
+    rounds = []
+    add = _Polytope.add
+    monkeypatch.setattr(_Polytope, "add", lambda hull, X: rounds.append(1) or add(hull, X))
+    doc = load_document(builtin_scenario_path("quadrotor_pair"))
+    doc["aircraft"][0]["control_set"]["thrust_radius_n"] = 1e30
+    scen = scenario_from_dict(doc, {"quad_steps": 16, "grid_step": 1.0})
+    P = position_projection(scen)
+    geom = estimate_encounter(build_nominal(scen, 0), build_nominal(scen, 1), P, scen.d)
+    sep = separation(*scen.specs, geom.tau, P)
+    assert len(rounds) == 3
+    assert not sep.certified
+    assert sep.value == pytest.approx(-20.48947655487433, abs=1e-12)
+    assert sep.value + sep.gap == pytest.approx(2.0701047986904086e-08, abs=1e-20)
 
 
 def shrunk_fast_pair(name):
@@ -1304,6 +1395,25 @@ def test_polytope_matches_qhull(seed, k, n, kind, size, shift):
     assert (X @ facets[:, :-1].T + facets[:, -1]).max() <= 64 * np.finfo(float).eps * scale
     ridges = [tuple(sorted(np.delete(f, j))) for f in hull.faces for j in range(k)]
     assert all(ridges.count(r) == 2 for r in ridges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), n=st.integers(4, 40),
+       size=st.floats(-2.0, 2.0), shift=st.floats(1.5, 10.0))
+def test_polytope_nearest_point_is_the_minimum_norm_point(seed, k, n, size, shift):
+    # w is the minimum-norm point of the hull exactly when it lies in it and
+    # <w, x> >= |w|^2 at every point x
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k)) * 10.0 ** size
+    X += shift * np.abs(X).max() * unit_rows(rng.standard_normal((1, k)))[0]
+    hull = _Polytope(k)
+    hull.add(X)
+    facets = hull.facets()
+    assume(facets is not None and facets[:, -1].max() > 0.0)
+    w = hull.nearest()
+    scale = float(np.abs(X).max())
+    assert (facets[:, :-1] @ w + facets[:, -1]).max() <= 64 * np.finfo(float).eps * scale
+    assert (X @ w).min() >= w @ w - 64 * np.finfo(float).eps * scale * np.linalg.norm(w)
 
 
 @pytest.mark.parametrize("X", [np.zeros((5, 3)), np.outer(np.arange(6.0), [0.6, 0.8]),
