@@ -229,13 +229,17 @@ class _Polytope:
             new = [[a, b, i] for a, b in succ.items()]
         # a point within rounding of the surface can see a face but not its
         # neighbour, and fold a new face over that neighbour: every vertex of a
-        # kept face at the horizon must stay inside the new faces
+        # kept face at the horizon must stay inside the new faces.  A face's
+        # own vertices are on its plane and are not tested: a sliver face's
+        # normal, rounded, can put them a little outside
         new = np.array(new)
         kept, planes = self.faces[~seen], self._planes(new)
         at_horizon = np.zeros(self.points.shape[0], dtype=bool)
         at_horizon[new] = True
-        ring = self.points[kept[at_horizon[kept].any(axis=1)].ravel()]
-        if not (ring @ planes[:, :-1].T + planes[:, -1] <= self.tol).all():
+        ring = kept[at_horizon[kept].any(axis=1)].ravel()
+        height = self.points[ring] @ planes[:, :-1].T + planes[:, -1]
+        own = (ring[:, None, None] == new[None]).any(axis=2)
+        if not (height[~own] <= self.tol).all():
             return
         self.faces = np.concatenate([kept, new])
         self.planes = np.concatenate([self.planes[~seen], planes])

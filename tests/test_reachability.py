@@ -1362,6 +1362,9 @@ def test_batched_grids_match_per_time_build(name, quad_steps, monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), n=st.integers(4, 60),
        kind=st.sampled_from(["random", "near_flat", "sphere", "duplicates", "lattice"]),
        size=st.floats(-3.0, 3.0), shift=st.floats(0.0, 2.0))
+# point 4 makes a sliver face, whose rounded normal puts its own vertex 2.5e-14
+# outside it: a fold test that reads that vertex left the point out
+@example(seed=776520, k=3, n=34, kind="random", size=0.0, shift=0.0)
 def test_polytope_matches_qhull(seed, k, n, kind, size, shift):
     # Qhull is the oracle: the facet nearest the origin is what _inner_hull
     # reads, and the facets at other points check the rest of the surface
