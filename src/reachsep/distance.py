@@ -24,7 +24,10 @@ import numpy as np
 from .reachability import ReachSpec, _dot, _grids_for, _project, _Projected
 
 GAP_REL = 1e-12  # duality-gap stop of both separation loops, relative to max(1, |value|)
-MNP_MAX_ITERS = 1000  # per loop; a capped run returns its lower bound, uncertified
+# oracle points per time in each loop; a run that spends them returns its
+# lower bound, uncertified
+MNP_MAX_ITERS = 3000
+HULL_WIDTH = 64  # open facets asked per inner-hull round: the nearest, in facet order
 
 
 def _oracle(A: _Projected, B: _Projected, l: np.ndarray):
@@ -61,7 +64,8 @@ def _min_norm_point(A: _Projected, B: _Projected):
     run stops open when ||z|| vanishes, or when a step leaves z in place at
     a direction where g < 0 has settled (its tangential part below
     sqrt(GAP_REL)): the sets touch or overlap, and z cannot certify a signed
-    value.  It also stops open after MNP_MAX_ITERS steps.
+    value.  It also stops open once it has spent MNP_MAX_ITERS oracle points,
+    its first one included.
 
     The times step in lockstep, one batched oracle call per step over the
     times still running; each keeps its own stopping rules and leaves the
@@ -78,7 +82,7 @@ def _min_norm_point(A: _Projected, B: _Projected):
     out = (np.empty(T), np.empty((T, k)), np.empty((T, k)), np.empty((T, k)),
            np.zeros(T, dtype=bool))
     rows = np.arange(T)  # the batch position of each running time
-    for _ in range(MNP_MAX_ITERS):
+    for _ in range(MNP_MAX_ITERS - 1):
         upper = np.linalg.norm(z, axis=1)
         tol = GAP_REL * np.maximum(1.0, upper)
         vanished = upper <= tol
@@ -314,9 +318,10 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     It runs in rounds, each one batched oracle call (the view of the one
     time, replicated per query) whose points join H (_Polytope) together.
     Seeded with the 2k axis directions, each round asks along the outward
-    normal of every facet that could still raise the lower bound, offset >
+    normal of the facets that could still raise the lower bound, offset >
     lower + GAP_REL max(1, |lower|): the expanding polytope of collision
-    detection (van den Bergen 2001), all open facets at once.  While 0 is
+    detection (van den Bergen 2001), at most HULL_WIDTH open facets at once,
+    the nearest ones (they set the bound), kept in facet order.  While 0 is
     outside H it also asks toward H's nearest point, as GJK does.  While the
     points are flat and span no polytope, it asks along both signs of each
     normal of their affine hull and along z / ||z||, Gilbert's own direction.
@@ -326,7 +331,8 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     lower <= GAP_REL * max(1, |lower|); open when the bounds cross by more
     than that (the oracle's points and values disagree, as a flat set's
     vanish rule can make them, and the bounds can only move toward each
-    other), after MNP_MAX_ITERS rounds, or as soon as a round leaves the
+    other), once it has spent MNP_MAX_ITERS oracle points (the last round is
+    cut to the budget left), or as soon as a round leaves the
     facet planes unchanged or, while flat, widens the affine hull by no point
     and moves neither bound: the next round would ask the same, or only
     Gilbert's direction again, so later rounds could move the bounds by
@@ -336,8 +342,10 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     hull = _Polytope(k)
     queries = np.vstack([np.eye(k), -np.eye(k)])
     upper = float(np.linalg.norm(z))
-    facets = None
-    for _ in range(MNP_MAX_ITERS):
+    facets, spent = None, 0
+    while spent < MNP_MAX_ITERS:
+        queries = queries[:MNP_MAX_ITERS - spent]
+        spent += queries.shape[0]
         rows = np.zeros(queries.shape[0], dtype=int)
         g, points = _oracle(A.take(rows), B.take(rows), queries)
         bounds = (lower, upper)
@@ -356,7 +364,10 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
             queries = np.vstack([normals, -normals] + ([z / z_norm] if z_norm > 0.0 else []))
         else:
             nearest = float(facets[:, -1].max())
-            queries = -facets[facets[:, -1] > lower + tol, :-1]
+            ask = np.flatnonzero(facets[:, -1] > lower + tol)
+            if ask.size > HULL_WIDTH:
+                ask = np.sort(ask[np.argsort(-facets[ask, -1], kind="stable")[:HULL_WIDTH]])
+            queries = -facets[ask, :-1]
             if nearest <= 0.0:
                 upper = min(upper, nearest)
             else:  # 0 is outside H: its nearest point is in C, and GJK asks toward it
@@ -377,9 +388,9 @@ class Separation:
     """Result of one separation check: the signed value and its direction.
 
     certified: the duality gap closed, so value is the signed separation to
-    within GAP_REL.  False only when the iteration cap was hit, the inner
-    hull stopped changing or its bounds crossed; value is then the best lower
-    bound found.
+    within GAP_REL.  False only when a loop spent its MNP_MAX_ITERS oracle
+    points, the inner hull stopped changing or its bounds crossed; value is
+    then the best lower bound found.
     gap: when the minimum-norm point certifies (the sets are apart),
     ||P x_A(l) - P x_B(l)|| - value at the returned direction l; otherwise
     the inner hull's upper bound minus value.  Either way value + gap bounds
@@ -424,10 +435,11 @@ def separation(specA: ReachSpec, specB: ReachSpec, t: float, P) -> Separation:
     minus their penetration depth when negative, and any g(l) bounds it from
     below.  The minimum-norm point of P(A_t) - P(B_t) (Gilbert's algorithm)
     finds it when the sets are apart; when that stops without a certificate
-    (the sets touch or overlap, or its cap was hit), the inner hull of the
-    oracle points takes over and bounds the signed value from above.  Both
-    stop on a duality gap of GAP_REL; a run that hits MNP_MAX_ITERS, or an
-    inner hull that stops changing or whose bounds cross, returns its best
-    lower bound, marked uncertified.  separations of one time.
+    (the sets touch or overlap, or it spent its budget), the inner hull of
+    the oracle points takes over and bounds the signed value from above.
+    Both stop on a duality gap of GAP_REL; a run that spends its
+    MNP_MAX_ITERS oracle points, or an inner hull that stops changing or
+    whose bounds cross, returns its best lower bound, marked uncertified.
+    separations of one time.
     """
     return separations(specA, specB, [t], P)[0]

@@ -7,7 +7,8 @@ parameters and set sizes are plausible small-UAV defaults chosen for this
 library, not published values.
 
 Parsing, overrides, validation and ``Scenario.to_dict`` all read the one
-table of top-level fields, ``_FIELDS``.
+table of top-level fields, ``_FIELDS``; each aircraft's sets and params are
+read through its vehicle's one layout table in ``_VEHICLES``.
 """
 
 import json
@@ -38,13 +39,6 @@ class ScenarioError(ValueError):
     """Malformed scenario document; the message names the offending field."""
 
 
-class _Dims(NamedTuple):
-    state: int
-    position: int
-    input: int
-
-
-_DIMS = {"quadrotor": _Dims(10, 3, 3), "fixedwing": _Dims(6, 2, 2)}
 _REQUIRED = object()
 # bound on every nominal position coordinate over the horizon: squares and
 # sums of squares of center gaps then stay far inside the float range
@@ -61,6 +55,40 @@ _GROWTH_MAX = 1e12  # on max |e^(A horizon)|
 _CONTROL_MIN = 1e-30  # floor on every control radius: its square must stay positive
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}
+
+
+# Each vehicle's layout: its dimensions; each initial-set radius key with its
+# default and the state indices it fills; each control radius key with the
+# inputs it fills; each params key with its attribute, default, floor and list
+# length n (the diagonal of an n x n attribute); the params keys the growth
+# rule may name (None: all); the params class and the linearization; and the
+# state signs that turn the model of a craft cruising in -x to the world frame
+_VEHICLES = {
+    "quadrotor": SimpleNamespace(
+        state=10, position=3, input=3,
+        initial={"position_radius_m": (_REQUIRED, [0, 1, 2]),
+                 "velocity_radius_mps": (_REQUIRED, [3, 4, 5]),
+                 "attitude_radius_rad": (0.0, [6, 7]), "rate_radius_radps": (0.0, [8, 9])},
+        control={"thrust_radius_n": [0], "torque_radius_nm": [1, 2]},
+        params={"mass_kg": ("m", _REQUIRED, _MASS_MIN, 0),
+                "inertia_diag_kgm2": ("J", _REQUIRED, _MASS_MIN, 3),
+                "gravity_mps2": ("g", _REQUIRED, _MASS_MIN, 0)},
+        growth=("gravity_mps2",),  # gravity is the one params entry of A
+        params_class=QuadrotorParams, model=quadrotor_linearized, flip=None),
+    "fixedwing": SimpleNamespace(
+        state=6, position=2, input=2,
+        initial={"position_radius_m": (_REQUIRED, [0, 1]),
+                 "velocity_radius_mps": (_REQUIRED, [2, 3]), "attitude_radius_rad": (0.01, [4, 5])},
+        control={"elevator_radius_rad": [0], "throttle_radius": [1]},
+        params={"airspeed_trim_mps": ("u_star", _REQUIRED, _MASS_MIN, 0),
+                "pitch_trim_rad": ("theta_star", 0.0, None, 0),
+                "heave_trim_mps": ("w_star", 0.0, None, 0),
+                "gravity_mps2": ("g", _REQUIRED, None, 0),
+                **{key: (key, _REQUIRED, None, 0)
+                   for key in "X_u X_w X_q Z_u Z_w Z_q M_u M_w M_q X_de X_dt Z_de M_de".split()}},
+        growth=None, params_class=FixedWingParams, model=fixedwing_linearized,
+        flip=(-1.0, 1.0, -1.0, 1.0, 1.0, 1.0)),
+}
 
 
 def _as(kind: type, v):
@@ -96,20 +124,20 @@ def _vec(d: dict, key: str, n: int, where: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _check_magnitude(largest: float, key: str, where: str) -> None:
-    """A ScenarioError naming the field when the largest magnitude of its
-    set radii or params numbers exceeds _RADIUS_MAX."""
-    if not largest <= _RADIUS_MAX:
-        raise ScenarioError(f"field '{where}.{key}' must be at most {_RADIUS_MAX:g} "
-                            "in magnitude")
-
-
-def _radius(d: dict, key: str, where: str, default=_REQUIRED, least: float = 0.0) -> float:
-    r = _need(d, key, float, where, default)
-    _check_magnitude(abs(r), key, where)
-    if not abs(r) >= least:
-        raise ScenarioError(f"field '{where}.{key}' must be at least {least:g} in magnitude")
-    return r
+def _leaf(block: dict, key: str, where: str, default=_REQUIRED, least: float | None = None,
+          n: int = 0, radius: bool = False):
+    """block[key], a number or with n a list of n numbers.  A ScenarioError
+    names the field unless every entry is at most _RADIUS_MAX in magnitude
+    and at least the floor least, if given; a radius's floor holds in
+    magnitude, for its sign drops out of its square."""
+    v = _vec(block, key, n, where) if n else _need(block, key, float, where, default)
+    size = np.abs(v)
+    if not np.max(size) <= _RADIUS_MAX:
+        raise ScenarioError(f"field '{where}.{key}' must be at most {_RADIUS_MAX:g} in magnitude")
+    if least is not None and not np.min(size if radius else v) >= least:
+        raise ScenarioError(f"field '{where}.{key}' must be at least {least:g}"
+                            + (" in magnitude" if radius else ""))
+    return v
 
 
 class _Field(NamedTuple):
@@ -130,12 +158,12 @@ def _positive(v, got) -> bool:
 
 def _distinct_axes(dim: str):
     return lambda v, got: (v[0] != v[1]
-                           and all(0 <= a < getattr(_DIMS[got["vehicle"]], dim) for a in v))
+                           and all(0 <= a < getattr(_VEHICLES[got["vehicle"]], dim) for a in v))
 
 
 _FIELDS = (
     _Field("name", "name", str),
-    _Field("vehicle", "vehicle", str, _REQUIRED, lambda v, got: v in _DIMS,
+    _Field("vehicle", "vehicle", str, _REQUIRED, lambda v, got: v in _VEHICLES,
            "must be 'quadrotor' or 'fixedwing'"),
     _Field("required_separation_m", "d", float, _REQUIRED, _positive, "must be a positive number"),
     _Field("horizon_s", "horizon", float, _REQUIRED, _positive, "must be a positive number"),
@@ -239,7 +267,7 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         got[f.attr] = value = _need(node, key, f.kind, where, f.default, f.rule)
         if value is not None and not f.check(value, got):
             raise ScenarioError(f"field '{where}.{key}' {f.rule}")
-    dims = _DIMS[got["vehicle"]]
+    vehicle = _VEHICLES[got["vehicle"]]
     planes = _need(doc, "aircraft", list, "scenario")
     if len(planes) != 2:
         raise ScenarioError("field 'scenario.aircraft' must list exactly two aircraft")
@@ -249,8 +277,8 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         if not isinstance(entry, dict):
             raise ScenarioError(f"field '{where}' must be an object")
         ident = _need(entry, "id", str, where)
-        position = _vec(entry, "initial_position_m", dims.position, where)
-        velocity = _vec(entry, "initial_velocity_mps", dims.position, where)
+        position = _vec(entry, "initial_position_m", vehicle.position, where)
+        velocity = _vec(entry, "initial_velocity_mps", vehicle.position, where)
         # python floats: an overflow reads inf, with no warning
         reach_p = float(np.abs(position).max())
         reach_v = max(1.0, got["horizon"]) * float(np.abs(velocity).max())
@@ -263,9 +291,7 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         cset = _need(entry, "control_set", dict, where)
         dist = _need(entry, "disturbance_set", dict, where, None)
         if dist is not None:
-            dist = _vec(dist, "state_rate_radii", dims.state, f"{where}.disturbance_set")
-            _check_magnitude(float(np.abs(dist).max()), "state_rate_radii",
-                             f"{where}.disturbance_set")
+            dist = _leaf(dist, "state_rate_radii", f"{where}.disturbance_set", n=vehicle.state)
         crafts.append(AircraftConfig(ident, position, velocity, params, iset, cset, dist))
     scenario = Scenario(**got, aircraft=(crafts[0], crafts[1]))
     scenario.specs  # the vehicle-specific blocks are validated by building the specs
@@ -294,83 +320,48 @@ def builtin_scenario_path(name: str) -> Path:
 
 
 def position_projection(scenario: Scenario) -> np.ndarray:
-    dims = _DIMS[scenario.vehicle]
-    return np.eye(dims.state)[:dims.position]
+    vehicle = _VEHICLES[scenario.vehicle]
+    return np.eye(vehicle.state)[:vehicle.position]
 
 
 def _linearize(scenario: Scenario, i: int) -> LTISystem:
     """World-frame LTI model for aircraft i (read it from Scenario.specs).
 
-    Every params number is range-checked by _param, and the model may grow
+    Every params number is range-checked by _leaf, and the model may grow
     by at most _GROWTH_MAX over the horizon.  Past that, the error names
     horizon_s when the model with the params of the bundled scenario of the
     same vehicle grows past the bound too, and else the params field that,
     set to zero, brings the growth within the bound (the largest in
-    magnitude if several do).  A fixed-wing craft cruising in -x is
-    conjugated by the axis flip S = diag(-1, 1, -1, 1, 1, 1), which leaves
-    the vertical dynamics intact while aligning the model's position
-    coordinates with the world frame.
+    magnitude if several do).  A craft whose vehicle has a flip and that
+    cruises in -x is conjugated by it (the fixed-wing's S = diag(-1, 1, -1,
+    1, 1, 1)), which leaves the vertical dynamics intact while aligning the
+    model's position coordinates with the world frame.
     """
-    ac = scenario.aircraft[i]
+    ac, vehicle = scenario.aircraft[i], _VEHICLES[scenario.vehicle]
     where = f"aircraft[{i}].params"
-    vals, fields, params, model = _model_params(scenario.vehicle, ac.params, where)
-    sys = model(params(**vals))
+
+    def read(params: dict) -> dict:  # the range-checked numbers of a params block, by attribute
+        return {attr: (np.diag if n else float)(_leaf(params, key, where, default, least, n))
+                for key, (attr, default, least, n) in vehicle.params.items()}
+    vals = read(ac.params)
+    sys = vehicle.model(vehicle.params_class(**vals))
     growth = _growth(sys, scenario.horizon)
     if not growth <= _GROWTH_MAX:
-        def zeroed(key):
-            left = _growth(model(SimpleNamespace(**{**vals, fields[key]: 0.0})), scenario.horizon)
-            return not left <= _GROWTH_MAX, -abs(vals[fields[key]])
+        def grows(trial: dict) -> bool:
+            # a plain namespace: the params classes refuse a zero gravity or trim airspeed
+            return _growth(vehicle.model(SimpleNamespace(**trial)), scenario.horizon) > _GROWTH_MAX
         bundled = load_document(builtin_scenario_path(f"{scenario.vehicle}_pair"))
-        reference = _model_params(scenario.vehicle, bundled["aircraft"][0]["params"], where)[0]
-        if not _growth(model(SimpleNamespace(**reference)), scenario.horizon) <= _GROWTH_MAX:
-            field = "scenario.horizon_s"
-        else:
-            field = f"{where}.{min(fields, key=zeroed)}"
+        field = "scenario.horizon_s"
+        if not grows(read(bundled["aircraft"][0]["params"])):
+            attr = {key: vehicle.params[key][0] for key in vehicle.growth or vehicle.params}
+            key = min(attr, key=lambda k: (grows({**vals, attr[k]: 0.0}), -abs(vals[attr[k]])))
+            field = f"{where}.{key}"
         raise ScenarioError(
             f"field '{field}' makes the linearized model grow by more than {_GROWTH_MAX:g} "
             f"over horizon_s (max |e^(A horizon_s)| is {growth:.3g})")
-    if scenario.vehicle == "fixedwing" and ac.velocity[0] < 0.0:
-        sys = sys.similarity(np.diag([-1.0, 1.0, -1.0, 1.0, 1.0, 1.0]))
+    if vehicle.flip and ac.velocity[0] < 0.0:
+        sys = sys.similarity(np.diag(vehicle.flip))
     return sys
-
-
-def _model_params(vehicle: str, params: dict, where: str):
-    """(values, fields, params class, model) of a params block: the
-    range-checked numbers by attribute, the document keys that enter A with
-    their attributes, and the linearization.  The growth rule's trials hand
-    the model a plain namespace: the params classes refuse a zero gravity or
-    trim airspeed."""
-    if vehicle == "quadrotor":
-        vals = {"m": _param(params, "mass_kg", where, least=_MASS_MIN),
-                "J": np.diag(_param(params, "inertia_diag_kgm2", where, least=_MASS_MIN, n=3)),
-                "g": _param(params, "gravity_mps2", where, least=_MASS_MIN)}
-        # gravity is the one params entry of A
-        return vals, {"gravity_mps2": "g"}, QuadrotorParams, quadrotor_linearized
-    vals = {attr: _param(params, key, where, default, least)
-            for key, (attr, default, least) in _FIXEDWING_PARAMS.items()}
-    return (vals, {key: attr for key, (attr, *_) in _FIXEDWING_PARAMS.items()}, FixedWingParams,
-            fixedwing_linearized)
-
-
-# fixed-wing params: document key -> FixedWingParams field, default and floor
-_FIXEDWING_PARAMS = {
-    "airspeed_trim_mps": ("u_star", _REQUIRED, _MASS_MIN),
-    "pitch_trim_rad": ("theta_star", 0.0, None), "heave_trim_mps": ("w_star", 0.0, None),
-    "gravity_mps2": ("g", _REQUIRED, None),
-    **{key: (key, _REQUIRED, None) for key in ("X_u", "X_w", "X_q", "Z_u", "Z_w", "Z_q", "M_u",
-                                               "M_w", "M_q", "X_de", "X_dt", "Z_de", "M_de")}}
-
-
-def _param(params: dict, key: str, where: str, default=_REQUIRED, least: float | None = None,
-           n: int = 0):
-    """params[key], a number or with n a list of n, with a ScenarioError
-    naming the field unless every entry is at most _RADIUS_MAX in magnitude
-    and, given least, at least least."""
-    v = _vec(params, key, n, where) if n else _need(params, key, float, where, default)
-    _check_magnitude(float(np.abs(v).max()), key, where)
-    if least is not None and not np.min(v) >= least:
-        raise ScenarioError(f"field '{where}.{key}' must be at least {least:g}")
-    return v
 
 
 def _growth(system: LTISystem, horizon: float) -> float:
@@ -393,40 +384,26 @@ def _spec(scenario: Scenario, i: int, system: LTISystem) -> ReachSpec:
     its initial set is centered at zero and the cruise line is the center
     offset.
     """
-    ac = scenario.aircraft[i]
-    dims = _DIMS[scenario.vehicle]
-    where, cwhere = f"aircraft[{i}].initial_set", f"aircraft[{i}].control_set"
-    pr = _radius(ac.initial_set, "position_radius_m", where)
-    vr = _radius(ac.initial_set, "velocity_radius_mps", where)
-    center = np.zeros(dims.state)
-    offset = None
+    ac, vehicle = scenario.aircraft[i], _VEHICLES[scenario.vehicle]
+    radii, control_radii = np.zeros(vehicle.state), np.zeros(vehicle.input)
+    for key, (default, states) in vehicle.initial.items():
+        radii[states] = _leaf(ac.initial_set, key, f"aircraft[{i}].initial_set", default)
+    for key, inputs in vehicle.control.items():
+        control_radii[inputs] = _leaf(ac.control_set, key, f"aircraft[{i}].control_set",
+                                      least=_CONTROL_MIN, radius=True)
+    center, offset = np.zeros(vehicle.state), None
     if scenario.vehicle == "quadrotor":
-        ar = _radius(ac.initial_set, "attitude_radius_rad", where, 0.0)
-        rr = _radius(ac.initial_set, "rate_radius_radps", where, 0.0)
-        center[0:3] = ac.position
-        center[3:6] = ac.velocity
-        radii = [pr] * 3 + [vr] * 3 + [ar] * 2 + [rr] * 2
-        tr = _radius(ac.control_set, "thrust_radius_n", cwhere, least=_CONTROL_MIN)
-        qr = _radius(ac.control_set, "torque_radius_nm", cwhere, least=_CONTROL_MIN)
-        control_radii = [tr, qr, qr]
+        center[0:6] = np.concatenate([ac.position, ac.velocity])
     else:
-        ar = _radius(ac.initial_set, "attitude_radius_rad", where, 0.01)
-        radii = [pr, pr, vr, vr, ar, ar]
-        control_radii = [_radius(ac.control_set, key, cwhere, least=_CONTROL_MIN)
-                         for key in ("elevator_radius_rad", "throttle_radius")]
-        x0 = np.zeros(dims.state)
-        x0[0:2] = ac.position
+        x0, rate = np.zeros(vehicle.state), np.zeros(vehicle.state)
+        x0[0:2], rate[0:2] = ac.position, ac.velocity
         x0[2] = -abs(ac.velocity[0]) if ac.velocity[0] < 0.0 else abs(ac.velocity[0])
-        rate = np.zeros_like(x0)
-        rate[0:2] = ac.velocity
         offset = _line(scenario, x0, rate)
-    V = None
-    if ac.disturbance_radii is not None:
-        V = Ellipsoid(np.zeros(dims.state), np.diag(np.square(ac.disturbance_radii)))
+    V = None if ac.disturbance_radii is None else Ellipsoid(
+        np.zeros(vehicle.state), np.diag(np.square(ac.disturbance_radii)))
     return ReachSpec(system, Ellipsoid(center, np.diag(np.square(radii))),
-                     Ellipsoid(np.zeros(dims.input), np.diag(np.square(control_radii))),
-                     scenario.horizon, V=V, quad_steps=scenario.quad_steps,
-                     center_offset=offset)
+                     Ellipsoid(np.zeros(vehicle.input), np.diag(np.square(control_radii))),
+                     scenario.horizon, V=V, quad_steps=scenario.quad_steps, center_offset=offset)
 
 
 def _line(scenario: Scenario, x0: np.ndarray, rate: np.ndarray) -> NominalTrajectory:

@@ -252,7 +252,8 @@ def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
 
     In an AircraftBlock's whitened variables, named q, Q, lam, s, with the
     distance row slack0 - <bW, q> - g s >= 0.  Starts at q = 0, Q = eps I,
-    lam = 1/2, s = 2 eps with eps = 1e-3.  When the distance row bites there,
+    lam = 1/2, s = 2 eps with eps = 1e-3.  When the distance row's slack
+    there is below INIT_MARGIN (convex.solve's start check takes equality),
     the center slides to q = -theta bW / ||bW|| with lam = (1 - theta^2) / 2,
     theta the midpoint of the interval on which the distance row and the
     containment LMI both hold (lam >= eps + eps^2 keeps the LMI PSD for any
@@ -266,7 +267,7 @@ def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
     if sup <= 0.0:
         raise InfeasibleProblemError("distance", f"supremum slack {sup:.3e}")
     eps, theta = 1e-3, 0.0
-    if slack0 - 2.0 * eps * g <= INIT_MARGIN < sup:
+    if slack0 - 2.0 * eps * g < INIT_MARGIN < sup:
         eps = min(eps, (sup - INIT_MARGIN) / (4.0 * (g + beta)))
         lo = (INIT_MARGIN + 2.0 * eps * g - slack0) / beta if beta > 0.0 else -np.inf
         theta = max(0.5 * (lo + np.sqrt(1.0 - 2.0 * eps * (1.0 + eps))), 0.0)

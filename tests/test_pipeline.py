@@ -20,9 +20,10 @@ from reachsep.ellipsoid import Ellipsoid
 from reachsep.montecarlo import sample_trajectories
 from reachsep.pipeline import SEP_TOL, plane_directions, run, verify_monte_carlo
 from reachsep.plots import MissingArtifactError, _read_tubes, emit_plots
-from reachsep.distance import GAP_REL, separations
+from reachsep.distance import GAP_REL, separation, separations
 from reachsep.reachability import disturbance_contribution, reach_support, reach_tube
 from reachsep.scenario import (
+    _VEHICLES,
     ScenarioError,
     build_nominal,
     build_spec,
@@ -619,35 +620,47 @@ def test_params_at_their_bounds_are_accepted():
     scenario_from_dict(doc)
 
 
-def _params_leaves():
-    for name in ("quadrotor_pair", "fixedwing_pair"):
-        params = json.loads(builtin_scenario_path(name).read_text())["aircraft"][0]["params"]
-        for key, v in params.items():
-            yield from ((name, key, i) for i in range(len(v))) if isinstance(v, list) \
-                else [(name, key, None)]
+def _aircraft_leaves():
+    # every leaf of each vehicle's layout table, so that a leaf added there is
+    # swept here too; the ids of the params leaves name no block
+    for vehicle, layout in _VEHICLES.items():
+        name = f"{vehicle}_pair"
+        leaves = [("initial_set", key, None) for key in layout.initial]
+        leaves += [("control_set", key, None) for key in layout.control]
+        for key, (_, _, _, n) in layout.params.items():
+            leaves += [("params", key, i) for i in range(n)] if n else [("params", key, None)]
+        leaves.append(("disturbance_set", "state_rate_radii", None))
+        for block, key, index in leaves:
+            leaf = key if block == "params" else f"{block}.{key}"
+            yield pytest.param(name, block, key, index, id=f"{name}-{leaf}-{index}")
 
 
-@pytest.mark.parametrize("name, key, index", list(_params_leaves()))
-def test_every_params_leaf_ends_named(name, key, index):
-    # each numeric params leaf of aircraft A at each extreme value either
-    # names its field or synthesizes at reduced fidelity to an answer or to
-    # a named infeasibility (RuntimeWarnings are errors)
+@pytest.mark.parametrize("name, block, key, index", list(_aircraft_leaves()))
+def test_every_params_leaf_ends_named(name, block, key, index):
+    # each numeric set radius, params number and disturbance radius of
+    # aircraft A (the disturbance radii all at once) at each extreme value
+    # either names its field or goes through the overlap report and synthesis
+    # at reduced fidelity, to an answer or to a named infeasibility
+    # (RuntimeWarnings are errors)
     base = json.loads(builtin_scenario_path(name).read_text())
     for value in (0, -1, 1e-300, 1e30, 1e300, -1e300):
         doc = json.loads(json.dumps(base))
-        params = doc["aircraft"][0]["params"]
-        if index is None:
-            params[key] = value
+        node = doc["aircraft"][0].setdefault(block, {})
+        if block == "disturbance_set":
+            node[key] = [value] * _VEHICLES[doc["vehicle"]].state
+        elif index is None:
+            node[key] = value
         else:
-            params[key][index] = value
+            node[key][index] = value
         try:
             scenario = scenario_from_dict(doc, {"quad_steps": 16, "grid_step": 1.0})
         except ScenarioError as exc:
-            assert f"'aircraft[0].params.{key}'" in str(exc), (value, str(exc))
+            assert f"'aircraft[0].{block}.{key}'" in str(exc), (value, str(exc))
             continue
         P = position_projection(scenario)
         geom = estimate_encounter(build_nominal(scenario, 0), build_nominal(scenario, 1), P,
                                   scenario.d)
+        assert np.isfinite(separation(*scenario.specs, geom.tau, P).value), value
         try:
             scalarization_loop(*scenario.specs, geom, P, method=scenario.method,
                                k0=scenario.k0, margin1=scenario.margin1,

@@ -23,6 +23,8 @@ from reachsep.montecarlo import discretize, positions, sample_trajectories
 from reachsep.pipeline import plane_directions
 from reachsep.distance import (
     GAP_REL,
+    HULL_WIDTH,
+    MNP_MAX_ITERS,
     _min_norm_point,
     _oracle,
     _Polytope,
@@ -1258,8 +1260,8 @@ def test_flat_hull_stops_when_a_round_adds_nothing(monkeypatch):
     # reduced fidelity: C is 1e30 m long in z, so at the rounding level of its
     # coordinates (3.5e15 m) every oracle point lies on one line, and the hull
     # stays flat.  Its third round widens the line by no point and moves no
-    # bound, so it stops there, with the bounds that 1,000 rounds reached when
-    # the flat branch ran to its cap (about 50 s)
+    # bound, so it stops there, with the bounds that the flat branch reached
+    # when it ran on for 1,000 rounds (about 50 s)
     rounds = []
     add = _Polytope.add
     monkeypatch.setattr(_Polytope, "add", lambda hull, X: rounds.append(1) or add(hull, X))
@@ -1273,6 +1275,28 @@ def test_flat_hull_stops_when_a_round_adds_nothing(monkeypatch):
     assert not sep.certified
     assert sep.value == pytest.approx(-20.48947655487433, abs=1e-12)
     assert sep.value + sep.gap == pytest.approx(2.0701047986904086e-08, abs=1e-20)
+
+
+def test_overlap_hull_spends_at_most_its_budget(monkeypatch):
+    # aircraft A of the bundled quadrotors with a position radius of 1e4 m, at
+    # reduced fidelity: C is nearly round, so every facet of the hull stays
+    # open, and each round asks along the HULL_WIDTH nearest.  The hull ends
+    # uncertified once it has spent MNP_MAX_ITERS oracle points, the last
+    # round cut to the budget left.  Asked along every open facet, it spent
+    # 19,088 points and 33 s
+    rows = []
+    add = _Polytope.add
+    monkeypatch.setattr(_Polytope, "add", lambda hull, X: rows.append(len(X)) or add(hull, X))
+    doc = load_document(builtin_scenario_path("quadrotor_pair"))
+    doc["aircraft"][0]["initial_set"]["position_radius_m"] = 1e4
+    scen = scenario_from_dict(doc, {"quad_steps": 16, "grid_step": 1.0})
+    P = position_projection(scen)
+    geom = estimate_encounter(build_nominal(scen, 0), build_nominal(scen, 1), P, scen.d)
+    sep = separation(*scen.specs, geom.tau, P)
+    assert sum(rows) <= MNP_MAX_ITERS
+    assert max(rows) <= HULL_WIDTH + 1  # and GJK's query
+    assert not sep.certified
+    assert -10006.0 < sep.value < sep.value + sep.gap < -9990.0
 
 
 def shrunk_fast_pair(name):

@@ -345,6 +345,9 @@ def norm_cases(draw):
 @example(case=([0.8], [1.0], 0.5, -2.0, 0.05))  # no admissible center clears the margin
 @example(case=([0.8], [1.0], 0.5, 0.3, 0.5))  # only a shifted center clears it
 @example(case=([0.0, 0.0], [1.0, 3.0], 2.0, 1e-3, 0.0))  # b~ = 0: eps alone must shrink
+# the centered start's distance slack is exactly INIT_MARGIN, which the start
+# check accepts: the start must stay centered
+@example(case=([1.0], [1.0], 0.0, 1e-08, 0.0))
 def test_norm_start_strictly_feasible(case):
     b, widths, gamma_I, const_term, margin = case
     U = Ellipsoid(np.zeros(len(b)), np.diag(np.asarray(widths) ** 2))
