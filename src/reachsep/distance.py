@@ -33,8 +33,9 @@ HULL_WIDTH = 64  # open facets asked per inner-hull round: the nearest, in facet
 def _oracle(A: _Projected, B: _Projected, l: np.ndarray):
     """g(l) = -rho_A(-P'l) - rho_B(P'l) and the point s = P x_A - P x_B of
     C = P(A_t) - P(B_t) minimizing <l, s>, so that g(l) = <l, s>: one row
-    of l (T, k) per time of the batch."""
-    s = A.center - B.center - A.response(l) - B.response(l)
+    of l (T, k) per time of the views, or any number of rows against views
+    of one time, which numpy broadcasts bit for bit as copies of them."""
+    s = A.center - B.center - A.response(A.images(l)) - B.response(B.images(l))
     return _dot(l, s), s
 
 
@@ -139,8 +140,10 @@ class _Polytope:
     beyond the rounding level, repeats a vertex of a face it sees (its faces
     would have no normal), whose horizon is not one cycle, or whose new faces
     would leave a vertex next to the horizon outside (a fold, from a point
-    within rounding of the surface), is left out, so the polytope stays a
-    closed hull of some of the points and lies inside their convex hull.
+    within rounding of the surface) even once the faces holding that vertex
+    that it sees within rounding are deleted too, is left out, so the
+    polytope stays a closed hull of some of the points and lies inside their
+    convex hull.
     Until the points span k dimensions it has no faces: basis holds an
     orthonormal basis of their affine hull, widened only by the points that
     leave it, and once it spans k dimensions each call to facets tries to
@@ -196,14 +199,45 @@ class _Polytope:
             self.basis = np.vstack([self.basis, r / height])
 
     def _insert(self, i: int) -> None:
-        """Join points[i] to the faces it sees, or leave it out."""
+        """Join points[i] to the faces it sees, or leave it out.
+
+        A point within rounding of the surface can see a face but not its
+        neighbour, and fold a new face over that neighbour: every vertex of a
+        kept face at the horizon must stay inside the new faces.  On a fold,
+        the kept faces that hold an offending vertex and that the point sees
+        within rounding join the seen faces once, and the point is left out
+        only if that fold stands too."""
         p = self.points[i]
-        seen = self.planes[:, :-1] @ p + self.planes[:, -1] > self.tol
+        height = self.planes[:, :-1] @ p + self.planes[:, -1]
+        seen = height > self.tol
         if not seen.any():
             return
+        for _ in range(2):
+            new = self._cone(i, seen)
+            if new is None:
+                return
+            # a face's own vertices are on its plane and are not tested: a
+            # sliver face's normal, rounded, can put them a little outside
+            kept, planes = self.faces[~seen], self._planes(new)
+            at_horizon = np.zeros(self.points.shape[0], dtype=bool)
+            at_horizon[new] = True
+            ring = kept[at_horizon[kept].any(axis=1)].ravel()
+            above = self.points[ring] @ planes[:, :-1].T + planes[:, -1] > self.tol
+            above &= ~(ring[:, None, None] == new[None]).any(axis=2)
+            if not above.any():
+                self.faces = np.concatenate([kept, new])
+                self.planes = np.concatenate([self.planes[~seen], planes])
+                return
+            folded = np.isin(self.faces, ring[above.any(axis=1)]).any(axis=1)
+            seen = seen | (folded & (height > -self.tol))
+
+    def _cone(self, i: int, seen: np.ndarray) -> np.ndarray | None:
+        """The faces joining points[i] to the horizon of the seen faces, or
+        None when it repeats a vertex of a seen face (its faces would have no
+        normal) or the horizon is not one cycle."""
         gone = self.faces[seen]
-        if (self.points[gone.ravel()] == p).all(axis=1).any():
-            return
+        if (self.points[gone.ravel()] == self.points[i]).all(axis=1).any():
+            return None
         gone = gone.tolist()
         if len(gone[0]) == 2:
             # the deleted edges must form one chain: i joins its first start
@@ -211,42 +245,25 @@ class _Polytope:
             starts, ends = {a for a, _ in gone}, {b for _, b in gone}
             first, last = starts - ends, ends - starts
             if len(first) != 1 or len(last) != 1:
-                return
-            new = [[first.pop(), i], [i, last.pop()]]
-        else:
-            # a directed edge of the deleted faces whose reverse is not among
-            # them is on the horizon; each joins i as (a, b, i), which keeps the
-            # orientation.  They must form a single cycle
-            edges = [(f[j], f[j - 2]) for f in gone for j in range(3)]
-            both = set(edges)
-            horizon = [e for e in edges if e[::-1] not in both]
-            succ = dict(horizon)
-            if len(succ) != len(horizon):
-                return
-            v = start = next(iter(succ))
-            for _ in range(len(succ) - 1):
-                v = succ.get(v, start)
-                if v == start:
-                    return
-            if succ.get(v) != start:
-                return
-            new = [[a, b, i] for a, b in succ.items()]
-        # a point within rounding of the surface can see a face but not its
-        # neighbour, and fold a new face over that neighbour: every vertex of a
-        # kept face at the horizon must stay inside the new faces.  A face's
-        # own vertices are on its plane and are not tested: a sliver face's
-        # normal, rounded, can put them a little outside
-        new = np.array(new)
-        kept, planes = self.faces[~seen], self._planes(new)
-        at_horizon = np.zeros(self.points.shape[0], dtype=bool)
-        at_horizon[new] = True
-        ring = kept[at_horizon[kept].any(axis=1)].ravel()
-        height = self.points[ring] @ planes[:, :-1].T + planes[:, -1]
-        own = (ring[:, None, None] == new[None]).any(axis=2)
-        if not (height[~own] <= self.tol).all():
-            return
-        self.faces = np.concatenate([kept, new])
-        self.planes = np.concatenate([self.planes[~seen], planes])
+                return None
+            return np.array([[first.pop(), i], [i, last.pop()]])
+        # a directed edge of the deleted faces whose reverse is not among
+        # them is on the horizon; each joins i as (a, b, i), which keeps the
+        # orientation.  They must form a single cycle
+        edges = [(f[j], f[j - 2]) for f in gone for j in range(3)]
+        both = set(edges)
+        horizon = [e for e in edges if e[::-1] not in both]
+        succ = dict(horizon)
+        if len(succ) != len(horizon):
+            return None
+        v = start = next(iter(succ))
+        for _ in range(len(succ) - 1):
+            v = succ.get(v, start)
+            if v == start:
+                return None
+        if succ.get(v) != start:
+            return None
+        return np.array([[a, b, i] for a, b in succ.items()])
 
     def _start(self) -> bool:
         """Faces of a simplex of the points, then every other point inserted;
@@ -315,8 +332,8 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     ||z|| stays an upper bound too: it certifies touching and flat sets.
     Every g(l) bounds the value from below.
 
-    It runs in rounds, each one batched oracle call (the view of the one
-    time, replicated per query) whose points join H (_Polytope) together.
+    It runs in rounds, each one batched oracle call (every query against
+    the view of the one time) whose points join H (_Polytope) together.
     Seeded with the 2k axis directions, each round asks along the outward
     normal of the facets that could still raise the lower bound, offset >
     lower + GAP_REL max(1, |lower|): the expanding polytope of collision
@@ -346,8 +363,7 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     while spent < MNP_MAX_ITERS:
         queries = queries[:MNP_MAX_ITERS - spent]
         spent += queries.shape[0]
-        rows = np.zeros(queries.shape[0], dtype=int)
-        g, points = _oracle(A.take(rows), B.take(rows), queries)
+        g, points = _oracle(A, B, queries)
         bounds = (lower, upper)
         for p in points:
             z = _toward(z[None], p[None])[0]

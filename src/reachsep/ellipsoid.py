@@ -58,7 +58,8 @@ class Ellipsoid:
 
     @cached_property
     def _sqrt(self) -> np.ndarray:
-        # once per ellipsoid: the set is immutable, and samplers ask per draw
+        # once per ellipsoid: the set is immutable, and _project asks once per
+        # projection and the sampler once per call
         W = psd_sqrt(self.shape)
         W.setflags(write=False)
         return W

@@ -29,6 +29,7 @@ from .scenario import (
     ScenarioError,
     build_nominal,
     build_spec,
+    check_samples,
     load_document,
     position_projection,
     scenario_from_dict,
@@ -175,6 +176,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
         seed = _count_option(overrides, "seed")
         n_mc = _count_option(overrides, "verify_mc")
         scenario = scenario_from_dict(load_document(scenario_path), overrides)
+        check_samples(scenario, n_mc)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3

@@ -292,11 +292,11 @@ class _Projected:
         return values
 
     def images(self, l: np.ndarray):
-        """The factor images of P'l, one row of l (T, k) per time, each with
-        its root: (u0, r0) of the initial set, u0 = F0' l (T, n) and
-        r0 = |u0| (T, 1); then (u, q, r) per input set, u = F' l (T, m, N+1),
-        q = |u|^2 and r = |u| (T, 1, N+1).  A root is inf where its square is
-        0, so dividing by it leaves the set's center alone."""
+        """The factor images of P'l, one row of l (T, k) per time or any rows
+        against one time, broadcast: (u0, r0) of the initial set, u0 = F0' l
+        (T, n) and r0 = |u0| (T, 1); then (u, q, r) per input set, u = F' l
+        (T, m, N+1), q = |u|^2 and r = |u| (T, 1, N+1).  A root is inf where
+        its square is 0, so dividing by it leaves the set's center alone."""
         LT, u0 = (l[:, None] @ self.PPhi0)[:, 0], (l[:, None] @ self.F0)[:, 0]  # (T, n)
         q0 = self._q0(u0, LT)
         images = []
@@ -306,9 +306,9 @@ class _Projected:
             images.append((u, q, np.sqrt(np.where(q > 0.0, q, np.inf))))
         return (u0, np.sqrt(np.where(q0 > 0.0, q0, np.inf))[:, None]), images
 
-    def response(self, l: np.ndarray) -> np.ndarray:
-        """P x - center for the touching point x at P'l, one row per row of l (T, k)."""
-        (u0, r0), images = self.images(l)
+    def response(self, images) -> np.ndarray:
+        """P x - center for the touching point x at P'l, from images(l): a row per row of l."""
+        (u0, r0), images = images
         out = (self.F0 @ u0[..., None])[..., 0] / r0
         h = self.h[:, None, None]
         for F, (u, q, r) in zip(self.inputs, images):
@@ -378,10 +378,10 @@ def reach_point(spec: ReachSpec, t: float, l):
         raise ValueError("extremal recovery is defined for the disturbance-free case")
     l = _direction(l)[None, :]
     view = _project(spec, _grids_for(spec, [t]), np.eye(spec.system.state_dim))
-    (u0, r0), ((u, _, r),) = view.images(l)
+    (u0, r0), ((u, _, r),) = images = view.images(l)
     x0 = spec.X0.center + spec.X0.sqrt_shape() @ (u0 / r0)[0]
     profile = spec.U.center + (u / r)[0].T @ spec.U.sqrt_shape()
-    return (view.center[0] + view.response(l)[0], x0,
+    return (view.center[0] + view.response(images)[0], x0,
             (np.linspace(0.0, view.times[0], profile.shape[0]), profile))
 
 
@@ -420,5 +420,5 @@ def support_gradient(spec: ReachSpec, t: float, l) -> tuple[float, np.ndarray]:
     """
     l = _direction(l)
     view = _project(spec, _grids_for(spec, [t]), np.eye(spec.system.state_dim))
-    point = view.center[0] + view.response(l[None, :])[0]
+    point = view.center[0] + view.response(view.images(l[None, :]))[0]
     return float(l @ point), point

@@ -53,6 +53,17 @@ _RADIUS_MAX = 1e30
 _MASS_MIN = 1e-30
 _GROWTH_MAX = 1e12  # on max |e^(A horizon)|
 _CONTROL_MIN = 1e-30  # floor on every control radius: its square must stay positive
+# bounds on the counts that size arrays and loops, checked before any is
+# built.  Quadrature nodes per grid request, grid times x (quad_steps + 1):
+# the (T, N+1, n, n) transition stack is 52 MB at n = 10
+_NODES_MAX = 2**16
+# reads: a tube's directions x nodes (its per-time view of directions x
+# (quad_steps + 1) factor nodes per input column, at most 17 MB each), and
+# the Monte Carlo check's samples x (grid times + directions) (the samplers'
+# steps, and the check's (directions, samples) buffer, at most 34 MB)
+_READS_MAX = 2**22
+_SAMPLES_MAX = 2**17  # Monte Carlo samples per aircraft: about 750 B each for two quadrotors
+_ITERS_MAX = 100  # scalarization rounds, about 10 ms each
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}
 
@@ -182,8 +193,8 @@ _FIELDS = (
     _Field("scalarization.k0", "k0", float, 1.0, _positive, "must be a positive number"),
     _Field("scalarization.shrink", "shrink", float, 0.8, lambda v, got: 0.0 < v < 1.0,
            "must be a number strictly between 0 and 1"),
-    _Field("scalarization.max_iters", "max_iters", int, 20, lambda v, got: v >= 1,
-           "must be an integer of at least 1"),
+    _Field("scalarization.max_iters", "max_iters", int, 20,
+           lambda v, got: 1 <= v <= _ITERS_MAX, f"must be an integer from 1 to {_ITERS_MAX}"),
     _Field("margins.part1_m", "margin1", float, None, rule="must be a number or null"),
     _Field("margins.part2_m", "margin2", float, 0.0),
 )
@@ -223,9 +234,11 @@ class Scenario:
 
     @cached_property
     def specs(self) -> tuple[ReachSpec, ReachSpec]:
-        """Each aircraft's ReachSpec, built once by _spec; aircraft with equal
-        A and B share one LTISystem, and with it its quadrature grids."""
+        """Each aircraft's ReachSpec, built once by _spec after the models'
+        growth and the sizes are checked; aircraft with equal A and B share
+        one LTISystem, and with it its quadrature grids."""
         a, b = (_linearize(self, i) for i in range(2))
+        _check_sizes(self)
         if np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B):
             b = a
         return _spec(self, 0, a), _spec(self, 1, b)
@@ -283,8 +296,11 @@ def scenario_from_dict(doc: dict, overrides: dict | None = None) -> Scenario:
         reach_p = float(np.abs(position).max())
         reach_v = max(1.0, got["horizon"]) * float(np.abs(velocity).max())
         if not reach_p + reach_v <= _REACH_M:
-            key = "initial_position_m" if reach_p > _REACH_M else "initial_velocity_mps"
-            raise ScenarioError(f"field '{where}.{key}' puts the nominal more than "
+            # the horizon is named when it alone, at 1 m/s, reaches that far
+            field = (f"{where}.initial_position_m" if reach_p > _REACH_M else
+                     "scenario.horizon_s" if got["horizon"] > _REACH_M else
+                     f"{where}.initial_velocity_mps")
+            raise ScenarioError(f"field '{field}' puts the nominal more than "
                                 f"{_REACH_M:g} m from the origin within the horizon")
         params = _need(entry, "params", dict, where)
         iset = _need(entry, "initial_set", dict, where)
@@ -406,10 +422,55 @@ def _spec(scenario: Scenario, i: int, system: LTISystem) -> ReachSpec:
                      scenario.horizon, V=V, quad_steps=scenario.quad_steps, center_offset=offset)
 
 
+def _grid_times(horizon: float, grid_step: float) -> float:
+    """The output grid's time count, 1 + ceil(horizon / grid_step), as a
+    float: a tiny step gives a huge count or inf, not a huge integer."""
+    return np.ceil(horizon / grid_step - 1e-12) + 1.0
+
+
+def _grid_nodes(horizon_s: float, grid_step_s: float, quad_steps: int) -> float:
+    """Quadrature nodes per grid request, grid times x (quad_steps + 1) with
+    quad_steps rounded up to even, as a float: quad_steps past 1e300 (a JSON
+    integer can pass the float range) counts as 1e300."""
+    q = min(quad_steps, 1e300)
+    return _grid_times(horizon_s, grid_step_s) * (q + q % 2 + 1)
+
+
+def _check_sizes(scenario: Scenario) -> None:
+    """A ScenarioError past the quadrature nodes per grid request or the
+    tube reads.  Past the nodes, the error names the first of quad_steps,
+    grid_step_s and horizon_s that, set to its value in the bundled scenario
+    of the same vehicle, brings the count within the bound, and else
+    grid_step_s."""
+    got = {"horizon_s": scenario.horizon, "grid_step_s": scenario.grid_step,
+           "quad_steps": scenario.quad_steps}
+    nodes = _grid_nodes(**got)
+    if nodes > _NODES_MAX:
+        bundled = load_document(builtin_scenario_path(f"{scenario.vehicle}_pair"))
+        key = next((key for key in ("quad_steps", "grid_step_s", "horizon_s")
+                    if _grid_nodes(**{**got, key: bundled[key]}) <= _NODES_MAX), "grid_step_s")
+        raise ScenarioError(f"field 'scenario.{key}' makes {nodes:.6g} quadrature nodes per grid "
+                            f"request (grid times x (quad_steps + 1)), more than {_NODES_MAX}")
+    reads = min(scenario.directions, 1e300) * nodes
+    if reads > _READS_MAX:
+        raise ScenarioError(f"field 'scenario.directions' makes {reads:.6g} tube reads "
+                            f"(directions x quadrature nodes), more than {_READS_MAX}")
+
+
+def check_samples(scenario: Scenario, n: int) -> None:
+    """A ScenarioError naming option 'verify_mc' when n Monte Carlo samples
+    per aircraft pass _SAMPLES_MAX, or n x (grid times + directions) passes
+    _READS_MAX."""
+    per = _grid_times(scenario.horizon, scenario.grid_step) + scenario.directions
+    if n > _SAMPLES_MAX or n * per > _READS_MAX:
+        raise ScenarioError(f"option 'verify_mc' must be at most {_SAMPLES_MAX}, and samples x "
+                            f"(grid times + directions) at most {_READS_MAX}: got {n} x {per:.6g}")
+
+
 def _line(scenario: Scenario, x0: np.ndarray, rate: np.ndarray) -> NominalTrajectory:
     """x0 plus whole steps of horizon / ceil(horizon / grid_step) at a
     constant rate, on the output grid."""
-    n_steps = int(np.ceil(scenario.horizon / scenario.grid_step - 1e-12))
+    n_steps = int(_grid_times(scenario.horizon, scenario.grid_step)) - 1
     h = scenario.horizon / n_steps
     # RK4's step, whose four stages are equal at a constant rate, kept in its
     # form and summed in its order: the states are bit for bit those of

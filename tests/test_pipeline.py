@@ -23,6 +23,7 @@ from reachsep.plots import MissingArtifactError, _read_tubes, emit_plots
 from reachsep.distance import GAP_REL, separation, separations
 from reachsep.reachability import disturbance_contribution, reach_support, reach_tube
 from reachsep.scenario import (
+    _FIELDS,
     _VEHICLES,
     ScenarioError,
     build_nominal,
@@ -445,6 +446,14 @@ def test_degenerate_encounter_exits_three(tmp_path, capsys, case, message):
     (["--verify-mc", "-3"], "'verify_mc'"),
     (["--seed", "-1"], "'seed'"),
     (["--directions", "-1"], "directions"),
+    # past the bounds on the counts that size arrays: the quadrature nodes
+    # per grid request, the tube reads and the Monte Carlo samples, alone and
+    # times (grid times + directions)
+    (["--grid-step", "4e-5"], "'scenario.grid_step_s'"),
+    (["--quad-steps", "10000000"], "'scenario.quad_steps'"),
+    (["--directions", "1000000000"], "'scenario.directions'"),
+    (["--verify-mc", "1000000000"], "'verify_mc'"),
+    (["--verify-mc", "100000"], "'verify_mc'"),
 ])
 def test_cli_invalid_overrides_exit_three(tmp_path, capsys, flags, field):
     code = main(["run", str(builtin_scenario_path("quadrotor_pair")),
@@ -635,15 +644,39 @@ def _aircraft_leaves():
             yield pytest.param(name, block, key, index, id=f"{name}-{leaf}-{index}")
 
 
+SWEEP = (0, -1, 1e-300, 1e30, 1e300, -1e300)
+REDUCED = {"quad_steps": 16, "grid_step": 1.0}
+
+
+def _through(doc: dict, overrides: dict):
+    """The ScenarioError's message if doc is refused; else None, once doc has
+    gone through the encounter, the overlap report and synthesis, to an
+    answer or to a named infeasibility (RuntimeWarnings are errors)."""
+    try:
+        scenario = scenario_from_dict(doc, overrides)
+    except ScenarioError as exc:
+        return str(exc)
+    P = position_projection(scenario)
+    geom = estimate_encounter(build_nominal(scenario, 0), build_nominal(scenario, 1), P,
+                              scenario.d)
+    assert np.isfinite(separation(*scenario.specs, geom.tau, P).value)
+    try:
+        scalarization_loop(*scenario.specs, geom, P, method=scenario.method, k0=scenario.k0,
+                           shrink=scenario.shrink, margin1=scenario.margin1,
+                           margin2=scenario.margin2, max_iters=scenario.max_iters)
+    except JointInfeasibilityError:
+        pass
+    return None
+
+
 @pytest.mark.parametrize("name, block, key, index", list(_aircraft_leaves()))
 def test_every_params_leaf_ends_named(name, block, key, index):
     # each numeric set radius, params number and disturbance radius of
     # aircraft A (the disturbance radii all at once) at each extreme value
     # either names its field or goes through the overlap report and synthesis
-    # at reduced fidelity, to an answer or to a named infeasibility
-    # (RuntimeWarnings are errors)
+    # at reduced fidelity
     base = json.loads(builtin_scenario_path(name).read_text())
-    for value in (0, -1, 1e-300, 1e30, 1e300, -1e300):
+    for value in SWEEP:
         doc = json.loads(json.dumps(base))
         node = doc["aircraft"][0].setdefault(block, {})
         if block == "disturbance_set":
@@ -652,21 +685,28 @@ def test_every_params_leaf_ends_named(name, block, key, index):
             node[key] = value
         else:
             node[key][index] = value
-        try:
-            scenario = scenario_from_dict(doc, {"quad_steps": 16, "grid_step": 1.0})
-        except ScenarioError as exc:
-            assert f"'aircraft[0].{block}.{key}'" in str(exc), (value, str(exc))
-            continue
-        P = position_projection(scenario)
-        geom = estimate_encounter(build_nominal(scenario, 0), build_nominal(scenario, 1), P,
-                                  scenario.d)
-        assert np.isfinite(separation(*scenario.specs, geom.tau, P).value), value
-        try:
-            scalarization_loop(*scenario.specs, geom, P, method=scenario.method,
-                               k0=scenario.k0, margin1=scenario.margin1,
-                               margin2=scenario.margin2)
-        except JointInfeasibilityError:
-            pass
+        error = _through(doc, REDUCED)
+        assert error is None or f"'aircraft[0].{block}.{key}'" in error, (value, error)
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+@pytest.mark.parametrize("field", [f for f in _FIELDS if f.kind in (float, int)],
+                         ids=lambda f: f.path)
+def test_every_top_level_field_ends_named(name, field):
+    # each numeric top-level field at each extreme value, and an integer
+    # field at 10**9 too, either names its field or goes through the overlap
+    # report and synthesis at reduced fidelity in every other field.  A
+    # horizon below the reduced grid step is refused by the grid step's rule,
+    # which names the horizon
+    base = json.loads(builtin_scenario_path(name).read_text())
+    *blocks, key = field.path.split(".")
+    reduced = {attr: v for attr, v in REDUCED.items() if attr != field.attr}
+    for value in SWEEP + ((10**9,) if field.kind is int else ()):
+        doc = json.loads(json.dumps(base))
+        (doc[blocks[0]] if blocks else doc)[key] = value
+        error = _through(doc, reduced)
+        assert error is None or f"'scenario.{field.path}'" in error or (
+            key == "horizon_s" and "at most horizon_s" in error), (value, error)
 
 
 def test_scenario_quad_steps_validated(tmp_path, capsys):
