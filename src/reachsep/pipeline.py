@@ -2,7 +2,7 @@
 
 The run is the full two-phase pipeline: estimate the encounter from the
 nominal trajectories, report the initial (unshrunk) overlap, shrink B's
-control set, build B's inflated safe set, fit A's control set, then verify
+control set, fit A's control set clear of B's shrunk one, then verify
 separation over the whole output grid.  Every artifact is written even when
 the verification fails; the exit code carries the verdict:
 
@@ -247,7 +247,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     shrunkA = dataclasses.replace(specA, U=solA.control_set())
     shrunkB = dataclasses.replace(specB, U=solB.control_set())
-    safeB = solA.safe_set  # the set phase two was solved against
+    safeB = solA.safe_set  # reported: no program reads it
 
     sol_doc = {"method": scenario.method, "k_used": k_used,
                "margins": {"part1_m": scenario.margin1 if scenario.margin1 is not None

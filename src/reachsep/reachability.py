@@ -39,7 +39,8 @@ their directions, each direction then read through its coefficients in Q
 (_Projected.through), so a family of many directions in a plane costs two
 projected rows per time.
 reachsep.distance searches the separation of two sets on the view, and
-reachsep.synthesis reads its safe set and phase-one constants from it.
+reachsep.synthesis reads every term of its programs, and the safe set it
+reports, from it.
 """
 
 from dataclasses import dataclass, replace

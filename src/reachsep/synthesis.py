@@ -4,14 +4,16 @@ Phase one shrinks aircraft B's control set so B's reachable set stays clear
 of A's nominal point at the closest-approach time, trading retained control
 authority (a log-det term weighted by the scalarization factor k) against the
 achieved clearance.  Phase two then maximizes A's control set subject to A's
-reachable set avoiding B's separation-inflated safe set.  Both phases reduce
-to log-det programs over a containment LMI plus one scalar distance
-inequality, built from the same parts: an AircraftBlock and a DistanceRow.
-The spectral-norm programs are solved by the barrier method from a
-closed-form strictly feasible start; the scaled phase one (the control set
-restricted to r times the original) is solved in closed form.
-Infeasibility of phase two sends the scalarization loop back to phase one
-with a smaller k.
+reachable set staying d clear of B's shrunk one along l*, B's side read as
+B's kernel support value.  Both phases reduce to log-det programs over a
+containment LMI plus one scalar distance inequality, built from the same
+parts, an AircraftBlock and a DistanceRow, whose every term comes from the
+support kernel (reachability._project).  The spectral-norm programs are
+solved by the barrier method from a closed-form strictly feasible start; the
+scaled phase one (the control set restricted to r times the original) is
+solved in closed form.  Infeasibility of phase two sends the scalarization
+loop back to phase one with a smaller k.  B's safe set, an outer ellipsoid
+of its shrunk reachable set inflated by d and tight along l*, is a report.
 """
 
 from dataclasses import dataclass, replace
@@ -19,10 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
-from .ellipsoid import Ellipsoid, minkowski_sum_external, support
-from .reachability import ReachSpec, _alive, _grids_for, _panel_sum, _project
-
-PI_FLOOR_REL = 1e-12
+from .ellipsoid import Ellipsoid, minkowski_sum_external
+from .reachability import ReachSpec, _alive, _grids_for, _panel_sum, _project, reach_support
 
 
 class DegenerateGeometryError(ValueError):
@@ -107,7 +107,7 @@ class SynthesisSolution:
     barrier_mu_final: float | None  # None when solved in closed form
     stage_objectives: tuple  # F's objective after each barrier stage
     r: float | None = None  # scaled method only
-    safe_set: Ellipsoid | None = None  # phase two only: the set A avoids
+    safe_set: Ellipsoid | None = None  # phase two only: B's safe set, reported
 
     def control_set(self) -> Ellipsoid:
         return Ellipsoid(self.q, self.Q @ self.Q)
@@ -149,24 +149,22 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
 
     The root terms are the support kernel's: x0_term and gamma_U are the
     roots of the spec's projected view with P = l, and gamma_I the control
-    root with the unit ball as the control set, read by the same panel rule
-    from the rows w = l' Phi B that b integrates.  All are read on the
-    reach-support quadrature grid, so assembling the phase-one support value
-    reproduces reach_support for any fixed control set.
+    root of the view whose control set is the unit ball.  All are read on
+    the reach-support quadrature grid, so assembling the phase-one support
+    value reproduces reach_support for any fixed control set.
     """
     if spec.horizon < geom.tau - 1e-12:
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grids_for(spec, [geom.tau])
     x0_term, gamma_U = (float(r[0, 0]) for r in _project(spec, g, l[None, :]).roots()[:2])
-    w = l @ g.PhiB[0]  # (N+1, m)
-    q = (w * w).sum(axis=-1)
+    unit = replace(spec, U=Ellipsoid.ball(np.zeros(spec.U.dim), 1.0))
     return PartIConstants(
         a0=float(l @ g.Phi0[0] @ spec.X0.center),
-        b=g.simpson_w[0] @ w,
+        b=g.simpson_w[0] @ (l @ g.PhiB[0]),
         x0_term=x0_term,
         gamma_U=gamma_U,
-        gamma_I=float(_panel_sum(g.h[:, None, None], _alive(q), np.sqrt(q))[0, 0]),
+        gamma_I=float(_project(unit, g, l[None, :]).roots()[1][0, 0]),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -311,14 +309,17 @@ def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Elli
 
 
 def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid:
-    """Position-space external ellipsoid of the reach set, inflated by d.
+    """Position-space outer ellipsoid of the reach set inflated by d, tight
+    along l*: the safe set the answer reports, which no program reads.
 
-    The reach set's initial-set image and control-integral parts are each
-    covered by an ellipsoid tight along l*, summed tightly, and finally
-    Minkowski-added to a radius-d ball.  Both parts are read from the
-    kernel's projected view at t: its center, and the shapes F0 F0' of the
-    initial-set image and F F' of each control node, from the view's factors.
-    Support along l* reproduces reach_support + d up to quadrature tolerance.
+    The initial-set image E(center, F0 F0') and the control integral, read
+    from the kernel's projected view at t, are each covered tightly along
+    l*, summed tightly and added to a radius-d ball.  The control integral
+    sums the node shapes F F' by the kernel's panel and alive rules with
+    weights |F' l*| from the view's factor images (Kurzhanski & Valyi 1997);
+    a node with F' l* = 0 has an infinite root and drops out, and when no
+    node moves the set along l* the weights are |F|_F.  So the support
+    along P l* is reach_support + d to rounding.
     """
     if d < 0.0:
         raise ValueError("separation radius must be nonnegative")
@@ -327,35 +328,29 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     g = _grids_for(spec_shrunk, [t])
     view = _project(spec_shrunk, g, P)
     F0, F = view.F0[0], view.inputs[0][0]  # F: (k, m, N+1)
-    center, M_x0, M_s = view.center[0], F0 @ F0.T, np.einsum("amj,bmj->abj", F, F)
-    simpson_w = g.simpson_w[0]
-    # control integral: weights pi proportional to the integrand along l*
-    pi = np.sqrt(np.clip(l_pos @ np.tensordot(l_pos, M_s, axes=1), 0.0, None))
-    if pi.max() <= 0.0:
-        pi = np.sqrt(np.clip(np.trace(M_s), 0.0, None))
-    if pi.max() > 0.0:
-        pi = np.maximum(pi, PI_FLOOR_REL * pi.max())
-        M_ctrl = float(simpson_w @ pi) * (M_s @ (simpson_w / pi))
-        M_ctrl = 0.5 * (M_ctrl + M_ctrl.T)
-    else:
-        M_ctrl = np.zeros((P.shape[0], P.shape[0]))
-    reach_ell = minkowski_sum_external(Ellipsoid(center, M_x0),
-                                       Ellipsoid(np.zeros(P.shape[0]), M_ctrl), l_pos)
-    return minkowski_sum_external(reach_ell, Ellipsoid.ball(np.zeros(P.shape[0]), d), l_pos)
+    M_s = np.einsum("amj,bmj->abj", F, F)
+    _, ((_, q, _), *_) = view.images(l_pos[None, :])  # q = |F' l*|^2: (1, 1, N+1)
+    q = q[0, 0] if q.any() else np.trace(M_s)
+    r, alive = np.sqrt(np.where(q > 0.0, q, np.inf)), _alive(q)
+    M_ctrl = _panel_sum(g.h[0], alive, np.sqrt(q)) * _panel_sum(g.h[0], alive, M_s / r)
+    reach_ell = minkowski_sum_external(Ellipsoid(view.center[0], F0 @ F0.T),
+                                       Ellipsoid(np.zeros_like(l_pos), M_ctrl), l_pos)
+    return minkowski_sum_external(reach_ell, Ellipsoid.ball(np.zeros_like(l_pos), d), l_pos)
 
 
-def solve_part2(specA: ReachSpec, safeB: Ellipsoid, geom: EncounterGeometry,
-                P, margin: float = 0.0) -> SynthesisSolution:
-    """Phase two: the largest control set for A that avoids B's safe set.
+def solve_part2(specA: ReachSpec, shrunkB: ReachSpec, geom: EncounterGeometry,
+                margin: float = 0.0) -> SynthesisSolution:
+    """Phase two: the largest control set for A whose reachable set stays d
+    clear of B's shrunk one along l* at tau.
 
     Maximizes log det Q subject to the containment LMI in A's original
-    control set and the expanded avoidance inequality along -l*, in the
-    spectral-norm form.
+    control set and the avoidance row along -l*, in the spectral-norm form,
+    with target -(reach_support(shrunkB, tau, l*) + d): B's kernel support,
+    which the reported safe set's support along l* equals to rounding.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
     consts = part1_constants(specA, geom, l=-geom.l_star)
-    row = distance_row(consts, -support(safeB, P @ geom.l_star)[0], specA.U, margin, "A")
-    return replace(_norm_program(row, specA.U, 1.0, 0.0), safe_set=safeB)
+    target = -(reach_support(shrunkB, geom.tau, geom.l_star) + geom.d)
+    return _norm_program(distance_row(consts, target, specA.U, margin, "A"), specA.U, 1.0, 0.0)
 
 
 def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeometry,
@@ -364,8 +359,9 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
                        max_iters: int = 20):
     """B-then-A synthesis, retrying with smaller k until phase two is feasible.
 
-    Returns (solB, solA, k_used, diagnostics).  Phase-one infeasibility does
-    not depend on k and aborts immediately; phase-two infeasibility shrinks k.
+    Returns (solB, solA, k_used, diagnostics), solA carrying B's safe set as
+    a report.  Phase-one infeasibility does not depend on k and aborts
+    immediately; phase-two infeasibility shrinks k.
     """
     if k0 <= 0.0 or not 0.0 < shrink < 1.0:
         raise ValueError("need k0 > 0 and shrink in (0, 1)")
@@ -382,10 +378,9 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         except InfeasibleProblemError as exc:
             diagnostics.append({"k": k, "outcome": f"phase one infeasible: {exc.constraint}"})
             raise JointInfeasibilityError(diagnostics) from exc
-        safeB = safe_set(replace(specB, U=solB.control_set()), geom.tau, geom.d,
-                         geom.l_star, P)
+        shrunkB = replace(specB, U=solB.control_set())
         try:
-            solA = solve_part2(specA, safeB, geom, P, margin=margin2)
+            solA = solve_part2(specA, shrunkB, geom, margin=margin2)
         except InfeasibleProblemError as exc:
             diagnostics.append({
                 "k": k, "outcome": f"phase two infeasible: {exc.constraint}",
@@ -395,5 +390,6 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         diagnostics.append({
             "k": k, "outcome": "feasible",
             "part1_distance": solB.distance, "part2_distance": solA.distance})
-        return solB, solA, k, diagnostics
+        safeB = safe_set(shrunkB, geom.tau, geom.d, geom.l_star, P)
+        return solB, replace(solA, safe_set=safeB), k, diagnostics
     raise JointInfeasibilityError(diagnostics)

@@ -464,7 +464,7 @@ def test_safe_set_support_matches_reach_support():
     for d in [0.0, 1.0]:
         s = safe_set(shrunk, geom.tau, d, geom.l_star, P3)
         rho = support(s, l_pos)[0]
-        assert rho == pytest.approx(reach_support(shrunk, geom.tau, geom.l_star) + d, abs=1e-6)
+        assert abs(rho - (reach_support(shrunk, geom.tau, geom.l_star) + d)) <= 1e-12
 
 
 def test_safe_set_contains_inflated_samples():
@@ -502,9 +502,7 @@ def test_safe_set_support_matches_reach_support_fixedwing():
     for d in [0.0, geom.d]:
         s = safe_set(shrunk, geom.tau, d, geom.l_star, P)
         rho = support(s, P @ geom.l_star)[0]
-        # the safe set weighs the control nodes by plain Simpson, the kernel
-        # takes the midpoint on a vanishing panel: 5.4e-6 m apart here
-        assert rho == pytest.approx(reach_support(shrunk, geom.tau, geom.l_star) + d, abs=1e-5)
+        assert abs(rho - (reach_support(shrunk, geom.tau, geom.l_star) + d)) <= 1e-12
 
 
 def test_safe_set_contains_inflated_samples_fixedwing():
@@ -524,8 +522,9 @@ def test_part2_far_safe_set_keeps_full_authority():
     # "far" must beat the norm bound s_cap * gamma_I (~12.6 km here), since
     # the spectral bound charges the full torque sensitivity to every axis
     specA, specB, geom = quad_pair()
-    far = Ellipsoid.ball([0.0, -20000.0, 0.0], 1.0)
-    sol = solve_part2(specA, far, geom, P3)
+    far = dataclasses.replace(specB, X0=Ellipsoid(specB.X0.center - 20000.0 * geom.l_star,
+                                                  specB.X0.shape))
+    sol = solve_part2(specA, far, geom)
     W = specA.U.sqrt_shape()
     assert np.allclose(sol.Q, W, atol=1e-3 * np.abs(W).max())
     assert np.linalg.norm(sol.q - specA.U.center) <= 1e-4
@@ -536,12 +535,31 @@ def test_part2_certifies_tau_separation():
     c = part1_constants(specB, geom)
     solB = solve_matrix_norm(c, geom, specB.U, 1.0, margin=0.5)
     shrunkB = dataclasses.replace(specB, U=solB.control_set())
-    sB = safe_set(shrunkB, geom.tau, geom.d, geom.l_star, P3)
-    solA = solve_part2(specA, sB, geom, P3)
+    solA = solve_part2(specA, shrunkB, geom)
     shrunkA = dataclasses.replace(specA, U=solA.control_set())
     lo_A = -reach_support(shrunkA, geom.tau, -geom.l_star)
     hi_B = reach_support(shrunkB, geom.tau, geom.l_star)
-    assert lo_A - hi_B >= geom.d - 1e-6
+    assert lo_A - hi_B >= geom.d - 1e-9
+
+
+def test_loop_keeps_d_at_tau_on_the_kernel_fixedwing_scaled():
+    # bundled fixed-wing with A at (320, 13.75) m, k0 = 22.241928 and the
+    # scaled phase one; phase two must hold d + part2_m on the kernel, which a
+    # safe set summed by plain Simpson missed here by 6.2e-5 m
+    doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
+    doc["aircraft"][0]["initial_position_m"][1] = 13.75
+    doc["scalarization"]["k0"] = 22.241928
+    doc["part1_method"] = "scaled"
+    sc = scenario_from_dict(doc)
+    P = position_projection(sc)
+    geom = estimate_encounter(build_nominal(sc, 0), build_nominal(sc, 1), P, sc.d)
+    specA, specB = (build_spec(sc, i, with_disturbance=False) for i in (0, 1))
+    solB, solA, _, _ = scalarization_loop(
+        specA, specB, geom, P, method=sc.method, k0=sc.k0, shrink=sc.shrink,
+        margin1=sc.margin1, margin2=sc.margin2, max_iters=sc.max_iters)
+    gap = (-reach_support(dataclasses.replace(specA, U=solA.control_set()), geom.tau, -geom.l_star)
+           - reach_support(dataclasses.replace(specB, U=solB.control_set()), geom.tau, geom.l_star))
+    assert gap >= geom.d + sc.margin2 - 1e-9
 
 
 # ---------------------------------------------------------------- loop
@@ -553,7 +571,7 @@ def test_loop_single_iteration_when_feasible():
                                                    method="norm", k0=1.0, shrink=0.8)
     assert k_used == 1.0
     assert len(diags) == 1 and diags[0]["outcome"] == "feasible"
-    # phase two carries the safe set it was solved against
+    # phase two reports B's safe set
     safeB = safe_set(dataclasses.replace(specB, U=solB.control_set()), geom.tau, geom.d,
                      geom.l_star, P3)
     assert np.array_equal(solA.safe_set.center, safeB.center)
