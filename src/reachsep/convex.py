@@ -25,16 +25,21 @@ and 1/mu on barrier blocks.  One rule, worst_violation (each block's
 smallest eigenvalue), checks the start against INIT_MARGIN.  F_mu at a trial
 point is one Cholesky factor of G, and its gradient and Hessian at an
 accepted point are one inverse of G and two BLAS products.  The Armijo test
-reads only F_mu, so backtracking trials evaluate the value alone.  A stage
-starts on the accepted-point path: the value at its first point, then the
-gradient and Hessian from the G that value factored, carried into the next
-Newton step.  One rule ends a stage early: an Armijo step counts only if
-F_mu rose by more than its rounding level or the gradient norm fell, since
-once neither holds Newton can make no measurable progress at this mu (the
-centering stop of Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3).
+reads only F_mu, so backtracking trials evaluate the value alone.  Only the
+weights change with mu, so a stage starts from the factor and inverse that
+the previous stage ended on (Boyd & Vandenberghe, Convex Optimization,
+11.3): its value is read from the carried factor's diagonal with the new
+weights, its gradient and Hessian from the carried inverse, and only the
+first stage factors and inverts at its start.  Each stage's objective f is
+read from the leading log-det block of the same factor.  One rule ends a
+stage early: an Armijo step counts only if F_mu rose by more than its
+rounding level or the gradient norm fell, since once neither holds Newton
+can make no measurable progress at this mu (the centering stop of
+Boyd & Vandenberghe, 9.5, 11.3).
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,14 +291,23 @@ class StackedBarrier:
         return _affine(self.F0, self.F, x)
 
     def objective(self, x: np.ndarray) -> float:
+        """f(x), -inf where a log-det block is not positive definite."""
+        L = None
+        if self.n_obj:
+            try:
+                L = np.linalg.cholesky(self.value(x)[:self.n_obj, :self.n_obj])
+            except np.linalg.LinAlgError:
+                return -np.inf
+        return self.objective_at(x, L)
+
+    def objective_at(self, x: np.ndarray, L: np.ndarray | None) -> float:
+        """f(x) from L, the Cholesky factor of G(x) or of its leading n_obj
+        block: the leading block of the factor of a block-diagonal G is the
+        factor of that block."""
         val = self.obj_const + float(self.linear @ x)
         if self.n_obj == 0:
             return val
-        try:
-            L = np.linalg.cholesky(self.value(x)[:self.n_obj, :self.n_obj])
-        except np.linalg.LinAlgError:
-            return -np.inf
-        return val + 2.0 * float(self.k[:self.n_obj] @ np.log(L.diagonal()))
+        return val + 2.0 * float(self.k[:self.n_obj] @ np.log(L.diagonal()[:self.n_obj]))
 
     def worst_violation(self, x: np.ndarray) -> tuple[str, float]:
         """The block with the smallest eigenvalue at x, log-det blocks
@@ -318,93 +332,116 @@ class SolveResult:
     newton_steps: int = 0
 
 
-def _merit_value(sb: StackedBarrier, x: np.ndarray, mu: float, fscale: float = 1.0):
-    """(F_mu, G, w) with the objective scaled by fscale; None outside the domain.
+class _Stage(NamedTuple):
+    """The constants of one barrier stage: the weights w (fscale * k on
+    log-det rows, 1/mu on barrier rows), sqrt(w), fscale * linear and F as
+    a (D, n^2) matrix."""
 
-    One Cholesky factor of the stacked G gives the value; the weights w are
-    fscale * k on log-det rows and 1/mu on barrier rows.  G and w are what
-    _merit_derivs needs at the same point.
-    """
-    G = sb.value(x)
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return None
+    fscale: float
+    w: np.ndarray
+    rw: np.ndarray
+    lin: np.ndarray
+    FD: np.ndarray
+
+
+def _stage(sb: StackedBarrier, mu: float, fscale: float) -> _Stage:
     w = fscale * sb.k
     w[sb.n_obj:] = 1.0 / mu
-    val = fscale * (sb.obj_const + float(sb.linear @ x)) + 2.0 * float(w @ np.log(L.diagonal()))
-    return val, G, w
+    return _Stage(fscale, w, np.sqrt(w), fscale * sb.linear, sb.F.reshape(sb.total_dim, -1))
 
 
-def _merit_derivs(sb: StackedBarrier, G: np.ndarray, w: np.ndarray, fscale: float = 1.0):
-    """(grad, hess) of F_mu at the point where _merit_value gave G and w.
+def _factor(sb: StackedBarrier, x: np.ndarray):
+    """(G, L): G(x) and its Cholesky factor; None outside the domain."""
+    G = sb.value(x)
+    try:
+        return G, np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _merit_value(sb: StackedBarrier, x: np.ndarray, L: np.ndarray, st: _Stage) -> float:
+    """F_mu at x, with the objective scaled by fscale, from the Cholesky
+    factor L of G(x)."""
+    return (st.fscale * (sb.obj_const + float(sb.linear @ x))
+            + 2.0 * float(st.w @ np.log(L.diagonal())))
+
+
+def _merit_derivs(sb: StackedBarrier, Ginv: np.ndarray, st: _Stage):
+    """(grad, hess) of F_mu at the point where G(x)^-1 = Ginv.
 
     Since w is constant on each block, it commutes with every block-diagonal
     matrix, so with A = sqrt(w) G^-1 and M_i = A F_i the gradient is
-    F_i . (A sqrt(w))' and the Hessian -tr(M_i M_j): one inverse and two
-    BLAS products.
+    F_i . (A sqrt(w))' and the Hessian -tr(M_i M_j): two BLAS products.
     """
     D = sb.total_dim
-    rw = np.sqrt(w)
-    A = rw[:, None] * np.linalg.inv(G)
-    grad = fscale * sb.linear + sb.F.reshape(D, -1) @ (A * rw).T.ravel()
+    A = st.rw[:, None] * Ginv
+    grad = st.lin + st.FD @ (A * st.rw).T.ravel()
     M = A @ sb.F
     hess = -(M.reshape(D, -1) @ M.transpose(0, 2, 1).reshape(D, -1).T)
     return grad, hess
 
 
 def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
-                  fscale: float = 1.0):
-    """Centers F_mu by damped Newton; returns (x, grad_norm, steps).
+                  fscale: float = 1.0, carry=None):
+    """Centers F_mu by damped Newton; returns (x, grad_norm, steps, carry).
 
-    Backtracking trials evaluate F_mu alone; derivatives are evaluated once
-    per accepted point, the start included, from the G its value formed and
-    factored, and carried into the next step.  A trial that passes the Armijo
-    test is taken only if it makes measurable progress: F_mu rose by more
-    than its rounding level, or the gradient norm fell.  Otherwise, and when
-    no trial passes, Newton can no longer improve the point at this mu and
-    the stage ends there.
+    carry is (L, G^-1) at x: the Cholesky factor and inverse of G(x) that
+    the previous stage ended on, None at the first stage, which computes
+    them.  The stage's start value is read from L with this stage's weights
+    and its derivatives from G^-1, so a stage factors and inverts nothing at
+    its start.  Backtracking trials factor G and evaluate F_mu alone; an
+    accepted trial's G is inverted once for its derivatives, and its factor
+    and inverse are carried into the next step and returned with the point
+    the stage ends on.  A trial that passes the Armijo test is taken only if
+    it makes measurable progress: F_mu rose by more than its rounding level,
+    or the gradient norm fell.  Otherwise, and when no trial passes, Newton
+    can no longer improve the point at this mu and the stage ends there.
     """
-    start = _merit_value(sb, x, mu, fscale)
-    if start is None:
-        raise RuntimeError("iterate left the barrier domain")
-    val, G, w = start
-    out = (val, *_merit_derivs(sb, G, w, fscale))
+    st = _stage(sb, mu, fscale)
+    if carry is None:
+        start = _factor(sb, x)
+        if start is None:
+            raise RuntimeError("iterate left the barrier domain")
+        carry = start[1], np.linalg.inv(start[0])
+    val = _merit_value(sb, x, carry[0], st)
+    grad, hess = _merit_derivs(sb, carry[1], st)
     steps = 0
     for _ in range(MAX_NEWTON):
-        val, grad, hess = out
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
-            return x, gnorm, steps
+            return x, gnorm, steps, carry
         reg = 0.0
         while True:
             try:
-                step = np.linalg.solve(hess - reg * np.eye(sb.total_dim), -grad)
+                step = np.linalg.solve(hess - reg * np.eye(sb.total_dim) if reg > 0.0 else hess,
+                                       -grad)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and grad @ step > 0.0:
                 break
             reg = max(2.0 * reg, 1e-10 * max(1.0, np.abs(hess).max()))
             if reg > 1e12:
-                return x, gnorm, steps
+                return x, gnorm, steps, carry
         decrement = float(grad @ step)
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
-            trial = _merit_value(sb, cand, mu, fscale)
-            if trial is not None and trial[0] >= val + ARMIJO * alpha * decrement:
-                break
+            trial = _factor(sb, cand)
+            if trial is not None:
+                cval = _merit_value(sb, cand, trial[1], st)
+                if cval >= val + ARMIJO * alpha * decrement:
+                    break
             alpha *= BACKTRACK
         else:
-            return x, gnorm, steps
+            return x, gnorm, steps, carry
         steps += 1
-        cval, G, w = trial
-        cout = (cval, *_merit_derivs(sb, G, w, fscale))
+        ccarry = trial[1], np.linalg.inv(trial[0])
+        cgrad, chess = _merit_derivs(sb, ccarry[1], st)
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
-                and np.linalg.norm(cout[1]) >= gnorm):
-            return x, gnorm, steps
-        x, out = cand, cout
-    return x, float(np.linalg.norm(out[1])), steps
+                and np.linalg.norm(cgrad) >= gnorm):
+            return x, gnorm, steps, carry
+        x, val, grad, hess, carry = cand, cval, cgrad, chess, ccarry
+    return x, float(np.linalg.norm(grad)), steps, carry
 
 
 def solve(prob: BarrierProblem, init: dict) -> SolveResult:
@@ -430,10 +467,12 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     mu = 1.0
     stage_objectives = []
     total_steps = 0
+    carry = None
     while True:
-        x, kkt, steps = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale)
+        x, kkt, steps, carry = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale,
+                                             carry=carry)
         total_steps += steps
-        stage_objectives.append(sb.objective(x))
+        stage_objectives.append(sb.objective_at(x, carry[0]))
         if nu / mu <= GAP_TOL:
             break
         mu *= 10.0
@@ -441,5 +480,5 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
         status = "optimal"
     else:
         status = "max_iter" if steps == MAX_NEWTON else "stalled"
-    return SolveResult(prob.unpack(x), sb.objective(x), kkt, mu, status,
+    return SolveResult(prob.unpack(x), stage_objectives[-1], kkt, mu, status,
                        stage_objectives, total_steps)

@@ -39,6 +39,7 @@ from .synthesis import (
     EncounterGeometry,
     JointInfeasibilityError,
     estimate_encounter,
+    safe_set,
     scalarization_loop,
 )
 
@@ -46,7 +47,6 @@ from .synthesis import (
 from .montecarlo import sample_trajectories  # noqa: F401
 from .reachability import reach_support  # noqa: F401
 from .scenario import load_scenario  # noqa: F401
-from .synthesis import safe_set  # noqa: F401
 
 SEP_TOL = 1e-6
 
@@ -247,7 +247,10 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
 
     shrunkA = dataclasses.replace(specA, U=solA.control_set())
     shrunkB = dataclasses.replace(specB, U=solB.control_set())
-    safeB = solA.safe_set  # reported: no program reads it
+    # reported, and no program reads it: B's disturbance-free shrunk set, with
+    # the disturbances in d_eff as in the synthesis
+    safeB = safe_set(dataclasses.replace(synB, U=solB.control_set()), geom.tau, d_eff,
+                     geom.l_star, P)
 
     sol_doc = {"method": scenario.method, "k_used": k_used,
                "margins": {"part1_m": scenario.margin1 if scenario.margin1 is not None

@@ -13,7 +13,8 @@ solved by the barrier method from a closed-form strictly feasible start; the
 scaled phase one (the control set restricted to r times the original) is
 solved in closed form.  Infeasibility of phase two sends the scalarization
 loop back to phase one with a smaller k.  B's safe set, an outer ellipsoid
-of its shrunk reachable set inflated by d and tight along l*, is a report.
+of its shrunk reachable set inflated by d and tight along l*, is a report
+that no program reads: safe_set builds it from the loop's answer.
 """
 
 from dataclasses import dataclass, replace
@@ -107,7 +108,6 @@ class SynthesisSolution:
     barrier_mu_final: float | None  # None when solved in closed form
     stage_objectives: tuple  # F's objective after each barrier stage
     r: float | None = None  # scaled method only
-    safe_set: Ellipsoid | None = None  # phase two only: B's safe set, reported
 
     def control_set(self) -> Ellipsoid:
         return Ellipsoid(self.q, self.Q @ self.Q)
@@ -149,22 +149,28 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
 
     The root terms are the support kernel's: x0_term and gamma_U are the
     roots of the spec's projected view with P = l, and gamma_I the control
-    root of the view whose control set is the unit ball.  All are read on
-    the reach-support quadrature grid, so assembling the phase-one support
-    value reproduces reach_support for any fixed control set.
+    root of the unit ball, whose factor nodes are the control nodes
+    u_i = B' Phi_i' l themselves, under the kernel's alive and panel rules.
+    All are read on the reach-support quadrature grid, so assembling the
+    phase-one support value reproduces reach_support for any fixed control
+    set.
     """
     if spec.horizon < geom.tau - 1e-12:
         raise ValueError("spec horizon is shorter than the encounter time")
     l = geom.l_star if l is None else np.asarray(l, dtype=float)
     g = _grids_for(spec, [geom.tau])
     x0_term, gamma_U = (float(r[0, 0]) for r in _project(spec, g, l[None, :]).roots()[:2])
-    unit = replace(spec, U=Ellipsoid.ball(np.zeros(spec.U.dim), 1.0))
+    u = l @ g.PhiB[0]  # (N+1, m)
+    # nodes last, as in the view's factor node stacks, so that q sums the
+    # controls in the kernel's order and gamma_I is its root to the bit
+    uT = np.ascontiguousarray(u.T)
+    q = (uT * uT).sum(axis=0)
     return PartIConstants(
         a0=float(l @ g.Phi0[0] @ spec.X0.center),
-        b=g.simpson_w[0] @ (l @ g.PhiB[0]),
+        b=g.simpson_w[0] @ u,
         x0_term=x0_term,
         gamma_U=gamma_U,
-        gamma_I=float(_project(unit, g, l[None, :]).roots()[1][0, 0]),
+        gamma_I=float(_panel_sum(g.h[0], _alive(q), np.sqrt(q))),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -359,9 +365,10 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
                        max_iters: int = 20):
     """B-then-A synthesis, retrying with smaller k until phase two is feasible.
 
-    Returns (solB, solA, k_used, diagnostics), solA carrying B's safe set as
-    a report.  Phase-one infeasibility does not depend on k and aborts
-    immediately; phase-two infeasibility shrinks k.
+    Returns (solB, solA, k_used, diagnostics).  Phase-one infeasibility does
+    not depend on k and aborts immediately; phase-two infeasibility shrinks
+    k.  P is not read: the loop builds no safe set (pipeline.run reports
+    B's), and the parameter stays for callers that pass it positionally.
     """
     if k0 <= 0.0 or not 0.0 < shrink < 1.0:
         raise ValueError("need k0 > 0 and shrink in (0, 1)")
@@ -390,6 +397,5 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         diagnostics.append({
             "k": k, "outcome": "feasible",
             "part1_distance": solB.distance, "part2_distance": solA.distance})
-        safeB = safe_set(shrunkB, geom.tau, geom.d, geom.l_star, P)
-        return solB, replace(solA, safe_set=safeB), k, diagnostics
+        return solB, solA, k, diagnostics
     raise JointInfeasibilityError(diagnostics)

@@ -320,13 +320,15 @@ def test_placement_matches_entry_loops(seed):
 
 
 def full_merit(sb, x, mu, fscale):
-    """(F_mu, grad, hess), None outside the domain: the value of _merit_value
-    and the derivatives of _merit_derivs at the same point."""
-    point = convex._merit_value(sb, x, mu, fscale)
+    """(F_mu, grad, hess), None outside the domain: G(x) factored and
+    inverted afresh, the value of _merit_value and the derivatives of
+    _merit_derivs at the same point."""
+    stage, point = convex._stage(sb, mu, fscale), convex._factor(sb, x)
     if point is None:
         return None
-    val, G, w = point
-    return (val, *convex._merit_derivs(sb, G, w, fscale))
+    G, L = point
+    return (convex._merit_value(sb, x, L, stage),
+            *convex._merit_derivs(sb, np.linalg.inv(G), stage))
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,18 +338,39 @@ def full_merit(sb, x, mu, fscale):
        mu=st.sampled_from([1.0, 10.0, 1e4, 1e8]),
        fscale=st.sampled_from([1.0, 0.125]))
 def test_value_only_merit_is_bit_identical(which, unit, radius, mu, fscale):
-    # the line search decides on the value-only merit, so every accept/reject
-    # matches the full evaluation only if the two agree to the last bit
+    # the line search decides on the value-only merit, and a stage starts on
+    # the value read from the factor the previous stage (mu / 10) carried, so
+    # every accept/reject matches the full evaluation only if all three agree
+    # to the last bit
     p, init = with_start(which)
     sb = p.stacked()
     x = p.pack(init) + radius * np.array(unit[:p.total_dim])
     full = full_merit(sb, x, mu, fscale)
-    value = convex._merit_value(sb, x, mu, fscale)
+    point = convex._factor(sb, x)
     if full is None:
-        assert value is None
+        assert point is None
     else:
-        assert value[0] == full[0]
+        value = convex._merit_value(sb, x, point[1], convex._stage(sb, mu, fscale))
+        _, _, _, (L, _) = convex._newton_stage(sb, x, mu / 10.0, np.inf, fscale)
+        carried = convex._merit_value(sb, x, L, convex._stage(sb, mu, fscale))
+        assert value == carried == full[0]
     assert np.array_equal(sb.value(x), sb.F0 + np.tensordot(x, sb.F, axes=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.sampled_from(["logdet_under_identity", "scaled_toy", "norm_toy",
+                              "norm_toy_3"]),
+       unit=st.lists(st.floats(-1.0, 1.0), min_size=11, max_size=11),
+       radius=st.sampled_from([1e-5, 1e-3, 0.1]))
+def test_objective_from_full_factor_is_bit_identical(which, unit, radius):
+    # solve reads each stage objective from the leading log-det block of the
+    # factor of the whole G, which must be the factor of that block alone
+    p, init = with_start(which)
+    sb = p.stacked()
+    x = p.pack(init) + radius * np.array(unit[:p.total_dim])
+    point = convex._factor(sb, x)
+    if point is not None:
+        assert sb.objective_at(x, point[1]) == sb.objective(x)
 
 
 def reference_merit(p, x, mu, fscale):
@@ -429,29 +452,70 @@ def test_derivatives_once_per_accepted_step(name, monkeypatch):
                         lambda *args: calls.append(1) or derivs(*args))
     res = solve(p, init)
     assert res.status == "optimal"
-    assert 0 < len(calls) <= res.newton_steps + len(res.stage_objectives) + 1
+    assert len(calls) == res.newton_steps + len(res.stage_objectives)
 
 
 @pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy"])
 def test_one_factorization_per_point(name, monkeypatch):
-    # an accepted trial's factorization is carried into its derivatives, so
-    # no point is evaluated twice at one mu
+    # an accepted trial's factorization is carried into its derivatives and
+    # the point a stage ends on into the next stage, so no point is factored
+    # twice in a solve
     p, init = with_start(name)
     points = []
-    value = convex._merit_value
+    factor = convex._factor
 
-    def recorded(prob, x, mu, fscale=1.0):
-        points.append((x.tobytes(), mu))
-        return value(prob, x, mu, fscale)
+    def recorded(sb, x):
+        points.append(x.tobytes())
+        return factor(sb, x)
 
-    monkeypatch.setattr(convex, "_merit_value", recorded)
+    monkeypatch.setattr(convex, "_factor", recorded)
     assert solve(p, init).status == "optimal"
     assert len(set(points)) == len(points)
 
 
-def reference_newton_stage(sb, x, mu, gtol, fscale=1.0):
+@pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy",
+                                  "norm_toy_3"])
+def test_factorizations_per_solve(name, monkeypatch):
+    # Cholesky runs at the line-search trials and at the first stage's start,
+    # the inverse at the accepted points and at the first start, and the
+    # objective of every stage is read from the carried factor
+    p, init = with_start(name)
+    calls = {"cholesky": 0, "outside": 0, "inv": 0, "objective": 0, "values": 0}
+
+    def counted(key, f):
+        def call(*args):
+            calls[key] += 1
+            try:
+                return f(*args)
+            except np.linalg.LinAlgError:
+                calls["outside"] += 1
+                raise
+        return call
+
+    for owner, attr in ((np.linalg, "cholesky"), (np.linalg, "inv"),
+                        (convex.StackedBarrier, "objective")):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    monkeypatch.setattr(convex, "_merit_value", counted("values", convex._merit_value))
+    res = solve(p, init)
+    assert res.status == "optimal" and len(res.stage_objectives) > 1
+    # a trial inside the domain evaluates F_mu once, one outside none; every
+    # stage start evaluates F_mu from the carried factor
+    trials = calls["values"] - len(res.stage_objectives) + calls["outside"]
+    assert calls["cholesky"] == trials + 1
+    assert calls["inv"] == res.newton_steps + 1
+    assert calls["objective"] == 0
+
+
+def reference_newton_stage(sb, x, mu, gtol, fscale=1.0, carry=None):
     # the stage with full-merit trials: every evaluation, trials included,
-    # computes value, gradient and Hessian, and nothing is carried over
+    # computes value, gradient and Hessian, and nothing is carried over; the
+    # carry is taken and returned, recomputed at the point the stage ends on
+    x, gnorm, steps = _reference_stage(sb, x, mu, gtol, fscale)
+    G = sb.value(x)
+    return x, gnorm, steps, (np.linalg.cholesky(G), np.linalg.inv(G))
+
+
+def _reference_stage(sb, x, mu, gtol, fscale):
     steps = 0
     for _ in range(convex.MAX_NEWTON):
         val, grad, hess = full_merit(sb, x, mu, fscale)

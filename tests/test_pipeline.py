@@ -33,7 +33,8 @@ from reachsep.scenario import (
     position_projection,
     scenario_from_dict,
 )
-from reachsep.synthesis import JointInfeasibilityError, estimate_encounter, scalarization_loop
+from reachsep.synthesis import (JointInfeasibilityError, estimate_encounter, safe_set,
+                                 scalarization_loop)
 
 FAST = {"grid_step": 0.5, "quad_steps": 64, "directions": 8}
 
@@ -158,6 +159,13 @@ def test_disturbed_quadrotor_run(tmp_path):
     assert d_eff > scen.d
     assert sol["d_effective_m"] == d_eff
     assert json.loads((out / "verification.json").read_text())["uncertified_times"] == []
+    # the reported safe set is B's disturbance-free shrunk set inflated by d_eff
+    Q = np.array(sol["aircraft"]["B"]["Q"])
+    safeB = safe_set(dataclasses.replace(
+        build_spec(scen, 1, with_disturbance=False),
+        U=Ellipsoid(np.array(sol["aircraft"]["B"]["q"]), Q @ Q)), geom.tau, d_eff, geom.l_star, P)
+    assert np.array_equal(sol["safe_set"]["center"], safeB.center)
+    assert np.array_equal(sol["safe_set"]["shape"], safeB.shape)
 
     shrunk = {}
     for name, spec in zip("AB", specs):
