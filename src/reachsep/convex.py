@@ -36,6 +36,16 @@ stage early: an Armijo step counts only if F_mu rose by more than its
 rounding level or the gradient norm fell, since once neither holds Newton
 can make no measurable progress at this mu (the centering stop of
 Boyd & Vandenberghe, 9.5, 11.3).
+
+Only the last two stages are centered to the final tolerance (gradient norm
+KKT_TOL / 2), so the last starts from a fully centered point one x10 step
+back.  Every earlier stage only has to start the next one near its central
+point, and stops once the Newton decrement of mu * F_mu is small:
+0.5 * mu * (grad . step) <= CENTER_DECREMENT (Boyd & Vandenberghe, 11.3.3
+and 11.5; Nesterov & Nemirovski, 1994).  mu * F_mu = mu f + barrier is
+self-concordant, so its decrement bounds the distance to the stage's central
+point whatever mu is; the decrement of F_mu alone shrinks with 1/mu and
+would stop the later stages far from it.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +57,7 @@ GAP_TOL = 1e-7
 KKT_TOL = 1e-6
 INIT_MARGIN = 1e-8
 MAX_NEWTON = 200
+CENTER_DECREMENT = 0.1  # half the squared Newton decrement ending an early stage
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 
@@ -330,6 +341,7 @@ class SolveResult:
     status: str  # optimal | stalled | max_iter
     stage_objectives: list = field(default_factory=list)
     newton_steps: int = 0
+    stage_steps: list = field(default_factory=list)  # Newton steps of each stage
 
 
 class _Stage(NamedTuple):
@@ -382,8 +394,12 @@ def _merit_derivs(sb: StackedBarrier, Ginv: np.ndarray, st: _Stage):
 
 
 def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
-                  fscale: float = 1.0, carry=None):
+                  fscale: float = 1.0, carry=None, centered: bool = True):
     """Centers F_mu by damped Newton; returns (x, grad_norm, steps, carry).
+
+    A centered stage runs until the gradient norm is within gtol; one that
+    is not also ends once 0.5 * mu * (grad . step) <= CENTER_DECREMENT, the
+    point being near enough the central path to start the next stage.
 
     carry is (L, G^-1) at x: the Cholesky factor and inverse of G(x) that
     the previous stage ended on, None at the first stage, which computes
@@ -423,6 +439,8 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
             if reg > 1e12:
                 return x, gnorm, steps, carry
         decrement = float(grad @ step)
+        if not centered and 0.5 * mu * decrement <= CENTER_DECREMENT:
+            return x, gnorm, steps, carry
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
@@ -465,13 +483,14 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     fscale = 1.0 / scale
     nu = sb.k.shape[0] - sb.n_obj
     mu = 1.0
-    stage_objectives = []
-    total_steps = 0
+    stage_objectives, stage_steps = [], []
     carry = None
     while True:
+        # the last two stages: this one or the next ends the path
+        centered = nu / (10.0 * mu) <= GAP_TOL
         x, kkt, steps, carry = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale,
-                                             carry=carry)
-        total_steps += steps
+                                             carry=carry, centered=centered)
+        stage_steps.append(steps)
         stage_objectives.append(sb.objective_at(x, carry[0]))
         if nu / mu <= GAP_TOL:
             break
@@ -481,4 +500,4 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     else:
         status = "max_iter" if steps == MAX_NEWTON else "stalled"
     return SolveResult(prob.unpack(x), stage_objectives[-1], kkt, mu, status,
-                       stage_objectives, total_steps)
+                       stage_objectives, sum(stage_steps), stage_steps)

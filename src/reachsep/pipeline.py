@@ -264,7 +264,7 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
             "objective": sol.objective, "distance_m": sol.distance,
             "kkt_residual": sol.kkt_residual, "status": sol.status,
             "newton_steps": sol.newton_steps, "barrier_mu_final": sol.barrier_mu_final,
-            "stage_objectives": sol.stage_objectives,
+            "stage_objectives": sol.stage_objectives, "stage_steps": sol.stage_steps,
             "original_control_center": spec.U.center,
             "original_control_shape": spec.U.shape,
         }

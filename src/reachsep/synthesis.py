@@ -107,6 +107,7 @@ class SynthesisSolution:
     newton_steps: int
     barrier_mu_final: float | None  # None when solved in closed form
     stage_objectives: tuple  # F's objective after each barrier stage
+    stage_steps: tuple  # the Newton steps of each barrier stage
     r: float | None = None  # scaled method only
 
     def control_set(self) -> Ellipsoid:
@@ -248,7 +249,7 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     objective = distance + (k * m * np.log(r) if k > 0.0 else 0.0)
     return SynthesisSolution(
         "B", U_B.center + W @ qt, r * W, r, k, objective, distance,
-        0.0, "optimal", 0, None, (), r=r)
+        0.0, "optimal", 0, None, (), (), r=r)
 
 
 def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
@@ -304,7 +305,7 @@ def _norm_program(row: DistanceRow, U: Ellipsoid, k: float, w_dist: float) -> Sy
         aircraft, U.center + blk.W @ qt, wmin * 0.5 * (Qb + Qb.T), float(res.values["lam"]),
         k, res.objective, row.const - float(bW @ qt) - s_val * wmin * gamma_I,
         res.kkt_residual, res.status, res.newton_steps, res.barrier_mu_final,
-        tuple(res.stage_objectives))
+        tuple(res.stage_objectives), tuple(res.stage_steps))
 
 
 def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,

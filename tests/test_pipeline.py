@@ -96,6 +96,8 @@ def test_solution_artifact(quad_run):
         assert ac["newton_steps"] > 0
         assert ac["barrier_mu_final"] >= 1.0
         assert len(ac["stage_objectives"]) >= 1
+        assert len(ac["stage_steps"]) == len(ac["stage_objectives"])
+        assert sum(ac["stage_steps"]) == ac["newton_steps"]
         Q = np.array(ac["Q"])
         assert np.allclose(Q, Q.T)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reachsep import synthesis
+from reachsep import convex, synthesis
 from reachsep.convex import (INIT_MARGIN, KKT_TOL, MAX_NEWTON, BarrierProblem,
                               InfeasibleProblemError, solve)
 from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
@@ -329,7 +329,7 @@ def test_scaled_closed_form_matches_barrier(case):
     block = containment_block(U, sol.q, sol.Q, sol.lam)
     assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.abs(block).max()
     assert (sol.status, sol.kkt_residual, sol.newton_steps, sol.barrier_mu_final,
-            sol.stage_objectives) == ("optimal", 0.0, 0, None, ())
+            sol.stage_objectives, sol.stage_steps) == ("optimal", 0.0, 0, None, (), ())
 
 
 class _Captured(Exception):
@@ -642,8 +642,8 @@ def test_pareto_monotone_in_k():
 
 @functools.cache
 def bundled_fixedwing_coarse_grid():
-    """(solB, solA) of bundled fixed-wing at the 0.5 s grid, where B's phase
-    one reaches its rounding floor with the gradient norm above the stage
+    """(solB, solA) of bundled fixed-wing at the 0.5 s grid, where A's phase
+    two reaches its rounding floor with the gradient norm above the stage
     target (l* is exactly (0, 1) there)."""
     doc = json.loads(builtin_scenario_path("fixedwing_pair").read_text())
     doc["grid_step_s"] = 0.5
@@ -665,9 +665,50 @@ def test_bundled_fixedwing_stages_end_below_step_cap():
     assert solA.newton_steps < MAX_NEWTON
 
 
-def test_bundled_fixedwing_phase_one_reads_stalled():
-    # that stop is above KKT_TOL but far below the step cap: stalled, not max_iter
+def test_bundled_fixedwing_phase_two_reads_stalled():
+    # that stop is above KKT_TOL but its last stage is far below the step
+    # cap: stalled, not max_iter
     solB, solA = bundled_fixedwing_coarse_grid()
-    assert solB.status == "stalled"
-    assert solB.kkt_residual > KKT_TOL
-    assert solA.status == "optimal"
+    assert solA.status == "stalled"
+    assert solA.kkt_residual > KKT_TOL
+    assert solA.stage_steps[-1] < MAX_NEWTON
+    assert solB.status == "optimal"
+
+
+@functools.cache
+def bundled_phase_programs(name):
+    """Every (problem, start) that the scalarization loop hands the barrier
+    solver on a bundled scenario, at 64 quadrature steps."""
+    sc = scenario_from_dict(json.loads(builtin_scenario_path(name).read_text()))
+    specs, geom, P, _ = bundled_synthesis_inputs(name)
+    specA, specB = (dataclasses.replace(spec, quad_steps=64) for spec in specs)
+    programs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "solve", lambda prob, init: programs.append((prob, init))
+                   or solve(prob, init))
+        scalarization_loop(specA, specB, geom, P, method=sc.method, k0=sc.k0,
+                           shrink=sc.shrink, margin1=sc.margin1, margin2=sc.margin2,
+                           max_iters=sc.max_iters)
+    return tuple(programs)
+
+
+@pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
+def test_early_stages_stop_at_a_small_decrement(name, monkeypatch):
+    # only the last two barrier stages are centered to KKT_TOL / 2; the
+    # earlier ones stop once the Newton decrement is small, which must take
+    # fewer steps to the answer that centering every stage fully reaches
+    stage = convex._newton_stage
+    programs = bundled_phase_programs(name)
+    assert len(programs) >= 2
+    for prob, init in programs:
+        flags = []
+        monkeypatch.setattr(convex, "_newton_stage", lambda *args, **kw: flags.append(
+            kw["centered"]) or stage(*args, **kw))
+        res = solve(prob, init)
+        monkeypatch.setattr(convex, "_newton_stage",
+                            lambda *args, **kw: stage(*args, **{**kw, "centered": True}))
+        full = solve(prob, init)
+        assert len(flags) == len(res.stage_objectives) > 2
+        assert flags == [False] * (len(flags) - 2) + [True, True]
+        assert abs(res.objective - full.objective) <= 1e-9 * abs(full.objective)
+        assert res.newton_steps < full.newton_steps
