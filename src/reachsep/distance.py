@@ -346,14 +346,13 @@ def _inner_hull(A: _Projected, B: _Projected, lower: float, z: np.ndarray, l: np
     A and B hold one time; starts from the bounds of _min_norm_point at it
     and returns (lower, upper, l, closed).  It stops closed when upper -
     lower <= GAP_REL * max(1, |lower|); open when the bounds cross by more
-    than that (the oracle's points and values disagree, as a flat set's
-    vanish rule can make them, and the bounds can only move toward each
-    other), once it has spent MNP_MAX_ITERS oracle points (the last round is
-    cut to the budget left), or as soon as a round leaves the
-    facet planes unchanged or, while flat, widens the affine hull by no point
-    and moves neither bound: the next round would ask the same, or only
-    Gilbert's direction again, so later rounds could move the bounds by
-    rounding at most.
+    than that (the oracle's points and values disagree, and the bounds can
+    only move toward each other), once it has spent
+    MNP_MAX_ITERS oracle points (the last round is cut to the budget left),
+    or as soon as a round leaves the facet planes unchanged or, while flat,
+    widens the affine hull by no point and moves neither bound: the next
+    round would ask the same, or only Gilbert's direction again, so later
+    rounds could move the bounds by rounding at most.
     """
     k = A.center.shape[1]
     hull = _Polytope(k)

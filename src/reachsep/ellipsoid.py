@@ -53,16 +53,24 @@ class Ellipsoid:
         return self.center.shape[0]
 
     def sqrt_shape(self) -> np.ndarray:
-        """Symmetric PSD square root of the shape matrix (read-only)."""
-        return self._sqrt
+        """Symmetric PSD square root of the shape matrix (read-only), every
+        positive eigenvalue kept: input sets and the sampler read it."""
+        return self._roots[0]
+
+    def rank_sqrt(self) -> np.ndarray:
+        """sqrt_shape with the eigenvalues at most n eps lambda_max read 0, as
+        numpy's matrix_rank cuts them, so a flat set's root is flat: the
+        support kernel reads the initial set through it (read-only)."""
+        return self._roots[1]
 
     @cached_property
-    def _sqrt(self) -> np.ndarray:
-        # once per ellipsoid: the set is immutable, and _project asks once per
-        # projection and the sampler once per call
-        W = psd_sqrt(self.shape)
-        W.setflags(write=False)
-        return W
+    def _roots(self) -> list:
+        # once per ellipsoid, from one eigendecomposition: the set is
+        # immutable, and _project asks once per projection
+        roots = _eig_roots(self.shape, (0.0, self.dim * np.finfo(float).eps))
+        for W in roots:
+            W.setflags(write=False)
+        return roots
 
     def boundary_points(self, n: int, rng=None) -> np.ndarray:
         """n boundary points c + M^(1/2) v with v uniform on the unit sphere:
@@ -87,8 +95,14 @@ class Ellipsoid:
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, clipping tiny negatives."""
+    return _eig_roots(M, (0.0,))[0]
+
+
+def _eig_roots(M: np.ndarray, rels) -> list:
+    """The symmetric roots of M from one eigendecomposition, one per rel, with
+    the eigenvalues at most rel lambda_max (and every negative one) read 0."""
     w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    return [(V * np.sqrt(np.where(w > rel * w.max(initial=0.0), w, 0.0))) @ V.T for rel in rels]
 
 
 def support(e: Ellipsoid, l) -> tuple[float, np.ndarray]:

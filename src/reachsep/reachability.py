@@ -7,15 +7,14 @@ The reachable set at time t is characterized exactly by its support function,
              + int <l, Phi Mv Phi' l>^(1/2) ds,
 
 with Phi = e^(A (t - s)).  Integrals use composite Simpson quadrature on a
-fixed grid; panels where a square-root integrand vanishes fall back to the
-midpoint rule, and the initial-set root counts only above the rounding level
-of M0.  The quadrature has one shape: a grid batch (_Grid) of T times, N + 1
-nodes each, holding (T, ...) stacks of weights and transition matrices.  t = 0
-is a grid like the others: its N + 1 nodes all sit at s = 0, with h = 0 and
-step E = I, so its weights and every panel are 0.  The batch of each
-request, its times and step count, is built once, in one recursion over a
-(T, N+1, n, n) stack, and cached whole on the system, so every spec built on
-it shares it.
+fixed grid; a panel with a node where a square-root integrand is 0 term by
+term falls back to the midpoint rule.  The quadrature has one shape: a grid
+batch (_Grid) of T times, N + 1 nodes each, holding (T, ...) stacks of
+weights and transition matrices.  t = 0 is a grid like the others: its
+N + 1 nodes all sit at s = 0, with h = 0 and step E = I, so its weights and
+every panel are 0.  The batch of each request, its times and step count, is
+built once, in one recursion over a (T, N+1, n, n) stack, and cached whole
+on the system, so every spec built on it shares it.
 
 Every support value and touching point comes from one kernel, the
 projected view (_project): a spec's reachable sets at the times of a grid
@@ -23,19 +22,25 @@ batch, seen through a (k, n) projection P.  With S_i = Phi_i B for U and
 Phi_i for V, an input set enters through its factor node stack
 F_i = (P S_i) M^(1/2), the initial set through F0 = P Phi_0 M0^(1/2), and
 the center terms, each input center by Simpson, are one point per time.
-Along a direction l of the k-dim image of P every quadratic form is read
-from its factor, q_i = |F_i' l|^2: |u|^2 keeps its digits where q is small
-against its scale, which <l, G l> read from a Gram matrix G = F F' does
-not.  Support values along the rows of P (_Projected.values) add to the
-center the root terms (_Projected.roots): the initial-set root and each
-input set's integral of sqrt(q_i) by the panel rule.  The touching point's
-response at l (_Projected.response)
-integrates F_i u_i / sqrt(q_i), u_i = F_i' l, by the same rule.  A root
-term is sampled at every node where q_i > 0; a node below VANISH_REL of its
-column's maximum only sends its panels to the midpoint rule.  So <l, x*> is
-the support value.  reach_support reads the view with P = l, touching
-points with P = I, and tubes with P an orthonormal basis Q of the span of
-their directions, each direction then read through its coefficients in Q
+M0^(1/2) is the initial set's root with its numerical rank cut once
+(Ellipsoid.rank_sqrt), so a flat X0 is exactly flat along every l.  Along
+a direction l of the k-dim image of P every quadratic form is read from its
+factor, q_i = |F_i' l|^2: |u|^2 keeps its digits where q is small against
+its scale, which <l, G l> read from a Gram matrix G = F F' does not.
+Support values along the rows of P (_Projected.values) add to the center
+the root terms (_Projected.roots): the initial-set root and each input
+set's integral of sqrt(q_i) by the panel rule.  The touching point's
+response at l (_Projected.response) integrates F_i u_i / sqrt(q_i),
+u_i = F_i' l, by the same rule.  The rule has no threshold: a panel leaves
+Simpson only at a node whose image is 0 term by term, its
+b_i = |l|' |P| |S_i| |M^(1/2)| 1, the sum of the magnitudes of the terms of
+u_i, being 0, as at the s = t node of a direction B cannot push along
+(P B = 0).  An image that is merely small, or that rounds to exactly 0,
+keeps Simpson, and one below ROUND_REL b_i reads 0 (_cut).  So <l, x*> is
+the support value, and the directions whose images share their zero terms
+read one fixed set.  reach_support reads the view with P = l, touching points
+with P = I, and tubes with P an orthonormal basis Q of the span of their
+directions, each direction then read through its coefficients in Q
 (_Projected.through), so a family of many directions in a plane costs two
 projected rows per time.
 reachsep.distance searches the separation of two sets on the view, and
@@ -51,7 +56,8 @@ import numpy as np
 from .dynamics import LTISystem, NominalTrajectory, expm
 from .ellipsoid import Ellipsoid
 
-VANISH_REL = 1e-13
+# a factor image below ROUND_REL of the sum of its terms' magnitudes reads 0
+ROUND_REL = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,9 @@ class _Grid:
 
 def _panel_sum(h, alive: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Sum over the panels of samples, nodes on the last axis: Simpson, with
-    the midpoint rule on panels where a node is not alive.  The one panel
-    rule of every root term, in the view's support values and response;
-    alive and h broadcast against samples."""
+    the midpoint rule on panels with a node that is not alive.  The one
+    panel rule of every root term, in the view's support values and
+    response; alive and h broadcast against samples."""
     dead = ~alive
     vanish = dead[..., :-1:2] | dead[..., 1::2] | dead[..., 2::2]
     simp = (h / 3.0) * (samples[..., :-1:2] + 4.0 * samples[..., 1::2] + samples[..., 2::2])
@@ -186,9 +192,20 @@ def _check_time(spec: ReachSpec, t: float) -> float:
     return min(t, spec.horizon)
 
 
-def _alive(q: np.ndarray) -> np.ndarray:
-    """Where q is above VANISH_REL of its column's maximum along the nodes, its last axis."""
-    return q > VANISH_REL * np.maximum(q.max(axis=-1, initial=0.0, keepdims=True), 0.0)
+def _floor(stack: np.ndarray, root: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """ROUND_REL |P| |S_i| |M^(1/2)| 1 of a (T, N+1, n, m) stack S_i and a
+    root M^(1/2), as (T, k, N+1): built a column of S_i at a time, with no
+    |S_i| stack."""
+    bound = sum(np.abs(stack[..., c]) @ (w * np.abs(P).T)
+                for c, w in enumerate(np.abs(root).sum(axis=1)))
+    return ROUND_REL * bound.swapaxes(1, 2)
+
+
+def _cut(q: np.ndarray, floor: np.ndarray):
+    """(q = |u|^2 with 0 where |u| is below floor, the rounding level of its
+    terms; the nodes alive to the panel rule, where floor is not 0)."""
+    small = q < floor * floor
+    return (np.where(small, 0.0, q) if small.any() else q), floor > 0.0
 
 
 def _offsets(spec: ReachSpec, g: _Grid) -> np.ndarray:
@@ -235,25 +252,26 @@ class _Projected:
     value at P'l is a quadratic form in l, read from its factor.  An input
     set E enters through its factor node stack F_i = (P S_i) M^(1/2): with
     u_i = F_i' l, q_i = |u_i|^2, and the touching point's response is
-    F_i u_i / sqrt(q_i), each under the panel and vanish rules.  The initial
-    set enters through F0 = P Phi_0 M0^(1/2) the same way, with the vanish
-    rule reading |u0|^2 against tol0 |PPhi0' l|^2, and the center terms,
-    offset included, are one point per time.  Node stacks are
-    (T, k, m, N+1), nodes last, as the grid batch's; at t = 0 the N + 1
-    nodes are equal and h = 0 zeroes every panel.
+    F_i u_i / sqrt(q_i), each under the panel rule and _cut, with the
+    floors b_i read from their node stack along |l|.  The initial set enters
+    through F0 = P Phi_0 M0^(1/2), M0^(1/2) with its rank cut
+    (Ellipsoid.rank_sqrt), as one node with no panel rule, and the center
+    terms, offset included, are one point per time.  Node stacks are
+    (T, k, m, N+1), nodes last, as the grid batch's, and the floors
+    (T, k, N+1); at t = 0 the N + 1 nodes are equal and h = 0 zeroes every
+    panel.
     """
 
     times: np.ndarray  # (T,)
     center: np.ndarray  # (T, k)
-    PPhi0: np.ndarray  # P Phi_0, (T, k, n)
     F0: np.ndarray  # P Phi_0 M0^(1/2), (T, k, n)
-    tol0: float  # VANISH_REL trace(M0)
     h: np.ndarray  # (T,)
     inputs: tuple  # one factor node stack per input set, the control set first
+    floors: tuple  # _floor of each input set, (T, k, N+1)
 
     def take(self, rows) -> "_Projected":
-        return _Projected(self.times[rows], self.center[rows], self.PPhi0[rows], self.F0[rows],
-                          self.tol0, self.h[rows], tuple(F[rows] for F in self.inputs))
+        return _Projected(self.times[rows], self.center[rows], self.F0[rows], self.h[rows],
+                          tuple(F[rows] for F in self.inputs), tuple(f[rows] for f in self.floors))
 
     def through(self, C: np.ndarray) -> "_Projected":
         """The view through C P, C (D, k): every field is a linear image of P,
@@ -263,25 +281,19 @@ class _Projected:
         def compose(F):
             T, k, m, nodes = F.shape
             return (C @ F.reshape(T, k, m * nodes)).reshape(T, C.shape[0], m, nodes)
-        return _Projected(self.times, self.center @ C.T, C @ self.PPhi0, C @ self.F0, self.tol0,
-                          self.h, tuple(compose(F) for F in self.inputs))
-
-    def _q0(self, u0: np.ndarray, LT: np.ndarray) -> np.ndarray:
-        """|u0|^2 of the initial set's factor image u0 = F0' l, along the last
-        axis, or 0 where it is at the rounding level of M0, tol0 |LT|^2 with
-        LT = PPhi0' l: a flat X0 seen edge-on has no extent, not ~1e-9."""
-        q0 = (u0 * u0).sum(axis=-1)
-        return np.where(q0 > self.tol0 * (LT * LT).sum(axis=-1), q0, 0.0)
+        return _Projected(self.times, self.center @ C.T, C @ self.F0, self.h,
+                          tuple(compose(F) for F in self.inputs),
+                          tuple(np.abs(C) @ f for f in self.floors))
 
     def roots(self) -> list:
         """The root terms of the support values along the rows of P, (T, k)
         each: the initial set's, then each input set's integral of sqrt(q)
         by the panel rule, each q read from its factor row."""
-        roots = [np.sqrt(self._q0(self.F0, self.PPhi0))]
+        roots = [np.sqrt((self.F0 * self.F0).sum(axis=-1))]
         h = self.h[:, None, None]
-        for F in self.inputs:
-            q = (F * F).sum(axis=2)  # (T, k, N+1)
-            roots.append(_panel_sum(h, _alive(q), np.sqrt(q)))
+        for F, floor in zip(self.inputs, self.floors):
+            q, alive = _cut((F * F).sum(axis=2), floor)  # (T, k, N+1)
+            roots.append(_panel_sum(h, alive, np.sqrt(q)))
         return roots
 
     def values(self) -> np.ndarray:
@@ -295,16 +307,17 @@ class _Projected:
     def images(self, l: np.ndarray):
         """The factor images of P'l, one row of l (T, k) per time or any rows
         against one time, broadcast: (u0, r0) of the initial set, u0 = F0' l
-        (T, n) and r0 = |u0| (T, 1); then (u, q, r) per input set, u = F' l
-        (T, m, N+1), q = |u|^2 and r = |u| (T, 1, N+1).  A root is inf where
-        its square is 0, so dividing by it leaves the set's center alone."""
-        LT, u0 = (l[:, None] @ self.PPhi0)[:, 0], (l[:, None] @ self.F0)[:, 0]  # (T, n)
-        q0 = self._q0(u0, LT)
+        (T, n) and r0 = |u0| (T, 1); then (u, q, r, alive) per input set,
+        u = F' l (T, m, N+1), and q = |u|^2 and the panel rule's alive by
+        _cut, and r = sqrt(q) (T, 1, N+1).  A root is inf where its square
+        is 0, so dividing by it leaves the set's center alone."""
+        u0 = (l[:, None] @ self.F0)[:, 0]  # (T, n)
+        q0 = (u0 * u0).sum(axis=-1)
         images = []
-        for F in self.inputs:
+        for F, floor in zip(self.inputs, self.floors):
             u = _apply(F.swapaxes(1, 2), l)  # (T, m, N+1)
-            q = _dot(u, u)[:, None]  # (T, 1, N+1)
-            images.append((u, q, np.sqrt(np.where(q > 0.0, q, np.inf))))
+            q, alive = (x[:, None] for x in _cut(_dot(u, u), _dot(np.abs(l), floor)))
+            images.append((u, q, np.sqrt(np.where(q > 0.0, q, np.inf)), alive))
         return (u0, np.sqrt(np.where(q0 > 0.0, q0, np.inf))[:, None]), images
 
     def response(self, images) -> np.ndarray:
@@ -312,15 +325,15 @@ class _Projected:
         (u0, r0), images = images
         out = (self.F0 @ u0[..., None])[..., 0] / r0
         h = self.h[:, None, None]
-        for F, (u, q, r) in zip(self.inputs, images):
-            out = out + _panel_sum(h, _alive(q), _apply(F, u) / r)
+        for F, (u, _, r, alive) in zip(self.inputs, images):
+            out = out + _panel_sum(h, alive, _apply(F, u) / r)
         return out
 
 
 def _project(spec: ReachSpec, g: _Grid, P: np.ndarray) -> _Projected:
     """spec's reachable sets at the times of the grid batch g, seen through P (k, n)."""
     x = g.Phi0 @ spec.X0.center
-    inputs = []
+    inputs, floors = [], []
     for stack, E in _inputs(spec, g):
         W = P @ stack  # (T, N+1, k, m)
         # the products with M^(1/2) and c over the last axis run as one 2-D
@@ -328,11 +341,10 @@ def _project(spec: ReachSpec, g: _Grid, P: np.ndarray) -> _Projected:
         F = np.empty((g.times.shape[0], P.shape[0], E.dim, stack.shape[1]))
         F.transpose(0, 3, 1, 2)[...] = (W.reshape(-1, E.dim) @ E.sqrt_shape()).reshape(W.shape)
         inputs.append(F)
+        floors.append(_floor(stack, E.sqrt_shape(), P))
         x = x + _simpson(g, (stack.reshape(-1, E.dim) @ E.center).reshape(stack.shape[:-1]))
-    PPhi0 = P @ g.Phi0
-    return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0], PPhi0,
-                      PPhi0 @ spec.X0.sqrt_shape(), VANISH_REL * float(np.trace(spec.X0.shape)),
-                      g.h, tuple(inputs))
+    return _Projected(g.times, (P @ (x + _offsets(spec, g))[..., None])[..., 0],
+                      P @ g.Phi0 @ spec.X0.rank_sqrt(), g.h, tuple(inputs), tuple(floors))
 
 
 def _unit_rows(directions) -> np.ndarray:
@@ -379,8 +391,8 @@ def reach_point(spec: ReachSpec, t: float, l):
         raise ValueError("extremal recovery is defined for the disturbance-free case")
     l = _direction(l)[None, :]
     view = _project(spec, _grids_for(spec, [t]), np.eye(spec.system.state_dim))
-    (u0, r0), ((u, _, r),) = images = view.images(l)
-    x0 = spec.X0.center + spec.X0.sqrt_shape() @ (u0 / r0)[0]
+    (u0, r0), ((u, _, r, _),) = images = view.images(l)
+    x0 = spec.X0.center + spec.X0.rank_sqrt() @ (u0 / r0)[0]
     profile = spec.U.center + (u / r)[0].T @ spec.U.sqrt_shape()
     return (view.center[0] + view.response(images)[0], x0,
             (np.linspace(0.0, view.times[0], profile.shape[0]), profile))

@@ -23,7 +23,15 @@ import numpy as np
 
 from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external
-from .reachability import ReachSpec, _alive, _grids_for, _panel_sum, _project, reach_support
+from .reachability import (
+    ReachSpec,
+    _cut,
+    _floor,
+    _grids_for,
+    _panel_sum,
+    _project,
+    reach_support,
+)
 
 
 class DegenerateGeometryError(ValueError):
@@ -151,7 +159,7 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
     The root terms are the support kernel's: x0_term and gamma_U are the
     roots of the spec's projected view with P = l, and gamma_I the control
     root of the unit ball, whose factor nodes are the control nodes
-    u_i = B' Phi_i' l themselves, under the kernel's alive and panel rules.
+    u_i = B' Phi_i' l themselves, under the kernel's panel rule.
     All are read on the reach-support quadrature grid, so assembling the
     phase-one support value reproduces reach_support for any fixed control
     set.
@@ -165,13 +173,13 @@ def part1_constants(spec: ReachSpec, geom: EncounterGeometry, l=None) -> PartICo
     # nodes last, as in the view's factor node stacks, so that q sums the
     # controls in the kernel's order and gamma_I is its root to the bit
     uT = np.ascontiguousarray(u.T)
-    q = (uT * uT).sum(axis=0)
+    q, alive = _cut((uT * uT).sum(axis=0), _floor(g.PhiB, np.eye(uT.shape[0]), l[None, :])[0, 0])
     return PartIConstants(
         a0=float(l @ g.Phi0[0] @ spec.X0.center),
         b=g.simpson_w[0] @ u,
         x0_term=x0_term,
         gamma_U=gamma_U,
-        gamma_I=float(_panel_sum(g.h[0], _alive(q), np.sqrt(q))),
+        gamma_I=float(_panel_sum(g.h[0], alive, np.sqrt(q))),
         offset=float(l @ spec.offset_at(geom.tau)),
     )
 
@@ -322,7 +330,7 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     The initial-set image E(center, F0 F0') and the control integral, read
     from the kernel's projected view at t, are each covered tightly along
     l*, summed tightly and added to a radius-d ball.  The control integral
-    sums the node shapes F F' by the kernel's panel and alive rules with
+    sums the node shapes F F' by the kernel's panel rule with
     weights |F' l*| from the view's factor images (Kurzhanski & Valyi 1997);
     a node with F' l* = 0 has an infinite root and drops out, and when no
     node moves the set along l* the weights are |F|_F.  So the support
@@ -336,9 +344,9 @@ def safe_set(spec_shrunk: ReachSpec, t: float, d: float, l_star, P) -> Ellipsoid
     view = _project(spec_shrunk, g, P)
     F0, F = view.F0[0], view.inputs[0][0]  # F: (k, m, N+1)
     M_s = np.einsum("amj,bmj->abj", F, F)
-    _, ((_, q, _), *_) = view.images(l_pos[None, :])  # q = |F' l*|^2: (1, 1, N+1)
-    q = q[0, 0] if q.any() else np.trace(M_s)
-    r, alive = np.sqrt(np.where(q > 0.0, q, np.inf)), _alive(q)
+    _, ((_, q, _, alive), *_) = view.images(l_pos[None, :])  # q = |F' l*|^2: (1, 1, N+1)
+    q, alive = (q[0, 0], alive[0, 0]) if q.any() else (np.trace(M_s), np.trace(M_s) > 0.0)
+    r = np.sqrt(np.where(q > 0.0, q, np.inf))
     M_ctrl = _panel_sum(g.h[0], alive, np.sqrt(q)) * _panel_sum(g.h[0], alive, M_s / r)
     reach_ell = minkowski_sum_external(Ellipsoid(view.center[0], F0 @ F0.T),
                                        Ellipsoid(np.zeros_like(l_pos), M_ctrl), l_pos)

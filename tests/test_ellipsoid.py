@@ -60,6 +60,27 @@ def test_sqrt_shape_computed_once_and_read_only(monkeypatch):
     assert calls == []
 
 
+def test_rank_sqrt_cuts_the_numerical_rank_once():
+    # full rank: the same root as sqrt_shape, bit for bit, computed once
+    e = random_ellipsoid(np.random.default_rng(3), 4)
+    W = e.rank_sqrt()
+    assert np.array_equal(W, e.sqrt_shape())
+    assert not W.flags.writeable and e.rank_sqrt() is W
+    # flat across nu: sqrt_shape keeps 2.9e-8 of width along nu from the
+    # rounding of eigh, and rank_sqrt none, its eigenvalues at most
+    # n eps lambda_max cut to 0 as numpy's matrix_rank cuts them
+    rng = np.random.default_rng(5)
+    nu = rng.standard_normal(4)
+    nu /= np.linalg.norm(nu)
+    Q = np.eye(4) - np.outer(nu, nu)
+    R = rng.standard_normal((4, 4))
+    flat = Ellipsoid(np.zeros(4), Q @ R @ R.T @ Q)
+    W = flat.rank_sqrt()
+    assert np.linalg.matrix_rank(W) == np.linalg.matrix_rank(flat.shape) == 3
+    assert np.abs(W @ W - flat.shape).max() <= 1e-14 * np.abs(flat.shape).max()
+    assert np.linalg.norm(W @ nu) <= 1e-15 * np.linalg.norm(W, 2)
+
+
 # ---------------------------------------------------------------- support
 
 

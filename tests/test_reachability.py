@@ -32,7 +32,7 @@ from reachsep.distance import (
     separations,
 )
 from reachsep.reachability import (
-    VANISH_REL,
+    ROUND_REL,
     ReachSpec,
     _project,
     disturbance_contribution,
@@ -602,10 +602,30 @@ def test_reach_tube_holds_no_stack_of_every_time():
     assert peak < stack
 
 
+def reference_x0_root(X0):
+    """X0's root with its numerical rank cut as numpy's matrix_rank cuts it:
+    eigenvalues at most n eps lambda_max read 0."""
+    w, V = np.linalg.eigh(X0.shape)
+    keep = w > X0.dim * np.finfo(float).eps * w.max()
+    return (V[:, keep] * np.sqrt(w[keep])) @ V[:, keep].T
+
+
+def reference_cut(u, stack, root, l):
+    """(q, alive) for the factor images u = (l' stack) root (N+1, m):
+    q = |u|^2 reads 0 where |u| is below ROUND_REL b, b = |l|' |stack|
+    |root| 1 the sum of the magnitudes of the terms of u, and a node is
+    alive unless its b is 0, its image 0 term by term."""
+    b = ((np.abs(l) @ np.abs(stack)) @ np.abs(root)).sum(axis=1)
+    q = (u * u).sum(axis=1)
+    return np.where(q < (ROUND_REL * b) ** 2, 0.0, q), b > 0.0
+
+
 def reference_reach_support(spec, t, l):
     """reach_support one direction at a time, as it was before the batched
-    kernel: einsum quadratic forms and the per-direction panel rule, plus
-    the initial-set vanish rule.  Kept as the kernel's reference."""
+    kernel, under the kernel's one panel rule: Simpson, and the midpoint rule
+    on a panel with a node whose image is 0 term by term (reference_cut).
+    Each q is read from its factor as the kernel reads it, and the initial
+    set's root is reference_x0_root.  Kept as the kernel's reference."""
     t = min(float(t), spec.horizon)
     l = np.asarray(l, dtype=float)
     offset = float(l @ spec.offset_at(t))
@@ -614,17 +634,15 @@ def reference_reach_support(spec, t, l):
     g = reachability._grids_for(spec, [t])
     h, Phi = g.h[0], g.Phi[0]
     lT = Phi[0].T @ l
-    q0 = float(lT @ spec.X0.shape @ lT)
-    alive = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
-    value = float(lT @ spec.X0.center) + (np.sqrt(q0) if alive else 0.0)
+    u0 = reference_x0_root(spec.X0) @ lT
+    value = float(lT @ spec.X0.center) + np.sqrt(float(u0 @ u0))
     for stack, E in [(g.PhiB[0], spec.U), (Phi, spec.V)]:
         if E is None:
             continue
         w = stack.transpose(0, 2, 1) @ l
-        q = np.einsum("ij,jk,ik->i", w, E.shape, w)
-        thresh = VANISH_REL * max(q.max(), 0.0)
-        vanish = (q[:-1:2] <= thresh) | (q[1::2] <= thresh) | (q[2::2] <= thresh)
-        r = np.sqrt(np.clip(q, 0.0, None))
+        q, alive = reference_cut(w @ E.sqrt_shape(), stack, E.sqrt_shape(), l)
+        vanish = ~alive[:-1:2] | ~alive[1::2] | ~alive[2::2]
+        r = np.sqrt(q)
         simpson = (h / 3.0) * (r[:-1:2] + 4.0 * r[1::2] + r[2::2])
         value = value + float(g.simpson_w[0] @ (w @ E.center))
         value = value + float(np.where(vanish, 2.0 * h * r[1::2], simpson).sum())
@@ -655,10 +673,33 @@ def random_spec(rng, n, m, with_V, with_offset, flat_U, horizon=2.0):
                      V=V, quad_steps=32, center_offset=offset)
 
 
+def unactuated_case(spec, dirs, how):
+    """(spec, dirs) with dirs that B cannot push along, like the quadrotor's
+    positions.  "rounding": dirs projected off B's range, which leaves l'B at
+    the rounding level of the projection (~1e-17, up to ~1e-12 where B is
+    ill-conditioned): the image at s = t is rounding, not 0 term by term, so
+    the last panel keeps Simpson in every reading.  "exact": spec with the
+    first n - m rows of B zeroed and dirs on those rows, so the image at
+    s = t is 0 term by term and the last panel takes the midpoint rule.
+    None: as they are."""
+    if how is None:
+        return spec, dirs
+    if how == "rounding":
+        B = spec.system.B
+        return spec, dirs - dirs @ B @ np.linalg.pinv(B)
+    n, m = spec.system.state_dim, spec.system.input_dim
+    B = spec.system.B.copy()
+    B[:n - m] = 0.0
+    dirs = dirs.copy()
+    dirs[:, n - m:] = 0.0
+    return dataclasses.replace(spec, system=LTISystem(spec.system.A, B)), dirs
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(1, 3),
        with_V=st.booleans(), with_offset=st.booleans(), flat_U=st.booleans(),
-       unactuated=st.booleans(), when=st.sampled_from(["start", "inside", "horizon"]),
+       unactuated=st.sampled_from([None, "rounding", "exact"]),
+       when=st.sampled_from(["start", "inside", "horizon"]),
        n_dirs=st.integers(0, 6))
 def test_batched_support_matches_reference(seed, n, m, with_V, with_offset, flat_U, unactuated,
                                            when, n_dirs):
@@ -667,11 +708,7 @@ def test_batched_support_matches_reference(seed, n, m, with_V, with_offset, flat
     spec = random_spec(rng, n, m, with_V, with_offset, flat_U)
     t = {"start": 0.0, "inside": rng.uniform(0.1, spec.horizon), "horizon": spec.horizon}[when]
     dirs = rng.standard_normal((n_dirs, n))
-    if unactuated:
-        # directions B cannot push along, like the quadrotor's positions:
-        # q vanishes at s = t, and the last panel takes the midpoint rule
-        B = spec.system.B
-        dirs = dirs - dirs @ B @ np.linalg.pinv(B)
+    spec, dirs = unactuated_case(spec, dirs, unactuated)
     tube = reach_tube(spec, [t], dirs)
     assert tube.support_values.shape == (1, n_dirs)
     for l, value in zip(tube.directions, tube.support_values[0]):
@@ -680,10 +717,11 @@ def test_batched_support_matches_reference(seed, n, m, with_V, with_offset, flat
         assert abs(reach_support(spec, t, l) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_vanishing_panels_judged_per_direction():
+def test_weak_input_channel_keeps_simpson():
     # decoupled channels, the second 1e-7 as strong: along e2 the input term
-    # is ~1e-14 of e1's, so a threshold shared across the batch would send
-    # it to the midpoint rule (2.6e-10 off), and its own keeps Simpson
+    # is ~1e-14 of e1's.  A node is dead only where its image is 0 term by
+    # term, so e2 keeps Simpson; a threshold shared across the batch, against
+    # e1's q, would send its panels to the midpoint rule (2.6e-10 off)
     sys = LTISystem(np.diag([-1.0, -4.0]), np.diag([1.0, 1e-7]))
     spec = ReachSpec(sys, Ellipsoid.ball([0.0, 0.0], 1.0), Ellipsoid.ball([0.0, 0.0], 1.0),
                      2.0, quad_steps=32)
@@ -694,33 +732,30 @@ def test_vanishing_panels_judged_per_direction():
 
 def reference_touching_point(spec, t, l):
     """support_gradient's point one direction at a time, as it was before the
-    batched kernel: einsum quadratic forms of the input sets and the
-    per-direction panel rule.  Kept as the kernel's reference.  The input
-    center's response is integrated by Simpson on every panel, as in the
-    support value, and the rest of the response by the panel rule.  The
-    initial set's form is read from its factor u = M0^(1/2) Phi' l, at t = 0
-    too: read from M0, it put the point of a flat X0 seen 0.02 deg off
-    edge-on 1.4e-10 off (the seed-543715411 example of
-    test_gram_oracle_matches_support_gradient)."""
+    batched kernel, under the panel rule of reference_reach_support.  Kept as
+    the kernel's reference.  The input center's response is integrated by
+    Simpson on every panel, as in the support value, and the rest of the
+    response by the panel rule.  Each form is read from its factor,
+    u = M^(1/2) S' l, the initial set's at t = 0 too: read from M0, it put
+    the point of a flat X0 seen 0.02 deg off edge-on 1.4e-10 off (the
+    seed-543715411 example of test_gram_oracle_matches_support_gradient)."""
     t = min(float(t), spec.horizon)
     l = np.asarray(l, dtype=float)
     offset = spec.offset_at(t)
     g = reachability._grids_for(spec, [t])
     h, Phi = g.h[0], g.Phi[0]
-    lT = Phi[0].T @ l
-    u0 = spec.X0.sqrt_shape() @ lT
+    root = reference_x0_root(spec.X0)
+    u0 = root @ (Phi[0].T @ l)
     q0 = float(u0 @ u0)
-    alive0 = q0 > VANISH_REL * np.trace(spec.X0.shape) * float(lT @ lT)
-    x0 = spec.X0.center + (spec.X0.sqrt_shape() @ u0 / np.sqrt(q0) if alive0 else 0.0)
+    x0 = spec.X0.center + (root @ u0 / np.sqrt(q0) if q0 > 0.0 else 0.0)
     state = Phi[0] @ x0
     for stack, E in [(g.PhiB[0], spec.U), (Phi, spec.V)]:
         if E is None:
             continue
-        w = l @ stack
-        q = np.einsum("ij,jk,ik->i", w, E.shape, w)
-        alive = q > VANISH_REL * max(q.max(), 0.0)
+        u = (l @ stack) @ E.sqrt_shape()
+        q, alive = reference_cut(u, stack, E.sqrt_shape(), l)
         du = np.zeros((q.shape[0], E.dim))
-        du[alive] = (w[alive] @ E.shape) / np.sqrt(q[alive])[:, None]
+        du[q > 0.0] = (u[q > 0.0] @ E.sqrt_shape()) / np.sqrt(q[q > 0.0])[:, None]
         y = np.einsum("inm,im->in", stack, du)
         vanish = ~alive[:-1:2] | ~alive[1::2] | ~alive[2::2]
         simpson = (h / 3.0) * (y[:-1:2] + 4.0 * y[1::2] + y[2::2])
@@ -732,7 +767,8 @@ def reference_touching_point(spec, t, l):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(1, 3),
        with_V=st.booleans(), with_offset=st.booleans(), flat_U=st.booleans(),
-       unactuated=st.booleans(), when=st.sampled_from(["start", "inside", "horizon"]),
+       unactuated=st.sampled_from([None, "rounding", "exact"]),
+       when=st.sampled_from(["start", "inside", "horizon"]),
        n_dirs=st.integers(1, 6))
 def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset, flat_U,
                                                  unactuated, when, n_dirs):
@@ -741,14 +777,8 @@ def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset
     spec = random_spec(rng, n, m, with_V, with_offset, flat_U)
     t = {"start": 0.0, "inside": rng.uniform(0.1, spec.horizon), "horizon": spec.horizon}[when]
     dirs = rng.standard_normal((n_dirs, n))
-    if unactuated:
-        B = spec.system.B
-        dirs = dirs - dirs @ B @ np.linalg.pinv(B)
+    spec, dirs = unactuated_case(spec, dirs, unactuated)
     tube = reach_tube(spec, [t], dirs)
-    # a flat U's maximizer flips sign where w turns orthogonal to it, so next
-    # to such a node the two sums of q give maximizers up to
-    # eps / sqrt(VANISH_REL) ~ 7e-10 apart; the value <l, x> stays well-conditioned
-    point_tol = 1e-9 if flat_U else 1e-12
     for l, value in zip(tube.directions, tube.support_values[0]):
         point = support_gradient(spec, t, l)[1]
         if spec.V is None:
@@ -756,10 +786,40 @@ def test_batched_touching_points_match_reference(seed, n, m, with_V, with_offset
             state, x0, (s, u) = reach_point(spec, t, l)
             assert np.array_equal(state, point)
             assert x0.shape == (n,) and u.shape == (s.shape[0], m)
-        ref = reference_touching_point(spec, t, l)
-        assert np.linalg.norm(point - ref) <= point_tol * max(1.0, np.linalg.norm(ref))
         assert abs(l @ point - value) <= 1e-12 * max(1.0, abs(value))
         assert abs(value - reach_support(spec, t, l)) <= 1e-12 * max(1.0, abs(value))
+        scale = max(1.0, np.linalg.norm(point))
+        if unactuated != "rounding":
+            ref = reference_touching_point(spec, t, l)
+            assert np.linalg.norm(point - ref) <= 1e-12 * scale
+            continue
+        # l'B at its rounding level: every point of the s = t node's ellipsoid
+        # attains the value to rounding, and each reading picks one by the
+        # rounding of its own image there, as at a flat X0 seen edge-on.  The
+        # point lies in the set
+        for d in unit_rows(rng.standard_normal((16, n))):
+            assert d @ point <= reach_support(spec, t, d) + 1e-12 * scale
+
+
+def test_rounding_level_image_keeps_simpson_in_every_reading():
+    # along a direction B cannot push along only to rounding (l'B ~ 2.4e-17),
+    # the image at s = t sums to exactly 0 in support_gradient's reading
+    # (P = I) and to 7.4e-17 in the tube's, through its span basis.  Its
+    # rounding bound |l|'|B||M^(1/2)| is not 0 in either, so both keep
+    # Simpson on the last panel.  When a node was dead wherever its image
+    # read exactly 0, the two readings took different panel rules, 1.4e-6
+    # apart (7.6e-7 of the value)
+    rng = np.random.default_rng(0)
+    spec = random_spec(rng, 2, 1, False, False, False)
+    t = rng.uniform(0.1, spec.horizon)
+    dirs = rng.standard_normal((1, 2))
+    B = spec.system.B
+    l = reachability._unit_rows(dirs - dirs @ B @ np.linalg.pinv(B))[0]
+    assert abs(l @ B[:, 0]) < 1e-16
+    value = reach_tube(spec, [t], l).support_values[0, 0]
+    for other in (support_gradient(spec, t, l)[0], reach_support(spec, t, l),
+                  reference_reach_support(spec, t, l)):
+        assert abs(value - other) <= 1e-12 * max(1.0, abs(value))
 
 
 # ---------------------------------------------------------------- support_gradient
@@ -910,8 +970,8 @@ def test_separation_point_on_flat_initial_set(c, t):
     # X0 is the segment E(0, u u'), and B the point c u on it.  Along the
     # segment's normal <Phi' l, M0 Phi' l> is rounding noise; taken as a
     # width, it put touching points ~1e-9 off the set, and the upper bound
-    # below the lower one (-7.45e-9 m at t = 0, when that time had its own
-    # branch without the vanish rule).
+    # below the lower one (-7.45e-9 m at t = 0).  X0's rank-cut root has no
+    # width there.
     segment = ReachSpec(LTISystem(np.zeros((3, 3)), np.zeros((3, 1))),
                         Ellipsoid(np.zeros(3), np.outer(SEGMENT, SEGMENT)),
                         Ellipsoid.point([0.0]), 4.0)
@@ -1150,13 +1210,13 @@ def flat_across(spec, P, l0, rng):
     return dataclasses.replace(spec, X0=Ellipsoid(spec.X0.center, Q @ R0 @ R0.T @ Q))
 
 
-def random_pair(seed, n, m, k, with_V, with_offset, flat_X0):
+def random_pair(seed, n, m, k, with_V, with_offset, flat_X0, flat_U=False):
     """Two random specs, a k-axis position projection and a direction l0
     that sees A's X0 edge-on at t = 0 when flat_X0."""
     rng = np.random.default_rng(seed)
     m = min(m, n - 1)
-    specA = random_spec(rng, n, m, with_V, with_offset, flat_U=False)
-    specB = random_spec(rng, n, m, with_V, with_offset, flat_U=False)
+    specA = random_spec(rng, n, m, with_V, with_offset, flat_U)
+    specB = random_spec(rng, n, m, with_V, with_offset, flat_U)
     P = np.eye(n)[rng.permutation(n)[:k]]
     l0 = unit_rows(rng.standard_normal((1, k)))[0]
     if flat_X0:
@@ -1194,7 +1254,37 @@ def test_gram_oracle_matches_support_gradient(seed, n, m, k, with_V, with_offset
         vA, vB = lA @ xA, lB @ xB
         assert abs(g_t - (-vA - vB)) <= 1e-12 * max(1.0, abs(vA), abs(vB))
         scale = max(1.0, np.linalg.norm(P @ xA), np.linalg.norm(P @ xB))
-        assert np.linalg.norm(s_t - (P @ xA - P @ xB)) <= 1e-12 * scale
+        if not (flat_X0 and t == 0.0 and l is l0):
+            assert np.linalg.norm(s_t - (P @ xA - P @ xB)) <= 1e-12 * scale
+            continue
+        # A's flat X0 seen edge-on: its whole face maximizes, and the two
+        # kernels pick points of it by the rounding of F0' l.  A's point
+        # s + P xB lies in A's set and attains A's value
+        pA = s_t + P @ xB
+        assert abs(-(l @ pA) - vA) <= 1e-12 * scale
+        for d in unit_rows(rng.standard_normal((16, k))):
+            assert d @ pA <= reach_support(specA, t, P.T @ d) + 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(**pair_cases, flat_U=st.booleans())
+def test_no_oracle_point_undercuts_a_value(seed, n, m, k, with_V, with_offset, flat_X0, flat_U):
+    # the contract every bound of distance rests on: the oracle reads the
+    # support function of one set C and its points lie in C, so no point
+    # undercuts another direction's value, g(l_j) <= <l_j, s(l_k)>.  Asked
+    # at t = 0 and inside the horizon, along directions clustered around
+    # the edge-on l0 at spreads 1e-9 to 1e-5 and along random ones.  A vanish
+    # rule of the initial set's root that depended on l broke it by 2.9e-7
+    # relative next to a flat X0
+    specA, specB, P, l0, rng = random_pair(seed, n, m, k, with_V, with_offset, flat_X0, flat_U)
+    L = np.vstack([l0] + [unit_rows(l0 + spread * rng.standard_normal((4, k)))
+                          for spread in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)]
+                  + [unit_rows(rng.standard_normal((8, k)))])
+    A, B = projected(specA, specB, [0.0, rng.uniform(0.1, specA.horizon)], P)
+    for j in range(2):
+        g, s = _oracle(A.take([j]), B.take([j]), L)
+        excess = g[:, None] - L @ s.T  # (j, k): g(l_j) - <l_j, s(l_k)>
+        assert (excess <= 1e-12 * np.maximum(1.0, np.linalg.norm(s, axis=1))[None]).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -1238,8 +1328,8 @@ def test_kernel_rows_alone_equal_batched(seed, n, m, k, with_V, with_offset, fla
             one = _project(alone, grid, rows)
             assert np.array_equal(one.values()[0], values[j])
             assert np.array_equal(one.response(one.images(l[j:j + 1]))[0], response[j])
-            for got, want in [(one.center, view.center), (one.PPhi0, view.PPhi0),
-                              (one.F0, view.F0), (one.h, view.h), *zip(one.inputs, view.inputs)]:
+            for got, want in [(one.center, view.center), (one.F0, view.F0), (one.h, view.h),
+                              *zip(one.inputs, view.inputs)]:
                 assert np.array_equal(got[0], want[j])
 
 
@@ -1256,26 +1346,52 @@ def test_separation_alone_equals_batched(seed, n, m, k, with_V, with_offset, fla
         assert_same_bits(separation(specA, specB, t, P), sep)
 
 
+def sliver_pair():
+    """The sliver @example above at t = 0.363, where A's flat X0 is seen
+    nearly edge-on: the minimum-norm point stops open, with the sets apart,
+    and the inner hull takes over."""
+    specA, specB, P, _, rng = random_pair(585, 3, 2, 3, True, True, True)
+    return specA, specB, np.sort(rng.uniform(0.0, specA.horizon, 3))[0], P
+
+
+def test_flat_x0_sliver_certifies():
+    # the initial set's root once had a vanish rule that depended on l: it
+    # dropped ~2e-7 between nearby directions, so an oracle point lay 2e-7
+    # outside the halfspace of another, and after 10 rounds the hull's upper
+    # bound fell 5.7e-8 below its lower one, uncertified at
+    # [0.35906656545767346, 0.3590665085419143].  Read through X0's
+    # rank-cut root, the oracle is one set's and the hull closes
+    specA, specB, t, P = sliver_pair()
+    sep = separation(specA, specB, t, P)
+    assert sep.certified
+    assert sep.value == pytest.approx(0.359066508475665, abs=1e-12)
+    assert 0.0 <= sep.gap <= GAP_REL * max(1.0, sep.value)
+
+
 def test_inner_hull_stops_when_its_bounds_cross(monkeypatch):
-    # the sliver @example above at t = 0.363: the minimum-norm point stops
-    # open, with the sets apart, so the hull's upper bound is the distance
-    # from 0 to its nearest point.  A's flat X0 is seen nearly edge-on there,
-    # where the vanish rule of its root term drops ~2e-7 between nearby
-    # directions, so an oracle point lies 2e-7 outside the halfspace of
-    # another: after 10 rounds the upper bound falls 5.7e-8 below the lower
-    # one.  The bounds can only move toward each other, so the hull stops
-    # there, uncertified.  One expanding step at a time, the hull stalled
-    # after 19 steps with the bounds [0.35906653629247054, 0.40071805887400325]
+    # an oracle whose points disagree with its values: every other query's
+    # point is pushed 1e-7 outward, past its own halfspace, so the hull's
+    # upper bound falls below its lower one.  The bounds can only move
+    # toward each other, so the hull stops there after 11 rounds,
+    # uncertified, with the crossing as a negative gap
     rounds = []
     facets = _Polytope.facets
     monkeypatch.setattr(_Polytope, "facets", lambda hull: rounds.append(1) or facets(hull))
-    specA, specB, P, _, rng = random_pair(585, 3, 2, 3, True, True, True)
-    t = np.sort(rng.uniform(0.0, specA.horizon, 3))[0]
+    oracle = distance._oracle
+
+    def pushed(A, B, l):
+        g, s = oracle(A, B, l)
+        s = s.copy()
+        s[1::2] -= 1e-7 * l[1::2]
+        return g, s
+
+    monkeypatch.setattr(distance, "_oracle", pushed)
+    specA, specB, t, P = sliver_pair()
     sep = separation(specA, specB, t, P)
-    assert len(rounds) == 10
+    assert len(rounds) == 11
     assert not sep.certified
-    assert sep.value == pytest.approx(0.35906656545767346, abs=1e-12)
-    assert sep.value + sep.gap == pytest.approx(0.3590665085419143, abs=1e-12)
+    assert sep.value == pytest.approx(0.35906650828414055, abs=1e-12)
+    assert sep.value + sep.gap == pytest.approx(0.3590664085089762, abs=1e-12)
 
 
 def test_flat_hull_stops_when_a_round_adds_nothing(monkeypatch):
