@@ -14,7 +14,9 @@ The solver follows the central path of
 by damped Newton steps with a backtracking line search that preserves strict
 feasibility, multiplying mu by 10 per stage until the barrier duality-gap
 estimate (total barrier dimension / mu) drops below 1e-7.  Problem sizes here
-are tiny (around fifteen scalars), so all Hessians are dense.
+are tiny (around fifteen scalars), so all Hessians are dense.  Each step is
+one solve with the Hessian -tr(M_i M_j), minus a Gram matrix, so negative
+definite when the F_i are independent; stacked() refuses an F_i of zero.
 
 A problem is built on a BarrierProblem (variables, objective terms,
 constraints) and evaluated only on the StackedBarrier that its stacked()
@@ -48,7 +50,7 @@ point whatever mu is; the decrement of F_mu alone shrinks with 1/mu and
 would stop the later stages far from it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -265,7 +267,8 @@ class BarrierProblem:
         """Every log-det block, PSD block and scalar row on one block diagonal.
 
         Built from the problem as it stands, so a constraint added later needs
-        a new one; solve builds it once per call.
+        a new one; solve builds it once per call.  Raises ValueError naming a
+        variable that enters no block, where no Newton step is defined.
         """
         exprs = [e for e, _ in self.logdets] + self.psd + self.scalars
         starts = np.cumsum([0] + [e.dim for e in exprs])
@@ -274,6 +277,9 @@ class BarrierProblem:
         for expr, a, b in zip(exprs, starts, starts[1:]):
             F0[a:b, a:b] = expr.F0
             F[:, a:b, a:b] = expr.F
+        for name, blk in self.blocks.items():
+            if not F[blk.offset:blk.offset + blk.dim].any(axis=(1, 2)).all():
+                raise ValueError(f"variable {name!r} enters no block")
         n_obj = int(starts[len(self.logdets)])
         k = np.zeros(n)
         for (_, kc), a, b in zip(self.logdets, starts, starts[1:]):
@@ -337,11 +343,11 @@ class SolveResult:
     values: dict
     objective: float
     kkt_residual: float
-    barrier_mu_final: float
+    barrier_mu_final: float | None  # None when solved in closed form
     status: str  # optimal | stalled | max_iter
-    stage_objectives: list = field(default_factory=list)
+    stage_objectives: tuple = ()  # the objective after each barrier stage
     newton_steps: int = 0
-    stage_steps: list = field(default_factory=list)  # Newton steps of each stage
+    stage_steps: tuple = ()  # Newton steps of each stage
 
 
 class _Stage(NamedTuple):
@@ -408,10 +414,12 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
     its start.  Backtracking trials factor G and evaluate F_mu alone; an
     accepted trial's G is inverted once for its derivatives, and its factor
     and inverse are carried into the next step and returned with the point
-    the stage ends on.  A trial that passes the Armijo test is taken only if
-    it makes measurable progress: F_mu rose by more than its rounding level,
-    or the gradient norm fell.  Otherwise, and when no trial passes, Newton
-    can no longer improve the point at this mu and the stage ends there.
+    the stage ends on.  A Newton system that numpy cannot solve, or a step
+    that does not ascend F_mu, ends the stage.  A trial that passes the
+    Armijo test is taken only if it makes measurable progress: F_mu rose by
+    more than its rounding level, or the gradient norm fell.  Otherwise, and
+    when no trial passes, Newton can no longer improve the point at this mu
+    and the stage ends there.
     """
     st = _stage(sb, mu, fscale)
     if carry is None:
@@ -426,20 +434,12 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
             return x, gnorm, steps, carry
-        reg = 0.0
-        while True:
-            try:
-                step = np.linalg.solve(hess - reg * np.eye(sb.total_dim) if reg > 0.0 else hess,
-                                       -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and grad @ step > 0.0:
-                break
-            reg = max(2.0 * reg, 1e-10 * max(1.0, np.abs(hess).max()))
-            if reg > 1e12:
-                return x, gnorm, steps, carry
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return x, gnorm, steps, carry
         decrement = float(grad @ step)
-        if not centered and 0.5 * mu * decrement <= CENTER_DECREMENT:
+        if not decrement > 0.0 or (not centered and 0.5 * mu * decrement <= CENTER_DECREMENT):
             return x, gnorm, steps, carry
         alpha = 1.0
         while alpha > 1e-16:
@@ -500,4 +500,4 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     else:
         status = "max_iter" if steps == MAX_NEWTON else "stalled"
     return SolveResult(prob.unpack(x), stage_objectives[-1], kkt, mu, status,
-                       stage_objectives, sum(stage_steps), stage_steps)
+                       tuple(stage_objectives), sum(stage_steps), tuple(stage_steps))

@@ -39,6 +39,7 @@ from .synthesis import (
     EncounterGeometry,
     JointInfeasibilityError,
     estimate_encounter,
+    part1_margin,
     safe_set,
     scalarization_loop,
 )
@@ -253,20 +254,18 @@ def run(scenario_path, out_dir, overrides: dict | None = None) -> int:
                      geom.l_star, P)
 
     sol_doc = {"method": scenario.method, "k_used": k_used,
-               "margins": {"part1_m": scenario.margin1 if scenario.margin1 is not None
-                           else 0.5 * d_eff, "part2_m": scenario.margin2},
+               "margins": {"part1_m": part1_margin(geom_eff, scenario.margin1),
+                           "part2_m": scenario.margin2},
                "d_effective_m": d_eff,
                "safe_set": {"center": safeB.center, "shape": safeB.shape},
                "iterations": diags, "aircraft": {}}
     for name, sol, spec in [("A", solA, specA), ("B", solB, specB)]:
         sol_doc["aircraft"][name] = {
-            "q": sol.q, "Q": sol.Q, "lambda": sol.lam, "r": sol.r,
-            "objective": sol.objective, "distance_m": sol.distance,
-            "kkt_residual": sol.kkt_residual, "status": sol.status,
-            "newton_steps": sol.newton_steps, "barrier_mu_final": sol.barrier_mu_final,
-            "stage_objectives": sol.stage_objectives, "stage_steps": sol.stage_steps,
+            "q": sol.q, "Q": sol.Q, "lambda": sol.lam, "r": sol.r, "distance_m": sol.distance,
             "original_control_center": spec.U.center,
             "original_control_shape": spec.U.shape,
+            **{f.name: getattr(sol.solve, f.name) for f in dataclasses.fields(sol.solve)
+               if f.name != "values"},
         }
     _write_json(out / "solution.json", sol_doc)
 

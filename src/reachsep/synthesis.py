@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, solve
+from .convex import INIT_MARGIN, BarrierProblem, InfeasibleProblemError, SolveResult, solve
 from .ellipsoid import Ellipsoid, minkowski_sum_external
 from .reachability import (
     ReachSpec,
@@ -101,22 +101,20 @@ def distance_row(consts: PartIConstants, target: float, U: Ellipsoid, bound: flo
 
 @dataclass(frozen=True)
 class SynthesisSolution:
-    """One aircraft's shrunk control set and the optimizer's certificates."""
+    """One aircraft's shrunk control set and the solve that produced it."""
 
     aircraft: str
     q: np.ndarray
     Q: np.ndarray  # symmetric PSD shape factor; control set is E(q, Q @ Q)
     lam: float
     k: float
-    objective: float
     distance: float  # the objective's distance term at the solution
-    kkt_residual: float
-    status: str
-    newton_steps: int
-    barrier_mu_final: float | None  # None when solved in closed form
-    stage_objectives: tuple  # F's objective after each barrier stage
-    stage_steps: tuple  # the Newton steps of each barrier stage
+    solve: SolveResult  # the barrier solve's record, or the closed form's
     r: float | None = None  # scaled method only
+
+    @property
+    def status(self) -> str:
+        return self.solve.status
 
     def control_set(self) -> Ellipsoid:
         return Ellipsoid(self.q, self.Q @ self.Q)
@@ -255,9 +253,8 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     qt = -(1.0 - r) / beta * bW if beta > 0.0 else np.zeros(m)
     distance = row.const - float(bW @ qt) - r * consts.gamma_U
     objective = distance + (k * m * np.log(r) if k > 0.0 else 0.0)
-    return SynthesisSolution(
-        "B", U_B.center + W @ qt, r * W, r, k, objective, distance,
-        0.0, "optimal", 0, None, (), (), r=r)
+    return SynthesisSolution("B", U_B.center + W @ qt, r * W, r, k, distance,
+                             SolveResult({"q": qt, "r": r}, objective, 0.0, None, "optimal"), r=r)
 
 
 def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:
@@ -311,9 +308,7 @@ def _norm_program(row: DistanceRow, U: Ellipsoid, k: float, w_dist: float) -> Sy
     qt, Qb, s_val = res.values["q"], res.values["Q"], float(res.values["s"])
     return SynthesisSolution(
         aircraft, U.center + blk.W @ qt, wmin * 0.5 * (Qb + Qb.T), float(res.values["lam"]),
-        k, res.objective, row.const - float(bW @ qt) - s_val * wmin * gamma_I,
-        res.kkt_residual, res.status, res.newton_steps, res.barrier_mu_final,
-        tuple(res.stage_objectives), tuple(res.stage_steps))
+        k, row.const - float(bW @ qt) - s_val * wmin * gamma_I, res)
 
 
 def solve_matrix_norm(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
@@ -368,6 +363,11 @@ def solve_part2(specA: ReachSpec, shrunkB: ReachSpec, geom: EncounterGeometry,
     return _norm_program(distance_row(consts, target, specA.U, margin, "A"), specA.U, 1.0, 0.0)
 
 
+def part1_margin(geom: EncounterGeometry, margin1: float | None) -> float:
+    """Phase one's distance margin: margin1, or half of d when it is None."""
+    return 0.5 * geom.d if margin1 is None else margin1
+
+
 def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeometry,
                        P, method: str = "norm", k0: float = 1.0, shrink: float = 0.8,
                        margin1: float | None = None, margin2: float = 0.0,
@@ -383,7 +383,7 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         raise ValueError("need k0 > 0 and shrink in (0, 1)")
     if method not in ("norm", "scaled"):
         raise ValueError(f"unknown phase-one method {method!r}")
-    margin1 = 0.5 * geom.d if margin1 is None else margin1
+    margin1 = part1_margin(geom, margin1)
     consts_B = part1_constants(specB, geom)
     part1 = solve_matrix_norm if method == "norm" else solve_scaled
     diagnostics = []
@@ -400,7 +400,7 @@ def scalarization_loop(specA: ReachSpec, specB: ReachSpec, geom: EncounterGeomet
         except InfeasibleProblemError as exc:
             diagnostics.append({
                 "k": k, "outcome": f"phase two infeasible: {exc.constraint}",
-                "part1_distance": solB.distance, "part1_objective": solB.objective})
+                "part1_distance": solB.distance, "part1_objective": solB.solve.objective})
             k *= shrink
             continue
         diagnostics.append({

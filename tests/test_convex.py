@@ -155,6 +155,24 @@ def test_infeasible_start_names_violated_logdet_block():
         solve(p, {"Q": np.diag([0.5, -0.1])})
 
 
+@pytest.mark.parametrize("coeffs", [None, [1.0, 0.0]])
+def test_variable_in_no_block_is_named(coeffs):
+    # F_mu's Hessian has a zero row at a coordinate that enters no block, so
+    # no Newton step is defined there: unused, or one coordinate of a vector
+    # read by a scalar row alone
+    p = BarrierProblem()
+    Q = p.add_symmetric_var("Q", 2)
+    v = p.add_vector_var("v", 2)
+    p.add_logdet_objective(Q, 1.0)
+    lmi = p.new_psd_constraint(2, "cap")
+    lmi.F0[:] = np.eye(2)
+    lmi.add_symmetric(Q, 0, 0, coeff=-1.0)
+    if coeffs is not None:
+        p.add_scalar_constraint("row", {v: coeffs}, 1.0)
+    with pytest.raises(ValueError, match="variable 'v' enters no block"):
+        solve(p, {"Q": 0.5 * np.eye(2), "v": np.zeros(2)})
+
+
 def test_start_within_init_margin_rejected():
     # Q = diag(0.5, INIT_MARGIN / 2) is positive definite, so G has a Cholesky
     # factor, but its smallest eigenvalue is below INIT_MARGIN: the start is

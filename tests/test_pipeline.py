@@ -91,6 +91,11 @@ def test_solution_artifact(quad_run):
     assert sol["k_used"] == pytest.approx(1.0)
     for name in ("A", "B"):
         ac = sol["aircraft"][name]
+        # the solver's keys are the fields of convex.SolveResult but its values
+        assert set(ac) == {"q", "Q", "lambda", "r", "distance_m", "original_control_center",
+                           "original_control_shape", "objective", "kkt_residual", "status",
+                           "newton_steps", "barrier_mu_final", "stage_objectives",
+                           "stage_steps"}
         assert ac["kkt_residual"] <= 1e-6
         assert 0.0 < ac["lambda"] <= 1.0
         assert ac["newton_steps"] > 0

@@ -185,7 +185,7 @@ def test_scaled_double_integrator_matches_grid():
     obj = const - c.b[0] * Q - c.gamma_U * R + k * 1 * np.log(R)
     feas = (np.abs(Q) + R <= 1.0) & (const - c.b[0] * Q - c.gamma_U * R >= margin)
     best = np.where(feas, obj, -np.inf).max()
-    assert abs(sol.objective - best) <= 1e-3
+    assert abs(sol.solve.objective - best) <= 1e-3
 
 
 def test_norm_isotropic_matches_scaled():
@@ -314,7 +314,7 @@ def test_scaled_closed_form_matches_barrier(case):
     # at r* = 1 the containment LMI is singular at the optimum and the
     # barrier may stop with status max_iter; its value is still accurate
     ref = reference_solve_scaled(consts, geom, U, k, margin=0.3)
-    assert abs(sol.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
+    assert abs(sol.solve.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
     # the barrier stops at a duality gap of nu / mu (objective units scaled by
     # the largest coefficient), and the objective is concave in r with
     # curvature >= k m; where r* = 1 = k m / slope, at the kink of the two
@@ -328,8 +328,9 @@ def test_scaled_closed_form_matches_barrier(case):
     assert sol.lam == sol.r
     block = containment_block(U, sol.q, sol.Q, sol.lam)
     assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.abs(block).max()
-    assert (sol.status, sol.kkt_residual, sol.newton_steps, sol.barrier_mu_final,
-            sol.stage_objectives, sol.stage_steps) == ("optimal", 0.0, 0, None, (), ())
+    res = sol.solve
+    assert (res.status, res.kkt_residual, res.newton_steps, res.barrier_mu_final,
+            res.stage_objectives, res.stage_steps) == ("optimal", 0.0, 0, None, (), ())
 
 
 class _Captured(Exception):
@@ -661,18 +662,18 @@ def test_bundled_fixedwing_stages_end_below_step_cap():
     # the stage must stop at the rounding floor instead of taking
     # null-progress steps until MAX_NEWTON (264 steps in all)
     solB, solA = bundled_fixedwing_coarse_grid()
-    assert solB.newton_steps < MAX_NEWTON
-    assert solA.newton_steps < MAX_NEWTON
+    assert solB.solve.newton_steps < MAX_NEWTON
+    assert solA.solve.newton_steps < MAX_NEWTON
 
 
 def test_bundled_fixedwing_phase_two_reads_stalled():
     # that stop is above KKT_TOL but its last stage is far below the step
     # cap: stalled, not max_iter
     solB, solA = bundled_fixedwing_coarse_grid()
-    assert solA.status == "stalled"
-    assert solA.kkt_residual > KKT_TOL
-    assert solA.stage_steps[-1] < MAX_NEWTON
-    assert solB.status == "optimal"
+    assert solA.solve.status == "stalled"
+    assert solA.solve.kkt_residual > KKT_TOL
+    assert solA.solve.stage_steps[-1] < MAX_NEWTON
+    assert solB.solve.status == "optimal"
 
 
 @functools.cache
