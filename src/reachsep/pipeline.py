@@ -16,7 +16,6 @@ the verification fails; the exit code carries the verdict:
 import dataclasses
 import json
 import sys
-from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -122,23 +121,21 @@ def verify_monte_carlo(specA: ReachSpec, specB: ReachSpec, P, t_grid, dirs,
     time's check reads the two contiguous (k, n_samples) slices: one product
     dirs @ p per aircraft for the tubes, written into one (D, n_samples)
     buffer for the whole check, and one l_j @ p per aircraft for the slab.
-    On any exit both samplers are closed, which joins the worker thread
-    each draws its controls on; a failed draw is raised here.
     """
     base_A = dataclasses.replace(specA, V=None) if specA.V is not None else specA
     base_B = dataclasses.replace(specB, V=None) if specB.V is not None else specB
     heights = np.empty((dirs.shape[0], n_samples))
     violations, slabs, excess = [], [], []
-    with closing(positions(base_A, t_grid, n_samples, seed, P)) as posA, \
-            closing(positions(base_B, t_grid, n_samples, seed + 1, P)) as posB:
-        for pA, pB, vals_A, vals_B, sep in zip(posA, posB, tube_vals_A, tube_vals_B, seps):
-            if dirs.shape[0]:
-                for p, vals in ((pA, vals_A), (pB, vals_B)):
-                    # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
-                    violations.append(
-                        float((np.matmul(dirs, p, out=heights).max(axis=1) - vals).max()))
-            slabs.append(_slab_gap(sep.direction, pA, pB))
-            excess.append(slabs[-1] - sep.value)
+    posA = positions(base_A, t_grid, n_samples, seed, P)
+    posB = positions(base_B, t_grid, n_samples, seed + 1, P)
+    for pA, pB, vals_A, vals_B, sep in zip(posA, posB, tube_vals_A, tube_vals_B, seps):
+        if dirs.shape[0]:
+            for p, vals in ((pA, vals_A), (pB, vals_B)):
+                # max_j fl(a_j - c) = fl(max_j a_j - c): rounding is monotone
+                violations.append(
+                    float((np.matmul(dirs, p, out=heights).max(axis=1) - vals).max()))
+        slabs.append(_slab_gap(sep.direction, pA, pB))
+        excess.append(slabs[-1] - sep.value)
     # the first time that is not finite, else the first smallest excess
     j = next((j for j, e in enumerate(excess) if not np.isfinite(e)),
              int(np.argmin(excess)) if excess else None)

@@ -62,7 +62,7 @@ _NODES_MAX = 2**16
 # the Monte Carlo check's samples x (grid times + directions) (the samplers'
 # steps, and the check's (directions, samples) buffer, at most 34 MB)
 _READS_MAX = 2**22
-_SAMPLES_MAX = 2**17  # Monte Carlo samples per aircraft: about 750 B each for two quadrotors
+_SAMPLES_MAX = 2**17  # Monte Carlo samples per aircraft: about 560 B each for two quadrotors
 _ITERS_MAX = 100  # scalarization rounds, about 10 ms each
 _RULES = {float: "must be a finite number", int: "must be an integer", str: "must be a string",
           list: "must be a list", dict: "must be an object"}

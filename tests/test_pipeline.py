@@ -360,7 +360,7 @@ def test_monte_carlo_fails_on_nan_directions(mc_check):
 def test_monte_carlo_check_failure_is_raised_and_joins_the_samplers(mc_check, j):
     # a direction of the wrong length at grid time j fails its slab product;
     # the kept traceback holds the check's frame, so its samplers are not
-    # collected, and only closing them joins their helpers
+    # collected, and they must hold no thread
     seps = list(mc_check[7])
     seps[j] = dataclasses.replace(seps[j], direction=seps[j].direction[:2])
     before = threading.active_count()
@@ -919,17 +919,26 @@ def test_run_imports_no_scipy(tmp_path):
     assert (tmp_path / "out" / "separation.svg").exists()
 
 
-def test_pipeline_import_loads_no_thread_pool():
-    # the sampler imports concurrent.futures, and with it logging, only when
-    # it steps: runs that never sample do not pay for them at import
+def test_pipeline_import_loads_no_thread_pool(tmp_path):
+    # the sampler draws on the calling thread: neither importing the pipeline
+    # nor a run with the Monte Carlo check loads a thread pool, or logging
     src = Path(reachsep.__file__).resolve().parents[1]
     code = ("import sys\n"
             "import reachsep.pipeline\n"
-            "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+            "modules = ('concurrent.futures', 'logging')\n"
+            "loaded = [m for m in modules if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from reachsep.scenario import builtin_scenario_path\n"
+            "code = reachsep.pipeline.run(builtin_scenario_path('quadrotor_pair'), 'out', "
+            f"{{**{FAST!r}, 'verify_mc': 200}})\n"
+            "assert code == 0, code\n"
+            "loaded = [m for m in modules if m in sys.modules]\n"
             "assert not loaded, loaded\n")
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "mc.json").exists()
 
 
 def cloud(rng, n, k, center, radius):

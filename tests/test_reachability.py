@@ -2,7 +2,6 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -272,7 +271,9 @@ class FailingGenerator:
 @pytest.mark.parametrize("step", [1, 2, 20])
 @pytest.mark.parametrize("where", ["draw", "offset"])
 def test_sampler_failure_at_a_step_is_raised_and_joins_the_helper(step, where, monkeypatch):
-    # call 1 is the initial draw or the t = 0 offset; call step + 1 is step's
+    # call 1 is the initial draw or the t = 0 offset; call step + 1 is step's.
+    # Every draw runs on the calling thread: the failure is raised there, and
+    # no thread is left behind
     spec, t_grid, P = bundled_sampling_spec("fixedwing_pair")
     t_grid = t_grid[:21]
     if where == "draw":
@@ -308,8 +309,29 @@ def test_sampler_rejects_a_grid_that_is_not_uniform_from_zero(t_grid):
         positions(spec, t_grid, 10)
 
 
+@pytest.mark.parametrize("n_samples", [-1, 2.5, True])
+def test_sampler_rejects_a_sample_count_that_is_not_a_non_negative_integer(n_samples):
+    spec, _ = random_sampling_spec(1)
+    t_grid = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_trajectories(spec, t_grid, n_samples)
+    # at the call, before the generator is started
+    with pytest.raises(ValueError, match="n_samples"):
+        positions(spec, t_grid, n_samples)
+
+
+def test_positions_steps_on_the_calling_thread():
+    spec, P = random_sampling_spec(2)
+    before = threading.active_count()
+    steps = positions(spec, np.linspace(0.0, 2.0, 21), 300, seed=4, P=P)
+    for _ in range(3):
+        next(steps)
+        assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("taken", [0, 1, 2, 7])
 def test_positions_closed_early_joins_the_helper(taken):
+    # a generator left early holds only buffers: closing it leaves no thread
     spec, P = random_sampling_spec(2)
     t_grid = np.linspace(0.0, 2.0, 21)
     ref = reference_samples(spec, t_grid, 300, seed=4, P=P)
@@ -322,10 +344,10 @@ def test_positions_closed_early_joins_the_helper(taken):
 
 
 def test_concurrent_samplers_keep_their_streams():
-    # more callers than cores, each with its own helper, and a short switch
-    # interval: a slot handed over before it is filled or read, or a block
-    # drawn out of order, changes the samples' bits.  Each caller also steps
-    # two samplers in lockstep, as the Monte Carlo check does.
+    # more callers than cores and a short switch interval: a generator or
+    # buffer shared between calls, or a block drawn out of order, changes the
+    # samples' bits.  Each caller also steps two samplers in lockstep, as the
+    # Monte Carlo check does.
     spec, P = random_sampling_spec(3)
     t_grid = np.linspace(0.0, 2.0, 41)
     refs = [reference_samples(spec, t_grid, 200, seed=s, P=P) for s in range(7)]
@@ -334,9 +356,8 @@ def test_concurrent_samplers_keep_their_streams():
     def caller(s):
         for _ in range(5):
             results.setdefault(s, []).append(sample_trajectories(spec, t_grid, 200, seed=s, P=P))
-        with closing(positions(spec, t_grid, 200, s, P)) as a, \
-                closing(positions(spec, t_grid, 200, s + 1, P)) as b:
-            steps = [(A.copy(), B.copy()) for A, B in zip(a, b)]
+        a, b = positions(spec, t_grid, 200, s, P), positions(spec, t_grid, 200, s + 1, P)
+        steps = [(A.copy(), B.copy()) for A, B in zip(a, b)]
         lockstep[s] = [np.stack(c).transpose(2, 0, 1) for c in zip(*steps)]
 
     interval = sys.getswitchinterval()
