@@ -170,6 +170,10 @@ class BarrierProblem:
         self.logdets: list[tuple[AffineMatrixExpr, float]] = []
         self.psd: list[AffineMatrixExpr] = []
         self.scalars: list[AffineMatrixExpr] = []  # 1x1 blocks
+        # a bound on |x| over the feasible set, declared by the builder: the
+        # dual bound charges its stationarity residual over this distance, so
+        # a problem that declares none certifies only with a zero residual
+        self.radius = np.inf
 
     # ------------------------------------------------------------ variables
 
@@ -342,7 +346,9 @@ class StackedBarrier:
 class SolveResult:
     values: dict
     objective: float
-    kkt_residual: float
+    dual_bound: float  # no feasible point has a larger objective; inf when uncertified
+    optimality_gap: float  # dual_bound - objective
+    kkt_residual: float  # the dual bound's stationarity residual, over fscale
     barrier_mu_final: float | None  # None when solved in closed form
     status: str  # optimal | stalled | max_iter
     stage_objectives: tuple = ()  # the objective after each barrier stage
@@ -430,17 +436,17 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
     val = _merit_value(sb, x, carry[0], st)
     grad, hess = _merit_derivs(sb, carry[1], st)
     steps = 0
-    for _ in range(MAX_NEWTON):
+    while True:
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= gtol:
-            return x, gnorm, steps, carry
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            return x, gnorm, steps, carry
+            return x, gnorm, steps, carry, None
         decrement = float(grad @ step)
-        if not decrement > 0.0 or (not centered and 0.5 * mu * decrement <= CENTER_DECREMENT):
-            return x, gnorm, steps, carry
+        newton = step, grad + hess @ step
+        if (gnorm <= gtol or steps == MAX_NEWTON or not decrement > 0.0
+                or (not centered and 0.5 * mu * decrement <= CENTER_DECREMENT)):
+            return x, gnorm, steps, carry, newton
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
@@ -451,27 +457,59 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
                     break
             alpha *= BACKTRACK
         else:
-            return x, gnorm, steps, carry
+            return x, gnorm, steps, carry, newton
         steps += 1
         ccarry = trial[1], np.linalg.inv(trial[0])
         cgrad, chess = _merit_derivs(sb, ccarry[1], st)
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cgrad) >= gnorm):
-            return x, gnorm, steps, carry
+            return x, gnorm, steps, carry, newton
         x, val, grad, hess, carry = cand, cval, cgrad, chess, ccarry
-    return x, float(np.linalg.norm(grad)), steps, carry
+
+
+def _certificate(sb: StackedBarrier, x: np.ndarray, carry, newton, st: _Stage,
+                 radius: float):
+    """(gap, |r|): a bound on fscale * (p* - f(x)) from the dual point that
+    the Newton step at x implies, and that point's stationarity residual.
+
+    With dG = sum_i step_i F_i, Y = w (G^-1 - G^-1 dG G^-1) is Z_c on each
+    barrier block and W_o on each log-det block (Vandenberghe, Boyd & Wu,
+    SIMAX 1998).  For Z_c PSD and W_o PD, every feasible x' has
+    fscale f(x') <= L(x') = fscale (c0 + lin'x') + sum_c tr(Z_c G_c(x'))
+    + sum_o [tr(W_o G_o(x')) - k log det W_o - k n_o + k n_o log k], k the
+    block's weight fscale * k_o (Fenchel's bound on log det).  L is affine
+    with gradient r = grad + hess @ step, the Newton system's residual, so
+    p* <= f(x) + (L(x) - fscale f(x) + (radius + |x|) |r|) / fscale.  One
+    Cholesky factor of Y checks that it is PD and gives log det W_o; the
+    factor L carried with x gives log det G_o.  A Y that is not PD, or no
+    step, certifies nothing: the gap is inf.
+    """
+    if newton is None:
+        return np.inf, np.inf
+    step, r = newton
+    residual = float(np.linalg.norm(r))
+    Ginv = carry[1]
+    GdG = Ginv @ _affine(np.zeros_like(Ginv), sb.F, step)
+    try:
+        LY = np.linalg.cholesky(st.w[:, None] * (Ginv - GdG @ Ginv))
+    except np.linalg.LinAlgError:
+        return np.inf, residual
+    k, o = st.w[:sb.n_obj], slice(0, sb.n_obj)
+    logdet = 2.0 * np.log(LY.diagonal()[o] * carry[0].diagonal()[o])
+    gap = (float(st.w @ (1.0 - GdG.diagonal())) - float(k @ (logdet + 1.0 - np.log(k)))
+           + (residual and (radius + float(np.linalg.norm(x))) * residual))
+    return gap, residual
 
 
 def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     """Path-following solve from a strictly feasible initial point.
 
-    Reports the KKT residual as the gradient norm of the Lagrangian with the
-    barrier-implied multipliers, which at the analytic center equals the
-    gradient norm of F_mu at the final mu.  The residual is normalized by the
-    objective's coefficient scale, so badly scaled inputs do not inflate it.
-    The status is optimal when the residual is within KKT_TOL; otherwise
-    max_iter when the final stage took all MAX_NEWTON steps, and stalled when
-    it ended earlier, with Newton making no measurable progress.
+    The final point is certified by _certificate's dual bound: dual_bound is
+    an upper bound on the optimum, optimality_gap = dual_bound - objective,
+    and kkt_residual is the dual point's stationarity residual over fscale.
+    The status is optimal when the gap is within GAP_TOL * max(1, |f|);
+    otherwise max_iter when the final stage took all MAX_NEWTON steps, and
+    stalled when it ended earlier, with Newton making no measurable progress.
     """
     x = prob.pack(init)
     sb = prob.stacked()
@@ -488,16 +526,20 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     while True:
         # the last two stages: this one or the next ends the path
         centered = nu / (10.0 * mu) <= GAP_TOL
-        x, kkt, steps, carry = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL, fscale=fscale,
-                                             carry=carry, centered=centered)
+        x, _, steps, carry, newton = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL,
+                                                   fscale=fscale, carry=carry,
+                                                   centered=centered)
         stage_steps.append(steps)
         stage_objectives.append(sb.objective_at(x, carry[0]))
         if nu / mu <= GAP_TOL:
             break
         mu *= 10.0
-    if kkt <= KKT_TOL:
+    f = stage_objectives[-1]
+    gap, residual = _certificate(sb, x, carry, newton, _stage(sb, mu, fscale), prob.radius)
+    bound = f + gap / fscale
+    if bound - f <= GAP_TOL * max(1.0, abs(f)):
         status = "optimal"
     else:
         status = "max_iter" if steps == MAX_NEWTON else "stalled"
-    return SolveResult(prob.unpack(x), stage_objectives[-1], kkt, mu, status,
+    return SolveResult(prob.unpack(x), f, bound, bound - f, residual / fscale, mu, status,
                        tuple(stage_objectives), sum(stage_steps), tuple(stage_steps))

@@ -224,6 +224,10 @@ class AircraftBlock:
         # containment caps ||Q|| at wmax, so this never binds; it bounds the
         # domain when gamma_I = 0 leaves s otherwise free
         prob.add_scalar_constraint("s_cap", {self.sb: [-1.0]}, 2.0 * self.wmax / self.wmin)
+        # the feasible set the caps imply: |qt|^2 <= 1 - lam, lam in [0, 1],
+        # ||Qb||_2 <= cap (so its m(m+1)/2 upper-triangle entries have norm at
+        # most ||Qb||_F <= sqrt(m) cap) and s in [0, 2 cap], cap = wmax / wmin
+        prob.radius = float(np.sqrt(2.0 + (m + 4) * (self.wmax / self.wmin)**2))
 
 
 def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid,
@@ -254,7 +258,8 @@ def solve_scaled(consts: PartIConstants, geom: EncounterGeometry, U_B: Ellipsoid
     distance = row.const - float(bW @ qt) - r * consts.gamma_U
     objective = distance + (k * m * np.log(r) if k > 0.0 else 0.0)
     return SynthesisSolution("B", U_B.center + W @ qt, r * W, r, k, distance,
-                             SolveResult({"q": qt, "r": r}, objective, 0.0, None, "optimal"), r=r)
+                             SolveResult({"q": qt, "r": r}, objective, objective, 0.0, 0.0, None,
+                                         "optimal"), r=r)
 
 
 def feasibility_restore(bW: np.ndarray, g: float, slack0: float) -> dict:

@@ -4,10 +4,7 @@ Each test runs a transformed bundled document end to end at reduced fidelity
 and compares its artifacts with the bundled run's.  Rigid motions and mirrors
 leave every answer in place; scaling every length by c scales every
 separation by c and shifts each log det Q by m log c; swapping the aircraft
-relabels them.  Solver statuses are not compared: the barrier's stopping
-tolerances are absolute in the objective's units, and a last-digit move of
-the input can turn `optimal` into `stalled` and back (quadrotor A under the
-(100, -37, 5) m shift, fixed-wing B at c = 1/2).
+relabels them.  Every barrier solve of every run is certified `optimal`.
 """
 
 import contextlib
@@ -48,9 +45,16 @@ def answer(tmp_path_factory):
             got["tubes_initial"] = (out / "tubes_initial.csv").read_text().splitlines()
             got["log_det"] = {ac: np.linalg.slogdet(np.array(sol["Q"]))[1]
                               for ac, sol in got["solution"]["aircraft"].items()}
+            got["status"] = {ac: sol["status"]
+                             for ac, sol in got["solution"]["aircraft"].items()}
             done[key] = got
         return done[key]
     return answer
+
+
+def assert_optimal(*runs) -> None:
+    for got in runs:
+        assert got["status"] == {"A": "optimal", "B": "optimal"}
 
 
 def relative(a: float, b: float) -> float:
@@ -70,6 +74,7 @@ def test_translation_leaves_the_answer(answer, name, shift):
     # measured: the minimum moved by 4.9e-14 relative on quad and not at all
     # on fixed-wing, log det Q not at all
     base, moved = answer(bundled(name)), answer(shifted(name, shift))
+    assert_optimal(base, moved)
     assert moved["overlap"]["separation_at_tau_m"] == base["overlap"]["separation_at_tau_m"]
     assert np.array_equal(moved["separation"], base["separation"])
     assert relative(moved["verification"]["min_separation_m"],
@@ -85,6 +90,7 @@ def test_far_translation_moves_the_answer_by_rounding(answer, name):
     # and log det Q by 3.9e-12 and 1.1e-14
     shift = (1e5, 1e5, 0.0) if name == "quadrotor_pair" else (1e5, 1e5)
     base, moved = answer(bundled(name)), answer(shifted(name, shift))
+    assert_optimal(base, moved)
     assert relative(moved["verification"]["min_separation_m"],
                     base["verification"]["min_separation_m"]) <= 1e-10
     for ac, log_det in base["log_det"].items():
@@ -97,6 +103,7 @@ def test_quadrotor_y_mirror_is_bit_equal(answer):
         entry["initial_position_m"][1] *= -1.0
         entry["initial_velocity_mps"][1] *= -1.0
     base, mirrored = answer(bundled("quadrotor_pair")), answer(doc)
+    assert_optimal(base, mirrored)
     assert mirrored["overlap"]["separation_at_tau_m"] == base["overlap"]["separation_at_tau_m"]
     assert np.array_equal(mirrored["separation"], base["separation"])
     assert (mirrored["verification"]["min_separation_m"]
@@ -130,6 +137,7 @@ def test_scaling_scales_the_answer(answer, name, c):
     # one, log det Q within 1.8e-11 of its shift; separation.csv holds 9
     # digits, so each of its values is within 5e-9 relative of the exact one
     base, big = answer(bundled(name)), answer(scaled(name, c))
+    assert_optimal(base, big)
     assert relative(big["verification"]["min_separation_m"],
                     c * base["verification"]["min_separation_m"]) <= 1e-10
     m = len(base["solution"]["aircraft"]["A"]["Q"])
@@ -144,6 +152,7 @@ def test_swapping_the_aircraft_relabels_the_answer(answer, name):
     doc = bundled(name)
     doc["aircraft"] = doc["aircraft"][::-1]
     base, swapped = answer(bundled(name)), answer(doc)
+    assert_optimal(base, swapped)
     value = swapped["overlap"]["separation_at_tau_m"]
     assert value == base["overlap"]["separation_at_tau_m"]
     relabel = {"A": "B", "B": "A"}

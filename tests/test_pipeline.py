@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import reachsep
 from reachsep import distance, pipeline, reachability
 from reachsep.cli import main
+from reachsep.convex import GAP_TOL
 from reachsep.ellipsoid import Ellipsoid
 from reachsep.montecarlo import sample_trajectories
 from reachsep.pipeline import SEP_TOL, plane_directions, run, verify_monte_carlo
@@ -93,10 +94,15 @@ def test_solution_artifact(quad_run):
         ac = sol["aircraft"][name]
         # the solver's keys are the fields of convex.SolveResult but its values
         assert set(ac) == {"q", "Q", "lambda", "r", "distance_m", "original_control_center",
-                           "original_control_shape", "objective", "kkt_residual", "status",
-                           "newton_steps", "barrier_mu_final", "stage_objectives",
-                           "stage_steps"}
-        assert ac["kkt_residual"] <= 1e-6
+                           "original_control_shape", "objective", "dual_bound",
+                           "optimality_gap", "kkt_residual", "status", "newton_steps",
+                           "barrier_mu_final", "stage_objectives", "stage_steps"}
+        # each solve is certified by its dual bound, whose stationarity
+        # residual is at rounding level
+        assert ac["status"] == "optimal"
+        assert ac["dual_bound"] - ac["objective"] == ac["optimality_gap"]
+        assert 0.0 < ac["optimality_gap"] <= GAP_TOL * max(1.0, abs(ac["objective"]))
+        assert ac["kkt_residual"] <= 1e-12
         assert 0.0 < ac["lambda"] <= 1.0
         assert ac["newton_steps"] > 0
         assert ac["barrier_mu_final"] >= 1.0

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachsep import convex, synthesis
-from reachsep.convex import (INIT_MARGIN, KKT_TOL, MAX_NEWTON, BarrierProblem,
+from reachsep.convex import (GAP_TOL, INIT_MARGIN, KKT_TOL, MAX_NEWTON, BarrierProblem,
                               InfeasibleProblemError, solve)
 from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
 from reachsep.ellipsoid import Ellipsoid, containment_block, contains, psd_sqrt, support
@@ -329,8 +329,9 @@ def test_scaled_closed_form_matches_barrier(case):
     block = containment_block(U, sol.q, sol.Q, sol.lam)
     assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.abs(block).max()
     res = sol.solve
-    assert (res.status, res.kkt_residual, res.newton_steps, res.barrier_mu_final,
-            res.stage_objectives, res.stage_steps) == ("optimal", 0.0, 0, None, (), ())
+    assert (res.status, res.dual_bound, res.optimality_gap, res.kkt_residual, res.newton_steps,
+            res.barrier_mu_final, res.stage_objectives, res.stage_steps) == (
+        "optimal", res.objective, 0.0, 0.0, 0, None, (), ())
 
 
 class _Captured(Exception):
@@ -666,14 +667,16 @@ def test_bundled_fixedwing_stages_end_below_step_cap():
     assert solA.solve.newton_steps < MAX_NEWTON
 
 
-def test_bundled_fixedwing_phase_two_reads_stalled():
-    # that stop is above KKT_TOL but its last stage is far below the step
-    # cap: stalled, not max_iter
-    solB, solA = bundled_fixedwing_coarse_grid()
-    assert solA.solve.status == "stalled"
-    assert solA.solve.kkt_residual > KKT_TOL
-    assert solA.solve.stage_steps[-1] < MAX_NEWTON
-    assert solB.solve.status == "optimal"
+def test_bundled_fixedwing_phase_two_certifies():
+    # the point where A's phase two reaches its rounding floor has a gradient
+    # norm of 4.2e-6, but its dual bound certifies it: optimal, with a gap
+    # within GAP_TOL relative, and the stationarity residual at rounding level
+    for sol in bundled_fixedwing_coarse_grid():
+        res = sol.solve
+        assert res.status == "optimal"
+        assert res.dual_bound - res.objective == res.optimality_gap
+        assert 0.0 < res.optimality_gap <= GAP_TOL * max(1.0, abs(res.objective))
+        assert res.kkt_residual <= 1e-12
 
 
 @functools.cache
