@@ -12,11 +12,12 @@ The solver follows the central path of
     F_mu(x) = f(x) + (1/mu) * [sum log det G_c(x) + sum log s_c(x)]
 
 by damped Newton steps with a backtracking line search that preserves strict
-feasibility, multiplying mu by 10 per stage until the barrier duality-gap
-estimate (total barrier dimension / mu) drops below 1e-7.  Problem sizes here
-are tiny (around fifteen scalars), so all Hessians are dense.  Each step is
-one solve with the Hessian -tr(M_i M_j), minus a Gram matrix, so negative
-definite when the F_i are independent; stacked() refuses an F_i of zero.
+feasibility, multiplying mu by 10 per stage, and stops at the first stage
+whose certified duality gap is within GAP_TOL * max(1, |f|).  Problem sizes
+here are tiny (around fifteen scalars), so all Hessians are dense.  Each
+step is one solve with the Hessian -tr(M_i M_j), minus a Gram matrix, so
+negative definite when the F_i are independent; stacked() refuses an F_i of
+zero.
 
 A problem is built on a BarrierProblem (variables, objective terms,
 constraints) and evaluated only on the StackedBarrier that its stacked()
@@ -39,15 +40,23 @@ rounding level or the gradient norm fell, since once neither holds Newton
 can make no measurable progress at this mu (the centering stop of
 Boyd & Vandenberghe, 9.5, 11.3).
 
-Only the last two stages are centered to the final tolerance (gradient norm
-KKT_TOL / 2), so the last starts from a fully centered point one x10 step
-back.  Every earlier stage only has to start the next one near its central
-point, and stops once the Newton decrement of mu * F_mu is small:
+Every stage stops once the Newton decrement of mu * F_mu is small:
 0.5 * mu * (grad . step) <= CENTER_DECREMENT (Boyd & Vandenberghe, 11.3.3
 and 11.5; Nesterov & Nemirovski, 1994).  mu * F_mu = mu f + barrier is
 self-concordant, so its decrement bounds the distance to the stage's central
 point whatever mu is; the decrement of F_mu alone shrinks with 1/mu and
 would stop the later stages far from it.
+
+The stop and the status read one certificate (Vandenberghe, Boyd & Wu,
+SIMAX 1998).  The Newton step that a stage's decrement test solved at its
+last point implies a dual point in closed form, and with it an upper bound
+on the optimum: dual_bound, at most optimality_gap above the objective (see
+_certificate).  It costs one Cholesky factor, so it is formed only at the
+end of a stage whose path estimate nu / (mu * fscale) is within 2x of the
+tolerance, nu the barrier's dimension.  A solve is optimal at the first
+stage it certifies.  The x10 ladder ends at the first mu with
+nu / mu <= GAP_TOL; a solve that has not certified there reads max_iter when
+its last stage took all MAX_NEWTON steps, and stalled otherwise.
 """
 
 from dataclasses import dataclass
@@ -55,11 +64,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-GAP_TOL = 1e-7
-KKT_TOL = 1e-6
+GAP_TOL = 1e-7  # certified gap, relative to max(1, |f|), that ends a solve
 INIT_MARGIN = 1e-8
 MAX_NEWTON = 200
-CENTER_DECREMENT = 0.1  # half the squared Newton decrement ending an early stage
+CENTER_DECREMENT = 0.1  # half the squared Newton decrement ending a stage
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 
@@ -405,13 +413,15 @@ def _merit_derivs(sb: StackedBarrier, Ginv: np.ndarray, st: _Stage):
     return grad, hess
 
 
-def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
-                  fscale: float = 1.0, carry=None, centered: bool = True):
-    """Centers F_mu by damped Newton; returns (x, grad_norm, steps, carry).
+def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, fscale: float = 1.0,
+                  carry=None):
+    """Centers F_mu by damped Newton; returns (x, steps, carry, newton).
 
-    A centered stage runs until the gradient norm is within gtol; one that
-    is not also ends once 0.5 * mu * (grad . step) <= CENTER_DECREMENT, the
-    point being near enough the central path to start the next stage.
+    The stage ends once 0.5 * mu * (grad . step) <= CENTER_DECREMENT, the
+    point being near enough the central path to start the next stage or to
+    be certified.  newton is (step, r): the Newton step solved at the point
+    the stage ends on and its residual r = grad + hess @ step, from which
+    _certificate forms the dual point; None when numpy cannot solve there.
 
     carry is (L, G^-1) at x: the Cholesky factor and inverse of G(x) that
     the previous stage ended on, None at the first stage, which computes
@@ -420,12 +430,12 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
     its start.  Backtracking trials factor G and evaluate F_mu alone; an
     accepted trial's G is inverted once for its derivatives, and its factor
     and inverse are carried into the next step and returned with the point
-    the stage ends on.  A Newton system that numpy cannot solve, or a step
-    that does not ascend F_mu, ends the stage.  A trial that passes the
-    Armijo test is taken only if it makes measurable progress: F_mu rose by
-    more than its rounding level, or the gradient norm fell.  Otherwise, and
-    when no trial passes, Newton can no longer improve the point at this mu
-    and the stage ends there.
+    the stage ends on.  A Newton system that numpy cannot solve, a step that
+    does not ascend F_mu, or MAX_NEWTON steps end the stage.  A trial that
+    passes the Armijo test is taken only if it makes measurable progress:
+    F_mu rose by more than its rounding level, or the gradient norm fell.
+    Otherwise, and when no trial passes, Newton can no longer improve the
+    point at this mu and the stage ends there.
     """
     st = _stage(sb, mu, fscale)
     if carry is None:
@@ -437,16 +447,15 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
     grad, hess = _merit_derivs(sb, carry[1], st)
     steps = 0
     while True:
-        gnorm = float(np.linalg.norm(grad))
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            return x, gnorm, steps, carry, None
+            return x, steps, carry, None
         decrement = float(grad @ step)
         newton = step, grad + hess @ step
-        if (gnorm <= gtol or steps == MAX_NEWTON or not decrement > 0.0
-                or (not centered and 0.5 * mu * decrement <= CENTER_DECREMENT)):
-            return x, gnorm, steps, carry, newton
+        if (steps == MAX_NEWTON or not decrement > 0.0
+                or 0.5 * mu * decrement <= CENTER_DECREMENT):
+            return x, steps, carry, newton
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
@@ -457,13 +466,13 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, gtol: float,
                     break
             alpha *= BACKTRACK
         else:
-            return x, gnorm, steps, carry, newton
+            return x, steps, carry, newton
         steps += 1
         ccarry = trial[1], np.linalg.inv(trial[0])
         cgrad, chess = _merit_derivs(sb, ccarry[1], st)
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
-                and np.linalg.norm(cgrad) >= gnorm):
-            return x, gnorm, steps, carry, newton
+                and np.linalg.norm(cgrad) >= np.linalg.norm(grad)):
+            return x, steps, carry, newton
         x, val, grad, hess, carry = cand, cval, cgrad, chess, ccarry
 
 
@@ -504,12 +513,15 @@ def _certificate(sb: StackedBarrier, x: np.ndarray, carry, newton, st: _Stage,
 def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     """Path-following solve from a strictly feasible initial point.
 
-    The final point is certified by _certificate's dual bound: dual_bound is
-    an upper bound on the optimum, optimality_gap = dual_bound - objective,
-    and kkt_residual is the dual point's stationarity residual over fscale.
-    The status is optimal when the gap is within GAP_TOL * max(1, |f|);
-    otherwise max_iter when the final stage took all MAX_NEWTON steps, and
-    stalled when it ended earlier, with Newton making no measurable progress.
+    Ends at the first stage whose certificate puts dual_bound within
+    GAP_TOL * max(1, |f|) of the objective, f read at that stage's point,
+    with status optimal.  dual_bound bounds the optimum from above,
+    optimality_gap = dual_bound - objective, and kkt_residual is the dual
+    point's stationarity residual over fscale, fscale the inverse of the
+    objective's largest coefficient.  A solve that reaches the ladder's last
+    mu uncertified reports that stage's certificate (inf when it has none),
+    with status max_iter when that stage took all MAX_NEWTON steps, and
+    stalled when it ended earlier.
     """
     x = prob.pack(init)
     sb = prob.stacked()
@@ -524,22 +536,24 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
     stage_objectives, stage_steps = [], []
     carry = None
     while True:
-        # the last two stages: this one or the next ends the path
-        centered = nu / (10.0 * mu) <= GAP_TOL
-        x, _, steps, carry, newton = _newton_stage(sb, x, mu, gtol=0.5 * KKT_TOL,
-                                                   fscale=fscale, carry=carry,
-                                                   centered=centered)
+        x, steps, carry, newton = _newton_stage(sb, x, mu, fscale, carry)
         stage_steps.append(steps)
-        stage_objectives.append(sb.objective_at(x, carry[0]))
-        if nu / mu <= GAP_TOL:
+        f = sb.objective_at(x, carry[0])
+        stage_objectives.append(f)
+        tol = GAP_TOL * max(1.0, abs(f))
+        last = nu / mu <= GAP_TOL
+        # nu / mu is the central path's gap in fscale units; a stage whose
+        # estimate is not within 2x of the tolerance is not worth a certificate
+        if last or nu / (mu * fscale) <= 2.0 * tol:
+            gap, residual = _certificate(sb, x, carry, newton, _stage(sb, mu, fscale),
+                                         prob.radius)
+            bound = f + gap / fscale
+            if bound - f <= tol:
+                status = "optimal"
+                break
+        if last:
+            status = "max_iter" if steps == MAX_NEWTON else "stalled"
             break
         mu *= 10.0
-    f = stage_objectives[-1]
-    gap, residual = _certificate(sb, x, carry, newton, _stage(sb, mu, fscale), prob.radius)
-    bound = f + gap / fscale
-    if bound - f <= GAP_TOL * max(1.0, abs(f)):
-        status = "optimal"
-    else:
-        status = "max_iter" if steps == MAX_NEWTON else "stalled"
     return SolveResult(prob.unpack(x), f, bound, bound - f, residual / fscale, mu, status,
                        tuple(stage_objectives), sum(stage_steps), tuple(stage_steps))

@@ -109,13 +109,22 @@ def toy_grid_optimum(const, b, gamma, k, margin):
     return obj[i, j], q[i], r[j]
 
 
+def assert_certified(res):
+    # optimal means certified: the dual bound is at most GAP_TOL relative
+    # above the objective, and its stationarity residual is at rounding level
+    assert res.status == "optimal"
+    assert res.dual_bound - res.objective == res.optimality_gap
+    assert 0.0 <= res.optimality_gap <= convex.GAP_TOL * max(1.0, abs(res.objective))
+    assert res.kkt_residual <= 1e-12
+
+
 def test_logdet_under_identity_cap():
+    # the optimum is Q = I, log det 0
     p, Q = logdet_under_identity()
     res = solve(p, {"Q": 0.5 * np.eye(2)})
-    assert res.status == "optimal"
+    assert_certified(res)
     assert np.allclose(res.values["Q"], np.eye(2), atol=1e-6)
-    assert res.objective == pytest.approx(0.0, abs=1e-6)
-    assert res.kkt_residual <= 1e-6
+    assert res.objective <= 0.0 <= res.dual_bound
 
 
 def test_linear_over_unit_ball():
@@ -130,7 +139,8 @@ def test_linear_over_unit_ball():
     ball.add_vector(q, 0, 1)
     p.radius = 1.0
     res = solve(p, {"q": np.zeros(2)})
-    assert res.status == "optimal"
+    assert_certified(res)
+    assert res.objective <= 5.0 <= res.dual_bound
     assert np.allclose(res.values["q"], c / np.linalg.norm(c), atol=1e-6)
 
 
@@ -138,8 +148,9 @@ def test_toy_matches_grid_oracle():
     const, b, gamma, k, margin = 0.3, 0.8, 0.5, 0.2, 0.05
     p = scaled_toy(const, b, gamma, k, margin)
     res = solve(p, SCALED_START)
-    assert res.status == "optimal"
+    assert_certified(res)
     grid_best, _, _ = toy_grid_optimum(const, b, gamma, k, margin)
+    assert grid_best <= res.dual_bound
     assert abs(res.objective - grid_best) <= 1e-3
 
 
@@ -184,7 +195,7 @@ def test_start_within_init_margin_rejected():
     p, _ = logdet_under_identity()
     with pytest.raises(InfeasibleStartError, match=r"'logdet\(Q\)', margin 5.000e-09"):
         solve(p, {"Q": np.diag([0.5, 0.5 * INIT_MARGIN])})
-    assert solve(p, {"Q": np.diag([0.5, 2.0 * INIT_MARGIN])}).status == "optimal"
+    assert_certified(solve(p, {"Q": np.diag([0.5, 2.0 * INIT_MARGIN])}))
 
 
 def test_monotone_central_path():
@@ -373,7 +384,10 @@ def test_value_only_merit_is_bit_identical(which, unit, radius, mu, fscale):
         assert point is None
     else:
         value = convex._merit_value(sb, x, point[1], convex._stage(sb, mu, fscale))
-        _, _, _, (L, _), _ = convex._newton_stage(sb, x, mu / 10.0, np.inf, fscale)
+        # a stage allowed no step ends where it starts, carrying its factor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "MAX_NEWTON", 0)
+            _, _, (L, _), _ = convex._newton_stage(sb, x, mu / 10.0, fscale)
         carried = convex._merit_value(sb, x, L, convex._stage(sb, mu, fscale))
         assert value == carried == full[0]
     assert np.array_equal(sb.value(x), sb.F0 + np.tensordot(x, sb.F, axes=1))
@@ -531,16 +545,16 @@ def test_factorizations_per_solve(name, monkeypatch):
     assert calls["objective"] == 0
 
 
-def reference_newton_stage(sb, x, mu, gtol, fscale=1.0, carry=None, centered=True):
+def reference_newton_stage(sb, x, mu, fscale=1.0, carry=None):
     # the stage with full-merit trials: every evaluation, trials included,
     # computes value, gradient and Hessian, and nothing is carried over; the
     # carry is taken and returned, recomputed at the point the stage ends on
-    x, gnorm, steps, newton = _reference_stage(sb, x, mu, gtol, fscale, centered)
+    x, steps, newton = _reference_stage(sb, x, mu, fscale)
     G = sb.value(x)
-    return x, gnorm, steps, (np.linalg.cholesky(G), np.linalg.inv(G)), newton
+    return x, steps, (np.linalg.cholesky(G), np.linalg.inv(G)), newton
 
 
-def _reference_stage(sb, x, mu, gtol, fscale, centered):
+def _reference_stage(sb, x, mu, fscale):
     steps = 0
     val, grad, hess = full_merit(sb, x, mu, fscale)
     while True:
@@ -548,15 +562,15 @@ def _reference_stage(sb, x, mu, gtol, fscale, centered):
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            return x, gnorm, steps, None
+            return x, steps, None
         decrement = float(grad @ step)
         # the step solved at the point the stage ends on feeds the certificate
         newton = step, grad + hess @ step
-        # a stage before the last two ends near the central path: a small
-        # Newton decrement of mu * F_mu
-        if (gnorm <= gtol or steps == convex.MAX_NEWTON or not decrement > 0.0
-                or (not centered and 0.5 * mu * decrement <= convex.CENTER_DECREMENT)):
-            return x, gnorm, steps, newton
+        # every stage ends near the central path: a small Newton decrement of
+        # mu * F_mu
+        if (steps == convex.MAX_NEWTON or not decrement > 0.0
+                or 0.5 * mu * decrement <= convex.CENTER_DECREMENT):
+            return x, steps, newton
         alpha = 1.0
         accepted = False
         while alpha > 1e-16:
@@ -567,12 +581,12 @@ def _reference_stage(sb, x, mu, gtol, fscale, centered):
                 break
             alpha *= convex.BACKTRACK
         if not accepted:
-            return x, gnorm, steps, newton
+            return x, steps, newton
         steps += 1
         # progress means a rise of F_mu above its rounding level or a smaller gradient
         if (cout[0] - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cout[1]) >= gnorm):
-            return x, gnorm, steps, newton
+            return x, steps, newton
         x, (val, grad, hess) = cand, cout
 
 
@@ -606,3 +620,18 @@ def test_newton_step_cap(name, monkeypatch):
     assert res.status == status
     assert (res.optimality_gap <= convex.GAP_TOL) == (status == "optimal")
     assert res.newton_steps <= 3 * len(res.stage_objectives)
+
+
+@pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy"])
+def test_a_solve_that_never_certifies_reads_stalled(name, monkeypatch):
+    # with no certificate the x10 ladder runs to its last mu, the first with
+    # nu / mu <= GAP_TOL, and the solve reads stalled there, its gap infinite
+    p, init = with_start(name)
+    monkeypatch.setattr(convex, "_certificate", lambda *args: (np.inf, 0.0))
+    res = solve(p, init)
+    sb = p.stacked()
+    nu = sb.k.shape[0] - sb.n_obj
+    assert res.status == "stalled"
+    assert res.dual_bound == res.optimality_gap == np.inf
+    assert nu / res.barrier_mu_final <= convex.GAP_TOL < 10.0 * nu / res.barrier_mu_final
+    assert len(res.stage_objectives) == round(np.log10(res.barrier_mu_final)) + 1

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachsep import convex, synthesis
-from reachsep.convex import (GAP_TOL, INIT_MARGIN, KKT_TOL, MAX_NEWTON, BarrierProblem,
+from reachsep.convex import (GAP_TOL, INIT_MARGIN, MAX_NEWTON, BarrierProblem,
                               InfeasibleProblemError, solve)
 from reachsep.dynamics import LTISystem, NominalTrajectory, QuadrotorParams, quadrotor_linearized
 from reachsep.ellipsoid import Ellipsoid, containment_block, contains, psd_sqrt, support
@@ -262,6 +262,7 @@ def reference_solve_scaled(consts, geom, U_B, k, margin=0.0):
     prob.add_scalar_constraint("distance", {qt: -bW, r: -consts.gamma_U},
                                const_term - margin)
     prob.add_scalar_constraint("r_floor", {r: [1.0]}, 0.0)
+    prob.radius = np.sqrt(2.0)  # containment: |qt|^2 + r^2 <= 1 and lam in [0, 1]
     # the spectral-norm start charges gamma_I for s = 2 eps; charging half of
     # gamma_U there covers r = eps here, and the containment blocks agree
     start = feasibility_restore(bW, 0.5 * consts.gamma_U, const_term - margin)
@@ -315,6 +316,9 @@ def test_scaled_closed_form_matches_barrier(case):
     # barrier may stop with status max_iter; its value is still accurate
     ref = reference_solve_scaled(consts, geom, U, k, margin=0.3)
     assert abs(sol.solve.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
+    # the closed form is the optimum, which the barrier's certificate brackets
+    eps = 1e-12 * (1.0 + abs(ref.objective))
+    assert ref.objective - eps <= sol.solve.objective <= ref.dual_bound + eps
     # the barrier stops at a duality gap of nu / mu (objective units scaled by
     # the largest coefficient), and the objective is concave in r with
     # curvature >= k m; where r* = 1 = k m / slope, at the kink of the two
@@ -404,6 +408,25 @@ def test_norm_start_strictly_feasible(case):
         if beta > 0.0 and not np.array_equal(init["q"], centered["q"]):
             # the center slides against b~, which raises the distance slack
             assert float(bW @ init["q"]) < 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=norm_cases())
+def test_dual_bound_holds_on_random_norm_programs(case):
+    # whatever the status, no feasible point beats the dual bound, and the
+    # reported gap covers the distance from the objective to it
+    b, widths, gamma_I, const_term, margin = case
+    U = Ellipsoid(np.zeros(len(b)), np.diag(np.asarray(widths) ** 2))
+    consts = PartIConstants(a0=0.0, b=np.asarray(b, dtype=float), x0_term=0.0,
+                            gamma_U=gamma_I, gamma_I=gamma_I, offset=0.0)
+    W = psd_sqrt(U.shape)
+    beta = float(np.linalg.norm(W @ consts.b))
+    g = gamma_I * float(np.linalg.eigvalsh(W).min())
+    # feasible, with room for a start that passes INIT_MARGIN
+    assume(const_term - margin + beta > 1e-6 * (1.0 + beta + g))
+    res = solve(*norm_start(consts, const_term, U, margin))
+    assert res.dual_bound >= res.objective
+    assert res.dual_bound - res.objective <= res.optimality_gap
 
 
 @functools.cache
@@ -668,9 +691,10 @@ def test_bundled_fixedwing_stages_end_below_step_cap():
 
 
 def test_bundled_fixedwing_phase_two_certifies():
-    # the point where A's phase two reaches its rounding floor has a gradient
-    # norm of 4.2e-6, but its dual bound certifies it: optimal, with a gap
-    # within GAP_TOL relative, and the stationarity residual at rounding level
+    # A's phase two on this grid read stalled under the gradient-norm rule
+    # that the certificate replaced (4.2e-6 against 1e-6); both solves are
+    # optimal, with a gap within GAP_TOL relative, and the certificate's
+    # stationarity residual at rounding level
     for sol in bundled_fixedwing_coarse_grid():
         res = sol.solve
         assert res.status == "optimal"
@@ -697,22 +721,35 @@ def bundled_phase_programs(name):
 
 
 @pytest.mark.parametrize("name", ["quadrotor_pair", "fixedwing_pair"])
-def test_early_stages_stop_at_a_small_decrement(name, monkeypatch):
-    # only the last two barrier stages are centered to KKT_TOL / 2; the
-    # earlier ones stop once the Newton decrement is small, which must take
-    # fewer steps to the answer that centering every stage fully reaches
-    stage = convex._newton_stage
+def test_solve_stops_at_its_first_certified_stage(name, monkeypatch):
+    # a certificate is formed only at the end of a stage whose estimate
+    # nu / (mu fscale) is within 2x of the tolerance, and the solve ends at
+    # the first one within GAP_TOL * max(1, |f|); a solve to a 100x tighter
+    # tolerance takes more steps, and the two certified intervals overlap
+    certificate = convex._certificate
     programs = bundled_phase_programs(name)
     assert len(programs) >= 2
     for prob, init in programs:
-        flags = []
-        monkeypatch.setattr(convex, "_newton_stage", lambda *args, **kw: flags.append(
-            kw["centered"]) or stage(*args, **kw))
-        res = solve(prob, init)
-        monkeypatch.setattr(convex, "_newton_stage",
-                            lambda *args, **kw: stage(*args, **{**kw, "centered": True}))
-        full = solve(prob, init)
-        assert len(flags) == len(res.stage_objectives) > 2
-        assert flags == [False] * (len(flags) - 2) + [True, True]
-        assert abs(res.objective - full.objective) <= 1e-9 * abs(full.objective)
-        assert res.newton_steps < full.newton_steps
+        gaps = []
+
+        def recorded(*args):
+            gap, residual = certificate(*args)
+            gaps.append(gap / args[4].fscale)
+            return gap, residual
+
+        with monkeypatch.context() as mp:
+            mp.setattr(convex, "_certificate", recorded)
+            res = solve(prob, init)
+        assert res.status == "optimal"
+        assert 1 <= len(gaps) <= 2
+        tols = [GAP_TOL * max(1.0, abs(f)) for f in res.stage_objectives[-len(gaps):]]
+        assert gaps[-1] <= tols[-1] and all(g > t for g, t in zip(gaps[:-1], tols[:-1]))
+        assert res.optimality_gap == pytest.approx(gaps[-1], rel=1e-6)
+        with monkeypatch.context() as mp:
+            mp.setattr(convex, "GAP_TOL", GAP_TOL / 100.0)
+            tight = solve(prob, init)
+        assert tight.status == "optimal"
+        assert tight.optimality_gap <= GAP_TOL / 100.0 * max(1.0, abs(tight.objective))
+        assert tight.objective - res.objective <= res.optimality_gap
+        assert res.objective - tight.objective <= tight.optimality_gap
+        assert res.newton_steps < tight.newton_steps
