@@ -54,8 +54,8 @@ on the optimum: dual_bound, at most optimality_gap above the objective (see
 _certificate).  It costs one Cholesky factor, so it is formed only at the
 end of a stage whose path estimate nu / (mu * fscale) is within 2x of the
 tolerance, nu the barrier's dimension.  A solve is optimal at the first
-stage it certifies.  The x10 ladder ends at the first mu with
-nu / mu <= GAP_TOL; a solve that has not certified there reads max_iter when
+stage it certifies.  The x10 ladder ends at the first mu whose estimate is
+within GAP_TOL; a solve that has not certified there reads max_iter when
 its last stage took all MAX_NEWTON steps, and stalled otherwise.
 """
 
@@ -540,18 +540,17 @@ def solve(prob: BarrierProblem, init: dict) -> SolveResult:
         stage_steps.append(steps)
         f = sb.objective_at(x, carry[0])
         stage_objectives.append(f)
-        tol = GAP_TOL * max(1.0, abs(f))
-        last = nu / mu <= GAP_TOL
         # nu / mu is the central path's gap in fscale units; a stage whose
         # estimate is not within 2x of the tolerance is not worth a certificate
-        if last or nu / (mu * fscale) <= 2.0 * tol:
+        estimate, tol = nu / (mu * fscale), GAP_TOL * max(1.0, abs(f))
+        if estimate <= 2.0 * tol:
             gap, residual = _certificate(sb, x, carry, newton, _stage(sb, mu, fscale),
                                          prob.radius)
             bound = f + gap / fscale
             if bound - f <= tol:
                 status = "optimal"
                 break
-        if last:
+        if estimate <= GAP_TOL:
             status = "max_iter" if steps == MAX_NEWTON else "stalled"
             break
         mu *= 10.0

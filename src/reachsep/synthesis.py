@@ -209,7 +209,9 @@ class AircraftBlock:
     def constrain(self, prob: BarrierProblem) -> None:
         """Adds the containment LMI, scaled by diag(1, I, W^-1) so that U is the
         unit ball and every block order one ([[1 - lam, 0, qt'],
-        [0, lam I, wmin Qb W^-1], [qt, ., I]]), s I - Q PSD, Q PSD and s_cap."""
+        [0, lam I, wmin Qb W^-1], [qt, ., I]]), s I - Q PSD and s_cap.  Q is
+        kept positive definite by the program's log-det block, which the
+        barrier's domain includes."""
         m = self.qt.size
         lmi = prob.new_psd_constraint(1 + 2 * m, "containment")
         lmi.F0[0, 0] = 1.0
@@ -220,7 +222,6 @@ class AircraftBlock:
         epi = prob.new_psd_constraint(m, "spectral_epigraph")
         epi.add_scalar(self.sb, np.eye(m))
         epi.add_symmetric(self.Qb, 0, 0, coeff=-1.0)
-        prob.new_psd_constraint(m, "Q_psd").add_symmetric(self.Qb, 0, 0)
         # containment caps ||Q|| at wmax, so this never binds; it bounds the
         # domain when gamma_I = 0 leaves s otherwise free
         prob.add_scalar_constraint("s_cap", {self.sb: [-1.0]}, 2.0 * self.wmax / self.wmin)
@@ -296,8 +297,11 @@ def _norm_program(row: DistanceRow, U: Ellipsoid, k: float, w_dist: float) -> Sy
     Maximizes w_dist * (the row's distance term) + k log det Q over
     sub-ellipsoids E(q, Q^2) of U subject to the row; ||Q||_2 enters by the
     epigraph s, so the program is affine in (q, Q, lam, s).  Phase one uses
-    w_dist = 1, phase two w_dist = 0, k = 1.
+    w_dist = 1, phase two w_dist = 0, k = 1.  Raises ValueError for k <= 0:
+    the log-det block is what keeps Q positive definite.
     """
+    if not k > 0.0:
+        raise ValueError("the log det weight k must be positive")
     (aircraft, b, gamma_I), = row.terms
     prob = BarrierProblem()
     blk = AircraftBlock(prob, U)

@@ -61,7 +61,7 @@ SCALED_START = {"q": [0.0], "r": 1e-3, "lam": 0.5}
 def norm_toy(b=(0.6, -0.3), gamma=0.4, margin=0.05, const=0.5):
     # the spectral-norm program's shape on the unit-ball control set: maximize
     # const - <b, q> - gamma s + log det Q s.t. E(q, Q^2) inside the ball,
-    # s I >= Q >= 0 and distance const - <b, q> - gamma s >= margin
+    # s I >= Q > 0 (the log-det block) and distance const - <b, q> - gamma s >= margin
     m = len(b)
     p = BarrierProblem()
     q = p.add_vector_var("q", m)
@@ -82,7 +82,6 @@ def norm_toy(b=(0.6, -0.3), gamma=0.4, margin=0.05, const=0.5):
     epi = p.new_psd_constraint(m, "spectral_epigraph")
     epi.add_scalar(s, np.eye(m))
     epi.add_symmetric(Q, 0, 0, coeff=-1.0)
-    p.new_psd_constraint(m, "Q_psd").add_symmetric(Q, 0, 0)
     p.add_scalar_constraint("distance", {q: -np.asarray(b), s: [-gamma]}, const - margin)
     p.add_scalar_constraint("s_cap", {s: [-1.0]}, 2.0)
     p.radius = np.sqrt(2.0 + (m + 4))  # the AircraftBlock bound with W = I
@@ -624,13 +623,16 @@ def test_newton_step_cap(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["logdet_under_identity", "scaled_toy", "norm_toy"])
 def test_a_solve_that_never_certifies_reads_stalled(name, monkeypatch):
-    # with no certificate the x10 ladder runs to its last mu, the first with
-    # nu / mu <= GAP_TOL, and the solve reads stalled there, its gap infinite
+    # with no certificate the x10 ladder runs to its last mu, the first whose
+    # estimate nu / (mu fscale) is within GAP_TOL, and the solve reads stalled
+    # there, its gap infinite (each toy's largest coefficient is at most 1,
+    # so fscale = 1)
     p, init = with_start(name)
     monkeypatch.setattr(convex, "_certificate", lambda *args: (np.inf, 0.0))
     res = solve(p, init)
     sb = p.stacked()
     nu = sb.k.shape[0] - sb.n_obj
+    assert max(np.abs(sb.linear).max(), sb.k.max()) <= 1.0
     assert res.status == "stalled"
     assert res.dual_bound == res.optimality_gap == np.inf
     assert nu / res.barrier_mu_final <= convex.GAP_TOL < 10.0 * nu / res.barrier_mu_final

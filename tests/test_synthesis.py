@@ -201,6 +201,17 @@ def test_norm_isotropic_matches_scaled():
     assert abs(sigma.mean() - scaled.r) <= 1e-3
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0])
+def test_norm_program_refuses_a_nonpositive_log_det_weight(k):
+    # the log-det block is what keeps Q positive definite: at k = 0 the
+    # program would have none
+    sys = LTISystem(np.zeros((2, 2)), np.eye(2))
+    spec = ReachSpec(sys, Ellipsoid.ball([0.0, 0.0], 0.2), Ellipsoid(np.zeros(2), np.eye(2)), 1.5)
+    geom = static_geom(1.5, [1.0, 0.0], [3.0, 0.0])
+    with pytest.raises(ValueError, match="log det weight"):
+        solve_matrix_norm(part1_constants(spec, geom), geom, spec.U, k=k, margin=0.1)
+
+
 def test_norm_uncontrollable_direction_keeps_everything():
     # the input cannot move the avoidance direction: gamma_I = 0 decouples the
     # distance constraint from Q, so Q grows to the containment optimum
@@ -490,7 +501,7 @@ def test_both_phases_build_one_block_and_one_row():
         mp.setattr(synthesis, "solve", recording_solve)
         scalarization_loop(specA, specB, geom, P3, method="norm")
     assert layouts == [(("q", "Q", "lam", "s"), ("logdet(Q)", "containment", "spectral_epigraph",
-                                                 "Q_psd", "distance", "s_cap"))] * 2
+                                                 "distance", "s_cap"))] * 2
 
 
 # ---------------------------------------------------------------- safe set
