@@ -419,9 +419,9 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, fscale: float = 
 
     The stage ends once 0.5 * mu * (grad . step) <= CENTER_DECREMENT, the
     point being near enough the central path to start the next stage or to
-    be certified.  newton is (step, r): the Newton step solved at the point
-    the stage ends on and its residual r = grad + hess @ step, from which
-    _certificate forms the dual point; None when numpy cannot solve there.
+    be certified.  newton is (grad, hess, step) at the point the stage ends
+    on, step the Newton step solved there, from which _certificate forms the
+    dual point; None when numpy cannot solve there.
 
     carry is (L, G^-1) at x: the Cholesky factor and inverse of G(x) that
     the previous stage ended on, None at the first stage, which computes
@@ -452,10 +452,9 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, fscale: float = 
         except np.linalg.LinAlgError:
             return x, steps, carry, None
         decrement = float(grad @ step)
-        newton = step, grad + hess @ step
         if (steps == MAX_NEWTON or not decrement > 0.0
                 or 0.5 * mu * decrement <= CENTER_DECREMENT):
-            return x, steps, carry, newton
+            return x, steps, carry, (grad, hess, step)
         alpha = 1.0
         while alpha > 1e-16:
             cand = x + alpha * step
@@ -466,13 +465,13 @@ def _newton_stage(sb: StackedBarrier, x: np.ndarray, mu: float, fscale: float = 
                     break
             alpha *= BACKTRACK
         else:
-            return x, steps, carry, newton
+            return x, steps, carry, (grad, hess, step)
         steps += 1
         ccarry = trial[1], np.linalg.inv(trial[0])
         cgrad, chess = _merit_derivs(sb, ccarry[1], st)
         if (cval - val <= 4.0 * np.finfo(float).eps * (1.0 + abs(val))
                 and np.linalg.norm(cgrad) >= np.linalg.norm(grad)):
-            return x, steps, carry, newton
+            return x, steps, carry, (grad, hess, step)
         x, val, grad, hess, carry = cand, cval, cgrad, chess, ccarry
 
 
@@ -495,16 +494,16 @@ def _certificate(sb: StackedBarrier, x: np.ndarray, carry, newton, st: _Stage,
     """
     if newton is None:
         return np.inf, np.inf
-    step, r = newton
-    residual = float(np.linalg.norm(r))
+    grad, hess, step = newton
+    residual = float(np.linalg.norm(grad + hess @ step))
     Ginv = carry[1]
     GdG = Ginv @ _affine(np.zeros_like(Ginv), sb.F, step)
     try:
         LY = np.linalg.cholesky(st.w[:, None] * (Ginv - GdG @ Ginv))
     except np.linalg.LinAlgError:
         return np.inf, residual
-    k, o = st.w[:sb.n_obj], slice(0, sb.n_obj)
-    logdet = 2.0 * np.log(LY.diagonal()[o] * carry[0].diagonal()[o])
+    n, k = sb.n_obj, st.w[:sb.n_obj]
+    logdet = 2.0 * np.log(LY.diagonal()[:n] * carry[0].diagonal()[:n])
     gap = (float(st.w @ (1.0 - GdG.diagonal())) - float(k @ (logdet + 1.0 - np.log(k)))
            + (residual and (radius + float(np.linalg.norm(x))) * residual))
     return gap, residual

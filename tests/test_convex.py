@@ -564,7 +564,7 @@ def _reference_stage(sb, x, mu, fscale):
             return x, steps, None
         decrement = float(grad @ step)
         # the step solved at the point the stage ends on feeds the certificate
-        newton = step, grad + hess @ step
+        newton = grad, hess, step
         # every stage ends near the central path: a small Newton decrement of
         # mu * F_mu
         if (steps == convex.MAX_NEWTON or not decrement > 0.0
