@@ -617,7 +617,8 @@ def test_newton_step_cap(name, monkeypatch):
     monkeypatch.setattr(convex, "MAX_NEWTON", 3)
     res, _ = solve_matches_reference(*with_start(name), monkeypatch)
     assert res.status == status
-    assert (res.optimality_gap <= convex.GAP_TOL) == (status == "optimal")
+    tol = convex.GAP_TOL * max(1.0, abs(res.objective))
+    assert (res.optimality_gap <= tol) == (status == "optimal")
     assert res.newton_steps <= 3 * len(res.stage_objectives)
 
 

@@ -323,20 +323,18 @@ def test_scaled_closed_form_matches_barrier(case):
         assert exc.value.constraint == "distance"
         return
     sol = solve_scaled(consts, geom, U, k, margin=0.3)
-    # at r* = 1 the containment LMI is singular at the optimum and the
-    # barrier may stop with status max_iter; its value is still accurate
     ref = reference_solve_scaled(consts, geom, U, k, margin=0.3)
+    assert ref.status == "optimal"
     assert abs(sol.solve.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
     # the closed form is the optimum, which the barrier's certificate brackets
     eps = 1e-12 * (1.0 + abs(ref.objective))
     assert ref.objective - eps <= sol.solve.objective <= ref.dual_bound + eps
-    # the barrier stops at a duality gap of nu / mu (objective units scaled by
-    # the largest coefficient), and the objective is concave in r with
-    # curvature >= k m; where r* = 1 = k m / slope, at the kink of the two
-    # branches, that leaves the reference's r off by up to sqrt(2 gap / (k m))
+    # the barrier's objective is within its certified gap of the optimum, and
+    # the objective is concave in r with curvature >= k m; where
+    # r* = 1 = k m / slope, at the kink of the two branches, that leaves the
+    # reference's r off by up to sqrt(2 gap / (k m))
     m = len(b)
-    scale = max(1.0, float(np.abs(np.asarray(widths) * b).max()), gamma_U, k * m)
-    gap = (2 * m + 3) / ref.barrier_mu_final * scale
+    gap = ref.optimality_gap
     assert abs(sol.r - ref.values["r"]) <= max(1e-5, np.sqrt(2.0 * gap / (k * m)))
     assert sol.distance >= 0.3 - 1e-12 * (1.0 + abs(sol.distance))
     # lam = r is an exact S-lemma witness of the containment
